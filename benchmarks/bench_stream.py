@@ -1,7 +1,8 @@
 """Columnar trip-stream hot path — throughput gates (``BENCH_stream.json``).
 
-Times the struct-of-arrays pipeline against the scalar ``block_size=1``
-oracle, stage by stage and composed:
+Times the struct-of-arrays pipeline against per-trip baselines (the
+per-trip primitives of each stage; a block of one for ``serve``), stage
+by stage and composed:
 
 * **validator** — ``TripValidator.admit_block`` vs the per-trip
   ``admit`` loop on a chaos-mutated stream;
@@ -19,10 +20,10 @@ oracle, stage by stage and composed:
   must agree bit for bit first — identical admit decisions, identical
   journal bytes, identical planner decisions — or the benchmark fails
   regardless of speed;
-* **serve** — ``GuardedRuntime.serve`` at ``block_size=256`` vs ``1``
-  (recorded, not gated: the planner *apply* inside the checkpointing
-  service is deliberately per-trip, so the end-to-end curve is bounded
-  by it).
+* **serve** — ``GuardedRuntime.serve`` at ``block_size=256`` vs a block
+  of one (``block_size=1``, the same single serve path; recorded, not
+  gated: the planner *apply* inside the checkpointing service is
+  deliberately per-trip, so the end-to-end curve is bounded by it).
 
 Parity is asserted *inside* every section, as ``bench_parallel`` does.
 ``--smoke`` runs a seconds-scale subset for CI: full parity, a relaxed
@@ -374,30 +375,32 @@ def run_runtime_serve(n=4_000, block=BLOCK, seed=7, workdir=None):
         return GuardedRuntime(inner, config)
 
     stream = make_trips(n, seed=seed)
-    scalar = build("serve-scalar")
+    one = build("serve-block-of-one")
     start = time.perf_counter()
-    scalar.serve(stream, block_size=1)
-    scalar_s = time.perf_counter() - start
+    one.serve(stream, block_size=1)
+    one_s = time.perf_counter() - start
 
     blocked = build("serve-blocked")
     start = time.perf_counter()
     blocked.serve(stream, block_size=block)
     blocked_s = time.perf_counter() - start
 
-    if blocked.inner.service.responses != scalar.inner.service.responses:
+    if blocked.inner.service.responses != one.inner.service.responses:
         raise AssertionError("serve responses diverged across block sizes")
     if scrub(blocked.inner.service.state_dict()) != scrub(
-        scalar.inner.service.state_dict()
+        one.inner.service.state_dict()
     ):
         raise AssertionError("serve state diverged across block sizes")
     if (blocked.inner.directory / "journal.jsonl").read_bytes() != (
-        scalar.inner.directory / "journal.jsonl"
+        one.inner.directory / "journal.jsonl"
     ).read_bytes():
         raise AssertionError("serve journal bytes diverged across block sizes")
-    scalar.close()
+    one.close()
     blocked.close()
-    report = _rate_row(len(stream), scalar_s, blocked_s)
+    report = _rate_row(len(stream), one_s, blocked_s)
     report["benchmark"] = "GuardedRuntime.serve end to end (durable journal)"
+    # The row's "scalar" leg is the same serve path at block_size=1.
+    report["scalar_leg"] = "block of one"
     report["parity"] = "responses, state and journal bytes identical"
     return report
 

@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=256,
         help="trips per columnar block on the stream hot path "
-        "(1 = the scalar per-trip pipeline)",
+        "(every size takes the same group-commit route)",
     )
     serve.add_argument(
         "--scenario",
@@ -599,15 +599,10 @@ def _run_serve(args) -> int:
         facility_cost_spec=constant_cost_spec(_DEMO_COST),
     )
     if not args.guard:
-        if args.block_size == 1:
-            served = sum(1 for r in records if wrapped.handle_trip(r) is not None)
-        else:
-            served = 0
-            for lo in range(0, len(records), args.block_size):
-                chunk = records[lo : lo + args.block_size]
-                served += sum(
-                    1 for r in wrapped.handle_block(chunk) if r is not None
-                )
+        served = 0
+        for lo in range(0, len(records), args.block_size):
+            chunk = records[lo : lo + args.block_size]
+            served += sum(1 for r in wrapped.handle_block(chunk) if r is not None)
         wrapped.checkpoint()
         wrapped.close()
         print(f"served {served}/{len(records)} trips; checkpoints in {args.dir}")

@@ -55,8 +55,9 @@ def datetime_to_us(moment: datetime) -> int:
     Raises:
         ValueError: on a timezone-aware datetime — the stream tier works
             on one naive UTC timeline (the CSV loader normalises).
+        TypeError: on a value that is not a datetime.
     """
-    if moment.tzinfo is not None:
+    if getattr(moment, "tzinfo", None) is not None:
         raise ValueError(
             f"timezone-aware datetime {moment.isoformat()} cannot enter a "
             "TripBlock; normalise to naive UTC first"
@@ -67,6 +68,22 @@ def datetime_to_us(moment: datetime) -> int:
 def us_to_datetime(us: int) -> datetime:
     """Inverse of :func:`datetime_to_us` (exact round trip)."""
     return EPOCH + timedelta(microseconds=int(us))
+
+
+def _int_column(values: list, name: str) -> np.ndarray:
+    """``values`` as ``int64``; refuses any non-integral column."""
+    col = np.array(values)
+    if col.dtype.kind not in "bi":
+        raise TypeError(f"{name} is not an int64 column (got dtype {col.dtype})")
+    return col.astype(np.int64, copy=False)
+
+
+def _float_column(values: list, name: str) -> np.ndarray:
+    """``values`` as ``float64``; refuses any non-numeric column."""
+    col = np.array(values)
+    if col.dtype.kind not in "biuf":
+        raise TypeError(f"{name} is not a numeric column (got dtype {col.dtype})")
+    return col.astype(np.float64, copy=False)
 
 
 class TripBlock:
@@ -171,42 +188,42 @@ class TripBlock:
     def from_trips(cls, trips: Sequence[TripRecord]) -> "TripBlock":
         """Columnarise a record sequence (the scalar→block boundary shim).
 
+        Each field is gathered into a list and converted in one NumPy
+        call, and the resulting dtype is checked once per column: an id
+        field must come out integral (a float id such as ``3.7`` or an
+        id beyond ``int64`` is refused, never truncated or wrapped), a
+        numeric field must come out numeric (a string or ``None`` in a
+        coordinate is refused).
+
         Raises:
             ValueError: on a timezone-aware ``start_time`` (see
                 :func:`datetime_to_us`).
+            TypeError: on a field whose values do not form an integral
+                (ids) or numeric (coordinates, telemetry) column, or a
+                ``start_time`` that is not a datetime.
         """
-        n = len(trips)
-        if n == 0:
+        if len(trips) == 0:
             return cls.empty()
-        geodesic = np.full(n, np.nan)
-        has_geo = np.zeros(n, dtype=bool)
-        battery = np.full(n, np.nan)
-        has_bat = np.zeros(n, dtype=bool)
-        start_us = np.empty(n, dtype=np.int64)
-        ints = np.empty((n, 4), dtype=np.int64)
-        xy = np.empty((n, 4), dtype=np.float64)
-        for i, t in enumerate(trips):
-            ints[i, 0] = t.order_id
-            ints[i, 1] = t.user_id
-            ints[i, 2] = t.bike_id
-            ints[i, 3] = t.bike_type
-            start_us[i] = datetime_to_us(t.start_time)
-            xy[i, 0] = t.start.x
-            xy[i, 1] = t.start.y
-            xy[i, 2] = t.end.x
-            xy[i, 3] = t.end.y
-            if t.geodesic_m is not None:
-                geodesic[i] = t.geodesic_m
-                has_geo[i] = True
-            if t.battery is not None:
-                battery[i] = t.battery
-                has_bat[i] = True
+        geodesic = [t.geodesic_m for t in trips]
+        battery = [t.battery for t in trips]
         return cls(
-            ints[:, 0].copy(), ints[:, 1].copy(), ints[:, 2].copy(),
-            ints[:, 3].copy(), start_us,
-            xy[:, 0].copy(), xy[:, 1].copy(), xy[:, 2].copy(), xy[:, 3].copy(),
-            geodesic_m=geodesic, has_geodesic=has_geo,
-            battery=battery, has_battery=has_bat,
+            _int_column([t.order_id for t in trips], "order_id"),
+            _int_column([t.user_id for t in trips], "user_id"),
+            _int_column([t.bike_id for t in trips], "bike_id"),
+            _int_column([t.bike_type for t in trips], "bike_type"),
+            np.array([datetime_to_us(t.start_time) for t in trips], dtype=np.int64),
+            _float_column([t.start.x for t in trips], "start.x"),
+            _float_column([t.start.y for t in trips], "start.y"),
+            _float_column([t.end.x for t in trips], "end.x"),
+            _float_column([t.end.y for t in trips], "end.y"),
+            geodesic_m=_float_column(
+                [np.nan if g is None else g for g in geodesic], "geodesic_m"
+            ),
+            has_geodesic=np.array([g is not None for g in geodesic], dtype=bool),
+            battery=_float_column(
+                [np.nan if b is None else b for b in battery], "battery"
+            ),
+            has_battery=np.array([b is not None for b in battery], dtype=bool),
         )
 
     @classmethod

@@ -385,7 +385,7 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         help="trips per columnar block on the guarded stream path "
-        "(default: the GuardConfig default; 1 = the scalar oracle)",
+        "(default: the GuardConfig default; 1 = blocks of one trip)",
     )
     parser.add_argument(
         "--shards",

@@ -346,17 +346,6 @@ class OverloadController:
         self.admitted += len(granted)
         return granted, TripBlock.empty()
 
-    def note_bypass(self, n: int) -> None:
-        """Account rows that lawfully skipped the controller.
-
-        The scalar fallback for un-blockable garbage rows feeds the
-        buffer directly; counting them here keeps the conservation
-        equation (`offered == admitted + shed + deferred + depth`)
-        exact.
-        """
-        self.offered += n
-        self.admitted += n
-
     def drain(self) -> Tuple[TripBlock, TripBlock]:
         """End of stream: empty the queue, ignoring the token budget.
 

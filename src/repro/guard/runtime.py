@@ -119,8 +119,8 @@ class GuardConfig:
             rename) before the next flush appends.
         block_size: trips per columnar block on the :meth:`serve` path
             (validator masks, watermark release and WAL group commit all
-            amortise per block).  ``1`` is the scalar parity oracle —
-            exactly the historical per-trip pipeline.
+            amortise per block).  Any size takes the same route; ``1``
+            serves a block of one trip at a time.
         overload: admission-control policy (token bucket, bounded
             ingest queue, priority shedder, degradation ladder) —
             ``None`` (the default) serves unthrottled, exactly the
@@ -451,7 +451,7 @@ class GuardedRuntime:
     # ------------------------------------------------------------------
     # the pipeline
     def ingest(self, trip: TripRecord):
-        """Offer one arrival to the guarded pipeline.
+        """Offer one arrival to the guarded pipeline: a block of one.
 
         Returns the list of *outcomes* this arrival caused — possibly
         empty (validated away, or parked in the reorder buffer), or
@@ -462,39 +462,18 @@ class GuardedRuntime:
         Raises:
             RuntimeHaltedError: the runtime is (or just became) halted.
         """
-        self._require_live()
-        if not self.validator.admit(trip):
-            return []
-        if self.overload is None:
-            return [self._apply(t) for t in self.buffer.push(trip)]
-        try:
-            block = TripBlock.from_trips([trip])
-        except (TypeError, ValueError):
-            # Un-blockable garbage the validator nevertheless accepted:
-            # it lawfully skips the (columnar) controller, counted so
-            # the conservation equation stays exact.
-            self.overload.note_bypass(1)
-            return [self._apply(t) for t in self.buffer.push(trip)]
-        seqs = np.array([self.validator.offered - 1], dtype=np.int64)
-        granted, deferred = self.overload.offer(block, seqs)
-        outcomes = []
-        for t in granted.to_trips():
-            outcomes.extend(self._apply(r) for r in self.buffer.push(t))
-        for t in deferred.to_trips():
-            outcomes.append(self._deferred(t))
-        return outcomes
+        return self.ingest_many([trip], block_size=1)
 
     def ingest_block(self, block: TripBlock):
         """Offer a whole columnar block to the guarded pipeline.
 
-        The hot path of :meth:`serve`: the validator evaluates all rules
-        as vectorized masks, the reorder buffer releases sorted runs as
-        block slices, and the released run is applied through one
-        group-commit journal write.  Outcomes are bit-identical to
-        per-trip :meth:`ingest` calls (same responses, same counters,
-        same dead-letter rows) except that within one block the
-        validator's dead-letter rows are recorded before the buffer's
-        (scalar ingestion interleaves them per trip).
+        The one route of the pipeline (:meth:`ingest` and :meth:`serve`
+        both end here): the validator evaluates all rules as vectorized
+        masks, the reorder buffer releases sorted runs as block slices,
+        and the released run is applied through one group-commit journal
+        write.  Responses, counters and journal bytes do not depend on
+        the block size; within one block the validator's dead-letter
+        rows are recorded before the buffer's.
 
         Raises:
             RuntimeHaltedError: the runtime is (or just became) halted.
@@ -555,23 +534,40 @@ class GuardedRuntime:
         if size <= 0:
             raise ValueError(f"block_size must be positive, got {size}")
         outcomes = []
-        if size == 1:
-            for trip in trips:
-                outcomes.extend(self.ingest(trip))
-            return outcomes
         trips = trips if isinstance(trips, list) else list(trips)
         for lo in range(0, len(trips), size):
             chunk = trips[lo : lo + size]
             try:
                 block = TripBlock.from_trips(chunk)
-            except (TypeError, ValueError):
-                # Un-blockable rows (e.g. non-numeric garbage from the
-                # chaos harness): the scalar path judges them one by
-                # one, exactly as before.
-                for trip in chunk:
-                    outcomes.extend(self.ingest(trip))
+            except (TypeError, ValueError, OverflowError):
+                outcomes.extend(self._ingest_screened(chunk))
             else:
                 outcomes.extend(self.ingest_block(block))
+        return outcomes
+
+    def _ingest_screened(self, chunk: List[TripRecord]):
+        """Ingest a chunk that :meth:`TripBlock.from_trips` refused.
+
+        A per-row screen finds the rows a block cannot hold; the
+        validator dead-letters each under its ``malformed`` rule at its
+        own position in the offered stream, and the runs of good rows
+        between them are ingested as blocks.
+        """
+        self._require_live()
+        outcomes: List = []
+        run: List[TripRecord] = []
+        for trip in chunk:
+            try:
+                TripBlock.from_trips([trip])
+            except (TypeError, ValueError, OverflowError) as exc:
+                if run:
+                    outcomes.extend(self.ingest_block(TripBlock.from_trips(run)))
+                    run = []
+                self.validator.reject_malformed(trip, f"{type(exc).__name__}: {exc}")
+            else:
+                run.append(trip)
+        if run:
+            outcomes.extend(self.ingest_block(TripBlock.from_trips(run)))
         return outcomes
 
     def serve(self, trips: Iterable[TripRecord], block_size: Optional[int] = None):
@@ -580,67 +576,37 @@ class GuardedRuntime:
         Args:
             trips: the arrival stream, in arrival order.
             block_size: trips per columnar block; defaults to
-                ``config.block_size``.  ``1`` forces the scalar per-trip
-                pipeline — the parity oracle the blocked path is tested
-                against.
+                ``config.block_size``.  Every size takes the same route
+                and yields the same responses, state and journal bytes.
         """
         outcomes = self.ingest_many(trips, block_size=block_size)
         outcomes.extend(self.finish())
         return outcomes
 
-    def _apply(self, trip: TripRecord):
-        """Route one validated, ordered event into the planner tier."""
-        breaker = self.breakers["planner"]
-        if not breaker.admit():
-            return self._degraded(trip, "planner breaker open")
-        try:
-            response = self.inner.handle_trip(trip)
-        except RuntimeHaltedError as exc:  # checkpoint retries exhausted
-            self._halt(str(exc))
-            raise
-        except OSError as exc:  # journal/durability I/O is not healable
-            self._halt(f"journal I/O failed: {exc!r}")
-            raise RuntimeHaltedError(self.halt_reason) from exc
-        except Exception as exc:  # noqa: BLE001 — planner-tier corruption
-            breaker.failure()
-            self._incident(
-                "planner_error", f"order {trip.order_id}: {exc!r}"
-            )
-            return self._self_heal(trip, exc)
-        breaker.success()
-        if response is None:
-            self.duplicates += 1
-            return None
-        self.served += 1
-        if self.incentives is not None and response.served:
-            self.incentives.offer_ride(
-                response.origin_station, response.destination_station, trip.end
-            )
-        return response
-
     def _apply_block(self, trips: List[TripRecord]):
-        """Route a released run of events into the planner tier at once.
+        """Route a released run of events into the planner tier.
 
-        Equivalent to ``[self._apply(t) for t in trips]`` — same
-        responses, same breaker event clock (one breaker call per trip),
-        same counters — but the journal write is a single group commit.
-        The batch route needs an exception-free interior, so it is taken
-        only while the planner breaker is closed and no incentive
-        mechanism is attached (incentive offers mutate the fleet between
-        trips, which makes each pickup depend on the previous response);
-        otherwise the scalar path serves trip by trip.
+        While the planner breaker is closed and no incentive mechanism
+        is attached, the whole run is one ``handle_block`` group commit
+        (one breaker call per trip on the event clock).  Otherwise the
+        run is stepped one trip per ``handle_block`` call: each trip
+        asks the breaker, a refused one is answered by
+        :meth:`_degraded`, and incentive offers (which mutate the fleet,
+        so each pickup depends on the previous response) land between
+        trips.
         """
         outcomes: List = []
         n = len(trips)
         i = 0
         breaker = self.breakers["planner"]
         while i < n:
-            if self.incentives is not None or breaker.state != CLOSED:
-                outcomes.append(self._apply(trips[i]))
+            stepping = self.incentives is not None or breaker.state != CLOSED
+            if not breaker.admit():  # counts one event; refuses only while open
+                outcomes.append(self._degraded(trips[i], "planner breaker open"))
                 i += 1
                 continue
-            chunk = trips[i:]
-            breaker.admit()  # closed: always granted; counts one event
+            chunk = trips[i : i + 1] if stepping else trips[i:]
+            i += len(chunk)
             try:
                 responses = self.inner.handle_block(chunk)
             except RuntimeHaltedError as exc:  # checkpoint retries exhausted
@@ -651,14 +617,9 @@ class GuardedRuntime:
                 raise RuntimeHaltedError(self.halt_reason) from exc
             except BlockApplyError as exc:
                 # Event clock: the prefix's trips were admitted and
-                # succeeded one by one on the scalar path.
+                # succeeded one by one.
                 breaker.calls += exc.index
-                for response in exc.outcomes:
-                    if response is None:
-                        self.duplicates += 1
-                    else:
-                        self.served += 1
-                    outcomes.append(response)
+                self._tally(exc.outcomes, outcomes)
                 cause = exc.cause
                 if isinstance(cause, RuntimeHaltedError):
                     self._halt(str(cause))
@@ -674,33 +635,48 @@ class GuardedRuntime:
                     "planner_error", f"order {failing.order_id}: {cause!r}"
                 )
                 outcomes.extend(self._self_heal_block(chunk, exc))
-                i = n
-            else:
-                breaker.calls += len(chunk) - 1
-                breaker.success()
-                for response in responses:
-                    if response is None:
-                        self.duplicates += 1
-                    else:
-                        self.served += 1
-                    outcomes.append(response)
-                i = n
+                continue
+            breaker.calls += len(chunk) - 1
+            breaker.success()
+            self._tally(responses, outcomes)
+            if self.incentives is not None:
+                for response, trip in zip(responses, chunk):
+                    if response is not None and response.served:
+                        self.incentives.offer_ride(
+                            response.origin_station,
+                            response.destination_station,
+                            trip.end,
+                        )
         return outcomes
 
-    def _self_heal_block(self, chunk: List[TripRecord], exc: BlockApplyError):
-        """Self-heal after a planner failure inside a group commit.
+    def _tally(self, responses, outcomes: List) -> None:
+        """Count applied responses (``None`` = screened duplicate)."""
+        for response in responses:
+            if response is None:
+                self.duplicates += 1
+            else:
+                self.served += 1
+            outcomes.append(response)
 
-        Same recovery as :meth:`_self_heal` — discard the poisoned
-        service, rebuild from snapshot + journal tail through the
-        re-guarded planner — but the whole chunk was journaled *before*
-        the failure, so the recovery replay applies not just the failing
-        trip but every journaled trip after it too (the write-ahead
-        contract: journaled means applied on recovery).  The replayed
-        responses are matched back to the chunk's tail positions;
-        duplicates screened before the commit stay ``None``; a trip the
-        healed service has no response for (the failure hit before its
-        journal record, which group commit makes impossible for fresh
-        trips, but defensively) is served degraded.
+    def _self_heal_block(self, chunk: List[TripRecord], exc: BlockApplyError):
+        """Rebuild the poisoned in-memory service from durable state.
+
+        The poisoned service is discarded and rebuilt from snapshot +
+        journal tail through the re-guarded planner — the same code path
+        a process crash takes, minus the process death.  The whole chunk
+        was journaled *before* the failure, so the recovery replay
+        applies the failing trip and every journaled trip after it (the
+        write-ahead contract: journaled means applied on recovery).  The
+        replayed responses are matched back to the chunk's tail
+        positions; duplicates screened before the commit stay ``None``;
+        a trip the healed service has no response for (the failure hit
+        before its journal record, which group commit makes impossible
+        for fresh trips, but defensively) is served degraded.
+
+        The breaker's event clock records a success only when a trip
+        *after* the failing one went through the healed planner: a
+        failure on the last trip of the chunk leaves the breaker as the
+        failure left it, whatever the block size.
         """
         before = self.inner.applied_seq
         try:
@@ -742,10 +718,10 @@ class GuardedRuntime:
                 applied += 1
             else:
                 outcomes.append(self._degraded(trip, "self-heal lost the event"))
-        if applied:
+        if applied and len(exc.remaining_fresh) > 1:
             # Event clock: the failing trip's breaker call was already
-            # counted; its replayed application plus the rest of the
-            # journaled tail succeeded through the healed planner.
+            # counted; the trips after it went through the healed
+            # service (replayed, or screened as duplicates).
             breaker = self.breakers["planner"]
             breaker.calls += len(exc.remaining_fresh) - 1
             breaker.success()
@@ -797,44 +773,6 @@ class GuardedRuntime:
         )
         self.deferred_decisions.append(decision)
         return decision
-
-    def _self_heal(self, trip: TripRecord, cause: Exception):
-        """Rebuild the poisoned in-memory service from durable state.
-
-        The failed trip was journaled before the planner raised, so the
-        recovery replay re-applies it through a healthy (re-guarded)
-        planner; its response is the heal's return value.  When the trip
-        never reached the journal (the failure hit earlier), the healed
-        service simply has no response for it and the event is served
-        degraded instead — at-least-once upstream delivery covers it.
-        """
-        before = self.inner.applied_seq
-        try:
-            self.inner.close()
-            healed = CheckpointingService.recover(
-                self.inner.directory,
-                facility_cost=self._facility_cost,
-                checkpoint_every=self.inner.checkpoint_every,
-                keep=self.inner.store.keep,
-                durable=self.inner.store.durable,
-                post_restore=self._install_guards,
-            )
-        except Exception as exc:  # noqa: BLE001 — recovery itself broke
-            self._halt(f"self-heal failed: {exc!r} (after {cause!r})")
-            raise RuntimeHaltedError(self.halt_reason) from exc
-        self._wrap_checkpoint(healed)
-        self.inner = healed
-        self.healed += 1
-        self._incident(
-            "self_heal",
-            f"recovered through seq {healed.applied_seq} "
-            f"(snapshot {healed.last_recovery.snapshot_seq}, "
-            f"replayed {healed.last_recovery.replayed})",
-        )
-        if healed.applied_seq > before and healed.service.responses:
-            self.served += 1
-            return healed.service.responses[-1]
-        return self._degraded(trip, "self-heal lost the event")
 
     # ------------------------------------------------------------------
     def flush_logs(self, directory: Union[str, Path], durable: bool = True) -> None:

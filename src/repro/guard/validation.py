@@ -197,6 +197,7 @@ class TripValidator:
 
     #: Rule names in evaluation order (also the counter keys).
     RULES = (
+        "malformed",
         "finite",
         "bounds",
         "clock",
@@ -302,6 +303,31 @@ class TripValidator:
             trip.order_id, trip.start_time, trip.end.x, trip.end.y,
         )
         return True
+
+    def reject_malformed(self, trip: TripRecord, reason: str) -> None:
+        """Dead-letter one row a :class:`TripBlock` cannot hold.
+
+        The ``malformed`` rule runs before every other one: a row whose
+        fields do not even form typed columns (a string coordinate, a
+        float or out-of-range id, a timezone-aware timestamp) is offered
+        and rejected here, with its raw order id, and never reaches the
+        semantic rules.  Validator state is untouched.
+        """
+        seq = self.offered
+        self.offered += 1
+        self.counters["malformed"] += 1
+        moment = trip.start_time
+        self.sink.add(
+            RejectedTrip(
+                seq=seq,
+                rule="malformed",
+                reason=reason,
+                order_id=trip.order_id,
+                start_time=(
+                    moment.isoformat() if isinstance(moment, datetime) else repr(moment)
+                ),
+            )
+        )
 
     # ------------------------------------------------------------------
     def admit_block(self, block: TripBlock) -> np.ndarray:

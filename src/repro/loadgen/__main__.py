@@ -371,7 +371,7 @@ def main(argv=None) -> int:
         type=int,
         default=None,
         help="trips per columnar block (default: the GuardConfig default; "
-        "1 = the scalar oracle)",
+        "1 = blocks of one trip)",
     )
     args = parser.parse_args(argv)
     if args.shards < 1:

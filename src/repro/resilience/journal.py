@@ -187,20 +187,11 @@ class TripJournal:
     def append(self, trip: TripRecord) -> int:
         """Durably journal one trip; returns its sequence number.
 
-        The record is flushed (and fsynced when ``durable``) before this
-        returns, so a trip is never applied to the service without being
-        recoverable from disk.
+        A group commit of one: the record is flushed (and fsynced when
+        ``durable``) before this returns, so a trip is never applied to
+        the service without being recoverable from disk.
         """
-        seq = self._next_seq
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
-        fs_write(self._fh, _encode_line(seq, trip), self.path)
-        self._fh.flush()
-        if self.durable:
-            fs_fsync(self._fh.fileno(), self.path)
-        self._next_seq = seq + 1
-        return seq
+        return self.append_block([trip])[0]
 
     def append_block(
         self, trips: Union[Sequence[TripRecord], TripBlock]
@@ -208,9 +199,9 @@ class TripJournal:
         """Group-commit: durably journal a whole block with **one**
         write + flush + fsync; returns the assigned sequence numbers.
 
-        The bytes written are identical to per-trip :meth:`append` calls
-        — same records, same order, same sequence numbers — but the
-        fsync cost is amortised over the block, which is where the
+        The bytes written do not depend on how the trips are cut into
+        blocks — same records, same order, same sequence numbers — but
+        the fsync cost is amortised over the block, which is where the
         blocked stream path earns most of its speedup on a durable
         journal.  A columnar :class:`~repro.core.tripblock.TripBlock` is
         accepted directly and encoded straight from its arrays

@@ -4,9 +4,9 @@
 :class:`~repro.core.streaming.PlacementService` with the write-ahead
 protocol::
 
-    journal.append(trip)      # durable first
-    service.handle_trip(trip) # then apply
-    every N trips: snapshot   # atomic, checksummed, rotated
+    journal.append_block(trips)  # durable first, one group commit
+    service.handle_trip(trip)    # then apply, trip by trip
+    every N trips: snapshot      # atomic, checksummed, rotated
 
 so that after any crash, ``recover(directory)`` = *latest good snapshot*
 + *journal tail replay* reproduces the exact in-memory state — station
@@ -170,22 +170,19 @@ class CheckpointingService:
         return self._applied
 
     def handle_trip(self, trip: TripRecord) -> Optional[ServiceResponse]:
-        """Serve one trip under the write-ahead protocol.
+        """Serve one trip under the write-ahead protocol: a block of one.
 
         Returns ``None`` for a screened duplicate (its original response
         is already in ``service.responses``); otherwise the service's
         response.  The trip is durably journaled *before* any state
-        mutates, so a crash at any point is recoverable.
+        mutates, so a crash at any point is recoverable.  A failure
+        while applying it is re-raised as its original exception.
         """
-        if self.dedup and trip.order_id in self._seen:
-            return None
-        seq = self.journal.append(trip)
-        response = self.service.handle_trip(trip)
-        self._seen.add(trip.order_id)
-        self._applied = seq
-        if seq % self.checkpoint_every == 0:
-            self.checkpoint()
-        return response
+        try:
+            return self.handle_block([trip])[0]
+        except BlockApplyError as exc:
+            cause = exc.cause
+        raise cause
 
     def serve(self, trips: Iterable[TripRecord]) -> List[Optional[ServiceResponse]]:
         """Serve a batch in arrival order (one ``None`` per duplicate)."""
@@ -194,17 +191,17 @@ class CheckpointingService:
     def handle_block(self, trips: List[TripRecord]) -> List[Optional[ServiceResponse]]:
         """Serve a block under the *group-commit* write-ahead protocol.
 
-        Same responses, journal bytes, sequence numbers, dedup decisions
-        and checkpoint cadence as per-trip :meth:`handle_trip` calls —
-        but the block's fresh trips are journaled with a single fsynced
-        write (:meth:`TripJournal.append_block`) before any of them is
-        applied.  The dedup screen runs first (it sees earlier trips of
-        the same block, like the sequential path would), so a duplicate
-        is never journaled twice.
+        Responses, journal bytes, sequence numbers, dedup decisions and
+        checkpoint cadence do not depend on how a stream is cut into
+        blocks — but the block's fresh trips are journaled with a single
+        fsynced write (:meth:`TripJournal.append_block`) before any of
+        them is applied.  The dedup screen runs first (it sees earlier
+        trips of the same block, as a trip-by-trip run would), so a
+        duplicate is never journaled twice.
 
         Group commit shifts one failure boundary: when applying trip
         ``i`` raises, trips ``> i`` of the block are *already journaled*
-        (the scalar path would not have journaled them yet), so a
+        (a block of one would not have journaled them yet), so a
         recovery replay applies them too.  That is surfaced as a
         :class:`~repro.errors.BlockApplyError` carrying the applied
         prefix's outcomes and the fresh/duplicate classification of the

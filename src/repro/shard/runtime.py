@@ -566,8 +566,8 @@ class ShardedRuntime:
             trips: the arrival stream in arrival order.
             workers: worker processes for the fan-out; ``<= 1`` serves
                 the shards serially in-process (bit-identical results).
-            block_size: columnar block size inside each shard (``1`` is
-                the scalar oracle).
+            block_size: columnar block size inside each shard (any size
+                takes the same route; ``None`` = the guard default).
             checkpoint: snapshot each shard at epoch end (disable to
                 model a crash before any checkpoint, e.g. in recovery
                 tests).

@@ -1,5 +1,6 @@
 """TripBlock: exact scalar↔columnar round trips and slicing semantics."""
 
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -185,3 +186,22 @@ class TestSlicing:
                 block.start_us[:2],  # wrong length
                 block.start_x, block.start_y, block.end_x, block.end_y,
             )
+
+
+class TestTypedColumns:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("order_id", 3.7),
+            ("order_id", 2**70),
+            ("bike_id", "7"),
+            ("start", Point("x", 1.0)),
+            ("battery", "x"),
+            ("start_time", "2017-05-10"),
+        ],
+    )
+    def test_untyped_field_refused_not_coerced(self, field, value):
+        trips = make_trips(4, seed=11)
+        trips[2] = replace(trips[2], **{field: value})
+        with pytest.raises(TypeError):
+            TripBlock.from_trips(trips)

@@ -1,9 +1,9 @@
-"""The columnar stream path is bit-identical to the scalar oracle.
+"""The columnar stream path is bit-identical to per-trip oracles.
 
 Every test here pits the blocked pipeline (``admit_block`` →
-``push_block`` → ``handle_block`` group commits) against the scalar
-path (``block_size=1``), which stays in the tree precisely to serve as
-this oracle:
+``push_block`` → ``handle_block`` group commits) against an oracle
+built from the per-trip primitives — ``admit`` → ``push`` → the
+service's ``handle_trip`` (``reference.py`` for the full runtime):
 
 * validator + buffer accounting — decisions, per-rule counters,
   dead-letter rows, release order — matches for *any* block size and
@@ -11,8 +11,8 @@ this oracle:
   columnar refactor);
 * the full guarded runtime produces identical responses, state, and
   journal bytes at every block size, clean or hostile;
-* self-healing after a mid-block planner fault converges on the same
-  state the scalar path heals to;
+* self-healing after a mid-block planner fault converges on the state
+  of the per-trip reference run;
 * kill-at-every-block crash recovery is bit-identical to an
   uninterrupted blocked run.
 """
@@ -32,20 +32,31 @@ from repro.resilience import CheckpointingService, constant_cost_spec
 from repro.resilience.chaos import ChaosConfig, FaultInjector
 
 from .conftest import COST_VALUE, build_service, guard_config, make_trips, scrub
+from .reference import serve_reference
 
 CHECKPOINT_EVERY = 25
 BLOCK_SIZES = (2, 7, 64, 256)
 
 
-def wrap(directory, seed=7, config=None, **kwargs):
-    inner = CheckpointingService(
+def checkpointing(directory, seed=7):
+    return CheckpointingService(
         build_service(seed=seed),
         directory,
         checkpoint_every=CHECKPOINT_EVERY,
         durable=False,
         facility_cost_spec=constant_cost_spec(COST_VALUE),
     )
-    return GuardedRuntime(inner, config or guard_config(), **kwargs)
+
+
+def wrap(directory, seed=7, config=None, **kwargs):
+    return GuardedRuntime(
+        checkpointing(directory, seed=seed), config or guard_config(), **kwargs
+    )
+
+
+def reference_run(directory, trips, seed=7):
+    """The per-trip oracle run of ``trips`` (see ``reference.py``)."""
+    return serve_reference(checkpointing(directory, seed=seed), guard_config(), trips)
 
 
 def hostile_stream(n=80, seed=21):
@@ -155,14 +166,14 @@ class TestAccountingOracle:
 
 
 # ----------------------------------------------------------------------
-# Full runtime: serve() at any block size == the scalar oracle.
+# Full runtime: serve() at any block size == the per-trip reference.
 # ----------------------------------------------------------------------
 
 class TestRuntimeBlockParity:
     def test_clean_stream_bit_identical(self, tmp_path):
         trips = make_trips(120, seed=7)
-        oracle = wrap(tmp_path / "oracle")
-        oracle_out = oracle.serve(trips, block_size=1)
+        oracle = reference_run(tmp_path / "oracle", trips)
+        oracle_out = oracle.outcomes
         for size in BLOCK_SIZES:
             runtime = wrap(tmp_path / f"bs{size}")
             out = runtime.serve(trips, block_size=size)
@@ -181,9 +192,10 @@ class TestRuntimeBlockParity:
 
     def test_hostile_stream_bit_identical(self, tmp_path):
         hostile = hostile_stream(n=100, seed=21)
-        oracle = wrap(tmp_path / "oracle", seed=21)
-        oracle.serve(hostile, block_size=1)
-        oracle.consistency_check()
+        oracle = reference_run(tmp_path / "oracle", hostile, seed=21)
+        oracle.inner.consistency_check()
+        oracle.validator.consistency_check()
+        oracle.buffer.consistency_check()
         assert oracle.sink.total > 0, "chaos produced no rejections"
         for size in BLOCK_SIZES:
             runtime = wrap(tmp_path / f"bs{size}", seed=21)
@@ -226,8 +238,7 @@ class TestRuntimeBlockParity:
 class TestBlockedSelfHeal:
     def test_mid_block_planner_fault_heals_to_oracle_state(self, tmp_path):
         trips = make_trips(60, seed=7)
-        reference = wrap(tmp_path / "ref")
-        reference.serve(trips, block_size=1)
+        oracle = reference_run(tmp_path / "ref", trips)
 
         runtime = wrap(tmp_path / "faulty")
         runtime.ingest_block(TripBlock.from_trips(trips[:30]))
@@ -246,13 +257,13 @@ class TestBlockedSelfHeal:
         assert runtime.incidents.by_kind["planner_error"] >= 1
         assert (
             runtime.inner.service.responses
-            == reference.inner.service.responses
+            == oracle.inner.service.responses
         )
         assert scrub(runtime.inner.service.state_dict()) == scrub(
-            reference.inner.service.state_dict()
+            oracle.inner.service.state_dict()
         )
         runtime.close()
-        reference.close()
+        oracle.close()
 
 
 class TestKillAtEveryBlock:

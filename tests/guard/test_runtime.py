@@ -1,5 +1,8 @@
 """GuardedRuntime: parity, self-healing, degradation, halting."""
 
+from dataclasses import replace
+from datetime import timezone
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,9 @@ from repro.guard import (
     DegradedDecision,
     GuardConfig,
     GuardedRuntime,
+    OverloadConfig,
 )
+from repro.geo import Point
 from repro.incentives.charging_cost import ChargingCostParams
 from repro.incentives.mechanism import IncentiveMechanism
 from repro.resilience import CheckpointingService, constant_cost_spec
@@ -105,6 +110,88 @@ class TestSelfHeal:
         assert planner._ks_cache is guard_before  # same wrapper object
         assert guard_before.inner is not None
         assert not isinstance(guard_before.inner, type(guard_before))
+
+
+class TestHealBreakerClock:
+    @pytest.mark.parametrize("block_size", [1, 20])
+    def test_failure_on_the_last_trip_leaves_the_breaker_open(
+        self, tmp_path, block_size
+    ):
+        config = guard_config(
+            lateness_s=0.0, breaker=BreakerConfig(failure_threshold=1)
+        )
+        runtime = wrap(tmp_path, config=config)
+        service = runtime.inner.service
+        real = service.handle_trip
+
+        def faulty(trip):
+            # Only the pre-heal service is patched: the first attempt
+            # at order 19 fails, the healed planner replays it cleanly.
+            if trip.order_id == 19:
+                raise RuntimeError("injected planner fault")
+            return real(trip)
+
+        service.handle_trip = faulty
+        runtime.serve(make_trips(20, seed=7), block_size=block_size)
+        runtime.consistency_check()
+        assert runtime.healed == 1
+        assert runtime.served == 20
+        assert runtime.breakers["planner"].state == "open"
+        assert runtime.incidents.by_kind["breaker"] == 1
+
+
+def _bad_row(kind, trip):
+    if kind == "string_coordinate":
+        return replace(trip, start=Point("x", trip.start.y))
+    if kind == "tz_aware_start":
+        return replace(trip, start_time=trip.start_time.replace(tzinfo=timezone.utc))
+    if kind == "huge_order_id":
+        return replace(trip, order_id=2**70)
+    if kind == "float_order_id":
+        return replace(trip, order_id=3.7)
+    return replace(trip, battery="x")
+
+
+class TestMalformedRows:
+    @pytest.mark.parametrize("overload", [False, True])
+    @pytest.mark.parametrize("block_size", [1, 8])
+    @pytest.mark.parametrize(
+        "kind",
+        [
+            "string_coordinate",
+            "tz_aware_start",
+            "huge_order_id",
+            "float_order_id",
+            "string_battery",
+        ],
+    )
+    def test_bad_row_is_dead_lettered_not_fatal(
+        self, tmp_path, kind, block_size, overload
+    ):
+        trips = make_trips(10, seed=7)
+        bad = _bad_row(kind, trips[4])
+        stream = trips[:4] + [bad] + trips[5:]
+        config = guard_config(
+            overload=OverloadConfig(rate_per_s=1000.0, burst=100_000)
+            if overload
+            else None
+        )
+        runtime = wrap(tmp_path, config=config)
+        runtime.serve(stream, block_size=block_size)
+        runtime.consistency_check()
+        assert runtime.validator.counters["malformed"] == 1
+        assert runtime.sink.by_rule == {"malformed": 1}
+        (row,) = runtime.sink.rows
+        assert row.rule == "malformed"
+        assert row.seq == 4
+        assert row.order_id == bad.order_id
+        assert type(row.order_id) is type(bad.order_id)
+        assert runtime.served == 9
+        served = [r.order_id for r in runtime.inner.service.responses]
+        assert served == [t.order_id for t in stream if t is not bad]
+        if overload:
+            assert runtime.overload.offered == 9
+            assert runtime.overload.admitted == 9
 
 
 class TestDegradedServing:
