@@ -5,10 +5,15 @@ per-trip primitives of each stage; a block of one for ``serve``), stage
 by stage and composed:
 
 * **validator** — ``TripValidator.admit_block`` vs the per-trip
-  ``admit`` loop on a chaos-mutated stream;
+  reference ``admit`` loop on a chaos-mutated stream;
+* **validator_teleport** — the same with the teleport rule on
+  (``max_bike_speed_mps`` 1 m/s, so bikes' hops get rejected);
 * **buffer** — ``WatermarkBuffer.push_block`` on an already-sorted
-  stream, where the fast path releases a zero-copy block slice instead
-  of churning the heap;
+  stream, where the fast path releases a zero-copy block slice, vs the
+  per-trip reference buffer's heap churn;
+* **buffer_full** — a locally shuffled stream whose lateness keeps the
+  buffer held just below ``max_pending``, so every block takes the
+  general (disordered) route next to the capacity cap;
 * **journal** — ``TripJournal.append_block`` group commit (one durable
   ``write+fsync`` per block) vs one fsync per trip;
 * **wal_checksum** — the per-line WAL checksum in isolation: the
@@ -24,6 +29,12 @@ by stage and composed:
   of one (``block_size=1``, the same single serve path; recorded, not
   gated: the planner *apply* inside the checkpointing service is
   deliberately per-trip, so the end-to-end curve is bounded by it).
+
+The per-trip validator and buffer are the independent oracles of
+``tests/guard/reference.py`` (``TripValidator.admit`` and
+``WatermarkBuffer.push`` are blocks of one, so timing them would
+measure the blocked code twice), imported with the repository root on
+``sys.path``.
 
 Parity is asserted *inside* every section, as ``bench_parallel`` does.
 ``--smoke`` runs a seconds-scale subset for CI: full parity, a relaxed
@@ -59,6 +70,9 @@ from repro.guard import (
 from repro.resilience.chaos import ChaosConfig, FaultInjector
 from repro.resilience.journal import TripJournal
 from repro.resilience.service import CheckpointingService, constant_cost_spec
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.guard.reference import ReferenceBuffer, ReferenceValidator  # noqa: E402
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_stream.json"
 GATE_SPEEDUP = 10.0  # composed guarded-replay hot path, blocked vs scalar
@@ -97,6 +111,15 @@ def make_hostile(n, seed=0):
     )).mutate_trips(make_trips(n, seed=seed))
 
 
+def make_jittered(n, jitter=16.0, seed=0):
+    """The clean stream locally shuffled: each trip moves up to
+    ``jitter`` positions, so no block arrives sorted."""
+    trips = make_trips(n, seed=seed)
+    rng = np.random.default_rng(seed + 1)
+    order = np.argsort(np.arange(n) + rng.uniform(0.0, jitter, n), kind="stable")
+    return [trips[i] for i in order]
+
+
 def make_blocks(trips, size):
     """Pre-cut columnar blocks (the loader emits these natively via
     ``load_mobike_csv(as_block=True)``; conversion is not what we
@@ -107,11 +130,12 @@ def make_blocks(trips, size):
     ]
 
 
-def fresh_validator():
-    return TripValidator(
+def fresh_validator(cls=TripValidator, max_bike_speed_mps=0.0):
+    return cls(
         ValidationConfig(
             bounds=BoundingBox(-100.0, -100.0, PLANE + 100.0, PLANE + 100.0),
             max_backwards_s=3600.0,
+            max_bike_speed_mps=max_bike_speed_mps,
         ),
         sink=DeadLetterSink(),
     )
@@ -151,16 +175,16 @@ def _rate_row(n, scalar_s, blocked_s):
 # Stage benchmarks.
 # ----------------------------------------------------------------------
 
-def run_validator(n=40_000, block=BLOCK, seed=3):
+def run_validator(n=40_000, block=BLOCK, seed=3, max_bike_speed_mps=0.0):
     stream = make_hostile(n, seed=seed)
     blocks = make_blocks(stream, block)
 
-    scalar = fresh_validator()
+    scalar = fresh_validator(ReferenceValidator, max_bike_speed_mps)
     start = time.perf_counter()
     want = [scalar.admit(t) for t in stream]
     scalar_s = time.perf_counter() - start
 
-    blocked = fresh_validator()
+    blocked = fresh_validator(max_bike_speed_mps=max_bike_speed_mps)
     start = time.perf_counter()
     got = []
     for blk in blocks:
@@ -173,7 +197,9 @@ def run_validator(n=40_000, block=BLOCK, seed=3):
         raise AssertionError("blocked dead-letter rows diverged from scalar")
     report = _rate_row(len(stream), scalar_s, blocked_s)
     report["benchmark"] = "validator: admit_block vs per-trip admit"
+    report["max_bike_speed_mps"] = max_bike_speed_mps
     report["rejected"] = scalar.rejected
+    report["teleport_rejected"] = scalar.counters["teleport"]
     report["parity"] = "decisions, counters and dead-letter rows identical"
     return report
 
@@ -183,7 +209,7 @@ def run_buffer_sorted(n=40_000, block=BLOCK, seed=4):
     blocks = make_blocks(stream, block)
     key = lambda t: (t.order_id, t.start_time)  # noqa: E731
 
-    scalar = WatermarkBuffer(lateness_s=600.0, max_pending=10_000)
+    scalar = ReferenceBuffer(lateness_s=600.0, max_pending=10_000)
     start = time.perf_counter()
     want = []
     for trip in stream:
@@ -213,6 +239,55 @@ def run_buffer_sorted(n=40_000, block=BLOCK, seed=4):
     report = _rate_row(len(stream), scalar_s, blocked_s)
     report["benchmark"] = "reorder buffer: sorted-stream fast path vs heap churn"
     report["parity"] = "release order identical; fast path verified zero-copy"
+    return report
+
+
+def run_buffer_full(n=40_000, max_pending=10_000, block=BLOCK, seed=9):
+    """A disordered stream held just below the capacity cap: at one trip
+    per 30 s, ``lateness_s`` keeps about ``max_pending - 64`` pending."""
+    stream = make_jittered(n, seed=seed)
+    blocks = make_blocks(stream, block)
+    lateness_s = 30.0 * (max_pending - 64)
+    key = lambda t: (t.order_id, t.start_time)  # noqa: E731
+
+    scalar = ReferenceBuffer(lateness_s=lateness_s, max_pending=max_pending)
+    held = 0
+    start = time.perf_counter()
+    want = []
+    for trip in stream:
+        want.extend(scalar.push(trip))
+        held = max(held, len(scalar))
+    flush_start = time.perf_counter()
+    want.extend(scalar.flush())
+    scalar_s = time.perf_counter() - start
+    scalar_flush_s = scalar_s - (flush_start - start)
+
+    blocked = WatermarkBuffer(lateness_s=lateness_s, max_pending=max_pending)
+    start = time.perf_counter()
+    released = [blocked.push_block(blk) for blk in blocks]
+    flush_start = time.perf_counter()
+    tail = blocked.flush()
+    blocked_s = time.perf_counter() - start
+    blocked_flush_s = blocked_s - (flush_start - start)
+    got = [t for blk in released for t in blk.to_trips()]
+    got.extend(tail)
+
+    if [key(t) for t in got] != [key(t) for t in want]:
+        raise AssertionError("blocked buffer release order diverged from scalar")
+    counts = lambda b: (b.admitted, b.emitted, b.too_late, b.shed)  # noqa: E731
+    if counts(blocked) != counts(scalar) or blocked.sink.rows != scalar.sink.rows:
+        raise AssertionError("blocked buffer accounting diverged from scalar")
+    report = _rate_row(len(stream), scalar_s, blocked_s)
+    report["benchmark"] = "reorder buffer: disordered stream held near max_pending"
+    report["max_pending"] = max_pending
+    report["max_held"] = held
+    # flush is end-of-stream only; the blocked buffer builds its held
+    # rows' records there, the per-trip one returns the offered objects
+    report["scalar_flush_seconds"] = scalar_flush_s
+    report["blocked_flush_seconds"] = blocked_flush_s
+    report["too_late"] = scalar.too_late
+    report["shed"] = scalar.shed
+    report["parity"] = "release order, counters and dead-letter rows identical"
     return report
 
 
@@ -288,7 +363,8 @@ def run_replay_gate(n=20_000, block=BLOCK, seed=6, workdir=None):
     stream = make_trips(n, seed=seed)
     blocks = make_blocks(stream, block)
 
-    v1, b1 = fresh_validator(), WatermarkBuffer(lateness_s=600.0, max_pending=10_000)
+    v1 = fresh_validator(ReferenceValidator)
+    b1 = ReferenceBuffer(lateness_s=600.0, max_pending=10_000)
     p1 = build_planner(seed)
     j1 = TripJournal(workdir / "replay-scalar.jsonl", durable=True)
     start = time.perf_counter()
@@ -413,7 +489,9 @@ def run_full_report(block=BLOCK):
     workdir = Path(tempfile.mkdtemp(prefix="esharing-bench-stream-"))
     try:
         validator = run_validator(block=block)
+        validator_teleport = run_validator(block=block, max_bike_speed_mps=1.0)
         buffer = run_buffer_sorted(block=block)
+        buffer_full = run_buffer_full(block=block)
         journal = run_journal(block=block, workdir=workdir)
         wal_checksum = run_checksum()
         replay = run_replay_gate(block=block, workdir=workdir)
@@ -424,7 +502,9 @@ def run_full_report(block=BLOCK):
     return {
         "block_size": block,
         "validator": validator,
+        "validator_teleport": validator_teleport,
         "buffer": buffer,
+        "buffer_full": buffer_full,
         "journal": journal,
         "wal_checksum": wal_checksum,
         "replay": replay,
@@ -444,7 +524,11 @@ def run_smoke(block=BLOCK):
     workdir = Path(tempfile.mkdtemp(prefix="esharing-bench-stream-"))
     try:
         validator = run_validator(n=4_000, block=block)
+        validator_teleport = run_validator(
+            n=4_000, block=block, max_bike_speed_mps=1.0
+        )
         buffer = run_buffer_sorted(n=4_000, block=block)
+        buffer_full = run_buffer_full(n=4_000, max_pending=1_000, block=block)
         journal = run_journal(n=1_500, block=block, workdir=workdir)
         wal_checksum = run_checksum(n=4_000)
         replay = run_replay_gate(n=4_000, block=block, workdir=workdir)
@@ -466,7 +550,9 @@ def run_smoke(block=BLOCK):
             )
     return {
         "validator": validator,
+        "validator_teleport": validator_teleport,
         "buffer": buffer,
+        "buffer_full": buffer_full,
         "journal": journal,
         "wal_checksum": wal_checksum,
         "replay": replay,
@@ -480,15 +566,18 @@ def write_report(report, path=BENCH_JSON):
 
 def _print_report(
     report,
-    sections=("validator", "buffer", "journal", "wal_checksum", "replay", "serve"),
+    sections=(
+        "validator", "validator_teleport", "buffer", "buffer_full",
+        "journal", "wal_checksum", "replay", "serve",
+    ),
 ):
-    print(f"{'section':<10} {'scalar/s':>12} {'blocked/s':>12} {'speedup':>8}")
+    print(f"{'section':<18} {'scalar/s':>12} {'blocked/s':>12} {'speedup':>8}")
     for name in sections:
         if name not in report:
             continue
         row = report[name]
         print(
-            f"{name:<10} {row['scalar_trips_per_sec']:>12,.0f} "
+            f"{name:<18} {row['scalar_trips_per_sec']:>12,.0f} "
             f"{row['blocked_trips_per_sec']:>12,.0f} {row['speedup']:>7.2f}x"
         )
 
@@ -500,7 +589,9 @@ def test_stream_parity_smoke():
     workdir = Path(tempfile.mkdtemp(prefix="esharing-bench-stream-"))
     try:
         run_validator(n=1_200, block=64)
+        run_validator(n=1_200, block=64, max_bike_speed_mps=1.0)
         run_buffer_sorted(n=1_200, block=64)
+        run_buffer_full(n=1_200, max_pending=300, block=64)
         run_journal(n=400, block=64, workdir=workdir)
         run_checksum(n=1_200)
         run_replay_gate(n=1_200, block=64, workdir=workdir)

@@ -9,18 +9,19 @@ watermark construction:
 
 * the **watermark** is ``max(event time seen) - lateness``: the point
   up to which the stream is declared complete;
-* arriving events are held in a min-heap keyed by
-  ``(start_time, arrival_seq)``; whenever the watermark advances, every
+* arriving events are held in ``(start_time, arrival_seq)`` order;
+  whenever the watermark advances, every
   buffered event at or below it is released in timestamp order (the
   arrival sequence breaks timestamp ties, so the emission order is a
   deterministic function of the input — no wall clock anywhere);
 * an event older than the watermark arrives *too late* to reorder —
   emitting it would un-sort the output — so it is dead-lettered, never
   silently dropped;
-* the buffer is bounded: when more than ``max_pending`` events are in
-  flight the admission gate sheds the newest arrival to the dead-letter
-  sink, which keeps memory finite under a stalled watermark (an
-  upstream that stops advancing time).
+* the buffer is bounded: an arrival that finds ``max_pending`` events
+  in flight is shed to the dead-letter sink, which keeps memory finite
+  under a stalled watermark (an upstream that stops advancing time).
+  Shedding latches: a full buffer admits nothing more, so its watermark
+  cannot advance and nothing is released until :meth:`flush`.
 
 For an already-sorted stream with ``lateness`` zero or more the buffer
 is an identity (modulo buffering delay): every event is eventually
@@ -30,7 +31,6 @@ guarded runtime's zero-fault parity test relies on.
 
 from __future__ import annotations
 
-import heapq
 from datetime import timedelta
 from typing import List, Optional
 
@@ -54,7 +54,8 @@ class WatermarkBuffer:
         sink: dead-letter sink for too-late and shed events; a private
             one when omitted.
         max_pending: cap on buffered (admitted but unreleased) events;
-            arrivals beyond it are shed.
+            arrivals beyond it are shed, and a full buffer stays full
+            until :meth:`flush`.
 
     Raises:
         ValueError: on a negative lateness or non-positive capacity.
@@ -73,17 +74,10 @@ class WatermarkBuffer:
         self.lateness = timedelta(seconds=lateness_s)
         self.sink = sink if sink is not None else DeadLetterSink()
         self.max_pending = max_pending
-        self._heap: List[tuple] = []
-        # Columnar pending tail: on the sorted-stream fast path the
-        # within-lateness suffix of each block is held as a TripBlock
-        # (plus its arrival seqs) instead of heap entries — zero heap
-        # churn in the steady state.  Invariants: the tail is sorted,
-        # every heap timestamp <= every tail timestamp, and every heap
-        # seq < every tail seq, so "heap first, then tail" is the exact
-        # pending order and :meth:`_detach_tail` can always fall back to
-        # the heap representation.
-        self._tail: Optional[TripBlock] = None
-        self._tail_seqs: Optional[np.ndarray] = None
+        # Pending (admitted, unreleased) events as one columnar block in
+        # ``(start_time, arrival seq)`` order, with their arrival seqs.
+        self._pending = TripBlock.empty()
+        self._pending_seqs = np.empty(0, dtype=np.int64)
         self._max_seen = None
         self._seq = 0
         self.admitted = 0
@@ -93,283 +87,186 @@ class WatermarkBuffer:
 
     def __len__(self) -> int:
         """Events currently held (admitted, not yet emitted)."""
-        n = len(self._heap)
-        if self._tail is not None:
-            n += len(self._tail)
-        return n
-
-    def _detach_tail(self) -> None:
-        """Spill the columnar pending tail into the heap (leaving the
-        sorted fast path); a no-op when no tail is held."""
-        if self._tail is None:
-            return
-        tail, seqs = self._tail, self._tail_seqs
-        self._tail = None
-        self._tail_seqs = None
-        S = tail.start_us
-        for i in range(len(tail)):
-            heapq.heappush(
-                self._heap,
-                (us_to_datetime(S[i]), int(seqs[i]), tail.trip(i)),
-            )
+        return len(self._pending)
 
     # ------------------------------------------------------------------
-    def _reject(self, trip: TripRecord, rule: str, reason: str) -> None:
-        self.sink.add(
-            RejectedTrip(
-                seq=self._seq - 1,
-                rule=rule,
-                reason=reason,
-                order_id=trip.order_id,
-                start_time=trip.start_time.isoformat(),
-            )
-        )
-
-    def _release(self) -> List[TripRecord]:
-        """Emit every buffered event the watermark has passed."""
-        out: List[TripRecord] = []
-        watermark = self._max_seen - self.lateness
-        while self._heap and self._heap[0][0] <= watermark:
-            _, _, trip = heapq.heappop(self._heap)
-            out.append(trip)
-        self.emitted += len(out)
-        return out
-
     def push(self, trip: TripRecord) -> List[TripRecord]:
-        """Offer one arrival; returns the events released by it (in
-        timestamp order), possibly empty.
-
-        A too-late arrival (older than the current watermark) and an
-        arrival that overflows ``max_pending`` are dead-lettered and
-        release nothing.
-        """
-        self._seq += 1
-        if self._max_seen is not None:
-            watermark = self._max_seen - self.lateness
-            if trip.start_time < watermark:
-                self.too_late += 1
-                behind = (watermark - trip.start_time).total_seconds()
-                self._reject(
-                    trip, "too_late",
-                    f"arrived {behind:.0f}s behind the watermark "
-                    f"(lateness {self.lateness.total_seconds():.0f}s)",
-                )
-                return []
-        if len(self) >= self.max_pending:
-            self.shed += 1
-            self._reject(
-                trip, "shed",
-                f"reorder buffer full ({self.max_pending} pending)",
-            )
-            return []
-        self._detach_tail()
-        heapq.heappush(self._heap, (trip.start_time, self._seq, trip))
-        self.admitted += 1
-        if self._max_seen is None or trip.start_time > self._max_seen:
-            self._max_seen = trip.start_time
-        return self._release()
+        """Offer one arrival: a block of one (see :meth:`push_block`)."""
+        return self.push_block(TripBlock.from_trips([trip])).to_trips()
 
     def push_block(self, block: TripBlock) -> TripBlock:
-        """Offer a whole block of arrivals; returns the released trips.
+        """Offer a block of arrivals; returns the released trips in
+        ``(start_time, arrival)`` order.
 
-        Bit-identical to calling :meth:`push` once per trip in order and
-        concatenating the returned lists: same emission sequence, same
-        dead-letter rows, same counters, same pending set.  The fast
-        paths:
+        The one implementation of the buffer (:meth:`push` is a block of
+        one).  The emission sequence, dead-letter rows, counters and
+        pending set do not depend on how the stream is cut into blocks.
+        An arrival older than the watermark is dead-lettered
+        ``too_late``; an arrival that finds ``max_pending`` events held
+        is dead-lettered ``shed``.  Neither releases anything.  Two
+        routes:
 
         * **sorted streams** (the overwhelmingly common case: the loader
-          sorts by ``start_time``): when the heap is empty, the block is
-          non-decreasing and nothing can be late, the release is a
-          single ``searchsorted`` cut and the released run is a
-          zero-copy slice of the block — no heap churn at all;
-        * **general case**: late arrivals fall out of one vectorized
-          comparison against the running-maximum watermark, and the
-          released set/order is reconstructed with ``searchsorted`` over
-          the per-arrival watermark plus one ``lexsort`` — provably the
-          per-push heap-pop interleaving, because within a release step
-          the heap pops by ``(start_time, seq)`` and steps are ordered.
+          sorts by ``start_time``): when the block is non-decreasing,
+          nothing is late, nothing pending postdates it and the block
+          fits in the free capacity, the release is a pending prefix
+          plus a block prefix, each one ``searchsorted`` cut; on an
+          empty buffer the released run is a zero-copy slice of the
+          block;
+        * **general case**: each arrival's watermark is a running
+          maximum, so late arrivals fall out of one comparison, and each
+          candidate's release step is a ``searchsorted`` over the
+          per-arrival watermark.  The emission order is one ``lexsort``
+          by ``(step, start_time, seq)``, which is exactly the per-push
+          interleaving: within a step the pending set pops in
+          ``(start_time, seq)`` order, and steps are ordered.
 
-        A block that could overflow ``max_pending`` routes through the
-        scalar :meth:`push` loop (shedding decisions are inherently
-        sequential).
+        Shedding latches: a full buffer admits nothing, so its watermark
+        and pending set stay frozen until :meth:`flush`.  The general
+        route counts the events held after each arrival; from the first
+        arrival that leaves ``max_pending`` held, the rest of the block
+        is judged against the frozen watermark, ``too_late`` behind it
+        and ``shed`` otherwise.
         """
         n = len(block)
         if n == 0:
-            return TripBlock.empty()
-        if len(self) + n > self.max_pending:
-            released: List[TripRecord] = []
-            for trip in block.to_trips():
-                released.extend(self.push(trip))
-            return TripBlock.from_trips(released)
-
+            return block
         S = block.start_us
         lat_us = self.lateness // timedelta(microseconds=1)
         max0_us = None if self._max_seen is None else datetime_to_us(self._max_seen)
         base = self._seq
+        self._seq += n
+        pending, P = self._pending, self._pending.start_us
 
-        # Fast path: sorted block, nothing late, and every pending event
-        # predates the block (the steady state of an ordered stream: the
-        # pending set is at most the previous blocks' within-lateness
-        # tail).  Then all pending events emit before any block row — a
-        # pending timestamp <= S[0] never release-steps after a block
-        # row — so the release is (pending prefix + block prefix), both
-        # found with one ``searchsorted``, and the withheld suffix is
-        # carried as a columnar tail: no heap entry, no per-trip record
-        # is ever materialised while the stream stays sorted.  On the
-        # pure identity case (nothing pending, nothing withheld) the
-        # released run is a zero-copy slice of the block.
         first_us = int(S[0])
-        tail = self._tail
-        if tail is not None:
-            pend_max_us = int(tail.start_us[-1])
-        elif self._heap:
-            pend_max_us = max(datetime_to_us(e[0]) for e in self._heap)
-        else:
-            pend_max_us = None
         if (
-            (n == 1 or bool(np.all(S[1:] >= S[:-1])))
+            len(pending) + n <= self.max_pending
+            and (n == 1 or bool(np.all(S[1:] >= S[:-1])))
             and (max0_us is None or first_us >= max0_us - lat_us)
-            and (pend_max_us is None or pend_max_us <= first_us)
+            and (len(P) == 0 or int(P[-1]) <= first_us)
         ):
-            self._seq += n
+            # Every pending event predates the block, so all of them
+            # emit before any block row: the release is (pending prefix
+            # + block prefix) and the pending set stays sorted.
             self.admitted += n
             last_max = int(S[-1]) if max0_us is None else max(max0_us, int(S[-1]))
             watermark_us = last_max - lat_us
-            watermark = us_to_datetime(watermark_us)
-            parts: List[TripBlock] = []
-            drained: List[TripRecord] = []
-            while self._heap and self._heap[0][0] <= watermark:
-                drained.append(heapq.heappop(self._heap)[2])
-            if drained:
-                parts.append(TripBlock.from_trips(drained))
-            tcut = 0
-            if tail is not None:
-                tcut = int(
-                    np.searchsorted(tail.start_us, watermark_us, side="right")
-                )
-                if tcut:
-                    parts.append(tail[:tcut])
+            pcut = int(np.searchsorted(P, watermark_us, side="right"))
             cut = int(np.searchsorted(S, watermark_us, side="right"))
-            if cut:
-                parts.append(block[:cut])
-
-            new_tail: List[TripBlock] = []
-            new_seqs: List[np.ndarray] = []
-            if tail is not None and tcut < len(tail):
-                new_tail.append(tail[tcut:])
-                new_seqs.append(self._tail_seqs[tcut:])
-            if cut < n:
-                new_tail.append(block[cut:])
-                new_seqs.append(
-                    np.arange(base + 1 + cut, base + 1 + n, dtype=np.int64)
-                )
-            if new_tail:
-                self._tail = (
-                    new_tail[0] if len(new_tail) == 1 else TripBlock.concat(new_tail)
-                )
-                self._tail_seqs = (
-                    new_seqs[0] if len(new_seqs) == 1 else np.concatenate(new_seqs)
-                )
-            else:
-                self._tail = None
-                self._tail_seqs = None
-
+            released = TripBlock.concat([pending[:pcut], block[:cut]])
+            self._pending = TripBlock.concat([pending[pcut:], block[cut:]])
+            self._pending_seqs = np.concatenate([
+                self._pending_seqs[pcut:],
+                np.arange(base + 1 + cut, base + 1 + n, dtype=np.int64),
+            ])
             self._max_seen = us_to_datetime(last_max)
-            if len(parts) == 1:
-                released_fast = parts[0]
-            elif parts:
-                released_fast = TripBlock.concat(parts)
-            else:
-                released_fast = TripBlock.empty()
-            self.emitted += len(released_fast)
-            return released_fast
+            self.emitted += len(released)
+            return released
 
-        # General case (pending tail, if any, spills back to the heap).
-        # M[i] = max event time after arrival i; late arrivals never
-        # advance it (their time is below the watermark, hence below the
-        # maximum), so one cumulative max serves both.
-        self._detach_tail()
-        self._seq += n
+        # M[i]: max event time after arrival i.  A late arrival never
+        # advances it (its time is below the watermark, hence below the
+        # maximum), so one cumulative max serves both; ``before`` is the
+        # watermark each arrival is judged against (on an empty history
+        # the first arrival is judged against itself: never late).
         cum = np.maximum.accumulate(S)
         M = cum if max0_us is None else np.maximum(cum, max0_us)
-        late = np.zeros(n, dtype=bool)
-        late[1:] = S[1:] < (M[:-1] - lat_us)
-        if max0_us is not None:
-            late[0] = int(S[0]) < max0_us - lat_us
         W = M - lat_us  # watermark after each arrival (non-decreasing)
-        if np.any(late):
-            m_before = np.empty(n, dtype=np.int64)
-            m_before[0] = 0 if max0_us is None else max0_us
-            m_before[1:] = M[:-1]
-            lateness_s = self.lateness.total_seconds()
-            for i in np.flatnonzero(late):
-                self.too_late += 1
-                behind = float(m_before[i] - lat_us - S[i]) / 1e6
-                self.sink.add(
-                    RejectedTrip(
-                        seq=base + int(i),
-                        rule="too_late",
-                        reason=(
-                            f"arrived {behind:.0f}s behind the watermark "
-                            f"(lateness {lateness_s:.0f}s)"
-                        ),
-                        order_id=int(block.order_id[i]),
-                        start_time=us_to_datetime(block.start_us[i]).isoformat(),
-                    )
-                )
-        adm_idx = np.flatnonzero(~late)
-        self.admitted += int(adm_idx.size)
+        before = np.empty(n, dtype=np.int64)
+        before[0] = first_us if max0_us is None else max0_us - lat_us
+        before[1:] = W[:-1]
+        late = S < before
 
         # Release step of every candidate: the first arrival whose
-        # watermark reaches its timestamp (and, for new arrivals, no
-        # earlier than their own arrival).  step < n means released
-        # within this block; the emission order is (step, time, seq) —
-        # exactly the per-push pop interleaving.
-        old = self._heap
-        old_ts = np.asarray(
-            [datetime_to_us(entry[0]) for entry in old], dtype=np.int64
-        )
-        old_seq = np.asarray([entry[1] for entry in old], dtype=np.int64)
-        old_step = np.searchsorted(W, old_ts, side="left")
-        adm_ts = S[adm_idx]
-        adm_seq = base + 1 + adm_idx
-        adm_step = np.maximum(adm_idx, np.searchsorted(W, adm_ts, side="left"))
+        # watermark reaches its timestamp (new arrivals no earlier than
+        # their own); a step of ``live`` or more means still pending.
+        # Only the pending prefix the last watermark reaches can release.
+        rows = np.arange(n)
+        cand = int(np.searchsorted(P, W[-1], side="right"))
+        old_step = np.searchsorted(W, P[:cand], side="left")
+        new_step = np.maximum(rows, np.searchsorted(W, S, side="left"))
+        released_at = np.bincount(
+            np.concatenate([old_step, new_step[~late]]), minlength=n + 1
+        )[:n]
+        held = len(P) + np.cumsum(~late) - np.cumsum(released_at)
+        live = n
+        if len(P) >= self.max_pending:
+            live = 0
+        elif held.max() >= self.max_pending:
+            live = int(np.argmax(held >= self.max_pending)) + 1
+        if live < n:  # the latch: the rest meets the frozen watermark
+            before[live:] = before[live]
+            late = S < before
+        admit = ~late & (rows < live)
+        self._dead_letter(block, base, late, before - S, ~late & ~admit)
+        self.admitted += int(np.count_nonzero(admit))
 
-        old_rel = old_step < n
-        new_rel = adm_step < n
-        rel_old_pos = np.flatnonzero(old_rel)
-        rel_new_rows = adm_idx[new_rel]
-        old_block = TripBlock.from_trips([old[i][2] for i in rel_old_pos])
-        new_block = block.take(rel_new_rows)
-        rel_ts = np.concatenate([old_ts[old_rel], adm_ts[new_rel]])
-        rel_seq = np.concatenate([old_seq[old_rel], adm_seq[new_rel]])
-        rel_step = np.concatenate([old_step[old_rel], adm_step[new_rel]])
-        order = np.lexsort((rel_seq, rel_ts, rel_step))
-        released_block = TripBlock.concat([old_block, new_block]).take(order)
+        k = int(np.count_nonzero(old_step < live))  # a prefix of pending
+        rel_rows = np.flatnonzero(admit & (new_step < live))
+        seqs = self._pending_seqs
+        order = np.lexsort((
+            np.concatenate([seqs[:k], base + 1 + rel_rows]),
+            np.concatenate([P[:k], S[rel_rows]]),
+            np.concatenate([old_step[:k], new_step[rel_rows]]),
+        ))
+        released = TripBlock.concat([pending[:k], block.take(rel_rows)]).take(order)
 
-        pending = [old[i] for i in np.flatnonzero(~old_rel)]
-        for i in adm_idx[~new_rel]:
-            pending.append(
-                (us_to_datetime(S[i]), base + 1 + int(i), block.trip(int(i)))
+        # Merge the still-held rows into the sorted pending rest: every
+        # held seq postdates every pending one, so pending rows up to the
+        # earliest held time keep their place and only the suffix sorts.
+        keep_rows = np.flatnonzero(admit & (new_step >= live))
+        lo = len(P)
+        if len(keep_rows):
+            lo = int(np.searchsorted(P, S[keep_rows].min(), side="right"))
+        lo = max(lo, k)
+        suffix_seqs = np.concatenate([seqs[lo:], base + 1 + keep_rows])
+        order = np.lexsort((suffix_seqs, np.concatenate([P[lo:], S[keep_rows]])))
+        suffix = TripBlock.concat([pending[lo:], block.take(keep_rows)])
+        self._pending = TripBlock.concat([pending[k:lo], suffix.take(order)])
+        self._pending_seqs = np.concatenate([seqs[k:lo], suffix_seqs[order]])
+        if live:
+            self._max_seen = us_to_datetime(M[live - 1])
+        self.emitted += len(released)
+        return released
+
+    def _dead_letter(
+        self,
+        block: TripBlock,
+        base: int,
+        late: np.ndarray,
+        behind_us: np.ndarray,
+        shed: np.ndarray,
+    ) -> None:
+        """Dead-letter the ``late`` rows of ``block`` as ``too_late``
+        (``behind_us`` behind the watermark) and the ``shed`` rows as
+        ``shed``; row ``i`` arrived as seq ``base + i``."""
+        self.too_late += int(np.count_nonzero(late))
+        self.shed += int(np.count_nonzero(shed))
+        lateness_s = self.lateness.total_seconds()
+        for i in np.flatnonzero(late | shed).tolist():
+            if late[i]:
+                rule = "too_late"
+                reason = (
+                    f"arrived {behind_us[i] / 1e6:.0f}s behind the watermark "
+                    f"(lateness {lateness_s:.0f}s)"
+                )
+            else:
+                rule = "shed"
+                reason = f"reorder buffer full ({self.max_pending} pending)"
+            self.sink.add(
+                RejectedTrip(
+                    seq=base + i,
+                    rule=rule,
+                    reason=reason,
+                    order_id=int(block.order_id[i]),
+                    start_time=us_to_datetime(block.start_us[i]).isoformat(),
+                )
             )
-        heapq.heapify(pending)
-        self._heap = pending
-        self._max_seen = us_to_datetime(M[-1])
-        self.emitted += len(released_block)
-        return released_block
 
     def flush(self) -> List[TripRecord]:
         """End of stream: emit everything still buffered, in order."""
-        out: List[TripRecord] = []
-        while self._heap:
-            _, _, trip = heapq.heappop(self._heap)
-            out.append(trip)
-        if self._tail is not None:
-            # Tail rows sort after every heap entry (see the invariants
-            # on the fast path) and are already in (time, seq) order.
-            out.extend(self._tail.to_trips())
-            self._tail = None
-            self._tail_seqs = None
+        out = self._pending.to_trips()
+        self._pending = TripBlock.empty()
+        self._pending_seqs = self._pending_seqs[:0]
         self.emitted += len(out)
         return out
 

@@ -57,8 +57,11 @@ class ValidationConfig:
             fault rather than benign jitter.  The watermark buffer
             downstream tolerates *bounded* disorder; this rule rejects
             the unbounded kind (a device clock reset to last year).
-        max_trip_m: longest plausible straight-line trip; also the
-            finiteness guard (NaN/inf distances fail this rule).
+        max_trip_m: longest plausible straight-line trip (a length
+            that overflows to inf fails this rule).  Non-finite inputs
+            never reach it: the always-on ``finite`` rule rejects a
+            NaN/inf coordinate and a present NaN/inf ``geodesic_m``
+            first.
         max_bike_speed_mps: fastest a bike may travel between the end
             of its previous trip and the start of the next one (the
             teleport rule).  ``0`` (the default) disables the rule:
@@ -67,7 +70,8 @@ class ValidationConfig:
             would reject legitimate trips, so the rule is opt-in for
             feeds that report every movement.  Exact redeliveries of
             the previous trip (same order id) are exempt; the duplicate
-            screen downstream owns those.
+            screen downstream owns those.  The rule is judged inside
+            :meth:`TripValidator.admit_block` like every other rule.
         battery_range: valid closed range for the optional per-trip
             battery reading; readings outside it (the 470% case) are
             rejected, absent readings pass.
@@ -195,7 +199,8 @@ class TripValidator:
         sink: where rejections go; a fresh private sink when omitted.
     """
 
-    #: Rule names in evaluation order (also the counter keys).
+    #: Rule names in evaluation order (also the counter keys; a rule's
+    #: index is its code in :meth:`admit_block`).
     RULES = (
         "malformed",
         "finite",
@@ -220,89 +225,195 @@ class TripValidator:
         self._bike_last: Dict[int, Tuple[int, datetime, float, float]] = {}
 
     # ------------------------------------------------------------------
-    def _first_violation(self, trip: TripRecord) -> Optional[Tuple[str, str]]:
-        cfg = self.config
-        coords = (trip.start.x, trip.start.y, trip.end.x, trip.end.y)
-        if not all(math.isfinite(c) for c in coords):
-            shown = ", ".join(f"{float(c):.1f}" for c in coords)
-            return "finite", f"non-finite coordinate in ({shown})"
-        if cfg.bounds is not None:
-            for label, point in (("start", trip.start), ("end", trip.end)):
-                if not cfg.bounds.contains(point):
-                    return (
-                        "bounds",
-                        f"{label} ({point.x:.1f}, {point.y:.1f}) outside the "
-                        "city plane",
-                    )
-        if self._latest is not None:
-            back = (self._latest - trip.start_time).total_seconds()
-            if back > cfg.max_backwards_s:
-                return (
-                    "clock",
-                    f"start_time {back:.0f}s behind the stream "
-                    f"(limit {cfg.max_backwards_s:.0f}s)",
-                )
-        if not trip.distance <= cfg.max_trip_m:  # also catches NaN
-            return (
-                "distance",
-                f"trip length {trip.distance:.0f} m exceeds {cfg.max_trip_m:.0f} m",
-            )
-        battery = getattr(trip, "battery", None)
-        if battery is not None:
-            lo, hi = cfg.battery_range
-            if not (math.isfinite(battery) and lo <= battery <= hi):
-                return (
-                    "battery",
-                    f"battery {battery!r} outside [{lo}, {hi}]",
-                )
-        if cfg.max_bike_speed_mps > 0:
-            last = self._bike_last.get(trip.bike_id)
-            if last is not None:
-                last_order, t_prev, x_prev, y_prev = last
-                gap_s = (trip.start_time - t_prev).total_seconds()
-                hop_m = math.hypot(trip.start.x - x_prev, trip.start.y - y_prev)
-                if (
-                    trip.order_id != last_order  # redelivery: dedup's job
-                    and hop_m > max(gap_s, 0.0) * cfg.max_bike_speed_mps
-                ):
-                    return (
-                        "teleport",
-                        f"bike {trip.bike_id} moved {hop_m:.0f} m in "
-                        f"{max(gap_s, 0.0):.0f}s",
-                    )
-        return None
-
     def admit(self, trip: TripRecord) -> bool:
-        """Validate one event; dead-letters and returns False on failure.
+        """Validate one event: a block of one (see :meth:`admit_block`)."""
+        return bool(self.admit_block(TripBlock.from_trips([trip]))[0])
 
-        Accepted trips advance the validator's clock and the bike's last
-        known position; rejected trips leave the state untouched (a
-        garbage event must not poison the invariants used to judge the
-        next one).
+    def admit_block(self, block: TripBlock) -> np.ndarray:
+        """Validate a block of arrivals; returns the per-trip accept mask.
+
+        The one implementation of the rules (:meth:`admit` is a block of
+        one).  Decisions, counters, dead-letter rows (rule, reason, seq)
+        and the carried state do not depend on how the stream is cut into
+        blocks.  Every rule is a vectorized mask over the block's columns,
+        and the first failing rule in :attr:`RULES` order names the
+        rejection.
+
+        The two stateful rules judge a trip against the trips *accepted*
+        before it: the clock rule against the latest accepted start, the
+        teleport rule against the same bike's previous accepted trip.
+        With the teleport rule off, one prefix maximum settles the clock
+        rule: a trip failing only the clock rule starts before the
+        running maximum, so rejecting it leaves the maximum unchanged.
+        With it on, a rejected hop changes which trip the bike's next hop
+        is measured from, so the rows that pass every stateless rule are
+        judged in one arrival-order pass that carries the clock and the
+        per-bike table (linear in the block).
+
+        Rows whose trip length lands within a few ulps of its limit are
+        re-judged with ``math.hypot`` (``np.hypot`` is not bitwise
+        interchangeable with it; see ``core/replay.py``); hops are
+        measured with ``math.hypot`` directly.
+
+        Accepted trips advance the clock (``_latest``) and, while the
+        teleport rule is on (its only reader), each bike's last known
+        position (``_bike_last``); rejected trips leave the state
+        untouched, so a garbage event cannot poison the judgement of the
+        next one.
         """
-        seq = self.offered
-        self.offered += 1
-        violation = self._first_violation(trip)
-        if violation is not None:
-            rule, reason = violation
+        cfg = self.config
+        n = len(block)
+        if n == 0:
+            return np.zeros(0, dtype=bool)
+
+        sx, sy = block.start_x, block.start_y
+        ex, ey = block.end_x, block.end_y
+        S = block.start_us
+        finite_ok = (
+            np.isfinite(sx) & np.isfinite(sy) & np.isfinite(ex) & np.isfinite(ey)
+            & (np.isfinite(block.geodesic_m) | ~block.has_geodesic)
+        )
+        if cfg.bounds is not None:
+            b = cfg.bounds
+            bounds_ok = (
+                (b.min_x <= sx) & (sx <= b.max_x)
+                & (b.min_y <= sy) & (sy <= b.max_y)
+                & (b.min_x <= ex) & (ex <= b.max_x)
+                & (b.min_y <= ey) & (ey <= b.max_y)
+            )
+        else:
+            bounds_ok = np.ones(n, dtype=bool)
+        dist_fail = _exceeds(sx - ex, sy - ey, np.full(n, float(cfg.max_trip_m)))
+        lo, hi = cfg.battery_range
+        bat = block.battery
+        bat_fail = block.has_battery & ~(
+            np.isfinite(bat) & (lo <= bat) & (bat <= hi)
+        )
+
+        latest_us = None if self._latest is None else datetime_to_us(self._latest)
+        ok = finite_ok & bounds_ok & ~dist_fail & ~bat_fail
+        hops: Dict[int, Tuple[float, float]] = {}
+        mask = ok
+        if cfg.max_bike_speed_mps > 0:
+            mask = self._judge_in_order(block, ok, latest_us, hops)
+        back_us = _behind_latest(S, mask, latest_us)
+        clock_fail = back_us / 1e6 > cfg.max_backwards_s
+        mask = mask & ~clock_fail
+        codes = np.select(
+            [~finite_ok, ~bounds_ok, clock_fail, dist_fail, bat_fail, mask],
+            [1, 2, 3, 4, 5, 0],
+            6,  # failed nothing stateless, yet rejected: the teleport rule
+        )
+
+        base = self.offered
+        self.offered += n
+        n_accept = int(np.count_nonzero(mask))
+        self.accepted += n_accept
+        if n_accept:
+            new_latest = int(S[mask].max())
+            if latest_us is None or new_latest > latest_us:
+                self._latest = us_to_datetime(new_latest)
+
+        for i in np.flatnonzero(~mask).tolist():
+            rule = self.RULES[codes[i]]
             self.counters[rule] += 1
             self.sink.add(
                 RejectedTrip(
-                    seq=seq,
+                    seq=base + i,
                     rule=rule,
-                    reason=reason,
-                    order_id=trip.order_id,
-                    start_time=trip.start_time.isoformat(),
+                    reason=self._reason(block, i, rule, back_us[i], hops.get(i)),
+                    order_id=int(block.order_id[i]),
+                    start_time=us_to_datetime(S[i]).isoformat(),
                 )
             )
-            return False
-        self.accepted += 1
-        if self._latest is None or trip.start_time > self._latest:
-            self._latest = trip.start_time
-        self._bike_last[trip.bike_id] = (
-            trip.order_id, trip.start_time, trip.end.x, trip.end.y,
+        return mask
+
+    def _judge_in_order(
+        self,
+        block: TripBlock,
+        ok: np.ndarray,
+        latest_us: Optional[int],
+        hops: Dict[int, Tuple[float, float]],
+    ) -> np.ndarray:
+        """Accept mask of the ``ok`` rows under the clock and teleport
+        rules, judged in arrival order; advances ``_bike_last`` and
+        records each teleport rejection's ``(hop_m, gap_s)`` in ``hops``."""
+        cfg = self.config
+        speed, back_limit = cfg.max_bike_speed_mps, cfg.max_backwards_s
+        seen: Dict[int, tuple] = {}  # bike -> (order, start µs, end x, end y)
+        accepted: List[int] = []
+        for i, bike, order, s_us, sx, sy, ex, ey in zip(
+            np.flatnonzero(ok).tolist(),
+            block.bike_id[ok].tolist(),
+            block.order_id[ok].tolist(),
+            block.start_us[ok].tolist(),
+            block.start_x[ok].tolist(),
+            block.start_y[ok].tolist(),
+            block.end_x[ok].tolist(),
+            block.end_y[ok].tolist(),
+        ):
+            if latest_us is not None and (latest_us - s_us) / 1e6 > back_limit:
+                continue
+            last = seen.get(bike)
+            if last is None and bike in self._bike_last:
+                order0, moment, x0, y0 = self._bike_last[bike]
+                last = seen[bike] = (order0, datetime_to_us(moment), x0, y0)
+            if last is not None and last[0] != order:  # redelivery: dedup's job
+                gap_s = (s_us - last[1]) / 1e6
+                hop_m = math.hypot(sx - last[2], sy - last[3])
+                if hop_m > max(gap_s, 0.0) * speed:
+                    hops[i] = (hop_m, gap_s)
+                    continue
+            accepted.append(i)
+            if latest_us is None or s_us > latest_us:
+                latest_us = s_us
+            seen[bike] = (order, s_us, ex, ey)
+        for bike, (order, s_us, x, y) in seen.items():
+            self._bike_last[bike] = (order, us_to_datetime(s_us), x, y)
+        mask = np.zeros(len(block), dtype=bool)
+        mask[accepted] = True
+        return mask
+
+    def _reason(
+        self,
+        block: TripBlock,
+        i: int,
+        rule: str,
+        back_us: int,
+        hop: Optional[Tuple[float, float]],
+    ) -> str:
+        """The human-readable reason ``rule`` rejected block row ``i``."""
+        cfg = self.config
+        sx, sy = float(block.start_x[i]), float(block.start_y[i])
+        ex, ey = float(block.end_x[i]), float(block.end_y[i])
+        if rule == "finite":
+            coords = (sx, sy, ex, ey)
+            if all(math.isfinite(c) for c in coords):
+                return f"non-finite geodesic_m {float(block.geodesic_m[i])!r}"
+            shown = ", ".join(f"{c:.1f}" for c in coords)
+            return f"non-finite coordinate in ({shown})"
+        if rule == "bounds":
+            if not cfg.bounds.contains(Point(sx, sy)):
+                label, px, py = "start", sx, sy
+            else:
+                label, px, py = "end", ex, ey
+            return f"{label} ({px:.1f}, {py:.1f}) outside the city plane"
+        if rule == "clock":
+            return (
+                f"start_time {back_us / 1e6:.0f}s behind the stream "
+                f"(limit {cfg.max_backwards_s:.0f}s)"
+            )
+        if rule == "distance":
+            d = math.hypot(sx - ex, sy - ey)
+            return f"trip length {d:.0f} m exceeds {cfg.max_trip_m:.0f} m"
+        if rule == "battery":
+            lo, hi = cfg.battery_range
+            return f"battery {float(block.battery[i])!r} outside [{lo}, {hi}]"
+        hop_m, gap_s = hop
+        return (
+            f"bike {int(block.bike_id[i])} moved {hop_m:.0f} m in "
+            f"{max(gap_s, 0.0):.0f}s"
         )
-        return True
 
     def reject_malformed(self, trip: TripRecord, reason: str) -> None:
         """Dead-letter one row a :class:`TripBlock` cannot hold.
@@ -330,165 +441,6 @@ class TripValidator:
         )
 
     # ------------------------------------------------------------------
-    def admit_block(self, block: TripBlock) -> np.ndarray:
-        """Validate a whole block; returns the per-trip accept mask.
-
-        Bit-identical to calling :meth:`admit` once per trip in order —
-        same counters, same dead-letter rows (rule, reason string, seq),
-        same ``_latest`` clock — but every rule is evaluated as one
-        vectorized mask over the block's columns.  The first-violation
-        attribution is reproduced by masking each rule with the
-        negations of the rules before it.
-
-        Two scalar escape hatches preserve exactness:
-
-        * the **teleport** rule is inherently sequential per bike, so a
-          config that enables it routes the whole block through the
-          scalar :meth:`admit` loop;
-        * rows whose vectorized trip length lands within a few ulps of
-          ``max_trip_m`` are re-judged with the scalar ``math.hypot``
-          (``np.hypot`` is not bitwise interchangeable with it — see
-          ``core/replay.py``).
-
-        The blocked path does not maintain the per-bike last-position
-        table (``_bike_last``): with the teleport rule disabled — the
-        only configuration that reaches this path — nothing reads it.
-        """
-        cfg = self.config
-        n = len(block)
-        if n == 0:
-            return np.zeros(0, dtype=bool)
-        if cfg.max_bike_speed_mps > 0:
-            return np.asarray([self.admit(t) for t in block.to_trips()], dtype=bool)
-
-        sx, sy = block.start_x, block.start_y
-        ex, ey = block.end_x, block.end_y
-        finite_ok = (
-            np.isfinite(sx) & np.isfinite(sy) & np.isfinite(ex) & np.isfinite(ey)
-        )
-        if cfg.bounds is not None:
-            b = cfg.bounds
-            bounds_ok = (
-                (b.min_x <= sx) & (sx <= b.max_x)
-                & (b.min_y <= sy) & (sy <= b.max_y)
-                & (b.min_x <= ex) & (ex <= b.max_x)
-                & (b.min_y <= ey) & (ey <= b.max_y)
-            )
-        else:
-            bounds_ok = np.ones(n, dtype=bool)
-
-        dist = np.hypot(sx - ex, sy - ey)
-        dist_fail = ~(dist <= cfg.max_trip_m)  # NaN/inf distances fail too
-        # Ulp guard: np.hypot and math.hypot agree to ~1 ulp; only rows
-        # within a few ulps of the limit can flip, re-judge those scalar.
-        tol = 4.0 * np.spacing(np.float64(cfg.max_trip_m))
-        near = np.isfinite(dist) & (np.abs(dist - cfg.max_trip_m) <= tol)
-        for i in np.flatnonzero(near):
-            d = math.hypot(float(sx[i]) - float(ex[i]), float(sy[i]) - float(ey[i]))
-            dist_fail[i] = not d <= cfg.max_trip_m
-
-        lo, hi = cfg.battery_range
-        bat = block.battery
-        bat_fail = block.has_battery & ~(
-            np.isfinite(bat) & (lo <= bat) & (bat <= hi)
-        )
-
-        # Clock rule: the running "latest accepted" is a prefix maximum.
-        # Trips failing only the clock rule have start < running max, so
-        # the prefix max over stateless-passing trips equals the prefix
-        # max over fully-accepted trips — the recurrence vectorizes.
-        stateless_ok = finite_ok & bounds_ok & ~dist_fail & ~bat_fail
-        S = block.start_us
-        int_min = np.iinfo(np.int64).min
-        cum = np.maximum.accumulate(np.where(stateless_ok, S, int_min))
-        prev = np.empty(n, dtype=np.int64)
-        prev[0] = int_min
-        prev[1:] = cum[:-1]
-        latest_us = None if self._latest is None else datetime_to_us(self._latest)
-        if latest_us is not None:
-            np.maximum(prev, latest_us, out=prev)
-        has_prev = prev != int_min
-        back_us = np.subtract(
-            prev, S, out=np.zeros(n, dtype=np.int64), where=has_prev
-        )
-        clock_fail = has_prev & ((back_us / 1e6) > cfg.max_backwards_s)
-
-        fail_finite = ~finite_ok
-        fail_bounds = finite_ok & ~bounds_ok
-        fail_clock = finite_ok & bounds_ok & clock_fail
-        fail_dist = finite_ok & bounds_ok & ~clock_fail & dist_fail
-        fail_bat = finite_ok & bounds_ok & ~clock_fail & ~dist_fail & bat_fail
-        mask = stateless_ok & ~clock_fail
-
-        base = self.offered
-        self.offered += n
-        n_accept = int(np.count_nonzero(mask))
-        self.accepted += n_accept
-        if n_accept:
-            new_latest = int(S[mask].max())
-            if latest_us is None or new_latest > latest_us:
-                self._latest = us_to_datetime(new_latest)
-
-        if n_accept < n:
-            rules = np.zeros(n, dtype=np.int8)
-            for code, rule_mask in enumerate(
-                (fail_finite, fail_bounds, fail_clock, fail_dist, fail_bat),
-                start=1,
-            ):
-                rules[rule_mask] = code
-            back_s = back_us / 1e6
-            for i in np.flatnonzero(~mask):
-                rule, reason = self._block_reason(
-                    block, int(i), int(rules[i]), float(back_s[i])
-                )
-                self.counters[rule] += 1
-                self.sink.add(
-                    RejectedTrip(
-                        seq=base + int(i),
-                        rule=rule,
-                        reason=reason,
-                        order_id=int(block.order_id[i]),
-                        start_time=us_to_datetime(block.start_us[i]).isoformat(),
-                    )
-                )
-        return mask
-
-    def _block_reason(
-        self, block: TripBlock, i: int, code: int, back_s: float
-    ) -> Tuple[str, str]:
-        """Rebuild the scalar rejection (rule, reason) for block row ``i``."""
-        cfg = self.config
-        sx, sy = float(block.start_x[i]), float(block.start_y[i])
-        ex, ey = float(block.end_x[i]), float(block.end_y[i])
-        if code == 1:
-            shown = ", ".join(f"{c:.1f}" for c in (sx, sy, ex, ey))
-            return "finite", f"non-finite coordinate in ({shown})"
-        if code == 2:
-            if not cfg.bounds.contains(Point(sx, sy)):
-                label, px, py = "start", sx, sy
-            else:
-                label, px, py = "end", ex, ey
-            return (
-                "bounds",
-                f"{label} ({px:.1f}, {py:.1f}) outside the city plane",
-            )
-        if code == 3:
-            return (
-                "clock",
-                f"start_time {back_s:.0f}s behind the stream "
-                f"(limit {cfg.max_backwards_s:.0f}s)",
-            )
-        if code == 4:
-            d = math.hypot(sx - ex, sy - ey)
-            return (
-                "distance",
-                f"trip length {d:.0f} m exceeds {cfg.max_trip_m:.0f} m",
-            )
-        battery = float(block.battery[i])
-        lo, hi = cfg.battery_range
-        return "battery", f"battery {battery!r} outside [{lo}, {hi}]"
-
-    # ------------------------------------------------------------------
     @property
     def rejected(self) -> int:
         """Events dead-lettered by this validator so far."""
@@ -506,3 +458,37 @@ class TripValidator:
                 f"validator accounting drift: offered={self.offered} "
                 f"accepted={self.accepted} rule counts={total}"
             )
+
+
+_INT64_MIN = np.iinfo(np.int64).min
+
+
+def _exceeds(dx: np.ndarray, dy: np.ndarray, limit: np.ndarray) -> np.ndarray:
+    """Per row ``not hypot(dx, dy) <= limit`` (NaN lengths exceed),
+    exactly as ``math.hypot`` judges it.
+
+    ``np.hypot`` and ``math.hypot`` agree to ~1 ulp, so only rows within
+    a few ulps of their limit can flip; those are re-judged scalar.
+    """
+    d = np.hypot(dx, dy)
+    fail = ~(d <= limit)
+    near = np.isfinite(d) & (np.abs(d - limit) <= 4.0 * np.spacing(limit))
+    for i in np.flatnonzero(near).tolist():
+        fail[i] = not math.hypot(float(dx[i]), float(dy[i])) <= limit[i]
+    return fail
+
+
+def _behind_latest(
+    S: np.ndarray, accepted: np.ndarray, latest_us: Optional[int]
+) -> np.ndarray:
+    """How far (µs) each row starts behind the latest start accepted
+    before it, seeded with ``latest_us``; 0 where nothing precedes it."""
+    n = len(S)
+    prev = np.empty(n, dtype=np.int64)
+    prev[0] = _INT64_MIN
+    np.maximum.accumulate(np.where(accepted[:-1], S[:-1], _INT64_MIN), out=prev[1:])
+    if latest_us is not None:
+        np.maximum(prev, latest_us, out=prev)
+    return np.subtract(
+        prev, S, out=np.zeros(n, dtype=np.int64), where=prev != _INT64_MIN
+    )

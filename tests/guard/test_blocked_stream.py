@@ -1,9 +1,9 @@
 """The columnar stream path is bit-identical to per-trip oracles.
 
 Every test here pits the blocked pipeline (``admit_block`` →
-``push_block`` → ``handle_block`` group commits) against an oracle
-built from the per-trip primitives — ``admit`` → ``push`` → the
-service's ``handle_trip`` (``reference.py`` for the full runtime):
+``push_block`` → ``handle_block`` group commits) against the per-trip
+oracles of ``reference.py`` — ``ReferenceValidator.admit`` →
+``ReferenceBuffer.push`` → the service's ``handle_trip``:
 
 * validator + buffer accounting — decisions, per-rule counters,
   dead-letter rows, release order — matches for *any* block size and
@@ -16,6 +16,8 @@ service's ``handle_trip`` (``reference.py`` for the full runtime):
 * kill-at-every-block crash recovery is bit-identical to an
   uninterrupted blocked run.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -31,8 +33,10 @@ from repro.guard import (
 from repro.resilience import CheckpointingService, constant_cost_spec
 from repro.resilience.chaos import ChaosConfig, FaultInjector
 
-from .conftest import COST_VALUE, build_service, guard_config, make_trips, scrub
-from .reference import serve_reference
+from .conftest import (
+    COST_VALUE, build_service, guard_config, make_trip, make_trips, scrub,
+)
+from .reference import ReferenceBuffer, ReferenceValidator, serve_reference
 
 CHECKPOINT_EVERY = 25
 BLOCK_SIZES = (2, 7, 64, 256)
@@ -77,13 +81,16 @@ def journal_bytes(runtime):
 # Validator + buffer: the accounting oracle (scalar vs blocked).
 # ----------------------------------------------------------------------
 
-def run_scalar(stream, lateness_s, max_pending):
-    """The ``block_size=1`` oracle: per-trip admit + push."""
+def run_scalar(stream, lateness_s, max_pending, max_bike_speed_mps=0.0):
+    """The per-trip oracle: reference admit + push, one trip at a time."""
     v_sink, b_sink = DeadLetterSink(), DeadLetterSink()
-    validator = TripValidator(
-        ValidationConfig(max_backwards_s=600.0), sink=v_sink
+    validator = ReferenceValidator(
+        ValidationConfig(
+            max_backwards_s=600.0, max_bike_speed_mps=max_bike_speed_mps
+        ),
+        sink=v_sink,
     )
-    buffer = WatermarkBuffer(
+    buffer = ReferenceBuffer(
         lateness_s=lateness_s, sink=b_sink, max_pending=max_pending
     )
     decisions, released = [], []
@@ -96,11 +103,14 @@ def run_scalar(stream, lateness_s, max_pending):
     return validator, buffer, decisions, released, flushed
 
 
-def run_blocked(stream, block_size, lateness_s, max_pending):
+def run_blocked(stream, block_size, lateness_s, max_pending, max_bike_speed_mps=0.0):
     """Same stream through the columnar path, one block at a time."""
     v_sink, b_sink = DeadLetterSink(), DeadLetterSink()
     validator = TripValidator(
-        ValidationConfig(max_backwards_s=600.0), sink=v_sink
+        ValidationConfig(
+            max_backwards_s=600.0, max_bike_speed_mps=max_bike_speed_mps
+        ),
+        sink=v_sink,
     )
     buffer = WatermarkBuffer(
         lateness_s=lateness_s, sink=b_sink, max_pending=max_pending
@@ -120,10 +130,14 @@ def key(trip):
     return (trip.order_id, trip.start_time, trip.bike_id)
 
 
-def assert_oracle_parity(stream, block_size, lateness_s=120.0, max_pending=16):
-    sv, sb, sd, srel, sfl = run_scalar(stream, lateness_s, max_pending)
+def assert_oracle_parity(
+    stream, block_size, lateness_s=120.0, max_pending=16, max_bike_speed_mps=0.0
+):
+    sv, sb, sd, srel, sfl = run_scalar(
+        stream, lateness_s, max_pending, max_bike_speed_mps
+    )
     bv, bb, bd, brel, bfl = run_blocked(
-        stream, block_size, lateness_s, max_pending
+        stream, block_size, lateness_s, max_pending, max_bike_speed_mps
     )
     assert bd == sd, "accept/reject decisions diverged"
     assert [key(t) for t in brel] == [key(t) for t in srel], "release order"
@@ -134,6 +148,9 @@ def assert_oracle_parity(stream, block_size, lateness_s=120.0, max_pending=16):
     )
     assert bv.sink.by_rule == sv.sink.by_rule
     assert bv.sink.rows == sv.sink.rows, "validator dead-letter rows"
+    assert bv._latest == sv._latest
+    if max_bike_speed_mps > 0:  # the table's only reader
+        assert bv._bike_last == sv._bike_last
     assert (bb.admitted, bb.emitted, bb.too_late, bb.shed) == (
         sb.admitted, sb.emitted, sb.too_late, sb.shed
     )
@@ -163,6 +180,79 @@ class TestAccountingOracle:
         assert_oracle_parity(
             stream, block_size=13, lateness_s=3600.0, max_pending=4
         )
+
+    @pytest.mark.parametrize("block_size", (1, 5, 64))
+    def test_teleport_rule_matches_scalar(self, block_size):
+        # 60 bikes, 30 s apart, random endpoints on a 2 km plane: at
+        # 0.5 m/s a good share of the hops are too fast
+        stream = hostile_stream(n=200, seed=13)
+        sv, *_ = run_scalar(stream, 120.0, 16, max_bike_speed_mps=0.5)
+        assert 0 < sv.counters["teleport"] < len(stream) // 2
+        assert_oracle_parity(stream, block_size, max_bike_speed_mps=0.5)
+
+    @staticmethod
+    def alternating_chain(n):
+        # One bike; every trip starts at H and ends at F, 30 s apart, and
+        # F-H is 450 m: too far for one gap at 10 m/s, near enough for
+        # two.  So every other trip is accepted, and each rejection moves
+        # the origin the next hop is measured from.
+        return [
+            make_trip(i, start=(550.0, 100.0), end=(100.0, 100.0),
+                      at_s=30.0 * i, bike_id=0)
+            for i in range(n)
+        ]
+
+    @pytest.mark.parametrize("block_size", (1, 7, 256))
+    def test_alternating_teleport_chain_matches_scalar(self, block_size):
+        stream = self.alternating_chain(600)
+        *_, decisions, _, _ = run_blocked(
+            stream, block_size, 120.0, 16, max_bike_speed_mps=10.0
+        )
+        assert decisions == [i % 2 == 0 for i in range(len(stream))]
+        assert_oracle_parity(stream, block_size, max_bike_speed_mps=10.0)
+
+    def test_teleport_block_is_linear_in_its_rows(self):
+        # A judgement that settled one row per pass over the whole block
+        # is quadratic on this chain: ~2000 passes for one 4096-row block,
+        # some 50x the per-trip reference.  Both forms spend most of
+        # their time dead-lettering half the rows, so the blocked one
+        # runs about as fast as the reference; 4x leaves room for noise.
+        stream = self.alternating_chain(4096)
+        block = TripBlock.from_trips(stream)
+        config = ValidationConfig(max_bike_speed_mps=10.0)
+
+        def best_of_three(run):
+            best = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                run()
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        def reference():
+            validator = ReferenceValidator(config)
+            for trip in stream:
+                validator.admit(trip)
+
+        blocked_s = best_of_three(lambda: TripValidator(config).admit_block(block))
+        assert blocked_s < 4.0 * best_of_three(reference)
+
+    @pytest.mark.parametrize("jitter", (0.0, 16.0))
+    def test_buffer_held_near_capacity_matches_scalar(self, jitter):
+        # Lateness keeps ~56 of 64 slots held; the shuffled stream takes
+        # the general route next to the cap, the sorted one the fast path
+        # until it would overflow.
+        trips = make_trips(400, seed=9)
+        rng = np.random.default_rng(9)
+        order = np.argsort(np.arange(400) + rng.uniform(0.0, jitter, 400))
+        stream = [trips[i] for i in order]
+        for block_size in (1, 13, 64):
+            assert_oracle_parity(
+                stream, block_size, lateness_s=30.0 * 56, max_pending=64
+            )
+            assert_oracle_parity(
+                stream, block_size, lateness_s=30.0 * 70, max_pending=64
+            )
 
 
 # ----------------------------------------------------------------------

@@ -30,7 +30,8 @@ from .conftest import T0  # noqa: E402
 BOX = BoundingBox(0.0, 0.0, 2000.0, 2000.0)
 
 # Coordinates that wander beyond the plane (and occasionally go NaN),
-# timestamps that jump both ways, batteries that lie: the hostile mix.
+# timestamps that jump both ways, batteries and route lengths that lie:
+# the hostile mix.
 coord = st.one_of(
     st.floats(min_value=-500.0, max_value=2500.0),
     st.just(float("nan")),
@@ -38,6 +39,11 @@ coord = st.one_of(
 battery = st.one_of(
     st.none(),
     st.floats(min_value=-1.0, max_value=5.0, allow_nan=False),
+)
+geodesic = st.one_of(
+    st.none(),
+    st.floats(min_value=0.0, max_value=5000.0),
+    st.sampled_from([float("nan"), float("inf")]),
 )
 offset_s = st.floats(min_value=-7200.0, max_value=7200.0, allow_nan=False)
 
@@ -52,6 +58,7 @@ def trip_records(draw, index=0):
         start_time=T0 + timedelta(seconds=draw(offset_s)),
         start=Point(draw(coord), draw(coord)),
         end=Point(draw(coord), draw(coord)),
+        geodesic_m=draw(geodesic),
         battery=draw(battery),
     )
 
@@ -110,6 +117,6 @@ class TestBufferProperties:
         for trip in stream:
             emitted.extend(buffer.push(trip))
         emitted.extend(buffer.flush())
-        assert sorted(emitted, key=lambda t: (t.start_time, t.order_id)) == sorted(
-            stream, key=lambda t: (t.start_time, t.order_id)
-        )
+        # records compared by repr: a NaN coordinate equals itself there
+        # (released records are rebuilt from the buffer's columns)
+        assert sorted(map(repr, emitted)) == sorted(map(repr, stream))

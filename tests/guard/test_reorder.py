@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.tripblock import TripBlock
 from repro.guard import DeadLetterSink, WatermarkBuffer
 
 from .conftest import make_trip, make_trips
@@ -75,6 +76,30 @@ class TestLateAndShed:
             buffer.push(make_trip(i, at_s=float(i)))
         assert len(buffer) == 3
         assert buffer.shed == 2 and sink.by_rule["shed"] == 2
+
+    @pytest.mark.parametrize("blocked", [False, True])
+    def test_full_buffer_latches_until_flush(self, blocked):
+        # Once full, nothing is admitted, so the watermark cannot move:
+        # every later arrival is too late (behind the frozen watermark)
+        # or shed, and nothing is released until flush.
+        sink = DeadLetterSink()
+        buffer = WatermarkBuffer(lateness_s=60.0, sink=sink, max_pending=3)
+        held = [make_trip(i, at_s=1000.0 + i) for i in range(3)]
+        later = [make_trip(3 + i, at_s=2000.0 + 100.0 * i) for i in range(5)]
+        later.append(make_trip(8, at_s=100.0))  # behind the watermark
+        if blocked:
+            assert len(buffer.push_block(TripBlock.from_trips(held + later))) == 0
+        else:
+            for trip in held + later:
+                assert buffer.push(trip) == []
+        assert len(buffer) == 3
+        assert (buffer.shed, buffer.too_late) == (5, 1)
+        assert [(r.rule, r.seq) for r in sink.rows] == [
+            ("shed", 3), ("shed", 4), ("shed", 5), ("shed", 6), ("shed", 7),
+            ("too_late", 8),
+        ]
+        assert buffer.flush() == held
+        buffer.consistency_check()
 
     def test_flush_empties_the_buffer(self):
         buffer = WatermarkBuffer(lateness_s=1e6)

@@ -194,6 +194,25 @@ class TestMalformedRows:
             assert runtime.overload.admitted == 9
 
 
+class TestNonFiniteGeodesic:
+    @pytest.mark.parametrize("block_size", [1, 8])
+    @pytest.mark.parametrize("geodesic_m", [float("nan"), float("inf")])
+    def test_non_finite_geodesic_is_dead_lettered_not_fatal(
+        self, tmp_path, geodesic_m, block_size
+    ):
+        trips = make_trips(10, seed=7)
+        stream = [replace(t, geodesic_m=1000.0) for t in trips]
+        stream[4] = replace(trips[4], geodesic_m=geodesic_m)
+        runtime = wrap(tmp_path)
+        runtime.serve(stream, block_size=block_size)
+        runtime.consistency_check()
+        assert runtime.sink.by_rule == {"finite": 1}
+        (row,) = runtime.sink.rows
+        assert (row.seq, row.order_id) == (4, trips[4].order_id)
+        assert row.reason == f"non-finite geodesic_m {geodesic_m!r}"
+        assert runtime.served == 9
+
+
 class TestDegradedServing:
     def test_open_planner_breaker_serves_degraded(self, tmp_path, trips):
         config = guard_config(

@@ -1,6 +1,7 @@
 """TripValidator: per-rule rejection, counters, and the dead-letter sink."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -29,6 +30,13 @@ class TestRules:
         v = make_validator()
         assert not v.admit(make_trip(0, end=(coord, 500.0)))
         assert v.counters["finite"] == 1
+
+    @pytest.mark.parametrize("geodesic_m", [float("nan"), float("inf")])
+    def test_non_finite_geodesic_rejected(self, geodesic_m):
+        v = make_validator()
+        assert not v.admit(replace(make_trip(0), geodesic_m=geodesic_m))
+        assert v.counters["finite"] == 1
+        assert v.admit(replace(make_trip(1), geodesic_m=1000.0))
 
     def test_out_of_bounds_endpoint_rejected(self):
         v = make_validator()
