@@ -39,17 +39,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.costs import constant_facility_cost
-from repro.core.esharing import EsharingConfig, EsharingPlanner
-from repro.core.streaming import PlacementService
-from repro.energy.fleet import Fleet
-from repro.geo.points import BoundingBox, Point
-from repro.guard import (
-    GuardConfig,
-    GuardedRuntime,
-    OverloadConfig,
-    ValidationConfig,
-)
+from repro import gauntlet
+from repro.guard import GuardedRuntime, OverloadConfig
 from repro.loadgen import ODConfig, TripStream, make_scenario
 from repro.parallel import usable_cores
 from repro.resilience.service import CheckpointingService, constant_cost_spec
@@ -63,55 +54,19 @@ DURATION_S = 1800.0
 SERVE_BLOCK = 64
 APPLY_GATE_SPEEDUP = 5.0  # vectorized scenario apply vs its scalar oracle
 MIN_GATE_CORES = 4  # below this the ratio measures scheduler noise
-PLANE = 2000.0
-COST_VALUE = 8000.0
-
-
-def _bounds():
-    return BoundingBox(0.0, 0.0, PLANE, PLANE)
-
-
-def _build_service(seed):
-    anchors = [
-        Point(float(x), float(y))
-        for x in (0, 667, 1333, 2000)
-        for y in (0, 667, 1333, 2000)
-    ]
-    historical = np.random.default_rng(seed).uniform(0.0, PLANE, size=(300, 2))
-    planner = EsharingPlanner(
-        anchors,
-        constant_facility_cost(COST_VALUE),
-        historical,
-        np.random.default_rng(seed + 1),
-        EsharingConfig(beta=2.0, history_window=200),
-    )
-    fleet = Fleet(planner.stations, n_bikes=120, rng=np.random.default_rng(seed + 2))
-    return PlacementService(planner, fleet)
-
-
-def _guard_config(overload):
-    margin = 100.0
-    return GuardConfig(
-        validation=ValidationConfig(
-            bounds=BoundingBox(-margin, -margin, PLANE + margin, PLANE + margin),
-            max_backwards_s=3600.0,
-        ),
-        lateness_s=600.0,
-        overload=overload,
-    )
 
 
 def _runtime(workdir, name, seed, overload):
     inner = CheckpointingService(
-        _build_service(seed), workdir / name, checkpoint_every=500,
-        durable=False, facility_cost_spec=constant_cost_spec(COST_VALUE),
+        gauntlet.service(seed), workdir / name, checkpoint_every=500,
+        durable=False, facility_cost_spec=constant_cost_spec(gauntlet.COST_VALUE),
     )
-    return GuardedRuntime(inner, _guard_config(overload))
+    return GuardedRuntime(inner, gauntlet.guard_config(overload))
 
 
 def _records(multiplier, duration_s, seed):
     od = ODConfig(
-        bounds=_bounds(), trips_per_hour=BASE_TRIPS_PER_HOUR * multiplier
+        bounds=gauntlet.BOUNDS, trips_per_hour=BASE_TRIPS_PER_HOUR * multiplier
     )
     schedule = make_scenario("baseline", od.bounds, duration_s)
     return TripStream(od, schedule, seed=seed).records(duration_s)
@@ -169,10 +124,8 @@ def run_saturation(mult_sweep=MULT_SWEEP, duration_s=DURATION_S, seed=0):
                         f"responses diverged from the uncontrolled oracle "
                         f"at {mult}x"
                     )
-                got = runtime.inner.service.state_dict()
-                want = oracle.inner.service.state_dict()
-                got["planner"]["ks_seconds"] = 0.0
-                want["planner"]["ks_seconds"] = 0.0
+                got = gauntlet.logical_state(runtime.inner.service)
+                want = gauntlet.logical_state(oracle.inner.service)
                 if got != want:
                     raise AssertionError(
                         f"state diverged from the uncontrolled oracle at {mult}x"
@@ -212,7 +165,7 @@ def run_apply_parity(n_target=20_000, seed=0):
     Bit-parity of the rewritten columns is asserted before the speedup
     is accepted.
     """
-    bounds = _bounds()
+    bounds = gauntlet.BOUNDS
     od = ODConfig(bounds=bounds, trips_per_hour=float(n_target) * 2.0,
                   step_s=1800.0)
     schedule = make_scenario("weather", bounds, duration_s=1800.0)
@@ -242,7 +195,7 @@ def run_apply_parity(n_target=20_000, seed=0):
 
 def run_generation_throughput(n_target=50_000, seed=0):
     """Raw stream emission rate (rows/sec of TripStream.blocks)."""
-    bounds = _bounds()
+    bounds = gauntlet.BOUNDS
     od = ODConfig(bounds=bounds, trips_per_hour=float(n_target), step_s=60.0)
     schedule = make_scenario("festival", bounds, duration_s=3600.0)
     stream = TripStream(od, schedule, seed=seed)

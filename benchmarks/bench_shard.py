@@ -26,20 +26,13 @@ import os
 import sys
 import tempfile
 import time
-from datetime import datetime, timedelta
 from pathlib import Path
 
-import numpy as np
-
-from repro.datasets.trips import TripRecord
-from repro.geo.points import BoundingBox, Point
-from repro.guard import GuardConfig, ValidationConfig
+from repro import gauntlet
 from repro.parallel import usable_cores
 from repro.shard import (
     FleetSupervisor,
-    ShardPlan,
     ShardRouter,
-    ShardedRuntime,
     SupervisorConfig,
     build_shard_runtime,
 )
@@ -49,45 +42,6 @@ SHARD_SWEEP = (1, 2, 4, 8)
 GATE_SHARDS = 4
 GATE_SPEEDUP = 1.6  # end-to-end at 4 shards / 4 workers vs 1 shard serial
 MIN_GATE_CORES = 4  # the gate needs hardware that can express a speedup
-PLANE = 2000.0
-T0 = datetime(2017, 5, 10)
-
-
-def make_trips(n, seed=0):
-    """A clean, in-order stream on the demo plane."""
-    rng = np.random.default_rng(seed)
-    return [
-        TripRecord(
-            order_id=i, user_id=i % 40, bike_id=i % 60, bike_type=1,
-            start_time=T0 + timedelta(seconds=30 * i),
-            start=Point(*rng.uniform(0.0, PLANE, 2)),
-            end=Point(*rng.uniform(0.0, PLANE, 2)),
-            battery=float(rng.uniform(0.1, 1.0)),
-        )
-        for i in range(n)
-    ]
-
-
-def build_city(n_shards, directory, seed=0):
-    plan = ShardPlan.from_bounds(
-        BoundingBox(0.0, 0.0, PLANE, PLANE), n_shards
-    )
-    anchors = [
-        Point(float(x), float(y))
-        for x in (0, 667, 1333, 2000)
-        for y in (0, 667, 1333, 2000)
-    ]
-    historical = np.random.default_rng(seed).uniform(0.0, PLANE, size=(300, 2))
-    guard = GuardConfig(
-        validation=ValidationConfig(
-            bounds=BoundingBox(-100.0, -100.0, PLANE + 100.0, PLANE + 100.0),
-            max_backwards_s=3600.0,
-        ),
-        lateness_s=600.0,
-    )
-    return ShardedRuntime(
-        plan, directory, anchors, historical, seed=seed, guard=guard,
-    )
 
 
 def _assert_parity(city, trips, outcome, tmp):
@@ -118,13 +72,13 @@ def _assert_parity(city, trips, outcome, tmp):
 def run_shard_scaling(shard_sweep=SHARD_SWEEP, n_trips=6_000, seed=0):
     """Serve the same stream at every shard count; assert oracle parity
     at each point before accepting its timing."""
-    trips = make_trips(n_trips, seed=seed)
+    trips = gauntlet.trips(n_trips, seed=seed)
     sweep = []
     baseline_seconds = None
     for n_shards in shard_sweep:
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            city = build_city(n_shards, tmp / "city", seed=seed)
+            city = gauntlet.fleet(n_shards, tmp / "city", seed=seed, durable=True)
             start = time.perf_counter()
             outcome = city.serve(trips, workers=n_shards)
             elapsed = time.perf_counter() - start
@@ -159,15 +113,17 @@ def run_supervision_overhead(n_trips=2_000, n_shards=2, seed=0):
     """Fault-free supervised serve vs the plain fleet: the watchdog and
     post-epoch scrub must cost little and change nothing (journal bytes
     identical shard by shard)."""
-    trips = make_trips(n_trips, seed=seed)
+    trips = gauntlet.trips(n_trips, seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        plain = build_city(n_shards, tmp / "plain", seed=seed)
+        plain = gauntlet.fleet(n_shards, tmp / "plain", seed=seed, durable=True)
         start = time.perf_counter()
         plain.serve(trips)
         plain_seconds = time.perf_counter() - start
 
-        supervised = build_city(n_shards, tmp / "supervised", seed=seed)
+        supervised = gauntlet.fleet(
+            n_shards, tmp / "supervised", seed=seed, durable=True
+        )
         supervisor = FleetSupervisor(supervised, config=SupervisorConfig())
         start = time.perf_counter()
         outcome = supervisor.serve(trips)

@@ -49,19 +49,19 @@ import shutil
 import sys
 import tempfile
 import time
-from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
+from repro import gauntlet
 from repro.core.costs import constant_facility_cost
 from repro.core.esharing import EsharingConfig, EsharingPlanner
 from repro.core.tripblock import TripBlock
-from repro.datasets.trips import TripRecord
-from repro.geo.points import BoundingBox, Point
+from repro.gauntlet import COST_VALUE, PLANE, guard_config, logical_state
+from repro.gauntlet.city import anchors, historical
+from repro.geo.points import BoundingBox
 from repro.guard import (
     DeadLetterSink,
-    GuardConfig,
     GuardedRuntime,
     TripValidator,
     ValidationConfig,
@@ -78,25 +78,6 @@ BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_stream.json"
 GATE_SPEEDUP = 10.0  # composed guarded-replay hot path, blocked vs scalar
 SMOKE_FLOOR = 2.0  # relaxed floor for the CI smoke run
 BLOCK = 256
-PLANE = 2000.0
-COST_VALUE = 8000.0
-T0 = datetime(2017, 5, 10)
-
-
-def make_trips(n, seed=0):
-    """A clean, in-order stream on the demo plane (the loader's output
-    shape: time-sorted, all fields present)."""
-    rng = np.random.default_rng(seed)
-    return [
-        TripRecord(
-            order_id=i, user_id=i % 40, bike_id=i % 60, bike_type=1,
-            start_time=T0 + timedelta(seconds=30 * i),
-            start=Point(*rng.uniform(0.0, PLANE, 2)),
-            end=Point(*rng.uniform(0.0, PLANE, 2)),
-            battery=float(rng.uniform(0.1, 1.0)),
-        )
-        for i in range(n)
-    ]
 
 
 def make_hostile(n, seed=0):
@@ -108,13 +89,13 @@ def make_hostile(n, seed=0):
         p_clock_skew=0.02, skew_max_s=900.0,
         p_garbage=0.03,
         p_late=0.02, late_max_positions=8,
-    )).mutate_trips(make_trips(n, seed=seed))
+    )).mutate_trips(gauntlet.trips(n, seed=seed))
 
 
 def make_jittered(n, jitter=16.0, seed=0):
     """The clean stream locally shuffled: each trip moves up to
     ``jitter`` positions, so no block arrives sorted."""
-    trips = make_trips(n, seed=seed)
+    trips = gauntlet.trips(n, seed=seed)
     rng = np.random.default_rng(seed + 1)
     order = np.argsort(np.arange(n) + rng.uniform(0.0, jitter, n), kind="stable")
     return [trips[i] for i in order]
@@ -142,19 +123,13 @@ def fresh_validator(cls=TripValidator, max_bike_speed_mps=0.0):
 
 
 def build_planner(seed=0):
-    anchors = [
-        Point(float(x), float(y))
-        for x in (0, 667, 1333, 2000)
-        for y in (0, 667, 1333, 2000)
-    ]
-    historical = np.random.default_rng(seed).uniform(0.0, PLANE, size=(300, 2))
     # beta/history_window set the periodic-KS cadence and sample size —
     # a workload knob, applied identically to both sides of every
     # comparison (the check itself is the same code either way).
     return EsharingPlanner(
-        anchors,
+        anchors(),
         constant_facility_cost(COST_VALUE),
-        historical,
+        historical(seed),
         np.random.default_rng(seed + 1),
         EsharingConfig(beta=8.0, history_window=100),
     )
@@ -205,7 +180,7 @@ def run_validator(n=40_000, block=BLOCK, seed=3, max_bike_speed_mps=0.0):
 
 
 def run_buffer_sorted(n=40_000, block=BLOCK, seed=4):
-    stream = make_trips(n, seed=seed)
+    stream = gauntlet.trips(n, seed=seed)
     blocks = make_blocks(stream, block)
     key = lambda t: (t.order_id, t.start_time)  # noqa: E731
 
@@ -292,7 +267,7 @@ def run_buffer_full(n=40_000, max_pending=10_000, block=BLOCK, seed=9):
 
 
 def run_journal(n=8_000, block=BLOCK, seed=5, workdir=None):
-    stream = make_trips(n, seed=seed)
+    stream = gauntlet.trips(n, seed=seed)
     blocks = make_blocks(stream, block)
 
     scalar_path = workdir / "scalar.jsonl"
@@ -329,7 +304,7 @@ def run_checksum(n=40_000, seed=8):
     from repro.ioutil import checksum_hex, checksum_hex_many
     from repro.resilience.journal import CHECKSUM_PREFIX_LEN, _encode_block_lines
 
-    block = TripBlock.from_trips(make_trips(n, seed=seed))
+    block = TripBlock.from_trips(gauntlet.trips(n, seed=seed))
     lines = _encode_block_lines(range(1, n + 1), block)
     blobs = [line.split(" ", 1)[1].rstrip("\n").encode("utf-8") for line in lines]
 
@@ -360,7 +335,7 @@ def run_replay_gate(n=20_000, block=BLOCK, seed=6, workdir=None):
     planner state must match bit for bit; then the blocked path must be
     >= 10x the scalar trips/sec.
     """
-    stream = make_trips(n, seed=seed)
+    stream = gauntlet.trips(n, seed=seed)
     blocks = make_blocks(stream, block)
 
     v1 = fresh_validator(ReferenceValidator)
@@ -424,10 +399,6 @@ def run_runtime_serve(n=4_000, block=BLOCK, seed=7, workdir=None):
     design (checkpoint cadence + breaker accounting), so this is not
     the 10x gate."""
 
-    def scrub(state):
-        state["planner"]["ks_seconds"] = 0.0
-        return state
-
     def build(name):
         planner = build_planner(seed)
         from repro.energy.fleet import Fleet
@@ -441,16 +412,9 @@ def run_runtime_serve(n=4_000, block=BLOCK, seed=7, workdir=None):
             checkpoint_every=500, durable=True,
             facility_cost_spec=constant_cost_spec(COST_VALUE),
         )
-        config = GuardConfig(
-            validation=ValidationConfig(
-                bounds=BoundingBox(-100.0, -100.0, PLANE + 100.0, PLANE + 100.0),
-                max_backwards_s=3600.0,
-            ),
-            lateness_s=600.0,
-        )
-        return GuardedRuntime(inner, config)
+        return GuardedRuntime(inner, guard_config())
 
-    stream = make_trips(n, seed=seed)
+    stream = gauntlet.trips(n, seed=seed)
     one = build("serve-block-of-one")
     start = time.perf_counter()
     one.serve(stream, block_size=1)
@@ -463,9 +427,7 @@ def run_runtime_serve(n=4_000, block=BLOCK, seed=7, workdir=None):
 
     if blocked.inner.service.responses != one.inner.service.responses:
         raise AssertionError("serve responses diverged across block sizes")
-    if scrub(blocked.inner.service.state_dict()) != scrub(
-        one.inner.service.state_dict()
-    ):
+    if logical_state(blocked.inner.service) != logical_state(one.inner.service):
         raise AssertionError("serve state diverged across block sizes")
     if (blocked.inner.directory / "journal.jsonl").read_bytes() != (
         one.inner.directory / "journal.jsonl"

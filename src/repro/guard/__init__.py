@@ -17,9 +17,11 @@ service lives here:
   tying it together with a healthy/degraded/halted state machine,
   self-healing through crash recovery, and a structured incident log.
 
-``python -m repro.guard`` runs the chaos gauntlet: a faulted 5k-trip
-stream through the full guarded stack, with end-to-end accounting and a
-zero-fault bit-identity check against the unguarded service.
+``python -m repro.gauntlet chaos`` runs the chaos gauntlet: a faulted
+2k-trip stream through the full guarded stack, with end-to-end
+accounting and a zero-fault bit-identity check against the unguarded
+service (``chaos-block1`` and ``chaos-sharded`` are its block-of-one and
+2-shard variants).
 """
 
 from .breakers import (

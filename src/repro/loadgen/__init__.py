@@ -11,9 +11,9 @@ guarded hot path ingests:
   (festival/stadium spikes, weather shutoffs, rush-hour waves) with a
   vectorized ``apply`` pinned bit-identical to its scalar oracle.
 
-``python -m repro.loadgen`` runs the overload gauntlet: every named
-scenario against a sharded fleet under admission control, with exact
-shed/deferred/served accounting, ladder-recovery checks, and a
+``python -m repro.gauntlet overload`` runs the overload gauntlet: every
+named scenario against a sharded fleet under admission control, with
+exact shed/deferred/served accounting, ladder-recovery checks, and a
 zero-overload byte-identity check against the uncontrolled runtime.
 """
 

@@ -17,8 +17,8 @@ serial run, for any worker count.
 * :class:`SharedNDArray` — pickle-free read-only NumPy arrays via
   ``multiprocessing.shared_memory`` for inputs every cell shares.
 
-``python -m repro.parallel`` runs the serial-vs-parallel parity smoke
-(CI's 2-worker job); ``benchmarks/bench_parallel.py`` records the
+``python -m repro.gauntlet parallel`` runs the serial-vs-parallel
+parity smoke at 2 workers; ``benchmarks/bench_parallel.py`` records the
 scaling curve to ``BENCH_parallel.json``.  See DESIGN.md §9.
 """
 

@@ -50,6 +50,7 @@ from .service import (
     RecoveryInfo,
     constant_cost_spec,
     facility_cost_from_spec,
+    logical_state,
 )
 from .snapshot import (
     SNAPSHOT_VERSION,
@@ -88,5 +89,6 @@ __all__ = [
     "decode_snapshot",
     "encode_snapshot",
     "facility_cost_from_spec",
+    "logical_state",
     "simulate_period_crash",
 ]

@@ -4,7 +4,7 @@ A long-running deployment will eventually see every failure this module
 can manufacture: the process dies mid-trip, the checkpoint file is torn
 by power loss, the upstream queue redelivers, drops or reorders trips.
 :class:`FaultInjector` produces those faults deterministically (seeded)
-so the recovery tests and the CI smoke job can assert that
+so the recovery tests and the gauntlet can assert that
 
 * recovery from the latest *good* snapshot + journal tail is
   bit-identical to an uninterrupted run;
@@ -13,8 +13,8 @@ so the recovery tests and the CI smoke job can assert that
 * duplicated trips are screened, dropped/reordered trips leave the
   accounting invariants intact.
 
-Run ``python -m repro.resilience.chaos`` for the self-contained smoke
-scenario (used by CI).
+``python -m repro.gauntlet recovery`` runs the crash, torn-snapshot and
+unreliable-delivery scenario end to end.
 """
 
 from __future__ import annotations
@@ -398,125 +398,3 @@ def simulate_period_crash(
     report = simulator.run_period(list(trips))
     simulator.consistency_check()
     return simulator, report
-
-
-# ----------------------------------------------------------------------
-# CI smoke scenario: crash/recover the full stack, tear a snapshot.
-def _smoke(trips: int, crash_at: int, seed: int) -> int:
-    import shutil
-    import tempfile
-    from datetime import datetime, timedelta
-
-    from ..core.esharing import EsharingConfig
-    from ..core.costs import constant_facility_cost
-    from ..core.streaming import PlacementService
-    from ..geo.points import Point
-    from ..sim.simulator import SystemSimulator
-    from .service import CheckpointingService, constant_cost_spec
-
-    rng = np.random.default_rng(seed)
-    t0 = datetime(2017, 5, 10)
-    records = [
-        TripRecord(
-            order_id=i, user_id=i % 40, bike_id=i % 60, bike_type=1,
-            start_time=t0 + timedelta(seconds=30 * i),
-            start=Point(*rng.uniform(0.0, 2000.0, 2)),
-            end=Point(*rng.uniform(0.0, 2000.0, 2)),
-        )
-        for i in range(trips)
-    ]
-    anchors = [Point(float(x), float(y)) for x in (0, 1000, 2000) for y in (0, 1000, 2000)]
-    historical = rng.uniform(0.0, 2000.0, size=(400, 2))
-    cost_value = 8000.0
-    cost = constant_facility_cost(cost_value)
-
-    def build_service() -> PlacementService:
-        planner = EsharingPlanner(
-            anchors, cost, historical, np.random.default_rng(seed + 1),
-            EsharingConfig(beta=1.0),
-        )
-        fleet = Fleet(planner.stations, n_bikes=80, rng=np.random.default_rng(seed + 2))
-        return PlacementService(planner, fleet)
-
-    failures = 0
-    workdir = Path(tempfile.mkdtemp(prefix="esharing-chaos-"))
-    try:
-        # Reference: uninterrupted run.
-        reference = build_service()
-        for r in records:
-            reference.handle_trip(r)
-
-        # Crash after crash_at trips, recover, finish, compare bit-for-bit.
-        wrapped = CheckpointingService(
-            build_service(), workdir / "run", checkpoint_every=50,
-            durable=False, facility_cost_spec=constant_cost_spec(cost_value),
-        )
-        for r in records[:crash_at]:
-            wrapped.handle_trip(r)
-        wrapped.close()  # the "crash": the in-memory object is abandoned
-        recovered = CheckpointingService.recover(workdir / "run", durable=False)
-        for r in records[crash_at:]:
-            recovered.handle_trip(r)
-        recovered.consistency_check()
-        if recovered.service.responses != reference.responses:
-            print("FAIL: recovered response stream diverged from reference")
-            failures += 1
-        ref_state = reference.state_dict()
-        rec_state = recovered.service.state_dict()
-        ref_state["planner"]["ks_seconds"] = rec_state["planner"]["ks_seconds"] = 0.0
-        if ref_state != rec_state:
-            print("FAIL: recovered state diverged from reference")
-            failures += 1
-
-        # Tear the newest snapshot: recovery must fall back and replay more.
-        recovered.checkpoint()
-        newest = recovered.store.list()[-1][1]
-        recovered.close()
-        FaultInjector.corrupt_file(newest, mode="truncate")
-        fallback = CheckpointingService.recover(workdir / "run", durable=False)
-        fallback.consistency_check()
-        if fallback.service.responses != reference.responses:
-            print("FAIL: fallback recovery diverged from reference")
-            failures += 1
-        fallback.close()
-
-        # Simulator mid-period crash with unreliable delivery.
-        injector = FaultInjector(ChaosConfig(
-            seed=seed, p_duplicate=0.05, p_drop=0.05, p_swap=0.05,
-        ))
-        unreliable = injector.mutate_trips(records)
-        summary = injector.summary()
-        if len(unreliable) != len(records) - summary.drops + summary.duplicates:
-            print(
-                "FAIL: fault accounting drift: "
-                f"{len(records)} in, {len(unreliable)} out, {summary.to_text()}"
-            )
-            failures += 1
-        if summary.total == 0:
-            print("FAIL: injector reported zero faults at non-zero rates")
-            failures += 1
-        planner = EsharingPlanner(
-            anchors, cost, historical, np.random.default_rng(seed + 3),
-            EsharingConfig(beta=1.0),
-        )
-        fleet = Fleet(planner.stations, n_bikes=80, rng=np.random.default_rng(seed + 4))
-        _, report = simulate_period_crash(
-            lambda p, f: SystemSimulator(p, f, rng=np.random.default_rng(seed + 5)),
-            planner, fleet, cost, unreliable, crash_after=len(unreliable) // 2,
-        )
-        if report.trips_requested != len(unreliable):
-            print("FAIL: recovered simulator lost trips")
-            failures += 1
-    finally:
-        shutil.rmtree(workdir, ignore_errors=True)
-
-    if failures:
-        print(f"chaos smoke: {failures} failure(s)")
-        return 1
-    print(
-        f"chaos smoke OK: {trips} trips, crash at {crash_at}, "
-        "torn-snapshot fallback and simulator mid-period recovery verified"
-    )
-    return 0
-
-

@@ -40,11 +40,24 @@ __all__ = [
     "RecoveryInfo",
     "constant_cost_spec",
     "facility_cost_from_spec",
+    "logical_state",
     "JOURNAL_NAME",
 ]
 
 JOURNAL_NAME = "journal.jsonl"
 """Filename of the write-ahead trip journal inside a checkpoint directory."""
+
+
+def logical_state(service: PlacementService) -> Dict[str, Any]:
+    """``service``'s checkpoint state without the KS wall-clock time.
+
+    ``planner.ks_seconds`` times the KS tests, so it is the one field of
+    :meth:`PlacementService.state_dict` two identical runs do not share;
+    parity checks compare this instead.
+    """
+    state = service.state_dict()
+    state["planner"]["ks_seconds"] = 0.0
+    return state
 
 
 def constant_cost_spec(value: float) -> Dict[str, Any]:

@@ -96,12 +96,6 @@ def guard_config(**overrides):
     return GuardConfig(**defaults)
 
 
-def scrub(state):
-    """Zero the one wall-clock field excluded from parity comparisons."""
-    state["planner"]["ks_seconds"] = 0.0
-    return state
-
-
 @pytest.fixture
 def trips():
     return make_trips(60, seed=7)

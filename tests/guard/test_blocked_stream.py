@@ -30,11 +30,15 @@ from repro.guard import (
     ValidationConfig,
     WatermarkBuffer,
 )
-from repro.resilience import CheckpointingService, constant_cost_spec
+from repro.resilience import (
+    CheckpointingService,
+    constant_cost_spec,
+    logical_state,
+)
 from repro.resilience.chaos import ChaosConfig, FaultInjector
 
 from .conftest import (
-    COST_VALUE, build_service, guard_config, make_trip, make_trips, scrub,
+    COST_VALUE, build_service, guard_config, make_trip, make_trips,
 )
 from .reference import ReferenceBuffer, ReferenceValidator, serve_reference
 
@@ -273,8 +277,8 @@ class TestRuntimeBlockParity:
                 runtime.inner.service.responses
                 == oracle.inner.service.responses
             )
-            assert scrub(runtime.inner.service.state_dict()) == scrub(
-                oracle.inner.service.state_dict()
+            assert logical_state(runtime.inner.service) == logical_state(
+                oracle.inner.service
             )
             assert journal_bytes(runtime) == journal_bytes(oracle)
             runtime.close()
@@ -303,8 +307,8 @@ class TestRuntimeBlockParity:
             assert (runtime.buffer.too_late, runtime.buffer.shed) == (
                 oracle.buffer.too_late, oracle.buffer.shed
             )
-            assert scrub(runtime.inner.service.state_dict()) == scrub(
-                oracle.inner.service.state_dict()
+            assert logical_state(runtime.inner.service) == logical_state(
+                oracle.inner.service
             )
             assert journal_bytes(runtime) == journal_bytes(oracle)
             runtime.close()
@@ -349,8 +353,8 @@ class TestBlockedSelfHeal:
             runtime.inner.service.responses
             == oracle.inner.service.responses
         )
-        assert scrub(runtime.inner.service.state_dict()) == scrub(
-            oracle.inner.service.state_dict()
+        assert logical_state(runtime.inner.service) == logical_state(
+            oracle.inner.service
         )
         runtime.close()
         oracle.close()
@@ -383,8 +387,8 @@ class TestKillAtEveryBlock:
                 resumed.inner.service.responses
                 == reference.inner.service.responses
             ), f"responses diverged after crash at block boundary {k}"
-            assert scrub(resumed.inner.service.state_dict()) == scrub(
-                reference.inner.service.state_dict()
+            assert logical_state(resumed.inner.service) == logical_state(
+                reference.inner.service
             ), f"state diverged after crash at block boundary {k}"
             resumed.close()
         reference.close()

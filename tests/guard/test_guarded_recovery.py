@@ -17,12 +17,16 @@ Two guarantees beyond ``tests/resilience/test_recovery.py``:
 from repro.guard import BreakerConfig, GuardedRuntime
 from repro.incentives.charging_cost import ChargingCostParams
 from repro.incentives.mechanism import IncentiveMechanism
-from repro.resilience import CheckpointingService, constant_cost_spec
+from repro.resilience import (
+    CheckpointingService,
+    constant_cost_spec,
+    logical_state,
+)
 from repro.resilience.chaos import ChaosConfig, FaultInjector
 
 import numpy as np
 
-from .conftest import COST_VALUE, build_service, guard_config, make_trips, scrub
+from .conftest import COST_VALUE, build_service, guard_config, make_trips
 
 CHECKPOINT_EVERY = 15
 
@@ -78,8 +82,8 @@ class TestKillAtEveryTrip:
                 resumed.inner.service.responses
                 == reference.inner.service.responses
             ), f"responses diverged after crash at arrival {k}"
-            assert scrub(resumed.inner.service.state_dict()) == scrub(
-                reference.inner.service.state_dict()
+            assert logical_state(resumed.inner.service) == logical_state(
+                reference.inner.service
             ), f"state diverged after crash at arrival {k}"
             resumed.close()
         reference.close()
@@ -135,7 +139,7 @@ class TestScenarioDeterminism:
 
         fingerprint = (
             runtime.inner.service.responses,
-            scrub(runtime.inner.service.state_dict()),
+            logical_state(runtime.inner.service),
             list(runtime.incidents.rows),
             {name: b.transitions for name, b in runtime.breakers.items()},
             list(runtime.degraded_decisions),

@@ -17,10 +17,14 @@ from repro.guard import (
     TokenBucket,
 )
 from repro.guard.validation import DeadLetterSink
-from repro.resilience import CheckpointingService, constant_cost_spec
+from repro.resilience import (
+    CheckpointingService,
+    constant_cost_spec,
+    logical_state,
+)
 from repro.shard.runtime import _guard_from_state, _guard_to_state
 
-from .conftest import COST_VALUE, T0, build_service, guard_config, make_trips, scrub
+from .conftest import COST_VALUE, T0, build_service, guard_config, make_trips
 
 T0_US = datetime_to_us(T0)
 
@@ -325,8 +329,8 @@ class TestRuntimeIntegration:
         assert controlled.overload.deferred == 0
         assert controlled.overload.transitions == []
         assert got == want
-        assert scrub(controlled.inner.service.state_dict()) == scrub(
-            plain.inner.service.state_dict()
+        assert logical_state(controlled.inner.service) == logical_state(
+            plain.inner.service
         )
         controlled.close()
         plain.close()

@@ -27,7 +27,11 @@ from repro.guard import (  # noqa: E402
     OverloadController,
 )
 from repro.guard.validation import DeadLetterSink  # noqa: E402
-from repro.resilience import CheckpointingService, constant_cost_spec  # noqa: E402
+from repro.resilience import (  # noqa: E402
+    CheckpointingService,
+    constant_cost_spec,
+    logical_state,
+)
 
 from .conftest import (  # noqa: E402
     COST_VALUE,
@@ -35,7 +39,6 @@ from .conftest import (  # noqa: E402
     build_service,
     guard_config,
     make_trips,
-    scrub,
 )
 
 T0_US = datetime_to_us(T0)
@@ -200,8 +203,8 @@ class TestRuntimeProperties:
             assert controlled.overload.deferred == 0
             assert controlled.overload.transitions == []
             assert got == want
-            assert scrub(controlled.inner.service.state_dict()) == scrub(
-                oracle.inner.service.state_dict()
+            assert logical_state(controlled.inner.service) == logical_state(
+                oracle.inner.service
             )
             controlled.close()
             oracle.close()

@@ -20,9 +20,13 @@ from repro.guard import (
 from repro.geo import Point
 from repro.incentives.charging_cost import ChargingCostParams
 from repro.incentives.mechanism import IncentiveMechanism
-from repro.resilience import CheckpointingService, constant_cost_spec
+from repro.resilience import (
+    CheckpointingService,
+    constant_cost_spec,
+    logical_state,
+)
 
-from .conftest import COST_VALUE, build_service, guard_config, make_trips, scrub
+from .conftest import COST_VALUE, build_service, guard_config, make_trips
 
 
 def wrap(tmp_path, name="run", config=None, seed=7, **kwargs):
@@ -49,9 +53,7 @@ class TestZeroFaultParity:
         assert runtime.health == HEALTHY
         assert runtime.sink.total == 0 and runtime.incidents.total == 0
         assert runtime.inner.service.responses == plain.service.responses
-        assert scrub(runtime.inner.service.state_dict()) == scrub(
-            plain.service.state_dict()
-        )
+        assert logical_state(runtime.inner.service) == logical_state(plain.service)
 
     def test_duplicates_screened_through_the_guarded_path(self, tmp_path, trips):
         doubled = [t for trip in trips for t in (trip, trip)]
@@ -91,8 +93,8 @@ class TestSelfHeal:
             runtime.inner.service.responses
             == reference.inner.service.responses
         )
-        assert scrub(runtime.inner.service.state_dict()) == scrub(
-            reference.inner.service.state_dict()
+        assert logical_state(runtime.inner.service) == logical_state(
+            reference.inner.service
         )
 
     def test_heal_reinstalls_the_ks_guard(self, tmp_path, trips):
@@ -321,8 +323,8 @@ class TestRecover:
             resumed.inner.service.responses
             == reference.inner.service.responses
         )
-        assert scrub(resumed.inner.service.state_dict()) == scrub(
-            reference.inner.service.state_dict()
+        assert logical_state(resumed.inner.service) == logical_state(
+            reference.inner.service
         )
         assert resumed.guarded_ks is resumed.inner.service.planner._ks_cache
 

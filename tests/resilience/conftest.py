@@ -65,12 +65,6 @@ def build_service(seed=0, n_bikes=80, beta=1.0):
     return PlacementService(planner, fleet)
 
 
-def scrub(state):
-    """Zero the one wall-clock field excluded from parity comparisons."""
-    state["planner"]["ks_seconds"] = 0.0
-    return state
-
-
 @pytest.fixture
 def trips():
     return make_trips(60, seed=7)

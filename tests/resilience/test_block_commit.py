@@ -17,10 +17,14 @@ from repro.core.tripblock import TripBlock
 from repro.datasets.trips import TripRecord
 from repro.errors import BlockApplyError
 from repro.geo.points import Point
-from repro.resilience import CheckpointingService, constant_cost_spec
+from repro.resilience import (
+    CheckpointingService,
+    constant_cost_spec,
+    logical_state,
+)
 from repro.resilience.journal import TripJournal
 
-from .conftest import COST_VALUE, build_service, make_trips, scrub
+from .conftest import COST_VALUE, build_service, make_trips
 
 CHECKPOINT_EVERY = 10
 
@@ -181,9 +185,7 @@ class TestHandleBlock:
         assert got == want  # None markers for duplicates line up too
         assert blocked.service.responses == scalar.service.responses
         assert blocked.applied_seq == scalar.applied_seq
-        assert scrub(blocked.service.state_dict()) == scrub(
-            scalar.service.state_dict()
-        )
+        assert logical_state(blocked.service) == logical_state(scalar.service)
         assert (
             (blocked.directory / "journal.jsonl").read_bytes()
             == (scalar.directory / "journal.jsonl").read_bytes()
@@ -245,8 +247,6 @@ class TestHandleBlock:
         reference = build(tmp_path, "reference")
         reference.serve(trips[:25])
         assert healed.service.responses == reference.service.responses
-        assert scrub(healed.service.state_dict()) == scrub(
-            reference.service.state_dict()
-        )
+        assert logical_state(healed.service) == logical_state(reference.service)
         healed.close()
         reference.close()

@@ -16,10 +16,11 @@ from repro.resilience import (
     SnapshotVersionError,
     constant_cost_spec,
     encode_snapshot,
+    logical_state,
 )
 from repro.resilience.snapshot import SNAPSHOT_VERSION
 
-from .conftest import COST_VALUE, build_service, make_trips, scrub
+from .conftest import COST_VALUE, build_service, make_trips
 
 SPEC = constant_cost_spec(COST_VALUE)
 
@@ -52,8 +53,8 @@ class TestKillAtEveryTrip:
             assert recovered.service.responses == reference.responses, (
                 f"response stream diverged after crash at trip {k}"
             )
-            assert scrub(recovered.service.state_dict()) == scrub(
-                reference.state_dict()
+            assert logical_state(recovered.service) == logical_state(
+                reference
             ), f"state diverged after crash at trip {k}"
             recovered.consistency_check()
             recovered.close()
@@ -81,7 +82,7 @@ class TestKillAtEveryTrip:
             recovered.handle_trip(t)
         recovered.consistency_check()
         assert recovered.service.responses == reference.responses
-        assert scrub(recovered.service.state_dict()) == scrub(reference.state_dict())
+        assert logical_state(recovered.service) == logical_state(reference)
         recovered.close()
 
 
@@ -106,7 +107,7 @@ class TestTornSnapshotFallback:
             recovered.handle_trip(t)
         recovered.consistency_check()
         assert recovered.service.responses == reference.responses
-        assert scrub(recovered.service.state_dict()) == scrub(reference.state_dict())
+        assert logical_state(recovered.service) == logical_state(reference)
         recovered.close()
 
 
@@ -158,9 +159,7 @@ class TestDegenerateRecovery:
         second = CheckpointingService.recover(tmp_path / "run", durable=False)
         assert first.applied_seq == second.applied_seq == 40
         assert first.service.responses == second.service.responses
-        assert scrub(first.service.state_dict()) == scrub(
-            second.service.state_dict()
-        )
+        assert logical_state(first.service) == logical_state(second.service)
         # Recovery is read-only: a third recover still sees the same disk.
         first.close()
         second.close()

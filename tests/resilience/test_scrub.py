@@ -9,6 +9,7 @@ from repro.resilience import (
     FaultFS,
     TripJournal,
     constant_cost_spec,
+    logical_state,
     repair_journal_tail,
     scrub_checkpoint_dir,
     scrub_journal,
@@ -16,7 +17,7 @@ from repro.resilience import (
     scrub_tree,
 )
 
-from .conftest import COST_VALUE, build_service, make_trips, scrub
+from .conftest import COST_VALUE, build_service, make_trips
 
 
 def _checkpoint_dir(tmp_path, n=40, seed=7, checkpoint_every=15):
@@ -35,7 +36,7 @@ def _checkpoint_dir(tmp_path, n=40, seed=7, checkpoint_every=15):
 
 def _recovered_state(directory):
     service = CheckpointingService.recover(directory, durable=False)
-    state = scrub(service.service.state_dict())
+    state = logical_state(service.service)
     service.close()
     return state
 

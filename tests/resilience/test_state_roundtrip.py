@@ -15,9 +15,10 @@ from repro.core import EsharingPlanner, PlacementService, constant_facility_cost
 from repro.core.station_set import StationSet
 from repro.energy import Fleet
 from repro.geo import Point
+from repro.resilience import logical_state
 from repro.stats.ks2d import LiveWindow
 
-from .conftest import COST_VALUE, build_service, make_trips, scrub
+from .conftest import COST_VALUE, build_service, make_trips
 
 
 def json_roundtrip(state):
@@ -169,7 +170,7 @@ class TestServiceRoundtrip:
             reference.handle_trip(t)
             restored.handle_trip(t)
         assert restored.responses == reference.responses
-        assert scrub(restored.state_dict()) == scrub(reference.state_dict())
+        assert logical_state(restored) == logical_state(reference)
         restored.consistency_check()
 
     def test_rack_subscription_rewired_on_restore(self):

@@ -1,76 +1,17 @@
-"""Shared builders for the shard suite: one city, many territories."""
+"""Shared builders for the shard suite: the gauntlet's demo city, many
+territories."""
 
-from datetime import datetime, timedelta
-
-import numpy as np
 import pytest
 
-from repro.datasets.trips import TripRecord
-from repro.geo.points import BoundingBox, Point
-from repro.guard.runtime import GuardConfig
-from repro.guard.validation import ValidationConfig
-from repro.shard import ShardPlan, ShardedRuntime
+from repro.gauntlet import BOUNDS, PLANE, fleet, trips
+from repro.shard import ShardPlan
 
-PLANE = 2000.0
-T0 = datetime(2017, 5, 10)
-
-
-def make_trips(n, seed=0, spacing_s=30):
-    rng = np.random.default_rng(seed)
-    return [
-        TripRecord(
-            order_id=i, user_id=i % 40, bike_id=i % 60, bike_type=1,
-            start_time=T0 + timedelta(seconds=spacing_s * i),
-            start=Point(*rng.uniform(0.0, PLANE, 2)),
-            end=Point(*rng.uniform(0.0, PLANE, 2)),
-            battery=float(rng.uniform(0.1, 1.0)),
-        )
-        for i in range(n)
-    ]
-
-
-def city_bounds():
-    return BoundingBox(0.0, 0.0, PLANE, PLANE)
-
-
-def city_anchors():
-    return [
-        Point(float(x), float(y))
-        for x in (0, 667, 1333, 2000)
-        for y in (0, 667, 1333, 2000)
-    ]
-
-
-def city_historical(seed=0, n=300):
-    return np.random.default_rng(seed).uniform(0.0, PLANE, size=(n, 2))
-
-
-def guard_config():
-    margin = 100.0
-    return GuardConfig(
-        validation=ValidationConfig(
-            bounds=BoundingBox(-margin, -margin, PLANE + margin, PLANE + margin),
-            max_backwards_s=3600.0,
-        ),
-        lateness_s=600.0,
-    )
+make_city = fleet
+make_trips = trips
 
 
 def make_plan(n_shards, precision=None):
-    return ShardPlan.from_bounds(city_bounds(), n_shards, precision=precision)
-
-
-def make_city(plan, directory, seed=0, checkpoint_every=500):
-    return ShardedRuntime(
-        plan,
-        directory,
-        city_anchors(),
-        city_historical(seed),
-        seed=seed,
-        guard=guard_config(),
-        checkpoint_every=checkpoint_every,
-        durable=False,
-    )
+    return ShardPlan.from_bounds(BOUNDS, n_shards, precision=precision)
 
 
 @pytest.fixture

@@ -12,15 +12,10 @@ import numpy as np
 import pytest
 
 from repro.core.streaming import ServiceResponse
+from repro.gauntlet import logical_state
 from repro.shard import ShardRouter, ShardedRuntime, build_shard_runtime
 
 from .conftest import make_city, make_plan, make_trips
-
-
-def _zeroed_state(service) -> dict:
-    state = service.state_dict()
-    state["planner"]["ks_seconds"] = 0.0
-    return state
 
 
 @pytest.mark.parametrize("n_shards", [2, 4, 8])
@@ -47,7 +42,7 @@ def test_fleet_matches_standalone_oracles(tmp_path, n_shards):
         oracle_journal = (tmp_path / f"oracle-{sid}" / "journal.jsonl").read_bytes()
         assert fleet_journal == oracle_journal
         recovered = city.open_shard(sid)
-        assert _zeroed_state(recovered.inner.service) == _zeroed_state(
+        assert logical_state(recovered.inner.service) == logical_state(
             oracle.inner.service
         )
         recovered.close()

@@ -8,7 +8,7 @@ from repro.geo.distance import LocalProjection
 from repro.geo.points import BoundingBox, Point
 from repro.shard import ShardPlan
 
-from .conftest import PLANE, city_bounds, city_historical, make_plan
+from .conftest import BOUNDS, PLANE, make_plan
 
 
 class TestConstruction:
@@ -45,7 +45,7 @@ class TestConstruction:
         rng = np.random.default_rng(0)
         hot = rng.normal([300.0, 300.0], 80.0, size=(2000, 2))
         plan_flat = make_plan(2)
-        plan_hot = ShardPlan.from_bounds(city_bounds(), 2, demand=hot)
+        plan_hot = ShardPlan.from_bounds(BOUNDS, 2, demand=hot)
         # The hot corner's shard should own fewer cells when weighted.
         hot_shard = plan_hot.shard_of(Point(300.0, 300.0))
         flat_shard = plan_flat.shard_of(Point(300.0, 300.0))
@@ -53,7 +53,7 @@ class TestConstruction:
 
     def test_too_many_shards_rejected(self):
         with pytest.raises(ValueError):
-            ShardPlan.from_bounds(city_bounds(), 10_000, precision=1)
+            ShardPlan.from_bounds(BOUNDS, 10_000, precision=1)
 
     def test_nonpositive_shards_rejected(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ service state must match the run that never crashed.
 
 import pytest
 
+from repro.gauntlet import logical_state
 from repro.shard import ShardedRuntime
 
 from .conftest import make_city, make_plan, make_trips
@@ -29,9 +30,7 @@ def _shard_states(city, n_shards):
     out = {}
     for sid in range(n_shards):
         runtime = city.open_shard(sid)
-        state = runtime.inner.service.state_dict()
-        state["planner"]["ks_seconds"] = 0.0
-        out[sid] = state
+        out[sid] = logical_state(runtime.inner.service)
         runtime.close()
     return out
 

@@ -26,6 +26,7 @@ SUBPACKAGES = [
     "repro.parallel",
     "repro.shard",
     "repro.loadgen",
+    "repro.gauntlet",
 ]
 
 
