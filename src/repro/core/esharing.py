@@ -443,10 +443,12 @@ class EsharingPlanner:
         :meth:`from_state` again.
 
         Args:
-            include_history: also capture the decision trace.  Without it
-                the snapshot is O(state) instead of O(arrivals), at the
-                price that :meth:`result` reports only post-restore
-                decisions.
+            include_history: also capture the per-arrival traces (the
+                decision trace and the KS similarity history).  Neither
+                feeds a later decision.  Without them the snapshot is
+                O(state) instead of O(arrivals), at the price that
+                :meth:`result` and :attr:`similarity_history` report only
+                post-restore entries.
         """
         state = {
             "config": asdict(self.config),
@@ -464,11 +466,12 @@ class EsharingPlanner:
             "walking": self.walking,
             "space": self.space,
             "online_opened": list(self.online_opened),
-            "similarity_history": list(self.similarity_history),
+            "similarity_history": None,
             "ks_seconds": self.ks_seconds,
             "decisions": None,
         }
         if include_history:
+            state["similarity_history"] = list(self.similarity_history)
             state["decisions"] = [
                 {
                     "destination": [d.destination.x, d.destination.y],
@@ -528,7 +531,9 @@ class EsharingPlanner:
         planner.walking = float(state["walking"])
         planner.space = float(state["space"])
         planner.online_opened = [int(i) for i in state["online_opened"]]
-        planner.similarity_history = [float(s) for s in state["similarity_history"]]
+        planner.similarity_history = [
+            float(s) for s in (state["similarity_history"] or [])
+        ]
         planner.ks_seconds = float(state["ks_seconds"])
         return planner
 

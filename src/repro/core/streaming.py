@@ -17,7 +17,7 @@ answers every location query straight from the shared store.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
 from ..datasets.trips import TripRecord
@@ -202,17 +202,20 @@ class PlacementService:
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:
         """Checkpointable state of the whole service: planner + fleet +
-        the response stream and retired-id ledger.
+        the retired-id ledger.
 
         Everything needed to continue the run bit-identically after a
         crash, except the planner's opening-cost callable — pass that to
-        :meth:`from_state` again.
+        :meth:`from_state` again.  It is O(stations + bikes): the
+        per-trip histories (:attr:`responses` and the planner's decision
+        and similarity traces) are output, not state, and are left out.
+        A crash-safe deployment keeps :attr:`responses` in the
+        checkpoint directory's response ledger instead.
         """
         return {
-            "planner": self.planner.state_dict(),
+            "planner": self.planner.state_dict(include_history=False),
             "fleet": self.fleet.state_dict(),
             "retired": list(self.retired),
-            "responses": [asdict(r) for r in self.responses],
         }
 
     @classmethod
@@ -223,7 +226,9 @@ class PlacementService:
 
         The planner and fleet are restored first, then the service is
         constructed around them — which re-wires the rack-growth
-        subscription exactly as the original construction did.
+        subscription exactly as the original construction did.  The
+        restored service starts with no :attr:`responses`; the caller
+        that owns the history puts it back.
 
         Raises:
             KeyError: on a missing field.
@@ -234,9 +239,6 @@ class PlacementService:
         fleet = Fleet.from_state(state["fleet"])
         service = cls(planner, fleet)
         service.retired = [int(sid) for sid in state["retired"]]
-        service.responses = [
-            ServiceResponse(**response) for response in state["responses"]
-        ]
         return service
 
     # ------------------------------------------------------------------

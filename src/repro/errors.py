@@ -15,6 +15,7 @@ __all__ = [
     "SnapshotCorruptError",
     "SnapshotVersionError",
     "JournalCorruptError",
+    "LedgerCorruptError",
     "InjectedCrash",
     "WorkerCrashError",
     "BreakerOpenError",
@@ -60,6 +61,15 @@ class JournalCorruptError(RuntimeError):
     A torn *final* record is the expected signature of a crash mid-append
     and is dropped silently; a bad checksum earlier in the file means the
     journal cannot be trusted and replay must stop.
+    """
+
+
+class LedgerCorruptError(RuntimeError):
+    """The response ledger cannot back the snapshot being restored.
+
+    Raised when the ledger is missing, shorter than the snapshot's
+    sequence number, or damaged inside the records the snapshot needs.
+    Recovery refuses rather than hand back a short response history.
     """
 
 

@@ -26,8 +26,8 @@ row                   what it runs
                       accounted across the fleet.
 ``supervision``       600 trips on 3 supervised shards: fault-free
                       parity, the torn-write, ENOSPC and fsync schedules,
-                      poison quarantine, pool crash and the scrub
-                      round-trip.
+                      torn response-ledger appends, poison quarantine,
+                      pool crash and the scrub round-trip.
 ``overload``          all five loadgen scenarios for 5,400 s on 2 shards,
                       plus zero-overload byte-identity.
 ``overload-stadium``  stadium for 1,800 s on 2 shards, plus parity.

@@ -29,7 +29,7 @@ from ..energy.fleet import Fleet
 from ..errors import WorkerCrashError
 from ..geo.points import Point
 from ..guard.overload import RUNGS, LadderConfig, OverloadConfig
-from ..guard.runtime import HALTED, HEALTHY, GuardedRuntime
+from ..guard.runtime import HALTED, HEALTHY, GuardConfig, GuardedRuntime
 from ..incentives.charging_cost import ChargingCostParams
 from ..incentives.mechanism import IncentiveMechanism
 from ..loadgen import SCENARIOS, ODConfig, TripStream, make_scenario
@@ -38,6 +38,7 @@ from ..parallel.cells import offline_cell
 from ..resilience.chaos import ChaosConfig, FaultInjector, simulate_period_crash
 from ..resilience.faultfs import FaultFS, FaultFSConfig
 from ..resilience.journal import TripJournal
+from ..resilience.ledger import LEDGER_NAME
 from ..resilience.scrub import scrub_tree
 from ..resilience.service import CheckpointingService, constant_cost_spec
 from ..shard import ShardRouter, build_shard_runtime
@@ -271,7 +272,9 @@ def supervision(check, workdir, seed, n_trips, n_shards):
 
     # Disk faults against a durable fault-free oracle. Torn/fsync faults
     # aim at one WAL; ENOSPC at one shard dir, where the first durable
-    # write is the genesis snapshot.
+    # write is the genesis snapshot. Torn ledger appends outlast the
+    # guard's in-place checkpoint retries, so the shard restarts and
+    # recovers past a torn ledger tail.
     oracle_fleet = durable("oracle")
     _supervise(oracle_fleet).serve(records, block_size=BLOCK)
     oracle = fleet_image(oracle_fleet)
@@ -279,11 +282,15 @@ def supervision(check, workdir, seed, n_trips, n_shards):
         "torn-writes": dict(p_torn=1.0, match="shard-001/journal.jsonl"),
         "enospc": dict(p_enospc=1.0, match="shard-001"),
         "fsync-failure": dict(p_fsync=1.0, match="shard-001/journal.jsonl"),
+        "ledger-torn-writes": dict(
+            p_torn=1.0, match=f"shard-001/{LEDGER_NAME}",
+            max_faults=GuardConfig().checkpoint_attempts,
+        ),
     }
     for name, faults in schedules.items():
         fleet = durable(f"faults-{name}")
         sup = _supervise(fleet)
-        fs = FaultFS(FaultFSConfig(seed=seed, max_faults=2, **faults))
+        fs = FaultFS(FaultFSConfig(**{"seed": seed, "max_faults": 2, **faults}))
         with fs.inject():
             outcome = sup.serve(records, block_size=BLOCK)
         check(fs.counters.faults, f"{name}: schedule injected no faults")

@@ -6,13 +6,16 @@ stream accumulate for days.  This subsystem makes that tier survive
 crashes with **bit-identical recovery**:
 
 * :class:`SnapshotStore` — versioned, checksummed, atomically-written
-  snapshots of the full mutable state (torn files are detected and
+  snapshots of the bounded mutable state (torn files are detected and
   skipped to the previous good snapshot);
 * :class:`TripJournal` — a write-ahead log of every trip, so
   ``restore(snapshot) + replay(journal tail)`` reproduces the exact
   state and response stream an uninterrupted run would have produced;
-* :class:`CheckpointingService` — the crash-safe wrapper gluing the two
-  around a :class:`~repro.core.streaming.PlacementService`;
+* :class:`ResponseLedger` — the append-only, checksummed response
+  history, written at each checkpoint, so snapshots stay
+  O(stations + bikes) while recovery still restores every response;
+* :class:`CheckpointingService` — the crash-safe wrapper gluing the
+  three around a :class:`~repro.core.streaming.PlacementService`;
 * :class:`FaultInjector` — chaos tooling that injects crashes,
   duplicated/reordered/dropped trips and torn checkpoint writes, for the
   recovery tests and the CI fault-injection smoke job;
@@ -20,14 +23,16 @@ crashes with **bit-identical recovery**:
   the :mod:`repro.ioutil` write/fsync seam (ENOSPC, torn writes, fsync
   failure, payload-keyed poison markers, at-rest bit-rot);
 * :func:`scrub_tree` — the background integrity scrubber: verifies
-  every snapshot and WAL checksum, demotes corrupt snapshots to the
-  previous good version, rebuilds torn journal tails and sweeps orphan
-  tmp files, over one checkpoint directory or a whole sharded fleet.
+  every snapshot, WAL and ledger checksum, demotes corrupt snapshots to
+  the previous good version, rebuilds torn journal and ledger tails and
+  sweeps orphan tmp files, over one checkpoint directory or a whole
+  sharded fleet.
 """
 
 from ..errors import (
     InjectedCrash,
     JournalCorruptError,
+    LedgerCorruptError,
     SnapshotCorruptError,
     SnapshotError,
     SnapshotVersionError,
@@ -36,12 +41,14 @@ from ..errors import (
 from .chaos import ChaosConfig, FaultInjector, simulate_period_crash
 from .faultfs import FaultFS, FaultFSConfig
 from .journal import JournalEntry, TripJournal
+from .ledger import LEDGER_NAME, ResponseLedger
 from .scrub import (
     ScrubFinding,
     ScrubReport,
     repair_journal_tail,
     scrub_checkpoint_dir,
     scrub_journal,
+    scrub_ledger,
     scrub_snapshots,
     scrub_tree,
 )
@@ -61,6 +68,7 @@ from .snapshot import (
 )
 
 __all__ = [
+    "LEDGER_NAME",
     "SNAPSHOT_VERSION",
     "ChaosConfig",
     "CheckpointingService",
@@ -72,12 +80,15 @@ __all__ = [
     "repair_journal_tail",
     "scrub_checkpoint_dir",
     "scrub_journal",
+    "scrub_ledger",
     "scrub_snapshots",
     "scrub_tree",
     "InjectedCrash",
     "JournalCorruptError",
     "JournalEntry",
+    "LedgerCorruptError",
     "RecoveryInfo",
+    "ResponseLedger",
     "Snapshot",
     "SnapshotCorruptError",
     "SnapshotError",

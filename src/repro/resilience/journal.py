@@ -137,8 +137,9 @@ def _encode_block_lines(seqs: Sequence[int], block: TripBlock) -> List[str]:
     return [f"{d} {body}\n" for d, body in zip(digests, bodies)]
 
 
-def _decode_line(line: str) -> Optional[JournalEntry]:
-    """Parse one journal line; ``None`` signals a damaged record."""
+def _decode_record(line: str) -> Optional[dict]:
+    """Checksum-verify one journal line and parse its body; ``None``
+    signals a damaged record."""
     digest, sep, body = line.rstrip("\n").partition(" ")
     if not sep or len(digest) != CHECKSUM_PREFIX_LEN:
         return None
@@ -146,9 +147,27 @@ def _decode_line(line: str) -> Optional[JournalEntry]:
         return None
     try:
         record = json.loads(body)
-        return JournalEntry(seq=int(record["seq"]), trip=trip_from_state(record["trip"]))
+        record["seq"] = int(record["seq"])
+        if not isinstance(record["trip"], dict):
+            return None
+    except (ValueError, KeyError, TypeError):
+        return None
+    return record
+
+
+def _entry(record: Optional[dict]) -> Optional[JournalEntry]:
+    """A parsed record's trip, decoded; ``None`` if it does not decode."""
+    if record is None:
+        return None
+    try:
+        return JournalEntry(seq=record["seq"], trip=trip_from_state(record["trip"]))
     except (ValueError, KeyError, TypeError, IndexError):
         return None
+
+
+def _decode_line(line: str) -> Optional[JournalEntry]:
+    """Parse one journal line; ``None`` signals a damaged record."""
+    return _entry(_decode_record(line))
 
 
 class TripJournal:
@@ -160,28 +179,32 @@ class TripJournal:
             from the durable tail).
         durable: ``fsync`` after every append so records survive power
             loss, not just process crash.  Tests disable it for speed.
+        defer_scan: skip the opening pass over an existing file.  The
+            first :meth:`replay`, :attr:`next_seq` read or append then
+            makes it, so recovery reads the file once, not twice.
 
     Raises:
         JournalCorruptError: if an existing file is damaged anywhere
-            other than its final record.
+            other than its final record (at construction, or at the
+            deferred scan).
     """
 
-    def __init__(self, path: Union[str, Path], durable: bool = True) -> None:
+    def __init__(
+        self, path: Union[str, Path], durable: bool = True, defer_scan: bool = False
+    ) -> None:
         self.path = Path(path)
         self.durable = durable
         self._fh: Optional[IO[str]] = None
-        self._next_seq = self._scan_tail() + 1
-
-    def _scan_tail(self) -> int:
-        if not self.path.exists():
-            return 0
-        entries = self.scan()
-        return entries[-1].seq if entries else 0
+        self._next_seq: Optional[int] = None
+        if not defer_scan:
+            self._scan(after_seq=None)
 
     # ------------------------------------------------------------------
     @property
     def next_seq(self) -> int:
         """Sequence number the next :meth:`append` will assign."""
+        if self._next_seq is None:
+            self._scan(after_seq=None)
         return self._next_seq
 
     def append(self, trip: TripRecord) -> int:
@@ -218,7 +241,7 @@ class TripJournal:
         """
         if not len(trips):
             return []
-        first = self._next_seq
+        first = self.next_seq
         seqs = list(range(first, first + len(trips)))
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -249,16 +272,40 @@ class TripJournal:
                 intact one (mid-file corruption — the log cannot be
                 trusted) or if sequence numbers are not consecutive.
         """
+        return self._scan(after_seq=0)
+
+    def replay(self, after_seq: int = 0) -> List[JournalEntry]:
+        """Records with ``seq > after_seq`` — the tail a recovery applies.
+
+        One pass over the whole file: every record is checksummed and
+        sequence-checked, only the tail's trips are decoded, and
+        :attr:`next_seq` is re-seeded from the durable end.
+
+        Raises:
+            JournalCorruptError: as for :meth:`scan`.
+        """
+        return self._scan(after_seq)
+
+    def _scan(self, after_seq: Optional[int]) -> List[JournalEntry]:
+        """The validating pass behind :meth:`scan`, :meth:`replay` and
+        the opening scan (``after_seq=None``: decode no trip)."""
         if not self.path.exists():
+            self._next_seq = 1
             return []
         entries: List[JournalEntry] = []
+        last_seq: Optional[int] = None
         torn_at: Optional[int] = None
         with open(self.path, "r", encoding="utf-8") as f:
             for line_no, line in enumerate(f, start=1):
                 if line.strip() == "":
                     continue
-                entry = _decode_line(line)
-                if entry is None:
+                record = _decode_record(line)
+                entry = None
+                if record is not None and after_seq is not None and record["seq"] > after_seq:
+                    entry = _entry(record)
+                    if entry is None:
+                        record = None
+                if record is None:
                     # Tolerated only as the very last record (torn append).
                     torn_at = line_no
                     continue
@@ -267,18 +314,13 @@ class TripJournal:
                         f"{self.path}: damaged record at line {torn_at} is "
                         "followed by intact records — journal unusable"
                     )
-                if entries and entry.seq != entries[-1].seq + 1:
+                if last_seq is not None and record["seq"] != last_seq + 1:
                     raise JournalCorruptError(
-                        f"{self.path}: sequence jump {entries[-1].seq} -> "
-                        f"{entry.seq} at line {line_no}"
+                        f"{self.path}: sequence jump {last_seq} -> "
+                        f"{record['seq']} at line {line_no}"
                     )
-                entries.append(entry)
+                last_seq = record["seq"]
+                if entry is not None:
+                    entries.append(entry)
+        self._next_seq = (last_seq or 0) + 1
         return entries
-
-    def replay(self, after_seq: int = 0) -> List[JournalEntry]:
-        """Records with ``seq > after_seq`` — the tail a recovery applies.
-
-        Raises:
-            JournalCorruptError: as for :meth:`scan`.
-        """
-        return [e for e in self.scan() if e.seq > after_seq]

@@ -1,0 +1,195 @@
+"""Append-only response ledger: the served history, out of the snapshot.
+
+A snapshot holds only what Algorithm 2 needs to continue (station set,
+cost scale, KS window, RNG, fleet), so it stays O(stations + bikes).
+The response history a caller reads back after a restart lives here
+instead, one checksummed line per applied trip::
+
+    <sha256-prefix> {"response": {...ServiceResponse fields...}, "seq": n}
+
+Record ``n`` is the response to journal sequence ``n``.  Every
+checkpoint appends the responses since the previous one with a single
+write + fsync *before* it writes its snapshot, so a snapshot current
+through seq ``S`` always finds records ``1..S`` on disk.  Records past
+``S`` are legal: a crash between the ledger append and the snapshot
+rename, or a recovery that fell back to an older snapshot generation,
+leaves them behind.  They are cut off before the next append, which
+rewrites them from the replayed journal tail.
+
+A damaged record inside the first ``S`` is refused with
+:class:`~repro.errors.LedgerCorruptError`, as is a ledger holding fewer
+than ``S`` records: recovery never hands back a short history.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import List, Optional, Sequence, Tuple, Union
+
+from ..core.streaming import ServiceResponse
+from ..errors import LedgerCorruptError
+from ..ioutil import checksum_hex, fs_fsync, fs_write
+from .journal import CHECKSUM_PREFIX_LEN
+
+__all__ = ["LEDGER_NAME", "ResponseLedger"]
+
+LEDGER_NAME = "responses.jsonl"
+"""Filename of the response ledger inside a checkpoint directory."""
+
+_encode = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+).encode
+
+
+def _encode_line(seq: int, response: ServiceResponse) -> bytes:
+    body = _encode({"response": vars(response), "seq": seq}).encode("utf-8")
+    digest = checksum_hex(body)[:CHECKSUM_PREFIX_LEN].encode("ascii")
+    return digest + b" " + body + b"\n"
+
+
+def _verified_body(line: bytes) -> Optional[bytes]:
+    """A complete line's JSON body if its checksum holds, else ``None``."""
+    if not line.endswith(b"\n"):
+        return None
+    digest, sep, body = line[:-1].partition(b" ")
+    if not sep or len(digest) != CHECKSUM_PREFIX_LEN:
+        return None
+    if checksum_hex(body)[:CHECKSUM_PREFIX_LEN].encode("ascii") != digest:
+        return None
+    return body
+
+
+def _record(record: dict) -> Tuple[int, ServiceResponse]:
+    return int(record["seq"]), ServiceResponse(**record["response"])
+
+
+def decode_ledger_line(line: bytes) -> Optional[Tuple[int, ServiceResponse]]:
+    """Parse one ledger line into ``(seq, response)``; ``None`` signals a
+    damaged record (bad checksum, torn line or malformed body)."""
+    body = _verified_body(line)
+    if body is None:
+        return None
+    try:
+        return _record(json.loads(body))
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+class ResponseLedger:
+    """Writer side of the ledger: ``count`` records end at byte ``end``.
+
+    Use :meth:`open` to resume an existing directory; a fresh ledger
+    starts empty and creates its file on the first non-empty append, so
+    a service that has served nothing writes nothing.
+
+    Args:
+        path: the ledger file.
+        durable: fsync every append (tests disable it for speed).
+        count: records already on disk that belong to the history.
+        end: byte offset just past record ``count``.
+    """
+
+    def __init__(
+        self,
+        path: Union[str, Path],
+        durable: bool = True,
+        count: int = 0,
+        end: int = 0,
+    ) -> None:
+        self.path = Path(path)
+        self.durable = durable
+        self.count = count
+        self._end = end
+
+    @classmethod
+    def open(
+        cls, path: Union[str, Path], count: int, durable: bool = True
+    ) -> Tuple["ResponseLedger", List[ServiceResponse]]:
+        """Read the first ``count`` records of an existing ledger.
+
+        Returns the writer, positioned after record ``count``, and those
+        records' responses in seq order.  Anything after them is left on
+        disk until the next append cuts it off, so opening is read-only.
+
+        Raises:
+            LedgerCorruptError: when the file is missing (and ``count``
+                is positive), holds fewer than ``count`` intact records,
+                or a record inside them is damaged or out of sequence.
+        """
+        path = Path(path)
+        bodies: List[bytes] = []
+        end = 0
+        if count > 0:
+            if not path.exists():
+                raise LedgerCorruptError(
+                    f"{path} is missing but the snapshot is current through "
+                    f"seq {count}; refusing to recover without the history"
+                )
+            with open(path, "rb") as f:
+                for line in f:
+                    if len(bodies) == count:
+                        break
+                    end += len(line)
+                    if not line.strip():
+                        continue
+                    body = _verified_body(line)
+                    if body is None:
+                        raise LedgerCorruptError(
+                            f"{path}: record {len(bodies) + 1} is damaged "
+                            f"(snapshot needs {count})"
+                        )
+                    bodies.append(body)
+        if len(bodies) < count:
+            raise LedgerCorruptError(
+                f"{path} holds {len(bodies)} record(s) but the snapshot is "
+                f"current through seq {count}; refusing to recover a short "
+                "history"
+            )
+        # Every body passed its checksum: parse them in one call.
+        try:
+            records = [_record(r) for r in json.loads(b"[" + b",".join(bodies) + b"]")]
+        except (ValueError, KeyError, TypeError) as exc:
+            raise LedgerCorruptError(f"{path}: malformed record: {exc!r}") from exc
+        for expected, (seq, _) in enumerate(records, start=1):
+            if seq != expected:
+                raise LedgerCorruptError(
+                    f"{path}: record {expected} carries seq {seq}"
+                )
+        responses = [response for _, response in records]
+        return cls(path, durable=durable, count=count, end=end), responses
+
+    def append(self, responses: Sequence[ServiceResponse]) -> None:
+        """Durably append the responses to seqs ``count+1 ..`` with one
+        write + flush + fsync, after cutting the file back to ``end``.
+
+        The cut drops whatever a failed earlier append or an abandoned
+        generation left past the trusted history, so a retried append
+        never leaves damage in the middle of the file.  An empty append
+        touches nothing.
+
+        Raises:
+            OSError: the write or fsync failed; ``count`` is unchanged, so
+                a retry rewrites the same records.
+            LedgerCorruptError: the file lost records already appended.
+        """
+        if not responses:
+            return
+        first = self.count + 1
+        data = b"".join(
+            _encode_line(seq, r) for seq, r in enumerate(responses, start=first)
+        )
+        with open(self.path, "ab") as fh:
+            if fh.tell() < self._end:
+                raise LedgerCorruptError(
+                    f"{self.path} shrank below the {self.count} record(s) "
+                    "already appended; refusing to extend a short history"
+                )
+            if fh.tell() > self._end:
+                fh.truncate(self._end)
+            fs_write(fh, data, self.path)
+            fh.flush()
+            if self.durable:
+                fs_fsync(fh.fileno(), self.path)
+        self.count += len(responses)
+        self._end += len(data)

@@ -11,18 +11,20 @@ to survive:
   :class:`~repro.resilience.SnapshotStore` falls back to the previous
   good generation without having to re-discover the damage at recovery
   time;
-* a **torn journal tail** (the expected signature of a crash or injected
-  fault mid-append) is *rebuilt* — the file is truncated at the last
-  intact record boundary, exactly the prefix replay would use;
+* a **torn journal or ledger tail** (the expected signature of a crash
+  or injected fault mid-append) is *rebuilt* — the file is truncated at
+  the last intact record boundary, exactly the prefix recovery would
+  use;
 * **orphan ``*.tmp-*`` files** (a process killed between the tmp write
   and the rename) are removed;
 * **damaged log lines** in the advisory JSONL logs (incidents,
   dead-letters, scrub history) are dropped, keeping every intact row.
 
-What it refuses to touch, it reports loudly: mid-file journal damage or
-a sequence jump (the WAL cannot be trusted), a snapshot from an
-incompatible format version, a directory with *no* usable snapshot left,
-an unreadable shard manifest.  Those need an operator, not a script.
+What it refuses to touch, it reports loudly: mid-file journal or
+ledger damage or a sequence jump (the WAL or the response history
+cannot be trusted), a snapshot from an incompatible format version, a
+directory with *no* usable snapshot left, an unreadable shard
+manifest.  Those need an operator, not a script.
 
 Every run emits its findings into the directory's own log stream
 (``logs/scrub.jsonl``, size-capped like the incident log), so scrub
@@ -39,11 +41,12 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Union
+from typing import Callable, List, Optional, Union
 
 from ..errors import SnapshotCorruptError, SnapshotVersionError
 from ..ioutil import atomic_write_bytes, fsync_dir, rotate_file
 from .journal import _decode_line
+from .ledger import LEDGER_NAME, decode_ledger_line
 from .snapshot import decode_snapshot
 
 __all__ = [
@@ -51,6 +54,7 @@ __all__ = [
     "ScrubReport",
     "repair_journal_tail",
     "scrub_journal",
+    "scrub_ledger",
     "scrub_snapshots",
     "scrub_checkpoint_dir",
     "scrub_tree",
@@ -74,7 +78,9 @@ class ScrubFinding:
     Attributes:
         path: the file, relative to the scrub root when possible.
         kind: damage class (``snapshot_corrupt``, ``journal_torn_tail``,
-            ``journal_midfile``, ``journal_seq_jump``, ``orphan_tmp``,
+            ``journal_midfile``, ``journal_seq_jump``,
+            ``ledger_torn_tail``, ``ledger_midfile``,
+            ``ledger_seq_jump``, ``orphan_tmp``,
             ``log_damaged_lines``, ``no_usable_snapshot``,
             ``snapshot_version``, ``manifest_unreadable``,
             ``halo_unreadable``).
@@ -98,6 +104,7 @@ class ScrubReport:
     findings: List[ScrubFinding] = field(default_factory=list)
     snapshots_checked: int = 0
     journals_checked: int = 0
+    ledgers_checked: int = 0
     logs_checked: int = 0
 
     @property
@@ -122,6 +129,7 @@ class ScrubReport:
         self.findings.extend(other.findings)
         self.snapshots_checked += other.snapshots_checked
         self.journals_checked += other.journals_checked
+        self.ledgers_checked += other.ledgers_checked
         self.logs_checked += other.logs_checked
 
     def to_text(self) -> str:
@@ -129,8 +137,9 @@ class ScrubReport:
         finding, the format ``esharing scrub`` prints."""
         head = (
             f"scrub {self.root}: {self.snapshots_checked} snapshot(s), "
-            f"{self.journals_checked} journal(s), {self.logs_checked} log(s) "
-            f"checked — {self.repaired} repaired, {self.found} found, "
+            f"{self.journals_checked} journal(s), {self.ledgers_checked} "
+            f"ledger(s), {self.logs_checked} log(s) checked — "
+            f"{self.repaired} repaired, {self.found} found, "
             f"{self.refused} refused"
         )
         lines = [head]
@@ -147,9 +156,26 @@ def _rel(path: Path, root: Path) -> str:
 
 
 # ----------------------------------------------------------------------
-# journal
-def _classify_journal(raw: bytes):
-    """Walk a journal's bytes; returns ``(good_end, last_seq, problem)``.
+# journal and ledger
+SeqOf = Callable[[bytes], Optional[int]]
+
+
+def _journal_seq(lb: bytes) -> Optional[int]:
+    try:
+        entry = _decode_line(lb.decode("utf-8"))
+    except UnicodeDecodeError:
+        return None
+    return None if entry is None else entry.seq
+
+
+def _ledger_seq(lb: bytes) -> Optional[int]:
+    record = decode_ledger_line(lb)
+    return None if record is None else record[0]
+
+
+def _classify_records(raw: bytes, seq_of: SeqOf):
+    """Walk a journal's or ledger's bytes; returns ``(good_end, last_seq,
+    problem)``.
 
     ``good_end`` is the byte offset just past the last intact record
     reachable from the start; ``problem`` is ``None`` (clean),
@@ -163,27 +189,68 @@ def _classify_journal(raw: bytes):
     for lb in raw.splitlines(keepends=True):
         line_len = len(lb)
         try:
-            line = lb.decode("utf-8")
+            blank = lb.decode("utf-8").strip() == ""
         except UnicodeDecodeError:
-            line = None
-        if line is not None and line.strip() == "":
+            blank = False
+        if blank:
             if not damaged:
                 good_end = offset + line_len
             offset += line_len
             continue
-        entry = _decode_line(line) if line is not None else None
-        complete = lb.endswith(b"\n")
-        if entry is None or not complete:
+        seq = seq_of(lb)
+        if seq is None or not lb.endswith(b"\n"):
             damaged = True
         else:
             if damaged:
                 return good_end, last_seq, "midfile"
-            if last_seq is not None and entry.seq != last_seq + 1:
+            if last_seq is not None and seq != last_seq + 1:
                 return good_end, last_seq, "seq_jump"
-            last_seq = entry.seq
+            last_seq = seq
             good_end = offset + line_len
         offset += line_len
     return good_end, last_seq, ("torn_tail" if damaged else None)
+
+
+def _scrub_records(
+    path: Path, repair: bool, durable: bool, root: Optional[Path],
+    kind: str, seq_of: SeqOf, trusted: str,
+) -> List[ScrubFinding]:
+    """Verify one journal or ledger (``kind``); truncate a torn tail
+    when asked, refuse mid-file damage and sequence jumps."""
+    rel = _rel(path, root or path.parent)
+    if not path.exists():
+        return []
+    raw = path.read_bytes()
+    good_end, _last_seq, problem = _classify_records(raw, seq_of)
+    if problem is None:
+        return []
+    if problem == "midfile":
+        return [ScrubFinding(
+            rel, f"{kind}_midfile", "refused",
+            f"damaged record before byte {good_end} is followed by intact "
+            f"records — {trusted} cannot be trusted; restore from a replica",
+        )]
+    if problem == "seq_jump":
+        return [ScrubFinding(
+            rel, f"{kind}_seq_jump", "refused",
+            f"sequence jump after byte {good_end} — records are missing "
+            "mid-file; restore from a replica",
+        )]
+    torn = len(raw) - good_end
+    if not repair:
+        return [ScrubFinding(
+            rel, f"{kind}_torn_tail", "found",
+            f"{torn} damaged trailing byte(s) after the last intact record",
+        )]
+    with open(path, "r+b") as f:
+        f.truncate(good_end)
+        f.flush()
+        if durable:
+            os.fsync(f.fileno())
+    return [ScrubFinding(
+        rel, f"{kind}_torn_tail", "repaired",
+        f"truncated {torn} damaged trailing byte(s) at offset {good_end}",
+    )]
 
 
 def scrub_journal(
@@ -201,41 +268,29 @@ def scrub_journal(
     Damage *followed by* intact records, or a sequence jump between
     intact records, means the log cannot be trusted and is refused.
     """
-    path = Path(path)
-    rel = _rel(path, root or path.parent)
-    if not path.exists():
-        return []
-    raw = path.read_bytes()
-    good_end, _last_seq, problem = _classify_journal(raw)
-    if problem is None:
-        return []
-    if problem == "midfile":
-        return [ScrubFinding(
-            rel, "journal_midfile", "refused",
-            f"damaged record before byte {good_end} is followed by intact "
-            "records — the WAL cannot be trusted; restore from a replica",
-        )]
-    if problem == "seq_jump":
-        return [ScrubFinding(
-            rel, "journal_seq_jump", "refused",
-            f"sequence jump after byte {good_end} — records are missing "
-            "mid-file; restore from a replica",
-        )]
-    torn = len(raw) - good_end
-    if not repair:
-        return [ScrubFinding(
-            rel, "journal_torn_tail", "found",
-            f"{torn} damaged trailing byte(s) after the last intact record",
-        )]
-    with open(path, "r+b") as f:
-        f.truncate(good_end)
-        f.flush()
-        if durable:
-            os.fsync(f.fileno())
-    return [ScrubFinding(
-        rel, "journal_torn_tail", "repaired",
-        f"truncated {torn} damaged trailing byte(s) at offset {good_end}",
-    )]
+    return _scrub_records(
+        Path(path), repair, durable, root, "journal", _journal_seq, "the WAL"
+    )
+
+
+def scrub_ledger(
+    path: Union[str, Path],
+    repair: bool = True,
+    durable: bool = True,
+    root: Optional[Path] = None,
+) -> List[ScrubFinding]:
+    """Verify one response ledger, exactly as :func:`scrub_journal`
+    verifies a journal.
+
+    A torn tail is what a crash mid-append leaves past the newest
+    snapshot's records, so truncating it loses nothing recovery reads.
+    Mid-file damage or a sequence jump is refused: the response history
+    cannot be trusted.
+    """
+    return _scrub_records(
+        Path(path), repair, durable, root, "ledger", _ledger_seq,
+        "the response history",
+    )
 
 
 def repair_journal_tail(
@@ -378,12 +433,14 @@ def scrub_checkpoint_dir(
     record: bool = True,
     root: Optional[Path] = None,
 ) -> ScrubReport:
-    """Scrub one checkpoint directory (snapshots + WAL + logs + tmps).
+    """Scrub one checkpoint directory (snapshots + WAL + ledger + logs +
+    tmps).
 
     Args:
         directory: a :class:`~repro.resilience.CheckpointingService`
             directory — ``snapshot-*.json`` plus ``journal.jsonl`` plus
-            an optional ``logs/`` subdirectory.
+            ``responses.jsonl`` (the response ledger) plus an optional
+            ``logs/`` subdirectory.
         repair: fix what is fixable; ``False`` only reports (actions
             come back as ``found``) and writes nothing at all.
         durable: fsync repairs.
@@ -404,6 +461,10 @@ def scrub_checkpoint_dir(
     if journal.exists():
         report.journals_checked += 1
         report.findings.extend(scrub_journal(journal, repair, durable, rroot))
+    ledger = directory / LEDGER_NAME
+    if ledger.exists():
+        report.ledgers_checked += 1
+        report.findings.extend(scrub_ledger(ledger, repair, durable, rroot))
     logs = directory / "logs"
     if logs.is_dir():
         report.findings.extend(_scrub_orphans(logs, repair, durable, rroot))
@@ -425,6 +486,7 @@ def _record_report(
         "scrub": str(directory),
         "snapshots": report.snapshots_checked,
         "journals": report.journals_checked,
+        "ledgers": report.ledgers_checked,
         "logs": report.logs_checked,
         "repaired": report.repaired,
         "refused": report.refused,

@@ -6,14 +6,20 @@ protocol::
 
     journal.append_block(trips)  # durable first, one group commit
     service.handle_trip(trip)    # then apply, trip by trip
-    every N trips: snapshot      # atomic, checksummed, rotated
+    every N trips: ledger.append(responses since the last one)
+                   snapshot      # atomic, checksummed, rotated
 
-so that after any crash, ``recover(directory)`` = *latest good snapshot*
-+ *journal tail replay* reproduces the exact in-memory state — station
-set, fleet batteries, RNG bit stream, response list — the uninterrupted
-run would have had.  Duplicate deliveries (an at-least-once upstream
-queue redelivering a trip) are screened by order id before they reach
-the journal, so replay never double-applies.
+The snapshot holds only the state Algorithm 2 continues from (station
+set, cost scale, KS window, RNG, fleet), so it is O(stations + bikes)
+however long the run.  The response history goes to the append-only
+:class:`~repro.resilience.ledger.ResponseLedger` beside the journal.
+After any crash, ``recover(directory)`` = *latest good snapshot* +
+*ledger prefix* + *journal tail replay* reproduces the exact in-memory
+state — station set, fleet batteries, RNG bit stream, response list —
+the uninterrupted run would have had.  Duplicate deliveries (an
+at-least-once upstream queue redelivering a trip) are screened by order
+id before they reach the journal, so replay never double-applies; the
+screen is rebuilt from the recovered responses' order ids.
 
 The planner's opening-cost function is a callable and cannot be
 serialised; snapshots carry an optional declarative *spec* for the
@@ -33,6 +39,7 @@ from ..core.streaming import PlacementService, ServiceResponse
 from ..datasets.trips import TripRecord
 from ..errors import BlockApplyError, SnapshotError, StateDriftError
 from .journal import TripJournal
+from .ledger import LEDGER_NAME, ResponseLedger
 from .snapshot import SnapshotStore, WriteBytes
 
 __all__ = [
@@ -49,14 +56,19 @@ JOURNAL_NAME = "journal.jsonl"
 
 
 def logical_state(service: PlacementService) -> Dict[str, Any]:
-    """``service``'s checkpoint state without the KS wall-clock time.
+    """``service``'s checkpoint state plus its response history, without
+    the KS wall-clock time.
 
     ``planner.ks_seconds`` times the KS tests, so it is the one field of
     :meth:`PlacementService.state_dict` two identical runs do not share;
-    parity checks compare this instead.
+    parity checks compare this instead.  The checkpoint state leaves the
+    history out, so ``responses`` is added back: a recovered service
+    must match on every response ever served, not just on the state it
+    continues from.
     """
     state = service.state_dict()
     state["planner"]["ks_seconds"] = 0.0
+    state["responses"] = list(service.responses)
     return state
 
 
@@ -112,9 +124,11 @@ class CheckpointingService:
     Construction adopts a *fresh* checkpoint directory and immediately
     writes the genesis snapshot (so recovery works even if the process
     dies before the first periodic checkpoint — the "empty journal"
-    case).  An already-populated directory is refused: resuming existing
-    state must go through :meth:`recover`, otherwise two diverging
-    histories could share one journal.
+    case).  The genesis snapshot has no history to log, so no ledger
+    file exists until the first checkpoint after a served trip.  An
+    already-populated directory (snapshots or a ledger) is refused:
+    resuming existing state must go through :meth:`recover`, otherwise
+    two diverging histories could share one journal.
 
     Args:
         service: the live service to protect.  Must not have served any
@@ -134,7 +148,7 @@ class CheckpointingService:
     Raises:
         ValueError: on a non-positive ``checkpoint_every``, a service
             with prior responses, or a directory that already holds
-            snapshots.
+            snapshots or a response ledger.
     """
 
     def __init__(
@@ -165,12 +179,13 @@ class CheckpointingService:
         self.store = SnapshotStore(
             self.directory, keep=keep, durable=durable, write_bytes=write_bytes
         )
-        if self.store.list():
+        if self.store.list() or (self.directory / LEDGER_NAME).exists():
             raise ValueError(
-                f"{self.directory} already holds snapshots; use "
-                "CheckpointingService.recover() to resume them"
+                f"{self.directory} already holds snapshots or a response "
+                "ledger; use CheckpointingService.recover() to resume them"
             )
         self.journal = TripJournal(self.directory / JOURNAL_NAME, durable=durable)
+        self.ledger = ResponseLedger(self.directory / LEDGER_NAME, durable=durable)
         self._applied = 0
         self._seen: set = set()
         self.last_recovery: Optional[RecoveryInfo] = None
@@ -260,15 +275,21 @@ class CheckpointingService:
         return responses
 
     def checkpoint(self) -> Path:
-        """Write a snapshot of the full service state now.
+        """Log the responses since the last checkpoint, then snapshot.
+
+        The ledger append (one write + fsync) lands before the snapshot,
+        so every snapshot finds its history on disk.  The snapshot holds
+        the bounded service state and the applied seq, nothing that
+        grows with trips served.  A retry after a failure rewrites the
+        same ledger records.
 
         Returns:
             The snapshot's path.
         """
+        self.ledger.append(self.service.responses[self.ledger.count : self._applied])
         payload = {
             "service": self.service.state_dict(),
             "applied": self._applied,
-            "seen_orders": sorted(self._seen),
             "facility_cost_spec": self.facility_cost_spec,
             "dedup": self.dedup,
         }
@@ -288,11 +309,14 @@ class CheckpointingService:
     ) -> "CheckpointingService":
         """Rebuild the service from a checkpoint directory after a crash.
 
-        Loads the newest *good* snapshot (torn files are skipped), then
+        Loads the newest *good* snapshot (torn files are skipped), reads
+        the response history through its seq from the ledger, then
         replays the journal tail beyond it — reproducing exactly the
-        state an uninterrupted run would hold.  Recovery is read-only
-        until new trips arrive, so recovering twice from the same
-        directory yields identical services.
+        state and responses an uninterrupted run would hold.  The journal
+        is read in one pass.  Recovery is read-only until new trips
+        arrive (ledger records past the snapshot are cut off at the next
+        checkpoint), so recovering twice from the same directory yields
+        identical services.
 
         Args:
             directory: the checkpoint directory to resume.
@@ -315,6 +339,8 @@ class CheckpointingService:
         Raises:
             SnapshotError: when no usable snapshot exists.
             SnapshotVersionError: on a format-version mismatch.
+            LedgerCorruptError: when the ledger is missing, short of the
+                snapshot's seq or damaged inside it.
             JournalCorruptError: on mid-file journal damage.
             ValueError: when neither a spec nor ``facility_cost`` is
                 available.
@@ -328,7 +354,12 @@ class CheckpointingService:
         spec = payload.get("facility_cost_spec")
         if facility_cost is None:
             facility_cost = facility_cost_from_spec(spec)
+        applied = int(payload["applied"])
+        ledger, responses = ResponseLedger.open(
+            directory / LEDGER_NAME, applied, durable=durable
+        )
         service = PlacementService.from_state(payload["service"], facility_cost)
+        service.responses = responses
         if post_restore is not None:
             post_restore(service)
 
@@ -339,10 +370,14 @@ class CheckpointingService:
         wrapper.dedup = bool(payload.get("dedup", True))
         wrapper.facility_cost_spec = spec
         wrapper.store = store
-        wrapper.journal = TripJournal(directory / JOURNAL_NAME, durable=durable)
-        wrapper._applied = int(payload["applied"])
-        wrapper._seen = set(payload.get("seen_orders", []))
-        tail = wrapper.journal.replay(after_seq=wrapper._applied)
+        wrapper.journal = TripJournal(
+            directory / JOURNAL_NAME, durable=durable, defer_scan=True
+        )
+        wrapper.ledger = ledger
+        wrapper._applied = applied
+        # One response per applied trip: their ids are the dedup screen.
+        wrapper._seen = {r.order_id for r in responses}
+        tail = wrapper.journal.replay(after_seq=applied)
         for entry in tail:
             # Already journaled (and already deduped at ingestion): apply
             # directly, without re-appending.

@@ -4,7 +4,7 @@ File format (two lines of JSON):
 
 .. code-block:: text
 
-    {"format": "esharing-snapshot", "version": 1, "checksum": "<sha256>"}
+    {"format": "esharing-snapshot", "version": 2, "checksum": "<sha256>"}
     {... payload ...}
 
 The payload line is canonical JSON (sorted keys, no whitespace) and the
@@ -46,8 +46,13 @@ __all__ = [
 SNAPSHOT_FORMAT = "esharing-snapshot"
 """Magic format name embedded in every snapshot header."""
 
-SNAPSHOT_VERSION = 1
-"""Current snapshot format version; bumped on incompatible changes."""
+SNAPSHOT_VERSION = 2
+"""Current snapshot format version; bumped on incompatible changes.
+
+Version 2 moved the response history out of the snapshot into the
+checkpoint directory's response ledger.  A version-1 directory holds
+its history only inside its snapshots, so it is refused rather than
+recovered with a short history."""
 
 _NAME_RE = re.compile(r"^snapshot-(\d{10})\.json$")
 

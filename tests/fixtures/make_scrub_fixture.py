@@ -6,7 +6,7 @@ repairs:
 
 * ``shard-000``: the newest snapshot gets a single flipped bit
   (``snapshot_corrupt`` -> demoted; recovery falls back to the previous
-  good snapshot plus the journal tail),
+  good snapshot, the response ledger up to it and the journal tail),
 * ``shard-001``: a torn trailing journal line
   (``journal_torn_tail`` -> repaired),
 * ``shard-001``: an orphan tmp file from an interrupted atomic write

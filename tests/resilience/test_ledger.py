@@ -1,0 +1,442 @@
+"""The response ledger and the bounded snapshot it makes possible.
+
+Every crash window the ledger opens is recovered from disk and compared
+with an uninterrupted twin: state, responses, journal bytes, then the
+continuation to the end of the stream (ledger bytes and newest snapshot
+included).  A ledger that cannot back its snapshot is refused, never
+recovered with a short history.
+"""
+
+import json
+
+import pytest
+
+from repro.core import constant_facility_cost
+from repro.guard import GuardConfig, GuardedRuntime
+from repro.resilience import (
+    LEDGER_NAME,
+    CheckpointingService,
+    FaultFS,
+    FaultFSConfig,
+    FaultInjector,
+    InjectedCrash,
+    LedgerCorruptError,
+    ResponseLedger,
+    SnapshotVersionError,
+    constant_cost_spec,
+    decode_snapshot,
+    encode_snapshot,
+    logical_state,
+    scrub_checkpoint_dir,
+    scrub_ledger,
+)
+from repro.resilience.service import JOURNAL_NAME
+
+from .conftest import COST_VALUE, build_service, make_trips
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
+
+SPEC = constant_cost_spec(COST_VALUE)
+EVERY = 20
+N = 150
+TRIPS = make_trips(N, seed=31, shift_at=N // 2)
+
+
+def wrap(directory, **kwargs):
+    return CheckpointingService(
+        build_service(seed=31), directory, checkpoint_every=EVERY,
+        durable=False, facility_cost_spec=SPEC, **kwargs,
+    )
+
+
+def recover(directory):
+    return CheckpointingService.recover(
+        directory, checkpoint_every=EVERY, durable=False
+    )
+
+
+def newest_payload(service):
+    payload = decode_snapshot(service.store.list()[-1][1].read_bytes())
+    payload["service"]["planner"]["ks_seconds"] = 0.0
+    return payload
+
+
+@pytest.fixture(scope="module")
+def twin(tmp_path_factory):
+    """The uninterrupted run: after every trip, the journal bytes and the
+    logical state a recovery at that point must reproduce; at the end,
+    the directory a continued victim must match byte for byte."""
+    directory = tmp_path_factory.mktemp("twin") / "run"
+    service = wrap(directory)
+    journals, states = [b""], [logical_state(service.service)]
+    for trip in TRIPS:
+        service.handle_trip(trip)
+        journals.append((directory / JOURNAL_NAME).read_bytes())
+        states.append(logical_state(service.service))
+    service.checkpoint()
+    final = {
+        "journal": (directory / JOURNAL_NAME).read_bytes(),
+        "ledger": (directory / LEDGER_NAME).read_bytes(),
+        "snapshot": newest_payload(service),
+        "state": logical_state(service.service),
+    }
+    service.close()
+    return journals, states, final
+
+
+def assert_matches_twin(twin, directory, recovered):
+    """Recovered == the twin at the same seq; then both finish equal."""
+    journals, states, final = twin
+    k = recovered.applied_seq
+    assert (directory / JOURNAL_NAME).read_bytes() == journals[k]
+    assert recovered.service.responses == states[k]["responses"]
+    assert logical_state(recovered.service) == states[k]
+    recovered.consistency_check()
+    for trip in TRIPS[k:]:
+        recovered.handle_trip(trip)
+    recovered.checkpoint()
+    assert (directory / JOURNAL_NAME).read_bytes() == final["journal"]
+    assert (directory / LEDGER_NAME).read_bytes() == final["ledger"]
+    assert newest_payload(recovered) == final["snapshot"]
+    assert logical_state(recovered.service) == final["state"]
+    recovered.close()
+
+
+# ----------------------------------------------------------------------
+class TestLedger:
+    def test_append_then_open_round_trips(self, tmp_path):
+        service = build_service(seed=32)
+        responses = [service.handle_trip(t) for t in make_trips(30, seed=32)]
+        ledger = ResponseLedger(tmp_path / LEDGER_NAME, durable=False)
+        ledger.append(responses[:10])
+        ledger.append(responses[10:])
+        reopened, back = ResponseLedger.open(tmp_path / LEDGER_NAME, 30)
+        assert back == responses
+        assert reopened.count == 30
+        lines = (tmp_path / LEDGER_NAME).read_bytes().splitlines()
+        assert len(lines) == 30
+        digest, body = lines[0].split(b" ", 1)
+        assert len(digest) == 16
+        assert json.loads(body) == {"response": vars(responses[0]), "seq": 1}
+
+    def test_empty_append_writes_nothing(self, tmp_path):
+        ResponseLedger(tmp_path / LEDGER_NAME).append([])
+        assert not (tmp_path / LEDGER_NAME).exists()
+
+    def test_open_reads_only_the_snapshot_prefix(self, tmp_path):
+        service = build_service(seed=33)
+        responses = [service.handle_trip(t) for t in make_trips(12, seed=33)]
+        path = tmp_path / LEDGER_NAME
+        ResponseLedger(path, durable=False).append(responses)
+        ledger, back = ResponseLedger.open(path, 5, durable=False)
+        assert back == responses[:5]
+        assert len(path.read_bytes().splitlines()) == 12  # opening is read-only
+        ledger.append(responses[5:8])  # the next append cuts records 6..12
+        assert ResponseLedger.open(path, 8)[1] == responses[:8]
+        assert len(path.read_bytes().splitlines()) == 8
+
+    def test_retry_after_torn_append_leaves_no_midfile_damage(self, tmp_path):
+        service = build_service(seed=34)
+        responses = [service.handle_trip(t) for t in make_trips(20, seed=34)]
+        path = tmp_path / LEDGER_NAME
+        ledger = ResponseLedger(path, durable=True)
+        ledger.append(responses[:10])
+        fs = FaultFS(FaultFSConfig(seed=1, p_torn=1.0, max_faults=1, match=LEDGER_NAME))
+        with fs.inject():
+            with pytest.raises(OSError):
+                ledger.append(responses[10:])
+            assert ledger.count == 10
+            ledger.append(responses[10:])  # the budget is spent: lands whole
+        assert fs.counters.torn == 1
+        assert scrub_ledger(path, repair=False) == []
+        assert ResponseLedger.open(path, 20)[1] == responses
+
+
+class TestBoundedSnapshot:
+    def test_genesis_writes_no_ledger(self, tmp_path):
+        service = wrap(tmp_path / "run")
+        assert not (tmp_path / "run" / LEDGER_NAME).exists()
+        service.close()
+        recovered = recover(tmp_path / "run")
+        assert recovered.service.responses == []
+        recovered.close()
+
+    def test_snapshot_carries_no_history(self, tmp_path):
+        service = wrap(tmp_path / "run")
+        for trip in TRIPS[:60]:
+            service.handle_trip(trip)
+        payload = decode_snapshot(service.store.list()[-1][1].read_bytes())
+        assert set(payload) == {"applied", "dedup", "facility_cost_spec", "service"}
+        assert "responses" not in payload["service"]
+        assert payload["service"]["planner"]["decisions"] is None
+        assert payload["service"]["planner"]["similarity_history"] is None
+        service.close()
+
+    def test_snapshot_size_independent_of_trips_served(self, tmp_path):
+        """Newest snapshot at 8k trips <= 1.1x its size at 1k, and no list
+        in its payload grows with the applied seq."""
+        trips = make_trips(8000, seed=35)
+        service = CheckpointingService(
+            build_service(seed=35, beta=8.0), tmp_path / "run", checkpoint_every=1000,
+            keep=10, durable=False, facility_cost_spec=SPEC,
+        )
+        for trip in trips:
+            service.handle_trip(trip)
+        snapshots = dict(service.store.list())
+        small, large = snapshots[1000], snapshots[8000]
+        assert large.stat().st_size <= 1.1 * small.stat().st_size
+        lengths = [list_lengths(decode_snapshot(p.read_bytes())) for p in (small, large)]
+        assert lengths[0].keys() == lengths[1].keys()
+        grown = {
+            path: (lengths[0][path], n)
+            for path, n in lengths[1].items()
+            if n - lengths[0][path] > 70  # 1% of the 7,000 trips between them
+        }
+        assert not grown, f"lists growing with trips served: {grown}"
+        service.close()
+
+
+def list_lengths(node, path="", out=None):
+    """Longest list at every key path of a JSON payload (indices elided)."""
+    out = {} if out is None else out
+    if isinstance(node, dict):
+        for key, value in node.items():
+            list_lengths(value, f"{path}.{key}", out)
+    elif isinstance(node, list):
+        out[path] = max(out.get(path, 0), len(node))
+        for value in node:
+            list_lengths(value, f"{path}[]", out)
+    return out
+
+
+# ----------------------------------------------------------------------
+CRASH_SETTINGS = settings(
+    max_examples=12, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+class TestCrashWindows:
+    @CRASH_SETTINGS
+    @given(crash_at=st.integers(min_value=1, max_value=N // EVERY))
+    def test_crash_between_ledger_append_and_snapshot(self, tmp_path_factory, twin, crash_at):
+        """The ledger append landed, the snapshot rename did not: the
+        ledger runs past the newest snapshot by one checkpoint."""
+        directory = tmp_path_factory.mktemp("window") / "run"
+        saves = []
+
+        def crash_on_save(path, data):
+            saves.append(path)
+            if len(saves) == crash_at + 1:  # save 1 is the genesis snapshot
+                raise InjectedCrash(f"crash before renaming {path.name}")
+            path.write_bytes(data)
+
+        victim = wrap(directory, write_bytes=crash_on_save)
+        with pytest.raises(InjectedCrash):
+            for trip in TRIPS:
+                victim.handle_trip(trip)
+        victim.close()
+        seq = crash_at * EVERY
+        ledger_lines = (directory / LEDGER_NAME).read_bytes().splitlines()
+        assert len(ledger_lines) == seq
+        recovered = recover(directory)
+        assert recovered.last_recovery.snapshot_seq == seq - EVERY
+        assert recovered.applied_seq == seq
+        assert_matches_twin(twin, directory, recovered)
+
+    @CRASH_SETTINGS
+    @given(served=st.integers(min_value=2 * EVERY + 1, max_value=N))
+    def test_torn_newest_snapshot_falls_back_past_the_ledger(
+        self, tmp_path_factory, twin, served
+    ):
+        """The newest snapshot is torn: recovery restores the one before
+        it, whose seq the ledger already runs past."""
+        directory = tmp_path_factory.mktemp("torn") / "run"
+        victim = wrap(directory)
+        for trip in TRIPS[:served]:
+            victim.handle_trip(trip)
+        victim.close()
+        (_, older), (newest_seq, newest) = victim.store.list()[-2:]
+        FaultInjector.corrupt_file(newest, mode="truncate")
+        recovered = recover(directory)
+        assert recovered.last_recovery.snapshot_path == older
+        ledger_lines = (directory / LEDGER_NAME).read_bytes().splitlines()
+        assert len(ledger_lines) == newest_seq > recovered.last_recovery.snapshot_seq
+        assert recovered.applied_seq == served
+        assert_matches_twin(twin, directory, recovered)
+
+    @CRASH_SETTINGS
+    @given(
+        checkpoints=st.integers(min_value=2, max_value=N // EVERY),
+        cut=st.floats(min_value=0.0, max_value=0.999),
+    )
+    def test_torn_ledger_tail(self, tmp_path_factory, twin, checkpoints, cut):
+        """A crash mid-append: the last checkpoint's records are cut at a
+        byte inside them and its snapshot was never written."""
+        directory = tmp_path_factory.mktemp("tornledger") / "run"
+        seq = checkpoints * EVERY
+        victim = wrap(directory)
+        for trip in TRIPS[:seq]:
+            victim.handle_trip(trip)
+        victim.close()
+        victim.store.path_for(seq).unlink()
+        path = directory / LEDGER_NAME
+        raw = path.read_bytes()
+        start = sum(len(line) for line in raw.splitlines(keepends=True)[: seq - EVERY])
+        path.write_bytes(raw[: start + int(cut * (len(raw) - start))])
+        recovered = recover(directory)
+        assert recovered.last_recovery.snapshot_seq == seq - EVERY
+        assert_matches_twin(twin, directory, recovered)
+
+    def test_torn_ledger_write_through_the_fs_seam(self, tmp_path, twin):
+        """The same window, produced by a torn write on the ledger."""
+        directory = tmp_path / "run"
+        victim = wrap(directory)
+        for trip in TRIPS[: 3 * EVERY - 1]:
+            victim.handle_trip(trip)
+        fs = FaultFS(FaultFSConfig(seed=5, p_torn=1.0, match=LEDGER_NAME))
+        with fs.inject(), pytest.raises(OSError):
+            victim.handle_trip(TRIPS[3 * EVERY - 1])
+        victim.close()
+        assert fs.counters.torn == 1
+        assert scrub_ledger(directory / LEDGER_NAME, repair=False)[0].kind == (
+            "ledger_torn_tail"
+        )
+        recovered = recover(directory)
+        assert recovered.last_recovery.snapshot_seq == 2 * EVERY
+        assert_matches_twin(twin, directory, recovered)
+
+    @pytest.mark.parametrize("damage", ["short", "missing", "midfile", "seq_jump"])
+    def test_ledger_that_cannot_back_its_snapshot_is_refused(self, tmp_path, damage):
+        directory = tmp_path / "run"
+        victim = wrap(directory)
+        for trip in TRIPS[: 3 * EVERY + 5]:
+            victim.handle_trip(trip)
+        victim.close()
+        path = directory / LEDGER_NAME
+        lines = path.read_bytes().splitlines(keepends=True)
+        if damage == "short":
+            path.write_bytes(b"".join(lines[:-1]))
+        elif damage == "missing":
+            path.unlink()
+        elif damage == "midfile":
+            lines[7] = lines[7][:20] + b"\n"
+            path.write_bytes(b"".join(lines))
+        else:
+            del lines[7]
+            path.write_bytes(b"".join(lines))
+        with pytest.raises(LedgerCorruptError):
+            recover(directory)
+
+    def test_pre_change_directory_is_refused(self, tmp_path):
+        """A version-1 directory kept its history inside the snapshot and
+        has no ledger: refuse it rather than recover a short history."""
+        directory = tmp_path / "run"
+        victim = wrap(directory)
+        for trip in TRIPS[:EVERY]:
+            victim.handle_trip(trip)
+        victim.close()
+        for _, path in victim.store.list():
+            payload = decode_snapshot(path.read_bytes())
+            payload["service"]["responses"] = [
+                vars(r) for r in victim.service.responses[: payload["applied"]]
+            ]
+            payload["seen_orders"] = [t.order_id for t in TRIPS[: payload["applied"]]]
+            path.write_bytes(encode_snapshot(payload, version=1))
+        (directory / LEDGER_NAME).unlink()
+        with pytest.raises(SnapshotVersionError):
+            recover(directory)
+        kinds = {f.kind for f in scrub_checkpoint_dir(directory, repair=False).findings}
+        assert kinds == {"snapshot_version", "no_usable_snapshot"}
+
+
+class TestSingleJournalPass:
+    def test_recovery_decodes_each_journal_record_once(self, tmp_path, monkeypatch):
+        from repro.resilience import journal as journal_module
+
+        victim = wrap(tmp_path / "run")
+        for trip in TRIPS[: 2 * EVERY + 7]:
+            victim.handle_trip(trip)
+        victim.close()
+        calls = {"record": 0, "trip": 0}
+        decode_record, entry = journal_module._decode_record, journal_module._entry
+
+        def counting_record(line):
+            calls["record"] += 1
+            return decode_record(line)
+
+        def counting_entry(record):
+            calls["trip"] += 1
+            return entry(record)
+
+        monkeypatch.setattr(journal_module, "_decode_record", counting_record)
+        monkeypatch.setattr(journal_module, "_entry", counting_entry)
+        recovered = recover(tmp_path / "run")
+        assert calls == {"record": 2 * EVERY + 7, "trip": 7}
+        assert recovered.last_recovery.replayed == 7
+        assert recovered.journal.next_seq == 2 * EVERY + 8
+        recovered.close()
+
+
+class TestDedupAfterRecovery:
+    def test_screen_rebuilt_from_the_ledger(self, tmp_path, twin):
+        """Trips behind the snapshot are known only through the ledger:
+        an at-least-once redelivery of the whole stream is screened."""
+        victim = wrap(tmp_path / "run")
+        for trip in TRIPS[: 3 * EVERY + 5]:
+            victim.handle_trip(trip)
+        victim.close()
+        recovered = recover(tmp_path / "run")
+        assert recovered.last_recovery.snapshot_seq == 3 * EVERY
+        outcomes = [recovered.handle_trip(t) for t in TRIPS]
+        assert outcomes[: 3 * EVERY + 5] == [None] * (3 * EVERY + 5)
+        assert None not in outcomes[3 * EVERY + 5 :]
+        assert recovered.service.responses == twin[1][N]["responses"]
+        recovered.close()
+
+
+class TestConstruction:
+    def test_directory_holding_a_ledger_refused(self, tmp_path):
+        (tmp_path / LEDGER_NAME).write_bytes(b"")
+        with pytest.raises(ValueError, match="ledger"):
+            wrap(tmp_path)
+
+    def test_logical_state_compares_the_history(self):
+        a, b = build_service(seed=36), build_service(seed=36)
+        trips = make_trips(10, seed=36)
+        for t in trips:
+            a.handle_trip(t)
+            b.handle_trip(t)
+        assert logical_state(a) == logical_state(b)
+        b.responses[3] = b.responses[4]
+        left, right = logical_state(a), logical_state(b)
+        assert left.pop("responses") != right.pop("responses")
+        assert left == right
+
+
+class TestGuardedCheckpointRetry:
+    def test_torn_ledger_writes_retried_to_the_oracle(self, tmp_path):
+        """A guarded checkpoint retries a torn ledger append in place;
+        the directory recovers to the fault-free state."""
+        trips = make_trips(120, seed=37)
+        reference = build_service(seed=37)
+        for t in trips:
+            reference.handle_trip(t)
+        inner = CheckpointingService(
+            build_service(seed=37), tmp_path / "run", checkpoint_every=EVERY,
+            durable=True, facility_cost_spec=SPEC,
+        )
+        runtime = GuardedRuntime(inner, GuardConfig(), sleep=lambda s: None)
+        fs = FaultFS(FaultFSConfig(seed=2, p_torn=1.0, max_faults=2, match=LEDGER_NAME))
+        with fs.inject():
+            runtime.serve(trips)
+        runtime.close()
+        assert fs.counters.torn == 2
+        assert scrub_ledger(tmp_path / "run" / LEDGER_NAME, repair=False) == []
+        recovered = CheckpointingService.recover(
+            tmp_path / "run", facility_cost=constant_facility_cost(COST_VALUE),
+            durable=False,
+        )
+        assert logical_state(recovered.service) == logical_state(reference)
+        recovered.close()

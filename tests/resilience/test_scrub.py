@@ -13,6 +13,7 @@ from repro.resilience import (
     repair_journal_tail,
     scrub_checkpoint_dir,
     scrub_journal,
+    scrub_ledger,
     scrub_snapshots,
     scrub_tree,
 )
@@ -108,6 +109,36 @@ class TestScrubJournal:
             f.write(b"torn")
         findings = repair_journal_tail(journal, durable=False)
         assert findings and findings[0].action == "repaired"
+
+
+class TestScrubLedger:
+    def test_torn_tail_repaired_and_recovery_unchanged(self, tmp_path):
+        directory = _checkpoint_dir(tmp_path)
+        ledger = directory / "responses.jsonl"
+        intact = ledger.read_bytes()
+        expected = _recovered_state(directory)
+        with open(ledger, "ab") as f:
+            f.write(b"0123456789abcdef {torn mid-append")
+        report = scrub_checkpoint_dir(directory, repair=True, durable=False)
+        assert report.ledgers_checked == 1
+        assert [(f.kind, f.action) for f in report.findings] == [
+            ("ledger_torn_tail", "repaired")
+        ]
+        assert ledger.read_bytes() == intact
+        assert _recovered_state(directory) == expected
+
+    def test_midfile_damage_and_seq_jump_refused(self, tmp_path):
+        directory = _checkpoint_dir(tmp_path)
+        ledger = directory / "responses.jsonl"
+        lines = ledger.read_bytes().splitlines(keepends=True)
+        for damaged, kind in (
+            (lines[:1] + [b"0123456789abcdef {damaged}\n"] + lines[2:], "ledger_midfile"),
+            (lines[:1] + lines[2:], "ledger_seq_jump"),
+        ):
+            ledger.write_bytes(b"".join(damaged))
+            findings = scrub_ledger(ledger, repair=True, durable=False)
+            assert [(f.kind, f.action) for f in findings] == [(kind, "refused")]
+            assert ledger.read_bytes() == b"".join(damaged)  # refusals never write
 
 
 class TestScrubSnapshots:

@@ -140,18 +140,30 @@ class TestPlannerContinuation:
         assert planner._rng.integers(1 << 62) == restored._rng.integers(1 << 62)
 
     def test_state_without_history_drops_decisions_only(self):
+        # "Decisions" here means both per-decision traces: the decision
+        # log and the similarity history recorded at each check.
         service = build_service(seed=51)
         planner = service.planner
         for dest in [t.end for t in make_trips(20, seed=51)]:
             planner.offer(dest)
+        assert planner.similarity_history
         slim = planner.state_dict(include_history=False)
         assert slim["decisions"] is None
+        assert slim["similarity_history"] is None
         restored = EsharingPlanner.from_state(
             json_roundtrip(slim), constant_facility_cost(COST_VALUE)
         )
         assert restored.decisions == []
+        assert restored.similarity_history == []
         assert restored.walking == planner.walking
         assert restored.stations == planner.stations
+        # Everything a later decision reads survives: same coin flips
+        # and the same next decision.
+        full = planner.state_dict()
+        for key in ("rng", "penalty", "cost_scale", "arrivals_since_check", "live"):
+            assert json_roundtrip(slim[key]) == json_roundtrip(full[key])
+        probe = Point(1234.5, 678.9)
+        assert restored.offer(probe) == planner.offer(probe)
 
 
 class TestServiceRoundtrip:
@@ -166,6 +178,10 @@ class TestServiceRoundtrip:
             json_roundtrip(twin.state_dict()),
             constant_facility_cost(COST_VALUE),
         )
+        # The state carries no history; its owner (the response ledger,
+        # under a CheckpointingService) puts it back.
+        assert restored.responses == []
+        restored.responses = list(twin.responses)
         for t in trips[60:]:
             reference.handle_trip(t)
             restored.handle_trip(t)

@@ -1,5 +1,7 @@
 """Tests for repro.cli."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -74,6 +76,28 @@ class TestScrubCommand:
         assert main(["scrub", "--dir", str(tmp_path)]) == 0
         assert not orphan.exists()
         assert main(["scrub", "--dir", str(tmp_path), "--check"]) == 0
+
+    def test_summary_lists_the_response_ledger(self, tmp_path, capsys):
+        run = tmp_path / "ckpt"
+        assert main([
+            "checkpoint", "--dir", str(run), "--trips", "60", "--every", "20",
+        ]) == 0
+        assert (run / "responses.jsonl").exists()
+        capsys.readouterr()
+        assert main(["scrub", "--dir", str(run), "--check"]) == 0
+        out = capsys.readouterr().out
+        assert "1 journal(s), 1 ledger(s)" in out
+        assert not (run / "logs").exists()  # a check writes nothing
+        with open(run / "responses.jsonl", "ab") as f:
+            f.write(b"0123456789abcdef {torn")
+        assert main(["scrub", "--dir", str(run), "--check"]) == 4
+        assert "ledger_torn_tail" in capsys.readouterr().out
+        assert main(["scrub", "--dir", str(run)]) == 0
+        rows = (run / "logs" / "scrub.jsonl").read_text().splitlines()
+        summary = json.loads(rows[0])
+        assert (summary["journals"], summary["ledgers"]) == (1, 1)
+        assert json.loads(rows[1])["kind"] == "ledger_torn_tail"
+        assert main(["resume", "--dir", str(run)]) == 0
 
 
 class TestIncidentsCommand:
