@@ -13,10 +13,17 @@ Station identity is owned by the planner's
 removals, so the service carries no id-remapping tables of its own — it
 subscribes to the set's inventory hooks to grow the fleet's racks and
 answers every location query straight from the shared store.
+
+Pickup is one query shared with the system simulator,
+:func:`pickup_station`: the nearest active station whose fleet rack
+holds a bike, within the distance a rider will walk.  The service
+passes no radius (a trip is refused only when no active station holds a
+bike); the simulator passes its ``pickup_radius_m``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional
 
@@ -26,8 +33,24 @@ from ..errors import StateDriftError
 from ..geo.points import Point
 from .costs import FacilityCostFn
 from .esharing import EsharingPlanner
+from .station_set import StationSet
 
-__all__ = ["ServiceResponse", "PlacementService"]
+__all__ = ["ServiceResponse", "PlacementService", "pickup_station"]
+
+
+def pickup_station(
+    stations: StationSet, fleet: Fleet, origin: Point, radius: float = math.inf
+) -> Optional[int]:
+    """Stable id of the nearest active station with a bike in its rack,
+    within ``radius`` of ``origin``; ``None`` when there is none.
+
+    Distance ties go to the lowest id.  Only rack membership is read, so
+    the cost does not depend on how many bikes the fleet has.
+    """
+    hit = stations.nearest_where(origin, fleet.is_stocked)
+    if hit is None or hit[1] > radius:
+        return None
+    return hit[0]
 
 
 @dataclass(frozen=True)
@@ -104,13 +127,6 @@ class PlacementService:
         return self.planner.station_set.location(station_id)
 
     # ------------------------------------------------------------------
-    def _pickup_station(self, origin: Point) -> Optional[int]:
-        """Stable id of the nearest *active* station holding a bike."""
-        hit = self.planner.station_set.nearest_where(
-            origin, lambda sid: self.fleet.pick_bike(sid) is not None
-        )
-        return None if hit is None else hit[0]
-
     def handle_trip(self, trip: TripRecord) -> ServiceResponse:
         """Serve one trip end to end.
 
@@ -118,7 +134,7 @@ class PlacementService:
         when none exists anywhere).  Drop-off: Algorithm 2's decision.
         If the pickup empties its station, the station retires from P.
         """
-        origin_id = self._pickup_station(trip.start)
+        origin_id = pickup_station(self.planner.station_set, self.fleet, trip.start)
         if origin_id is None:
             response = ServiceResponse(
                 order_id=trip.order_id, served=False,
@@ -132,7 +148,7 @@ class PlacementService:
         dest_id = decision.station_index
 
         bike = self.fleet.pick_bike(origin_id)
-        if bike is None:  # guaranteed by _pickup_station
+        if bike is None:  # guaranteed by pickup_station
             raise StateDriftError(
                 f"station {origin_id} emptied between selection and pickup "
                 f"for order {trip.order_id}"
@@ -140,7 +156,7 @@ class PlacementService:
         self.fleet.ride(bike.bike_id, dest_id, trip.distance)
 
         removed: Optional[int] = None
-        if not self.fleet.bikes_at(origin_id) and origin_id != dest_id:
+        if not self.fleet.is_stocked(origin_id) and origin_id != dest_id:
             self.planner.remove_station(origin_id)
             self.retired.append(origin_id)
             removed = origin_id
@@ -243,7 +259,8 @@ class PlacementService:
 
     # ------------------------------------------------------------------
     def consistency_check(self) -> None:
-        """Verify the planner/fleet/id bookkeeping is coherent.
+        """Verify the planner/fleet/id bookkeeping is coherent, the
+        fleet's racks included.
 
         Raises:
             StateDriftError: on any drift between the views (real
@@ -267,3 +284,4 @@ class PlacementService:
                     f"station id {sid} is on the retired ledger but still "
                     "active in the planner"
                 )
+        self.fleet.verify_racks()

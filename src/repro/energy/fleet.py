@@ -5,15 +5,27 @@ Tier 2 operates on *sets of low-energy bikes per station* (the sets
 current station, replays trips to evolve the energy state, and reports the
 station -> low-energy-bike map that the incentive mechanism and the
 operator's tour planner consume.
+
+Each station has a *rack*: the set of bike ids parked there.  The racks
+are an index over :attr:`Bike.station`, kept by the fleet alone — only
+:meth:`Fleet.ride`, :meth:`Fleet.move` and :meth:`Fleet.add_station`
+change where bikes are, and ``Bike.station`` is read-only to everyone
+else — so a per-station question (who is parked here, which bike does a
+rider take) costs O(bikes at that station), not O(fleet).  Charge levels
+are not indexed: they stay on the batteries and are read live, so code
+that changes levels directly (idle drain, recharges, tests) cannot make
+a rack stale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from ..errors import StateDriftError
 from ..geo.points import Point
 from ..serialize import rng_from_state, rng_to_state
 from .battery import Battery, BatteryConfig, LOW_ENERGY_THRESHOLD
@@ -21,13 +33,26 @@ from .battery import Battery, BatteryConfig, LOW_ENERGY_THRESHOLD
 __all__ = ["Bike", "Fleet", "StationEnergySnapshot"]
 
 
-@dataclass
+@dataclass(init=False)
 class Bike:
-    """One E-bike: identity, battery, and where it is parked."""
+    """One E-bike: identity, battery, and where it is parked.
+
+    ``station`` is read-only: the owning :class:`Fleet` moves bikes, so
+    its racks cannot go stale behind its back.
+    """
 
     bike_id: int
     battery: Battery
-    station: int
+    _station: int
+
+    def __init__(self, bike_id: int, battery: Battery, station: int) -> None:
+        self.bike_id = bike_id
+        self.battery = battery
+        self._station = station
+
+    @property
+    def station(self) -> int:
+        return self._station
 
     @property
     def is_low(self) -> bool:
@@ -86,7 +111,7 @@ class Fleet:
         self.threshold = threshold
         self._rng = rng or np.random.default_rng(0)
         cfg = config or BatteryConfig()
-        self.bikes: List[Bike] = []
+        bikes = []
         for i in range(n_bikes):
             # Initial charge: most bikes healthy, plus an explicit tail of
             # low-energy bikes — the steady-state shape of Fig. 2(d)
@@ -96,15 +121,25 @@ class Fleet:
                 level = float(self._rng.uniform(0.05, threshold))
             else:
                 level = float(np.clip(self._rng.beta(5.0, 1.5), threshold, 1.0))
-            self.bikes.append(
+            bikes.append(
                 Bike(bike_id=i, battery=Battery(cfg, level), station=i % len(self.stations))
             )
+        self._park(bikes)
+
+    def _park(self, bikes: List[Bike]) -> None:
+        """Install the bikes (a tuple: only the fleet adds or moves
+        bikes) and build the racks from their stations."""
+        self.bikes: Tuple[Bike, ...] = tuple(bikes)
+        self._racks: List[Set[int]] = [set() for _ in self.stations]
+        for b in self.bikes:
+            self._racks[b.station].add(b.bike_id)
 
     def __len__(self) -> int:
         return len(self.bikes)
 
     def state_dict(self) -> dict:
-        """Checkpointable state: racks, every bike, and the ride-noise RNG.
+        """Checkpointable state: station locations, every bike, and the
+        ride-noise RNG.  The racks are derived from the bikes and left out.
 
         Charge levels are exact floats and the RNG bit stream is captured
         in full, so a fleet rebuilt by :meth:`from_state` drains batteries
@@ -129,22 +164,38 @@ class Fleet:
     def from_state(cls, state: dict) -> "Fleet":
         """Rebuild a fleet from :meth:`state_dict` output.
 
+        The racks are derived state: they are rebuilt from the bikes'
+        stations, not read from ``state``.
+
         Raises:
             KeyError: on a missing field.
-            ValueError: on out-of-range levels or battery parameters.
+            ValueError: on out-of-range levels or battery parameters, bike
+                ids that are not ``0..n-1`` in order, or a bike parked at
+                a station that does not exist.
         """
         fleet = cls.__new__(cls)
         fleet.stations = [Point(float(x), float(y)) for x, y in state["stations"]]
         fleet.threshold = float(state["threshold"])
         fleet._rng = rng_from_state(state["rng"])
-        fleet.bikes = [
-            Bike(
-                bike_id=int(b["bike_id"]),
+        bikes = []
+        for position, b in enumerate(state["bikes"]):
+            bike_id, station = int(b["bike_id"]), int(b["station"])
+            if bike_id != position:
+                raise ValueError(
+                    f"bike id {bike_id} at position {position}: bike ids must "
+                    "be 0..n-1 in order"
+                )
+            if not 0 <= station < len(fleet.stations):
+                raise ValueError(
+                    f"bike {bike_id} parked at station {station}, out of "
+                    f"range 0..{len(fleet.stations) - 1}"
+                )
+            bikes.append(Bike(
+                bike_id=bike_id,
                 battery=Battery(BatteryConfig(**b["config"]), float(b["level"])),
-                station=int(b["station"]),
-            )
-            for b in state["bikes"]
-        ]
+                station=station,
+            ))
+        fleet._park(bikes)
         return fleet
 
     def add_station(self, location: Point) -> int:
@@ -156,12 +207,30 @@ class Fleet:
         join the fleet with no bikes.
         """
         self.stations.append(location)
+        self._racks.append(set())
         return len(self.stations) - 1
 
     def bikes_at(self, station: int) -> List[Bike]:
-        """Bikes currently parked at ``station``."""
+        """Bikes currently parked at ``station``, in ascending id order."""
         self._check_station(station)
-        return [b for b in self.bikes if b.station == station]
+        return [self.bikes[i] for i in sorted(self._racks[station])]
+
+    def is_stocked(self, station: int) -> bool:
+        """Whether ``station``'s rack holds at least one bike.
+
+        O(1) and unchecked, since it is the pickup predicate called for
+        every candidate station: ``station`` must be a valid id.
+        """
+        return bool(self._racks[station])
+
+    def low_bikes_at(self, station: int) -> List[int]:
+        """Ids of the low-energy bikes at ``station``, ascending (the set
+        ``L_i`` of one station, read from its rack)."""
+        self._check_station(station)
+        bikes, threshold = self.bikes, self.threshold
+        return sorted(
+            i for i in self._racks[station] if bikes[i].battery.level < threshold
+        )
 
     def low_energy_map(self) -> Dict[int, List[int]]:
         """Station -> list of low-energy bike ids (the L_i sets)."""
@@ -172,8 +241,12 @@ class Fleet:
         return {s: sorted(ids) for s, ids in sorted(out.items())}
 
     def stations_needing_service(self) -> List[int]:
-        """Stations holding at least one low-energy bike."""
-        return sorted(self.low_energy_map())
+        """Stations holding at least one low-energy bike, ascending."""
+        bikes, threshold = self.bikes, self.threshold
+        return [
+            s for s, rack in enumerate(self._racks)
+            if any(bikes[i].battery.level < threshold for i in rack)
+        ]
 
     def snapshot(self, station: int) -> StationEnergySnapshot:
         """Energy census of one station."""
@@ -204,8 +277,25 @@ class Fleet:
         self._check_station(to_station)
         bike = self._bike(bike_id)
         level = bike.battery.ride(distance_m, rng=self._rng)
-        bike.station = to_station
+        self._repark(bike, to_station)
         return level
+
+    def move(self, bike_id: int, station: int) -> None:
+        """Move a bike to ``station`` without riding it (a rebalancing
+        truck, or test setup): no battery drain, no ride noise drawn.
+
+        Raises:
+            KeyError: if the bike id is unknown.
+            ValueError: if the target station is invalid.
+        """
+        self._check_station(station)
+        self._repark(self._bike(bike_id), station)
+
+    def _repark(self, bike: Bike, station: int) -> None:
+        """The single writer of ``Bike.station``: moves the rack entry too."""
+        self._racks[bike._station].discard(bike.bike_id)
+        self._racks[station].add(bike.bike_id)
+        bike._station = station
 
     def pick_bike(self, station: int, prefer_low: bool = False) -> Optional[Bike]:
         """A rider's bike choice at ``station``.
@@ -215,15 +305,20 @@ class Fleet:
         Returns ``None`` when the station is empty, or when ``prefer_low``
         is set and no low-energy bike is present.
         """
-        bikes = self.bikes_at(station)
-        if not bikes:
-            return None
+        self._check_station(station)
+        bikes, rack = self.bikes, self._racks[station]
+        # Both choices break charge ties to the lowest id, so the rack's
+        # set order cannot leak into them.
         if prefer_low:
-            low = [b for b in bikes if b.battery.level < self.threshold]
-            if not low:
-                return None
-            return min(low, key=lambda b: (b.battery.level, b.bike_id))
-        return max(bikes, key=lambda b: (b.battery.level, -b.bike_id))
+            low = [bikes[i] for i in rack if bikes[i].battery.level < self.threshold]
+            return min(low, key=lambda b: (b.battery.level, b.bike_id)) if low else None
+        # Every served trip takes this path: one pass, no key tuples.
+        best, best_level = -1, -math.inf
+        for i in rack:
+            level = bikes[i].battery.level
+            if level > best_level or (level == best_level and i < best):
+                best, best_level = i, level
+        return bikes[best] if best >= 0 else None
 
     def recharge_station(self, station: int) -> int:
         """Operator services a station: recharge all low-energy bikes there.
@@ -245,6 +340,32 @@ class Fleet:
     def low_energy_count(self) -> int:
         """Total bikes below the service threshold."""
         return int(np.count_nonzero(self.charge_levels() < self.threshold))
+
+    def verify_racks(self) -> None:
+        """Check every rack against every bike's station.
+
+        Raises:
+            StateDriftError: if a rack and the bikes disagree (a real
+                exception, so the check also holds under ``python -O``).
+        """
+        if len(self._racks) != len(self.stations):
+            raise StateDriftError(
+                f"fleet has {len(self._racks)} racks for "
+                f"{len(self.stations)} stations"
+            )
+        expected: List[Set[int]] = [set() for _ in self.stations]
+        for b in self.bikes:
+            if not 0 <= b.station < len(self.stations):
+                raise StateDriftError(
+                    f"bike {b.bike_id} parked at unknown station {b.station}"
+                )
+            expected[b.station].add(b.bike_id)
+        for station, (rack, want) in enumerate(zip(self._racks, expected)):
+            if rack != want:
+                raise StateDriftError(
+                    f"rack {station} holds bikes {sorted(rack)} but bikes "
+                    f"{sorted(want)} are parked there"
+                )
 
     def _bike(self, bike_id: int) -> Bike:
         if not 0 <= bike_id < len(self.bikes):

@@ -167,7 +167,7 @@ class IncentiveMechanism:
 
         Returns 0 when the station holds no low-energy bikes.
         """
-        low = self.fleet.low_energy_map().get(station, [])
+        low = self.fleet.low_bikes_at(station)
         if not low:
             return 0.0
         t = self.service_position(station)
@@ -223,9 +223,8 @@ class IncentiveMechanism:
         if not valid.any():
             return None
         ids, mismatch = ids[valid], mismatch[valid]
-        low_map = self.fleet.low_energy_map()
         low_here = np.fromiter(
-            (len(low_map.get(int(k), ())) for k in ids), dtype=np.int64,
+            (len(self.fleet.low_bikes_at(int(k))) for k in ids), dtype=np.int64,
             count=ids.size,
         )
         explicit = self._targets.get(origin)
@@ -291,8 +290,7 @@ class IncentiveMechanism:
         """
         if self.alpha == 0.0:
             return OfferOutcome.no_offer("alpha=0")
-        low = self.fleet.low_energy_map().get(origin, [])
-        if not low:
+        if not self.fleet.low_bikes_at(origin):
             return OfferOutcome.no_offer("no low-energy bikes")
         k = self.choose_aggregation_site(origin, destination)
         if k is None:

@@ -17,6 +17,7 @@ from typing import Dict, Iterable, List, Optional
 import numpy as np
 
 from ..core.esharing import EsharingPlanner
+from ..core.streaming import pickup_station
 from ..datasets.trips import TripRecord
 from ..energy.fleet import Fleet
 from ..errors import StateDriftError
@@ -158,19 +159,6 @@ class SystemSimulator:
         idx, _ = self.planner.station_set.nearest(point)
         return idx
 
-    def _pickup_station_of(self, point) -> Optional[int]:
-        """Nearest station holding a bike, within the pickup radius.
-
-        Riders walk past an empty rack to the next stocked one; beyond
-        ``pickup_radius_m`` they give up (the trip is lost).  Candidates
-        come pre-sorted by (distance, id) from the station store, so the
-        first stocked hit is the answer.
-        """
-        for sid, _dist in self.planner.station_set.within(point, self.pickup_radius_m):
-            if self.fleet.pick_bike(sid) is not None:
-                return sid
-        return None
-
     # ------------------------------------------------------------------
     def run_period(self, trips: Iterable[TripRecord]) -> PeriodReport:
         """Simulate one service period of streaming trips plus the tour.
@@ -192,7 +180,12 @@ class SystemSimulator:
                 origin_x=trip.start.x, origin_y=trip.start.y,
                 dest_x=trip.end.x, dest_y=trip.end.y,
             ))
-            pickup = self._pickup_station_of(trip.start)
+            # Riders walk past an empty rack to the nearest stocked one;
+            # beyond the pickup radius they give up and the trip is lost.
+            pickup = pickup_station(
+                self.planner.station_set, self.fleet, trip.start,
+                self.pickup_radius_m,
+            )
             if pickup is None:
                 skipped += 1
                 self._emit(TripSkipped(
@@ -336,8 +329,9 @@ class SystemSimulator:
         """Verify cross-component invariants after a period (or recovery).
 
         Checks that the planner and fleet agree on the station layout,
-        that every period's trip accounting adds up, and that the
-        incentive counters are coherent — the invariants the chaos
+        that every period's trip accounting adds up, that the incentive
+        counters are coherent, and that the fleet's racks match where
+        its bikes are parked — the invariants the chaos
         harness asserts after every crash/recovery cycle.
 
         Raises:
@@ -372,12 +366,7 @@ class SystemSimulator:
                     f"period {i}: negative incentives paid "
                     f"({report.incentives_paid})"
                 )
-        for bike in self.fleet.bikes:
-            if not 0 <= bike.station < len(self.fleet.stations):
-                raise StateDriftError(
-                    f"bike {bike.bike_id} parked at unknown station "
-                    f"{bike.station}"
-                )
+        self.fleet.verify_racks()
 
     # ------------------------------------------------------------------
     def merge_worker_timers(self, *snapshots) -> None:

@@ -71,7 +71,8 @@ class TestHandleTrip:
 
     def test_unserved_when_fleet_empty(self, service):
         # With no bikes anywhere, every pickup attempt is refused.
-        service.fleet.bikes.clear()
+        empty = Fleet.from_state({**service.fleet.state_dict(), "bikes": []})
+        service = PlacementService(service.planner, empty)
         response = service.handle_trip(make_trip(99, Point(0, 0), Point(1, 1)))
         assert not response.served
         assert response.origin_station == -1

@@ -36,7 +36,7 @@ def fleet():
     f.bikes[9].battery.level = 0.12
     f.bikes[4].battery.level = 0.15
     # bikes 0 and 9 sit at stations 0 and 0 (round robin: bike i at i%9).
-    f.bikes[9].station = 0
+    f.move(9, 0)
     return f
 
 

@@ -28,7 +28,7 @@ def fleet_with_low_bikes(low_per_station, spacing=500.0, seed=0):
             if placed >= count:
                 break
             if b.battery.level > 0.5:
-                b.station = station
+                f.move(b.bike_id, station)
                 b.battery.level = 0.1
                 placed += 1
         i += count

@@ -99,7 +99,7 @@ class TestOperatorIntegration:
                 if placed >= count:
                     break
                 if b.battery.level > 0.5:
-                    b.station = st
+                    f.move(b.bike_id, st)
                     b.battery.level = 0.1
                     placed += 1
         return f

@@ -19,7 +19,7 @@ def skewed_fleet(per_station, seed=0):
     i = 0
     for st, count in enumerate(per_station):
         for _ in range(count):
-            f.bikes[i].station = st
+            f.move(i, st)
             i += 1
     return f
 
