@@ -527,9 +527,10 @@ def _run_serve_sharded(args) -> int:
         return 0
     from .guard.runtime import HALTED
 
-    outcome = runtime.serve(
-        records, workers=args.workers, block_size=args.block_size
-    )
+    with runtime:
+        outcome = runtime.serve(
+            records, workers=args.workers, block_size=args.block_size
+        )
     for report in outcome.reports:
         print(
             f"shard {report.shard_id:03d}: {report.offered} offered, "

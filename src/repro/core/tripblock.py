@@ -199,11 +199,19 @@ class TripBlock:
             ValueError: on a timezone-aware ``start_time`` (see
                 :func:`datetime_to_us`).
             TypeError: on a field whose values do not form an integral
-                (ids) or numeric (coordinates, telemetry) column, or a
-                ``start_time`` that is not a datetime.
+                (ids) or numeric (coordinates, telemetry) column, a
+                ``start`` or ``end`` without ``x``/``y`` (``None``, say),
+                or a ``start_time`` that is not a datetime.
         """
         if len(trips) == 0:
             return cls.empty()
+        try:
+            start_x = [t.start.x for t in trips]
+            start_y = [t.start.y for t in trips]
+            end_x = [t.end.x for t in trips]
+            end_y = [t.end.y for t in trips]
+        except AttributeError as exc:
+            raise TypeError(f"trip start/end is not a point: {exc}") from None
         geodesic = [t.geodesic_m for t in trips]
         battery = [t.battery for t in trips]
         return cls(
@@ -212,10 +220,10 @@ class TripBlock:
             _int_column([t.bike_id for t in trips], "bike_id"),
             _int_column([t.bike_type for t in trips], "bike_type"),
             np.array([datetime_to_us(t.start_time) for t in trips], dtype=np.int64),
-            _float_column([t.start.x for t in trips], "start.x"),
-            _float_column([t.start.y for t in trips], "start.y"),
-            _float_column([t.end.x for t in trips], "end.x"),
-            _float_column([t.end.y for t in trips], "end.y"),
+            _float_column(start_x, "start.x"),
+            _float_column(start_y, "start.y"),
+            _float_column(end_x, "end.x"),
+            _float_column(end_y, "end.y"),
             geodesic_m=_float_column(
                 [np.nan if g is None else g for g in geodesic], "geodesic_m"
             ),

@@ -296,8 +296,12 @@ class GuardedRuntime:
     Args:
         inner: the crash-safe service to supervise.  The runtime takes
             ownership: it re-points the planner's KS cache at a guarded
-            wrapper and replaces ``inner.checkpoint`` with a
-            retry-with-backoff version.
+            wrapper and makes ``inner.checkpoint`` retry with backoff.
+            An open service another runtime guarded before may be
+            adopted: its guards are replaced, not stacked, and every
+            guard-layer state (validator, buffer, breakers, overload
+            control, dead letters, incidents) starts fresh, as after
+            :meth:`recover`.
         config: guardrail policy.
         incentives: optional Tier-2 mechanism; it is wrapped behind the
             incentive breaker and driven once per *served* response.
@@ -376,40 +380,47 @@ class GuardedRuntime:
         Used at construction and re-used as the ``post_restore`` hook of
         every self-heal, so a restored planner replays its journal tail
         through the same guarded stack (same breaker, same last-good
-        fallback) the original run used.
+        fallback) the original run used.  A planner still guarded by an
+        earlier runtime (an open service adopted for another epoch)
+        gets this runtime's fresh guard around the bare cache: guards
+        never nest, and the adopted service starts from exactly the
+        guard state a recovery with an empty tail would give it.
         """
         planner = service.planner
-        if isinstance(planner._ks_cache, GuardedKS2D):
-            return  # already guarded (recovered via GuardedRuntime.recover)
+        cache = planner._ks_cache
+        if isinstance(cache, GuardedKS2D):
+            if cache is self.guarded_ks:
+                return  # installed by GuardedRuntime.recover's hook
+            cache = cache.inner
         if self.guarded_ks is None:
-            self.guarded_ks = GuardedKS2D(planner._ks_cache, self.breakers["ks"])
+            self.guarded_ks = GuardedKS2D(cache, self.breakers["ks"])
         else:
-            self.guarded_ks.inner = planner._ks_cache
+            self.guarded_ks.inner = cache
         planner._ks_cache = self.guarded_ks
 
     def _wrap_checkpoint(self, inner: CheckpointingService) -> None:
-        """Shadow ``inner.checkpoint`` with a retry-with-backoff version."""
-        original = inner.checkpoint
+        """Make ``inner``'s checkpoints retry with backoff, halting when
+        the attempts run out.  Replaces any runner an earlier runtime
+        installed."""
+        inner.checkpoint_runner = self._retry_checkpoint
+
+    def _retry_checkpoint(self, write: Callable[[], Path]) -> Path:
         cfg = self.config
-
-        def retrying_checkpoint() -> Path:
-            last: Optional[Exception] = None
-            for attempt in range(cfg.checkpoint_attempts):
-                try:
-                    return original()
-                except (OSError, SnapshotError) as exc:
-                    last = exc
-                    self._incident(
-                        "checkpoint_retry",
-                        f"attempt {attempt + 1}/{cfg.checkpoint_attempts}: {exc!r}",
-                    )
-                    if attempt + 1 < cfg.checkpoint_attempts:
-                        self._sleep(cfg.checkpoint_backoff_s * (2 ** attempt))
-            raise RuntimeHaltedError(
-                f"checkpoint I/O failed {cfg.checkpoint_attempts} times: {last!r}"
-            ) from last
-
-        inner.checkpoint = retrying_checkpoint  # type: ignore[method-assign]
+        last: Optional[Exception] = None
+        for attempt in range(cfg.checkpoint_attempts):
+            try:
+                return write()
+            except (OSError, SnapshotError) as exc:
+                last = exc
+                self._incident(
+                    "checkpoint_retry",
+                    f"attempt {attempt + 1}/{cfg.checkpoint_attempts}: {exc!r}",
+                )
+                if attempt + 1 < cfg.checkpoint_attempts:
+                    self._sleep(cfg.checkpoint_backoff_s * (2 ** attempt))
+        raise RuntimeHaltedError(
+            f"checkpoint I/O failed {cfg.checkpoint_attempts} times: {last!r}"
+        ) from last
 
     def _on_breaker_transition(
         self, name: str, old: str, new: str, calls: int

@@ -151,6 +151,12 @@ class CheckpointingService:
             snapshots or a response ledger.
     """
 
+    #: How a checkpoint write is attempted: ``runner(write)`` calls
+    #: ``write()`` (perhaps several times) and returns the snapshot
+    #: path.  The guarded runtime installs its retry-with-backoff here;
+    #: a new runner replaces the old one, never wraps it.
+    checkpoint_runner: Optional[Callable[[Callable[[], Path]], Path]] = None
+
     def __init__(
         self,
         service: PlacementService,
@@ -281,11 +287,17 @@ class CheckpointingService:
         so every snapshot finds its history on disk.  The snapshot holds
         the bounded service state and the applied seq, nothing that
         grows with trips served.  A retry after a failure rewrites the
-        same ledger records.
+        same ledger records.  The write goes through
+        :attr:`checkpoint_runner` when one is set.
 
         Returns:
             The snapshot's path.
         """
+        if self.checkpoint_runner is not None:
+            return self.checkpoint_runner(self._write_checkpoint)
+        return self._write_checkpoint()
+
+    def _write_checkpoint(self) -> Path:
         self.ledger.append(self.service.responses[self.ledger.count : self._applied])
         payload = {
             "service": self.service.state_dict(),

@@ -6,8 +6,8 @@ The horizontal-scale layer over the guarded online tier.  A
 within-shard order preserved, and a :class:`ShardedRuntime` runs one
 independently checkpointed guarded runtime per territory — own WAL, own
 snapshots, own breakers — fanning epochs out over the deterministic
-process pool and replaying each shard's journal independently on
-recovery.  Serving a territory inside an N-shard fleet is bit-identical
+process pool, keeping each shard's durable service open across serial
+epochs, and replaying each shard's journal independently on recovery.  Serving a territory inside an N-shard fleet is bit-identical
 to serving it standalone; boundary trips additionally carry advisory
 cross-shard referrals computed against a read-only halo of neighbouring
 edge stations.

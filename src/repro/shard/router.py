@@ -13,10 +13,10 @@ Both entry points run the identical routing kernel
 :meth:`ShardRouter.split_block` gathers shard ids for a whole
 :class:`~repro.core.tripblock.TripBlock` in one vectorized pass, while
 :meth:`ShardRouter.split_trips` chunks record lists through the same
-arithmetic (with a scalar per-trip fallback for rows whose coordinates
-cannot even be coerced to floats — chaos garbage routes
-deterministically to the cell-(0,0) shard and is rejected by that
-shard's validator).
+arithmetic (with a scalar per-trip fallback for rows whose destination
+is not a point or cannot even be coerced to floats — chaos garbage
+routes deterministically to shard 0 and is rejected by that shard's
+validator).
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ class ShardRouter:
         try:
             xs = np.array([float(trip.end.x)])
             ys = np.array([float(trip.end.y)])
-        except (TypeError, ValueError):
+        except (AttributeError, TypeError, ValueError):
             return 0
         return int(self.plan.shard_of_many(xs, ys)[0])
 
@@ -80,7 +80,7 @@ class ShardRouter:
             try:
                 xs = np.array([t.end.x for t in chunk], dtype=float)
                 ys = np.array([t.end.y for t in chunk], dtype=float)
-            except (TypeError, ValueError):
+            except (AttributeError, TypeError, ValueError):
                 for t in chunk:
                     buckets[self.route(t)].append(t)
                 continue

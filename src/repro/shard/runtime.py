@@ -11,13 +11,24 @@ a crash, halt or self-heal in one territory cannot touch another.
 
 **Serving model.**  Each :meth:`ShardedRuntime.serve` call is an epoch:
 the stream is split by destination cell
-(:class:`~repro.shard.router.ShardRouter`, order preserved per shard),
-every shard with traffic runs *build-or-recover → serve → checkpoint →
-close* as a self-contained task, and the tasks fan out over
-:class:`~repro.parallel.ParallelRunner` (``workers <= 1`` short-circuits
-to in-process serial execution — the reference path fan-out is compared
-against).  Task results merge in shard order, never completion order,
-so multi-worker epochs are bit-identical to serial ones.
+(:class:`~repro.shard.router.ShardRouter`, order preserved per shard)
+and every shard with traffic runs *serve → checkpoint* on its own
+service.  With ``workers > 1`` each shard is a self-contained
+*build-or-recover → serve → checkpoint → close* task fanned out over
+:class:`~repro.parallel.ParallelRunner`.  Serially (``workers <= 1``)
+the shards run in-process and stay *resident*: a shard's durable
+service (planner, fleet, journal handle, ledger, snapshot store) stays
+open for the next serial epoch when this one ended with its checkpoint,
+neither raised nor halted, and its directory still shows exactly the
+journal, ledger and snapshot files the service left.  Otherwise the
+service is closed and the next epoch recovers from disk.  The guard
+layer (validator, reorder buffer, breakers, overload control, logs) is
+built fresh every epoch either way, exactly as recovery builds it, so
+a resident epoch is bit-identical to a recovered one.  Pool epochs,
+:meth:`ShardedRuntime.open_shard` and :meth:`ShardedRuntime.close`
+release every resident shard first.  Results merge in shard order,
+never completion order, so multi-worker epochs are bit-identical to
+serial ones.
 
 **Determinism contract.**  Each shard's planner is built from the same
 recipe (:class:`ShardSpec`) whether it runs inside an N-shard fleet or
@@ -307,6 +318,38 @@ def build_shard_runtime(
     return GuardedRuntime(inner, config, facility_cost=cost)
 
 
+def _disk_mark(service: CheckpointingService) -> Tuple:
+    """What a shard's files look like: journal and ledger sizes, and the
+    seq, size and modification time of each snapshot generation.
+
+    An open service may be reused only while its directory still shows
+    the mark it left: anything else that wrote there (a supervisor's
+    epoch, another runtime over the same root, a scrub repair) changes
+    it.
+    """
+
+    def size(path: Path) -> int:
+        try:
+            return path.stat().st_size
+        except FileNotFoundError:
+            return -1
+
+    generations = []
+    for seq, path in service.store.list():
+        stat = path.stat()
+        generations.append((seq, stat.st_size, stat.st_mtime_ns))
+    return size(service.journal.path), size(service.ledger.path), tuple(generations)
+
+
+@dataclass
+class _Resident:
+    """A shard's durable service, left open after a serial epoch that
+    ended with its checkpoint, and the disk mark it left."""
+
+    service: CheckpointingService
+    mark: Tuple
+
+
 def _compute_referrals(
     spec: ShardSpec,
     plan: ShardPlan,
@@ -318,7 +361,8 @@ def _compute_referrals(
 
     Only served responses whose destination falls in a boundary cell are
     eligible; the foreign station must be strictly closer than the home
-    assignment's walking distance.
+    assignment's walking distance.  The boundary test is one vectorized
+    call over every served destination of the epoch.
     """
     if not halo:
         return []
@@ -326,32 +370,41 @@ def _compute_referrals(
     for t in trips:
         try:
             ends[t.order_id] = (float(t.end.x), float(t.end.y))
-        except (TypeError, ValueError):
+        except (AttributeError, TypeError, ValueError):
             continue
+    served = [
+        outcome
+        for outcome in outcomes
+        if isinstance(outcome, ServiceResponse)
+        and outcome.served
+        and outcome.order_id in ends
+    ]
+    if not served:
+        return []
+    xs = np.array([ends[o.order_id][0] for o in served], dtype=float)
+    ys = np.array([ends[o.order_id][1] for o in served], dtype=float)
+    edge = np.flatnonzero(plan.boundary_of_many(xs, ys))
+    if len(edge) == 0:
+        return []
     halo_shards = np.array([h[0] for h in halo], dtype=np.int64)
     halo_ids = np.array([h[1] for h in halo], dtype=np.int64)
     halo_x = np.array([h[2] for h in halo], dtype=float)
     halo_y = np.array([h[3] for h in halo], dtype=float)
+    dists = np.hypot(halo_x - xs[edge, None], halo_y - ys[edge, None])
+    best = np.argmin(dists, axis=1)
+    nearest = dists[np.arange(len(edge)), best]
     referrals: List[CrossShardReferral] = []
-    for outcome in outcomes:
-        if not isinstance(outcome, ServiceResponse) or not outcome.served:
-            continue
-        end = ends.get(outcome.order_id)
-        if end is None:
-            continue
-        if not bool(plan.boundary_of_many([end[0]], [end[1]])[0]):
-            continue
-        dists = np.hypot(halo_x - end[0], halo_y - end[1])
-        best = int(np.argmin(dists))
-        if float(dists[best]) < outcome.walking_m:
+    for row, b, walk in zip(edge.tolist(), best.tolist(), nearest.tolist()):
+        outcome = served[row]
+        if walk < outcome.walking_m:
             referrals.append(
                 CrossShardReferral(
                     order_id=outcome.order_id,
                     home_shard=spec.shard_id,
-                    station_shard=int(halo_shards[best]),
-                    station_id=int(halo_ids[best]),
-                    walking_m=float(dists[best]),
-                    saved_m=float(outcome.walking_m - dists[best]),
+                    station_shard=int(halo_shards[b]),
+                    station_id=int(halo_ids[b]),
+                    walking_m=walk,
+                    saved_m=float(outcome.walking_m - walk),
                 )
             )
     return referrals
@@ -359,6 +412,9 @@ def _compute_referrals(
 
 class ShardedRuntime:
     """N independently durable guarded shards behind one serving API.
+
+    Serial epochs leave each shard's durable service open for the next
+    one; :meth:`close` (or leaving a ``with`` block) releases them.
 
     Args:
         plan: the cell-to-shard territory assignment.
@@ -413,6 +469,7 @@ class ShardedRuntime:
         self.durable = bool(durable)
         self.beta = float(beta)
         self.history_window = int(history_window)
+        self._resident: Dict[int, _Resident] = {}
         self.anchors = [Point(float(p.x), float(p.y)) for p in anchors]
         self.historical = np.asarray(historical, dtype=float).reshape(-1, 2)
         self.n_bikes = int(n_bikes)
@@ -564,8 +621,11 @@ class ShardedRuntime:
 
         Args:
             trips: the arrival stream in arrival order.
-            workers: worker processes for the fan-out; ``<= 1`` serves
-                the shards serially in-process (bit-identical results).
+            workers: worker processes for the fan-out.  ``<= 1``
+                serves the shards serially in-process, each on the
+                service its last serial epoch left open; more releases
+                those and fans out, each task recovering its shard from
+                disk.  Results are bit-identical either way.
             block_size: columnar block size inside each shard (any size
                 takes the same route; ``None`` = the guard default).
             checkpoint: snapshot each shard at epoch end (disable to
@@ -577,27 +637,32 @@ class ShardedRuntime:
             cross-shard referrals.
         """
         buckets = self.router.split_trips(trips)
-        tasks: List[TaskSpec] = []
-        for sid, bucket in enumerate(buckets):
-            if not bucket:
-                continue
-            tasks.append(
+        active = [sid for sid, bucket in enumerate(buckets) if bucket]
+        if workers <= 1:
+            reports = [
+                self._serve_in_process(sid, buckets[sid], block_size, checkpoint)
+                for sid in active
+            ]
+        else:
+            self.close()
+            tasks = [
                 TaskSpec(
                     fn=_run_epoch_task,
                     args=(
                         self.spec(sid),
-                        self.plan.state_dict(),
+                        self.plan,
                         str(_shard_dir(self.directory, sid)),
-                        bucket,
+                        buckets[sid],
                         self._halo_for(sid),
                         block_size,
                         checkpoint,
                     ),
                     label=f"shard-{sid:03d}",
                 )
-            )
-        runner = ParallelRunner(workers=min(workers, max(1, len(tasks))))
-        reports: List[ShardReport] = runner.run(tasks)
+                for sid in active
+            ]
+            runner = ParallelRunner(workers=min(workers, max(1, len(tasks))))
+            reports = runner.run(tasks)
         for report in reports:
             self._stations[report.shard_id] = [
                 (i, x, y) for i, x, y in report.stations
@@ -608,14 +673,79 @@ class ShardedRuntime:
             referrals.extend(report.referrals)
         return ShardedServeOutcome(reports=tuple(reports), referrals=tuple(referrals))
 
+    def _serve_in_process(
+        self,
+        shard_id: int,
+        trips: List[TripRecord],
+        block_size: Optional[int],
+        checkpoint: bool,
+    ) -> ShardReport:
+        """One shard's serial epoch on its resident service.
+
+        The service stays open for the next serial epoch only when this
+        one ended with its checkpoint and neither raised nor halted;
+        otherwise it is closed, and the next epoch recovers from disk.
+        """
+        spec = self.spec(shard_id)
+        directory = _shard_dir(self.directory, shard_id)
+        runtime = self._adopt(spec, directory)
+        try:
+            report = _serve_epoch(
+                runtime, spec, self.plan, str(directory), trips,
+                self._halo_for(shard_id), block_size, checkpoint,
+            )
+        except BaseException:
+            runtime.close()
+            raise
+        if checkpoint and not runtime.halted:
+            self._resident[shard_id] = _Resident(runtime.inner, _disk_mark(runtime.inner))
+        else:
+            runtime.close()
+        return report
+
+    def _adopt(self, spec: ShardSpec, directory: Path) -> GuardedRuntime:
+        """A fresh guard layer over the shard's resident service, or
+        :func:`build_shard_runtime` when there is none or its directory
+        changed since its last epoch.
+
+        The guard layer is built exactly as :meth:`GuardedRuntime.recover`
+        builds it, so a reused shard serves bit-identically to one
+        recovered from disk: its last epoch ended with a checkpoint,
+        hence recovery would replay no journal tail.
+        """
+        resident = self._resident.pop(spec.shard_id, None)
+        if resident is not None:
+            if _disk_mark(resident.service) == resident.mark:
+                return GuardedRuntime(
+                    resident.service,
+                    spec.guard_config(),
+                    facility_cost=constant_facility_cost(spec.cost_value),
+                )
+            resident.service.close()
+        return build_shard_runtime(spec, directory)
+
+    def close(self) -> None:
+        """Release every shard service kept open between serial epochs
+        (safe to call repeatedly; the next epoch recovers from disk)."""
+        resident, self._resident = self._resident, {}
+        for entry in resident.values():
+            entry.service.close()
+
+    def __enter__(self) -> "ShardedRuntime":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
     # ------------------------------------------------------------------
     def open_shard(self, shard_id: int) -> GuardedRuntime:
         """Materialise one shard's guarded runtime in-process.
 
-        Recovers from the shard's own snapshot + journal when it has
-        served before; otherwise builds it fresh.  Callers own closing
-        it.
+        Releases every open shard service first, then recovers the
+        shard from its own snapshot + journal when it has served
+        before; otherwise builds it fresh.  Callers own closing it.
         """
+        self.close()
         return build_shard_runtime(
             self.spec(shard_id), _shard_dir(self.directory, shard_id)
         )
@@ -629,7 +759,9 @@ class ShardedRuntime:
         Reads ``shardplan.json`` (plan + build recipe) and the halo
         cache; each shard's state then recovers lazily — and
         independently — from its own ``shard-NNN/`` directory the next
-        time it serves or is opened.
+        time it serves or is opened.  After a serial epoch the shard's
+        service stays open for the next one (see :meth:`serve`), so a
+        shard recovers once per process, not once per epoch.
 
         Raises:
             FileNotFoundError: when the directory holds no plan.
@@ -658,18 +790,18 @@ class ShardedRuntime:
         )
 
 
-def _run_epoch_task(
+def _serve_epoch(
+    runtime: GuardedRuntime,
     spec: ShardSpec,
-    plan_state: Dict[str, Any],
+    plan: ShardPlan,
     directory: str,
     trips: List[TripRecord],
     halo: Tuple[Tuple[int, int, float, float], ...],
     block_size: Optional[int],
     checkpoint: bool,
 ) -> ShardReport:
-    """Module-level epoch task (picklable for the process pool)."""
-    plan = ShardPlan.from_state(plan_state)
-    runtime = build_shard_runtime(spec, directory)
+    """One shard's epoch on an open runtime: serve → referrals →
+    checkpoint → flush logs → report.  The caller owns the runtime."""
     offered_before = runtime.validator.offered
     outcomes = runtime.serve(trips, block_size=block_size)
     runtime.consistency_check()
@@ -682,7 +814,7 @@ def _run_epoch_task(
         (int(sid), float(store.location(sid).x), float(store.location(sid).y))
         for sid in store.ids()
     )
-    report = ShardReport(
+    return ShardReport(
         shard_id=spec.shard_id,
         offered=runtime.validator.offered - offered_before,
         served=runtime.served,
@@ -698,5 +830,23 @@ def _run_epoch_task(
         shed=runtime.overload.shed if runtime.overload is not None else 0,
         deferred=len(runtime.deferred_decisions),
     )
-    runtime.close()
-    return report
+
+
+def _run_epoch_task(
+    spec: ShardSpec,
+    plan: ShardPlan,
+    directory: str,
+    trips: List[TripRecord],
+    halo: Tuple[Tuple[int, int, float, float], ...],
+    block_size: Optional[int],
+    checkpoint: bool,
+) -> ShardReport:
+    """Module-level epoch task (picklable for the process pool):
+    build-or-recover → serve → close, closing on failure too."""
+    runtime = build_shard_runtime(spec, directory)
+    try:
+        return _serve_epoch(
+            runtime, spec, plan, directory, trips, halo, block_size, checkpoint
+        )
+    finally:
+        runtime.close()

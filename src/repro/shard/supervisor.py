@@ -379,6 +379,10 @@ class FleetSupervisor:
         """
         self.epoch += 1
         cfg = self.config
+        # Every supervised attempt recovers its shard from disk: release
+        # the services the fleet's serial epochs left open, so that no
+        # journal has two append handles.
+        self.fleet.close()
         buckets = self.fleet.router.split_trips(trips)
         active = [sid for sid, bucket in enumerate(buckets) if bucket]
         results: Dict[int, SupervisedShardReport] = {}
@@ -476,7 +480,7 @@ class FleetSupervisor:
     def _task_args(self, sid, bucket, block_size, checkpoint) -> Tuple:
         return (
             self.fleet.spec(sid),
-            self.fleet.plan.state_dict(),
+            self.fleet.plan,
             str(_shard_dir(self.fleet.directory, sid)),
             bucket,
             self.fleet._halo_for(sid),

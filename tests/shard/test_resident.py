@@ -1,0 +1,245 @@
+"""Resident shards: serial epochs reuse each shard's open service.
+
+A reused shard must serve exactly as one recovered from disk before
+every epoch: same reports, referrals, journal, ledger and halo bytes,
+same recovered state.  A shard whose epoch failed, or whose directory
+someone else wrote to, is recovered instead; pool epochs, ``open_shard``
+and ``close`` release every open shard.
+"""
+
+import numpy as np
+import pytest
+
+from repro.errors import StateDriftError
+from repro.gauntlet import city
+from repro.gauntlet.rows import HOSTILE
+from repro.guard import GuardedRuntime
+from repro.resilience.chaos import ChaosConfig, FaultInjector
+from repro.resilience.journal import TripJournal
+from repro.shard import FleetSupervisor, ShardRouter, ShardedRuntime
+from repro.shard import runtime as shard_runtime
+from repro.stats.ks2d import CachedKS2D
+
+N_SHARDS = 3
+
+
+@pytest.fixture
+def journals(monkeypatch):
+    """Every journal that appended during the test."""
+    seen = []
+    append = TripJournal.append_block
+
+    def spy(self, *args, **kwargs):
+        seen.append(self)
+        return append(self, *args, **kwargs)
+
+    monkeypatch.setattr(TripJournal, "append_block", spy)
+    return seen
+
+
+@pytest.fixture
+def recoveries(monkeypatch):
+    """Shard ids recovered from disk in this process, in call order."""
+    seen = []
+    recover = GuardedRuntime.recover.__func__
+
+    def spy(cls, directory, *args, **kwargs):
+        seen.append(int(str(directory)[-3:]))
+        return recover(cls, directory, *args, **kwargs)
+
+    monkeypatch.setattr(GuardedRuntime, "recover", classmethod(spy))
+    return seen
+
+
+@pytest.fixture
+def ks_faults(monkeypatch):
+    """Make the planners' KS test fail on about a third of its calls,
+    as a function of the live sample alone; counts the failures."""
+    failed = []
+    test = CachedKS2D.test
+
+    def flaky(self, live):
+        if int(abs(float(np.asarray(live).sum()))) % 3 == 0:
+            failed.append(1)
+            raise RuntimeError("injected KS failure")
+        return test(self, live)
+
+    monkeypatch.setattr(CachedKS2D, "test", flaky)
+    return failed
+
+
+def _epochs(stream, n):
+    cut = len(stream) // n
+    return [stream[i * cut:(i + 1) * cut if i < n - 1 else None] for i in range(n)]
+
+
+def _chaos_epochs(seed):
+    injector = FaultInjector(ChaosConfig(seed=seed, **HOSTILE))
+    return _epochs(injector.mutate_trips(city.trips(900, seed)), 4)
+
+
+def _shard_files(root, name):
+    return {
+        path.parent.name: path.read_bytes()
+        for path in sorted(root.glob(f"shard-*/{name}"))
+    }
+
+
+def _disk(root):
+    return (
+        _shard_files(root, "journal.jsonl"),
+        _shard_files(root, "responses.jsonl"),
+        (root / "halo.json").read_bytes(),
+    )
+
+
+#: ``(workers, checkpoint)`` per epoch.  After an epoch without its
+#: checkpoint the next one must recover: replaying the journal tail
+#: moves the KS guard's breaker and last good result, which matters
+#: once a KS test fails.
+SCHEDULES = {
+    "mixed": ((1, True), (1, False), (2, True), (1, True)),
+    "serial": ((1, True), (1, True), (1, True), (1, True)),
+    "crash": ((1, True), (1, False), (1, True), (1, True)),
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_reused_shards_match_shards_recovered_every_epoch(
+    tmp_path, recoveries, ks_faults, schedule, seed
+):
+    epochs = _chaos_epochs(seed)
+    steps = SCHEDULES[schedule]
+
+    ref_root = tmp_path / "recovered"
+    reference = city.fleet(N_SHARDS, ref_root, seed)
+    expected = []
+    for e, (trips, (workers, checkpoint)) in enumerate(zip(epochs, steps)):
+        if e:
+            reference.close()
+            reference = ShardedRuntime.recover(ref_root)
+        expected.append(reference.serve(trips, workers=workers, checkpoint=checkpoint))
+    reference.close()
+    recovered_each_epoch = len(recoveries)
+
+    root = tmp_path / "resident"
+    recoveries.clear()
+    fleet = city.fleet(N_SHARDS, root, seed)
+    for trips, (workers, checkpoint), want in zip(epochs, steps, expected):
+        got = fleet.serve(trips, workers=workers, checkpoint=checkpoint)
+        assert got.reports == want.reports
+        assert got.referrals == want.referrals
+    fleet.close()
+
+    assert sum(r.deadlettered for o in expected for r in o.reports) > 0
+    assert ks_faults
+    assert len(recoveries) < recovered_each_epoch
+    if schedule == "serial":
+        assert recoveries == []
+    assert _disk(root) == _disk(ref_root)
+    assert city.fleet_image(fleet) == city.fleet_image(reference)
+
+
+def test_failed_epoch_closes_its_journal_and_is_not_reused(
+    tmp_path, monkeypatch, journals, recoveries
+):
+    trips = city.trips(300, 4)
+    fleet = city.fleet(N_SHARDS, tmp_path)
+    fleet.serve(trips[:100])
+    assert recoveries == []
+
+    def broken(self):
+        raise StateDriftError("injected after the epoch was journaled")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(GuardedRuntime, "consistency_check", broken)
+        journals.clear()
+        with pytest.raises(StateDriftError):
+            fleet.serve(trips[100:200])
+        # The first shard journaled its bucket, then failed.
+        assert len({id(j) for j in journals}) == 1
+        assert journals[0]._fh is None
+
+        # The pool's task closes on failure too.
+        journals.clear()
+        bucket = ShardRouter(fleet.plan).split_trips(trips[200:])[1]
+        with pytest.raises(StateDriftError):
+            shard_runtime._run_epoch_task(
+                fleet.spec(1), fleet.plan, str(tmp_path / "shard-001"),
+                bucket, (), None, True,
+            )
+        assert journals and all(j._fh is None for j in journals)
+
+    # Shard 0 failed and shard 1's directory changed under it: both come
+    # back from disk.  Shard 2 is reused.
+    recoveries.clear()
+    fleet.serve(trips[200:])
+    fleet.close()
+    assert recoveries == [0, 1]
+    assert all(j._fh is None for j in journals)
+
+
+def test_one_owner_per_shard_directory(tmp_path, journals):
+    e1, e2, e3, e4 = _epochs(city.trips(800, 9), 4)
+
+    plain = city.fleet(N_SHARDS, tmp_path / "plain")
+    want = [plain.serve(e) for e in (e1, e2, e3, e4)]
+    plain.close()
+
+    # A supervised epoch between two fleet epochs.
+    root = tmp_path / "supervised"
+    fleet = city.fleet(N_SHARDS, root)
+    assert fleet.serve(e1).reports == want[0].reports
+    supervised = FleetSupervisor(fleet).serve(e2)
+    assert tuple(r.report for r in supervised.reports) == want[1].reports
+    assert fleet.serve(e3).reports == want[2].reports
+    assert fleet.serve(e4).reports == want[3].reports
+    fleet.close()
+    assert _shard_files(root, "journal.jsonl") == _shard_files(
+        tmp_path / "plain", "journal.jsonl"
+    )
+    assert city.fleet_image(fleet) == city.fleet_image(plain)
+
+    # Another runtime over the same root serves an epoch: the first
+    # one's open shards no longer match their directories.
+    root = tmp_path / "shared"
+    with city.fleet(N_SHARDS, root) as fleet:
+        fleet.serve(e1)
+        with ShardedRuntime.recover(root) as other:
+            other.serve(e2)
+        for epoch, expected in ((e3, want[2]), (e4, want[3])):
+            for got, report in zip(fleet.serve(epoch).reports, expected.reports):
+                assert got.outcomes == report.outcomes
+    assert _shard_files(root, "journal.jsonl") == _shard_files(
+        tmp_path / "plain", "journal.jsonl"
+    )
+
+    # A shard opened and served between two fleet epochs.
+    root = tmp_path / "opened"
+    fleet = city.fleet(N_SHARDS, root)
+    fleet.serve(e1)
+    buckets = fleet.router.split_trips(e2)
+    opened = fleet.open_shard(1)
+    opened.serve(buckets[1])
+    opened.inner.checkpoint()
+    opened.close()
+    ref_root = tmp_path / "opened-ref"
+    reference = city.fleet(N_SHARDS, ref_root)
+    reference.serve(e1)
+    reference.close()
+    alone = ShardedRuntime.recover(ref_root).open_shard(1)
+    alone.serve(buckets[1])
+    alone.inner.checkpoint()
+    alone.close()
+    reference = ShardedRuntime.recover(ref_root)
+    for got, expected in zip(fleet.serve(e3).reports, reference.serve(e3).reports):
+        assert got.outcomes == expected.outcomes
+    fleet.close()
+    reference.close()
+    assert _shard_files(root, "journal.jsonl") == _shard_files(
+        ref_root, "journal.jsonl"
+    )
+    assert city.fleet_image(fleet) == city.fleet_image(reference)
+
+    assert journals and all(j._fh is None for j in journals)
