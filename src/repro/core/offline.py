@@ -30,8 +30,8 @@ Two solve strategies produce bit-identical placements:
   reference's ``1e-12`` acceptance window trigger a full-rescan fallback
   for that round, so tie-breaking (and therefore output) is exactly the
   reference's.  Verified by randomized parity tests
-  (``tests/core/test_offline_parity.py``) and the placement benchmark
-  (``benchmarks/bench_placement.py`` -> ``BENCH_placement.json``).
+  (``tests/core/test_offline_parity.py``) and the ``placement.offline``
+  leg of ``benchmarks/bench_micro.py`` (-> ``BENCH_micro.json``).
 
 Connection costs are served through a memory-blocked accessor: below
 ``block_elems`` the dense ``(n_c, n_d)`` matrix is built once (the

@@ -89,6 +89,9 @@ __all__ = [
 #: Aux breakers the overload ladder suspends on rung >= 1.
 _LADDER_AUX = ("ks", "incentive", "forecast")
 
+#: Reason stamped on a ladder-deferred trip's fallback decision.
+_DEFERRED_REASON = "overload ladder: nearest-station-only serving"
+
 #: Runtime health states (plain strings: serialisable, greppable).
 HEALTHY, DEGRADED, HALTED = "healthy", "degraded", "halted"
 
@@ -507,7 +510,9 @@ class GuardedRuntime:
         released = self.buffer.push_block(granted)
         outcomes = self._apply_block(released.to_trips())
         for t in deferred.to_trips():
-            outcomes.append(self._deferred(t))
+            outcomes.append(
+                self._fallback(t, self.deferred_decisions, _DEFERRED_REASON)
+            )
         return outcomes
 
     def finish(self):
@@ -524,7 +529,9 @@ class GuardedRuntime:
                 released = self.buffer.push_block(granted)
                 outcomes.extend(self._apply_block(released.to_trips()))
             for t in deferred.to_trips():
-                outcomes.append(self._deferred(t))
+                outcomes.append(
+                    self._fallback(t, self.deferred_decisions, _DEFERRED_REASON)
+                )
         outcomes.extend(self._apply_block(self.buffer.flush()))
         return outcomes
 
@@ -738,12 +745,21 @@ class GuardedRuntime:
             breaker.success()
         return outcomes
 
-    def _degraded(self, trip: TripRecord, reason: str):
-        """Answer from the nearest-station fallback, planner untouched."""
+    def _fallback(self, trip: TripRecord, ledger: List, reason: str):
+        """Answer from the nearest-station fallback, planner untouched,
+        and record the decision on ``ledger``.
+
+        ``degraded_decisions`` records a broken planner (see
+        :meth:`_degraded`); ``deferred_decisions`` records overload, the
+        rung-2 "nearest_only" serving mode (the planner is fine, the
+        queue is not).  Deferred rows get no per-row incident: the
+        controller records the aggregate one, since per-row incidents
+        would drown the log exactly when it matters most.
+        """
         try:
             response = self.inner.service.degraded_assign(trip)
         except StateDriftError as exc:
-            self._halt(f"degraded serve impossible: {exc}")
+            self._halt(f"nearest-station fallback impossible ({reason}): {exc}")
             raise RuntimeHaltedError(self.halt_reason) from exc
         decision = DegradedDecision(
             order_id=response.order_id,
@@ -752,37 +768,17 @@ class GuardedRuntime:
             walking_m=response.walking_m,
             reason=reason,
         )
-        self.degraded_decisions.append(decision)
+        ledger.append(decision)
+        return decision
+
+    def _degraded(self, trip: TripRecord, reason: str):
+        """A broken-planner fallback, with its incident."""
+        decision = self._fallback(trip, self.degraded_decisions, reason)
         self._incident(
             "degraded_decision",
             f"order {decision.order_id} -> station "
             f"{decision.destination_station} ({reason})",
         )
-        return decision
-
-    def _deferred(self, trip: TripRecord):
-        """Answer a ladder-deferred trip from the nearest-station
-        fallback — the rung-2 "nearest_only" serving mode.
-
-        Same mechanics as :meth:`_degraded` but on a dedicated ledger:
-        a deferred decision records overload (the planner is fine, the
-        queue is not), a degraded one records a broken planner.  The
-        aggregate incident is recorded by the controller; per-row
-        incidents would drown the log exactly when it matters most.
-        """
-        try:
-            response = self.inner.service.degraded_assign(trip)
-        except StateDriftError as exc:
-            self._halt(f"deferred serve impossible: {exc}")
-            raise RuntimeHaltedError(self.halt_reason) from exc
-        decision = DegradedDecision(
-            order_id=response.order_id,
-            origin_station=response.origin_station,
-            destination_station=response.destination_station,
-            walking_m=response.walking_m,
-            reason="overload ladder: nearest-station-only serving",
-        )
-        self.deferred_decisions.append(decision)
         return decision
 
     # ------------------------------------------------------------------

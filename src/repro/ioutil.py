@@ -26,13 +26,12 @@ import hashlib
 import os
 import uuid
 from pathlib import Path
-from typing import IO, Iterable, List, Union
+from typing import IO, Union
 
 __all__ = [
     "atomic_write_bytes",
     "atomic_write_text",
     "checksum_hex",
-    "checksum_hex_many",
     "fsync_dir",
     "fs_write",
     "fs_fsync",
@@ -83,25 +82,6 @@ def fs_fsync(fileno: int, path: Union[str, Path]) -> None:
 def checksum_hex(data: bytes) -> str:
     """SHA-256 hex digest of ``data`` — the checkpoint/journal checksum."""
     return hashlib.sha256(data).hexdigest()
-
-
-def checksum_hex_many(blobs: Iterable[bytes], prefix_len: int = 64) -> List[str]:
-    """SHA-256 hex prefixes of many payloads in one tight pass.
-
-    Matches ``[checksum_hex(b)[:prefix_len] for b in blobs]`` character
-    for character, but hoists the constructor lookup out of the
-    per-record path and hexes only ``ceil(prefix_len / 2)`` digest bytes
-    per blob instead of all 32.  The blocked journal append uses it to
-    stamp a whole group commit's line checksums in one pass.
-
-    Raises:
-        ValueError: if ``prefix_len`` is outside ``[1, 64]``.
-    """
-    if not 1 <= prefix_len <= 64:
-        raise ValueError(f"prefix_len out of range: {prefix_len}")
-    sha = hashlib.sha256
-    nbytes = (prefix_len + 1) // 2
-    return [sha(b).digest()[:nbytes].hex()[:prefix_len] for b in blobs]
 
 
 def fsync_dir(directory: Union[str, Path]) -> None:

@@ -18,8 +18,9 @@ serial run, for any worker count.
   ``multiprocessing.shared_memory`` for inputs every cell shares.
 
 ``python -m repro.gauntlet parallel`` runs the serial-vs-parallel
-parity smoke at 2 workers; ``benchmarks/bench_parallel.py`` records the
-scaling curve to ``BENCH_parallel.json``.  See DESIGN.md §9.
+parity smoke at 2 workers; the ``parallel.*`` legs of
+``benchmarks/bench_micro.py`` record the scaling curves to
+``BENCH_micro.json``.  See DESIGN.md §9.
 """
 
 from ..errors import WorkerCrashError

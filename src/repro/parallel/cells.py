@@ -8,8 +8,8 @@ material in its arguments, so its output is a pure function of the task
 spec: the prerequisite for serial ≡ 2 workers ≡ N workers.
 
 The workload generators here are the single source of truth for the
-benchmark sweep shapes; ``benchmarks/_workloads.py`` re-exports them so
-``bench_placement`` and ``bench_throughput`` draw identical instances.
+benchmark sweep shapes: the placement and nearest-station legs of
+``benchmarks/bench_micro.py`` draw their instances from them too.
 
 Cells return plain dicts of JSON-friendly scalars plus a
 :func:`placement_digest` — a SHA-256 over the exact float bits of the

@@ -33,7 +33,7 @@ import numpy as np
 from ..core.tripblock import TripBlock, us_to_datetime
 from ..datasets.trips import TripRecord
 from ..errors import JournalCorruptError
-from ..ioutil import checksum_hex, checksum_hex_many, fs_fsync, fs_write
+from ..ioutil import checksum_hex, fs_fsync, fs_write
 from ..serialize import trip_from_state, trip_to_state
 
 __all__ = ["JournalEntry", "TripJournal", "CHECKSUM_PREFIX_LEN"]
@@ -96,8 +96,8 @@ def _encode_block_lines(seqs: Sequence[int], block: TripBlock) -> List[str]:
         ).tolist()
     else:
         iso = [us_to_datetime(us).isoformat() for us in block.start_us.tolist()]
-    bodies = []
-    append = bodies.append
+    lines = []
+    append = lines.append
     for seq, o, u, b, bt, ts, x1, y1, x2, y2, g, hg, ba, hb in zip(
         seqs,
         block.order_id.tolist(),
@@ -128,13 +128,9 @@ def _encode_block_lines(seqs: Sequence[int], block: TripBlock) -> List[str]:
             f'"start_time":"{ts}",'
             f'"user_id":{u}}}}}'
         )
-        append(body)
-    # Checksums for the whole group commit in one batched pass rather
-    # than a fresh hashlib round-trip per line.
-    digests = checksum_hex_many(
-        (body.encode("utf-8") for body in bodies), CHECKSUM_PREFIX_LEN
-    )
-    return [f"{d} {body}\n" for d, body in zip(digests, bodies)]
+        digest = checksum_hex(body.encode("utf-8"))[:CHECKSUM_PREFIX_LEN]
+        append(f"{digest} {body}\n")
+    return lines
 
 
 def _decode_record(line: str) -> Optional[dict]:

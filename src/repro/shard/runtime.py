@@ -809,13 +809,27 @@ def _serve_epoch(
     if checkpoint and not runtime.halted:
         runtime.inner.checkpoint()
     runtime.flush_logs(Path(directory) / "logs", durable=spec.durable)
+    return _shard_report(
+        spec.shard_id, runtime, offered_before, outcomes, referrals
+    )
+
+
+def _shard_report(
+    shard_id: int,
+    runtime: GuardedRuntime,
+    offered_before: int,
+    outcomes: Sequence,
+    referrals: Sequence[CrossShardReferral],
+) -> ShardReport:
+    """One shard's epoch report from its open runtime: the post-epoch
+    station roster (the next epoch's halo) plus the runtime's counters."""
     store = runtime.inner.service.planner.station_set
     stations = tuple(
         (int(sid), float(store.location(sid).x), float(store.location(sid).y))
         for sid in store.ids()
     )
     return ShardReport(
-        shard_id=spec.shard_id,
+        shard_id=shard_id,
         offered=runtime.validator.offered - offered_before,
         served=runtime.served,
         duplicates=runtime.duplicates,

@@ -41,10 +41,12 @@ its siblings; a pool-level :class:`~repro.errors.WorkerCrashError`
 supervised mode instead of failing the epoch.
 
 After each epoch the supervisor persists its quarantine ledger
-(``quarantine.jsonl``) and fleet incident log (``logs/incidents.jsonl``)
-under the fleet root, and — when ``scrub_after_epoch`` is on — runs the
-storage scrubber over the whole tree so silent corruption is found while
-the previous good generation still exists.
+(``quarantine.jsonl``), its epoch counter (``supervisor_epoch.json``,
+so a recovered supervisor numbers the next epoch on from the last one)
+and fleet incident log (``logs/incidents.jsonl``) under the fleet root,
+and — when ``scrub_after_epoch`` is on — runs the storage scrubber over
+the whole tree so silent corruption is found while the previous good
+generation still exists.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from .runtime import (
     _compute_referrals,
     _run_epoch_task,
     _shard_dir,
+    _shard_report,
     build_shard_runtime,
 )
 
@@ -88,6 +91,9 @@ QUARANTINED = "quarantined"
 
 QUARANTINE_FILE = "quarantine.jsonl"
 """Fleet-root ledger of dead-lettered poison blocks."""
+
+EPOCH_FILE = "supervisor_epoch.json"
+"""Fleet-root record of the last finished supervised epoch's number."""
 
 _HEALTH_RANK = {HEALTHY: 0, DEGRADED: 1, QUARANTINED: 2, HALTED: 3}
 
@@ -309,6 +315,7 @@ class FleetSupervisor:
         self.epoch = 0
         self.total_restarts = 0
         self._load_quarantine()
+        self._load_epoch()
 
     # ------------------------------------------------------------------
     # ledgers
@@ -328,8 +335,24 @@ class FleetSupervisor:
             except (ValueError, KeyError, TypeError):
                 continue  # torn line — the scrubber cleans these up
         self.quarantine = rows
-        if rows:
-            self.epoch = max(r.epoch for r in rows)
+
+    def _load_epoch(self) -> None:
+        """Resume the epoch counter: the larger of the recorded counter
+        and the quarantine ledger's newest epoch (the ledger alone when
+        the record is missing or unreadable)."""
+        try:
+            record = json.loads((self.fleet.directory / EPOCH_FILE).read_text())
+            recorded = int(record["epoch"])
+        except (OSError, ValueError, KeyError, TypeError):
+            recorded = 0
+        self.epoch = max([recorded] + [r.epoch for r in self.quarantine])
+
+    def _save_epoch(self) -> None:
+        atomic_write_text(
+            self.fleet.directory / EPOCH_FILE,
+            json.dumps({"epoch": self.epoch}) + "\n",
+            durable=self.fleet.durable,
+        )
 
     def _save_quarantine(self) -> None:
         rows = self.quarantine[-self.config.quarantine_keep:]
@@ -456,6 +479,7 @@ class FleetSupervisor:
         self.quarantine.extend(epoch_quarantined)
         self.total_restarts += epoch_restarts
         self._save_quarantine()
+        self._save_epoch()
         self._flush_incidents()
         scrub = None
         if cfg.scrub_after_epoch:
@@ -681,35 +705,10 @@ class FleetSupervisor:
         only — trips that became duplicates across the restart lose
         their advisory referral, never their journaled decision.
         """
-        outcomes = tuple(outcomes)
         referrals = _compute_referrals(
-            spec,
-            self.fleet.plan,
-            bucket,
-            outcomes,
-            self.fleet._halo_for(sid),
+            spec, self.fleet.plan, bucket, outcomes, self.fleet._halo_for(sid)
         )
-        store = runtime.inner.service.planner.station_set
-        stations = tuple(
-            (int(s), float(store.location(s).x), float(store.location(s).y))
-            for s in store.ids()
-        )
-        return ShardReport(
-            shard_id=sid,
-            offered=runtime.validator.offered - offered_before,
-            served=runtime.served,
-            duplicates=runtime.duplicates,
-            deadlettered=runtime.sink.total,
-            degraded=len(runtime.degraded_decisions),
-            incidents=runtime.incidents.total,
-            health=runtime.health,
-            applied_seq=runtime.inner.applied_seq,
-            outcomes=outcomes,
-            referrals=tuple(referrals),
-            stations=stations,
-            shed=runtime.overload.shed if runtime.overload is not None else 0,
-            deferred=len(runtime.deferred_decisions),
-        )
+        return _shard_report(sid, runtime, offered_before, outcomes, referrals)
 
     @staticmethod
     def _close_quietly(runtime: Optional[GuardedRuntime]) -> None:

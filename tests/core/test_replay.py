@@ -22,6 +22,8 @@ from repro.core import (
 )
 from repro.core.penalty import TypeIPenalty
 from repro.core.replay import UniformStream
+from repro.core.tripblock import TripBlock
+from repro.gauntlet import trips as demo_trips
 from repro.geo import Point
 
 
@@ -95,6 +97,17 @@ class TestEsharingReplay:
         for p in stream[2 * third :]:
             mixed.offer(p)
         _same_run(per_call, mixed)
+
+    def test_trip_block_matches_per_call_on_trip_ends(self):
+        # A TripBlock's destinations go in as columns, never as points.
+        per_call, _ = _setup(5, 0)
+        batched, _ = _setup(5, 0)
+        trips = demo_trips(700, seed=5)
+        for t in trips:
+            per_call.offer(t.end)
+        batched.replay(TripBlock.from_trips(trips[:300]))
+        batched.replay(TripBlock.from_trips(trips[300:]))
+        _same_run(per_call, batched)
 
     def test_empty_stream_is_noop(self):
         planner, _ = _setup(0, 10)

@@ -192,6 +192,37 @@ class TestPoisonQuarantine:
         assert recovered.epoch == 1  # epoch counter resumes past the ledger
         assert "quarantined block" in recovered.health_summary()
 
+    def test_epoch_counter_survives_clean_epochs_and_recovery(self, tmp_path):
+        # Clean epochs leave no ledger row, so the counter must be
+        # recorded on its own or a recovered supervisor restarts at 1.
+        trips = make_trips(160, seed=3)
+        city = make_city(make_plan(2), tmp_path / "c", seed=3)
+        supervisor = _supervised(city)
+        for epoch in range(3):
+            outcome = supervisor.serve(
+                trips[40 * epoch : 40 * (epoch + 1)], block_size=BLOCK
+            )
+            assert outcome.restarts == 0 and not outcome.quarantined
+
+        def hook(sid, epoch, generation, block):
+            if sid == 1 and (generation == 0 or block == 1):
+                raise RuntimeError("poisoned planner input")
+
+        recovered = FleetSupervisor.recover(
+            tmp_path / "c", config=SupervisorConfig(backoff_base_s=0.0),
+            sleep=_no_sleep, pre_block_hook=hook,
+        )
+        assert recovered.epoch == 3
+        outcome = recovered.serve(trips[120:], block_size=BLOCK)
+        assert [row.epoch for row in outcome.quarantined] == [4]
+        incidents = [
+            json.loads(line)
+            for line in (tmp_path / "c" / "logs" / "incidents.jsonl")
+            .read_text()
+            .splitlines()
+        ]
+        assert incidents and {row["seq"] for row in incidents} == {4}
+
     def test_unaffected_shards_keep_serving(self, tmp_path):
         trips, city, _, outcome = self._run(tmp_path, poison_retries=2)
         buckets = ShardRouter(city.plan).split_trips(trips)
