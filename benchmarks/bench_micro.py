@@ -31,15 +31,17 @@ scheduler, not the code.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_micro.py [leg ...] [--smoke]
+    PYTHONPATH=src python benchmarks/bench_micro.py [leg ...] [--smoke | --committed]
 
 A full run writes the legs it ran, and their gate verdicts, into
 ``BENCH_micro.json`` at the repository root (other legs' entries are
 kept) and exits 1 when an enforced gate fails.  ``--smoke`` runs at
-seconds scale and writes nothing; it fails on a parity break, on
-``stream.replay`` below its 2x floor, or on a committed verdict that
-reads ``fail``.  ``pytest benchmarks/bench_micro.py`` runs one smoke
-test per leg.  Exit codes: 0 pass, 1 a check failed, 2 unknown leg.
+seconds scale and writes nothing; it fails on a parity break, on a
+latency limit, or on ``stream.replay`` below its 2x floor.
+``--committed`` runs no leg: it fails when a gate of the named legs
+(default: all) reads ``fail`` in the committed ``BENCH_micro.json``.
+``pytest benchmarks/bench_micro.py`` runs one smoke test per leg.
+Exit codes: 0 pass, 1 a check failed, 2 unknown leg.
 """
 
 import argparse
@@ -130,6 +132,11 @@ GATES = (
     Gate("loadgen.apply", 5.0, min_cores=4),
 )
 SMOKE_FLOORS = {"stream.replay": 2.0}
+# Latency limits checked at every size, like parity: Algorithm 2 serves
+# per-call offers at >= 1,000 a second (a 500-offer burst in 0.5 s), and
+# one periodic KS check (800 vs 800 points) takes under 0.5 s.
+OFFER_RATE_FLOOR = 1_000.0
+KS_CHECK_LIMIT_S = 0.5
 GATE_WORKERS = 4  # the fan-out legs report their speedup at this count
 
 
@@ -487,6 +494,10 @@ def placement_replay(workdir, sizes, n_anchors, seed=0):
             runs.append((planner.result(), seconds))
         (want, slow_s), (got, fast_s) = runs
         _check(_same_placement(want, got), f"replay diverged from offer at n={n}")
+        _check(
+            n / slow_s >= OFFER_RATE_FLOOR,
+            f"offer served {n / slow_s:.0f}/s at n={n}, below {OFFER_RATE_FLOOR:.0f}/s",
+        )
         sweep.append({
             "arrivals": n, "stations": len(got.stations),
             "slow_s": slow_s, "fast_s": fast_s, "speedup": slow_s / fast_s,
@@ -497,6 +508,10 @@ def placement_replay(workdir, sizes, n_anchors, seed=0):
     want, ks_slow_s = _timed(ks2d_fast, a, b)
     got, ks_fast_s = _timed(CachedKS2D(a).test, b)
     _check(got == want, "cached KS check diverged from ks2d_fast")
+    _check(
+        ks_slow_s < KS_CHECK_LIMIT_S,
+        f"KS check took {ks_slow_s:.3f} s, limit {KS_CHECK_LIMIT_S} s",
+    )
     return {
         "what": "EsharingPlanner.replay vs per-call offer",
         "speedup": sweep[-1]["speedup"], "sweep": sweep,
@@ -871,7 +886,7 @@ def judge(gate, measured, cores):
         verdict = "pass" if measured is not None and measured >= gate.bound else "fail"
     return {
         "bound": gate.bound, "min_cores": gate.min_cores, "measured": measured,
-        "enforced": enforced, "verdict": verdict,
+        "usable_cores": cores, "enforced": enforced, "verdict": verdict,
     }
 
 
@@ -884,16 +899,18 @@ def floor_failures(reports):
     ]
 
 
-def committed_failures():
-    """Gates whose verdict in the committed ``BENCH_micro.json`` reads
-    ``fail`` (a skipped gate is not enforced, so it never does)."""
+def committed_failures(names):
+    """Gates of ``names`` whose verdict in the committed
+    ``BENCH_micro.json`` reads ``fail`` (a skipped gate is not enforced,
+    so it never does)."""
     if not BENCH_JSON.exists():
         return []
     return [
         f"committed {BENCH_JSON.name} records {leg} failing: "
-        f"{_fmt(row['measured'])}x against >= {row['bound']}x"
+        f"{_fmt(row['measured'])}x against >= {row['bound']}x "
+        f"on {row['usable_cores']} usable core(s)"
         for leg, row in json.loads(BENCH_JSON.read_text())["gates"].items()
-        if row["verdict"] == "fail"
+        if leg in names and row["verdict"] == "fail"
     ]
 
 
@@ -914,16 +931,53 @@ def print_leg(name, report):
             print("      " + "  ".join(f"{k} {_fmt(v)}" for k, v in row.items()))
 
 
+def run_legs(names, smoke):
+    """Run and print ``names``; a full run records them in
+    ``BENCH_micro.json``.  Returns the failures."""
+    reports = {}
+    for name in names:
+        reports[name] = run_leg(name, smoke=smoke)
+        print_leg(name, reports[name])
+    if smoke:
+        return floor_failures(reports)
+    cores = usable_cores()
+    gates = {
+        g.leg: judge(g, reports[g.leg]["speedup"], cores)
+        for g in GATES if g.leg in reports
+    }
+    record = {"host": None, "legs": {}, "gates": {}}
+    if BENCH_JSON.exists():
+        record = json.loads(BENCH_JSON.read_text())
+    # Each gate record carries the cores it was judged on; "host" is the
+    # latest run's, which may have run only some legs.
+    record["host"] = {"cpu_count": os.cpu_count(), "usable_cores": cores}
+    record["legs"].update(reports)
+    record["gates"].update(gates)
+    BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {BENCH_JSON}")
+    failures = []
+    for leg, row in gates.items():
+        print(f"gate {leg} >= {row['bound']}x: {row['verdict']}")
+        if row["verdict"] == "fail":
+            failures.append(f"{leg} measured {_fmt(row['measured'])}x")
+    return failures
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
         epilog=f"legs: {', '.join(LEGS)}",
     )
     parser.add_argument("legs", nargs="*", metavar="leg", help="legs to run (default: all)")
-    parser.add_argument(
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument(
         "--smoke", action="store_true",
-        help="seconds-scale sizes: parity, smoke floors and committed "
-        "verdicts only; writes nothing",
+        help="seconds-scale sizes: parity, latency limits and smoke "
+        "floors only; writes nothing",
+    )
+    mode.add_argument(
+        "--committed", action="store_true",
+        help="run nothing; fail if a committed gate verdict reads fail",
     )
     args = parser.parse_args(argv)
     names = args.legs or list(LEGS)
@@ -931,31 +985,10 @@ def main(argv=None):
     if unknown:
         print(f"unknown leg(s): {', '.join(unknown)}; known legs: {', '.join(LEGS)}")
         return 2
-    reports = {}
-    for name in names:
-        reports[name] = run_leg(name, smoke=args.smoke)
-        print_leg(name, reports[name])
-    if args.smoke:
-        failures = floor_failures(reports) + committed_failures()
+    if args.committed:
+        failures = committed_failures(names)
     else:
-        cores = usable_cores()
-        gates = {
-            g.leg: judge(g, reports[g.leg]["speedup"], cores)
-            for g in GATES if g.leg in reports
-        }
-        record = {"host": None, "legs": {}, "gates": {}}
-        if BENCH_JSON.exists():
-            record = json.loads(BENCH_JSON.read_text())
-        record["host"] = {"cpu_count": os.cpu_count(), "usable_cores": cores}
-        record["legs"].update(reports)
-        record["gates"].update(gates)
-        BENCH_JSON.write_text(json.dumps(record, indent=2) + "\n")
-        print(f"wrote {BENCH_JSON}")
-        failures = []
-        for leg, row in gates.items():
-            print(f"gate {leg} >= {row['bound']}x: {row['verdict']}")
-            if row["verdict"] == "fail":
-                failures.append(f"{leg} measured {_fmt(row['measured'])}x")
+        failures = run_legs(names, args.smoke)
     for line in failures:
         print(f"FAIL: {line}")
     return 1 if failures else 0

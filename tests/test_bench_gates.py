@@ -1,5 +1,6 @@
-"""The micro-benchmark's speed gates are pinned here, not only in a
-benchmark run: loosening, dropping or adding a gate fails tier-1."""
+"""The micro-benchmark's speed gates and latency limits are pinned here,
+not only in a benchmark run: loosening, dropping or adding one fails
+tier-1."""
 
 import importlib.util
 from pathlib import Path
@@ -28,6 +29,8 @@ def test_gate_table_is_pinned():
     assert len(bench.GATES) == 7
     assert bench.SMOKE_FLOORS == {"stream.replay": 2.0}
     assert bench.GATE_WORKERS == 4
+    assert bench.OFFER_RATE_FLOOR == 1_000.0
+    assert bench.KS_CHECK_LIMIT_S == 0.5
     assert all(g.leg in bench.LEGS for g in bench.GATES)
 
 
@@ -51,3 +54,4 @@ def test_verdict_rule():
     skipped = bench.judge(gate, 1.0, cores=2)
     assert not skipped["enforced"]
     assert skipped["verdict"].startswith("skipped: host exposes 2 usable core(s)")
+    assert skipped["usable_cores"] == 2
