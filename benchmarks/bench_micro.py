@@ -265,7 +265,7 @@ def _buffers(stream, lateness_s, max_pending):
     )
     # Released blocks go downstream as blocks; converting them for the
     # parity check is not timed.
-    got = [t for blk in released for t in blk.to_trips()] + tail
+    got = [t for blk in released + [tail] for t in blk.to_trips()]
     key = lambda t: (t.order_id, t.start_time)  # noqa: E731
     _check(
         [key(t) for t in got] == [key(t) for t in want],
@@ -373,8 +373,7 @@ def stream_replay(workdir, n, seed=6):
                 j2.append_block(released)
                 p2.replay(released)
         tail = b2.flush()
-        if tail:
-            tail = TripBlock.from_trips(tail)
+        if len(tail):
             j2.append_block(tail)
             p2.replay(tail)
         j2.close()

@@ -262,9 +262,10 @@ class WatermarkBuffer:
                 )
             )
 
-    def flush(self) -> List[TripRecord]:
-        """End of stream: emit everything still buffered, in order."""
-        out = self._pending.to_trips()
+    def flush(self) -> TripBlock:
+        """End of stream: emit everything still buffered, in
+        ``(start_time, arrival)`` order, as one block."""
+        out = self._pending
         self._pending = TripBlock.empty()
         self._pending_seqs = self._pending_seqs[:0]
         self.emitted += len(out)

@@ -500,15 +500,13 @@ class GuardedRuntime:
         else:
             accepted = block.take(np.flatnonzero(mask))
         if self.overload is None:
-            released = self.buffer.push_block(accepted)
-            return self._apply_block(released.to_trips())
+            return self._apply_block(self.buffer.push_block(accepted))
         if len(accepted) == len(block):
             seqs = offered_base + np.arange(len(block), dtype=np.int64)
         else:
             seqs = offered_base + np.flatnonzero(mask).astype(np.int64)
         granted, deferred = self.overload.offer(accepted, seqs)
-        released = self.buffer.push_block(granted)
-        outcomes = self._apply_block(released.to_trips())
+        outcomes = self._apply_block(self.buffer.push_block(granted))
         for t in deferred.to_trips():
             outcomes.append(
                 self._fallback(t, self.deferred_decisions, _DEFERRED_REASON)
@@ -526,8 +524,7 @@ class GuardedRuntime:
         if self.overload is not None:
             granted, deferred = self.overload.drain()
             if len(granted):
-                released = self.buffer.push_block(granted)
-                outcomes.extend(self._apply_block(released.to_trips()))
+                outcomes.extend(self._apply_block(self.buffer.push_block(granted)))
             for t in deferred.to_trips():
                 outcomes.append(
                     self._fallback(t, self.deferred_decisions, _DEFERRED_REASON)
@@ -601,29 +598,31 @@ class GuardedRuntime:
         outcomes.extend(self.finish())
         return outcomes
 
-    def _apply_block(self, trips: List[TripRecord]):
+    def _apply_block(self, block: TripBlock):
         """Route a released run of events into the planner tier.
 
-        While the planner breaker is closed and no incentive mechanism
-        is attached, the whole run is one ``handle_block`` group commit
-        (one breaker call per trip on the event clock).  Otherwise the
-        run is stepped one trip per ``handle_block`` call: each trip
-        asks the breaker, a refused one is answered by
-        :meth:`_degraded`, and incentive offers (which mutate the fleet,
-        so each pickup depends on the previous response) land between
-        trips.
+        The run stays columnar: ``handle_block`` receives the block, or
+        a slice of it, journals it from its columns and materialises
+        the rows once, for the planner.  While the planner breaker is
+        closed and no incentive mechanism is attached, the whole run is
+        one ``handle_block`` group commit (one breaker call per trip on
+        the event clock).  Otherwise the run is stepped one row per
+        ``handle_block`` call: each trip asks the breaker, a refused one
+        is answered by :meth:`_degraded`, and incentive offers (which
+        mutate the fleet, so each pickup depends on the previous
+        response) land between trips.
         """
         outcomes: List = []
-        n = len(trips)
+        n = len(block)
         i = 0
         breaker = self.breakers["planner"]
         while i < n:
             stepping = self.incentives is not None or breaker.state != CLOSED
             if not breaker.admit():  # counts one event; refuses only while open
-                outcomes.append(self._degraded(trips[i], "planner breaker open"))
+                outcomes.append(self._degraded(block.trip(i), "planner breaker open"))
                 i += 1
                 continue
-            chunk = trips[i : i + 1] if stepping else trips[i:]
+            chunk = block[i : i + 1] if stepping else block[i:]
             i += len(chunk)
             try:
                 responses = self.inner.handle_block(chunk)
@@ -648,22 +647,20 @@ class GuardedRuntime:
                 if exc.index > 0:
                     breaker.success()  # the prefix reset the failure streak
                 breaker.failure()
-                failing = chunk[exc.index]
-                self._incident(
-                    "planner_error", f"order {failing.order_id}: {cause!r}"
-                )
+                failing = int(chunk.order_id[exc.index])
+                self._incident("planner_error", f"order {failing}: {cause!r}")
                 outcomes.extend(self._self_heal_block(chunk, exc))
                 continue
             breaker.calls += len(chunk) - 1
             breaker.success()
             self._tally(responses, outcomes)
             if self.incentives is not None:
-                for response, trip in zip(responses, chunk):
+                for j, response in enumerate(responses):
                     if response is not None and response.served:
                         self.incentives.offer_ride(
                             response.origin_station,
                             response.destination_station,
-                            trip.end,
+                            chunk.trip(j).end,
                         )
         return outcomes
 
@@ -676,7 +673,7 @@ class GuardedRuntime:
                 self.served += 1
             outcomes.append(response)
 
-    def _self_heal_block(self, chunk: List[TripRecord], exc: BlockApplyError):
+    def _self_heal_block(self, chunk: TripBlock, exc: BlockApplyError):
         """Rebuild the poisoned in-memory service from durable state.
 
         The poisoned service is discarded and rebuilt from snapshot +
@@ -725,7 +722,6 @@ class GuardedRuntime:
         applied = 0
         next_tail = 0
         for offset, fresh in enumerate(exc.remaining_fresh):
-            trip = chunk[exc.index + offset]
             if not fresh:
                 self.duplicates += 1
                 outcomes.append(None)
@@ -735,7 +731,11 @@ class GuardedRuntime:
                 next_tail += 1
                 applied += 1
             else:
-                outcomes.append(self._degraded(trip, "self-heal lost the event"))
+                outcomes.append(
+                    self._degraded(
+                        chunk.trip(exc.index + offset), "self-heal lost the event"
+                    )
+                )
         if applied and len(exc.remaining_fresh) > 1:
             # Event clock: the failing trip's breaker call was already
             # counted; the trips after it went through the healed

@@ -24,6 +24,7 @@ than ``S`` records: recovery never hands back a short history.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -43,7 +44,40 @@ _encode = json.JSONEncoder(
 
 
 def _encode_line(seq: int, response: ServiceResponse) -> bytes:
-    body = _encode({"response": vars(response), "seq": seq}).encode("utf-8")
+    """One ledger line, byte-identical to the sort-keys ``json`` encoder.
+
+    The body is assembled by hand when every field has exactly its plain
+    type and ``walking_m`` is finite: the keys are written in sorted
+    order, ints and floats through their ``repr`` (what ``json`` emits
+    for them), bools and ``None`` as JSON literals.  Anything else (a
+    NumPy scalar, a bool in an int field, a NaN) goes through the
+    ``json`` encoder, so it gets the same bytes or raises the same
+    ``ValueError`` or ``TypeError``.
+    """
+    r = response
+    removed, walking = r.removed_station, r.walking_m
+    if (
+        type(r.order_id) is int
+        and type(r.served) is bool
+        and type(r.origin_station) is int
+        and type(r.destination_station) is int
+        and type(r.opened_new) is bool
+        and (removed is None or type(removed) is int)
+        and type(walking) is float
+        and math.isfinite(walking)
+    ):
+        text = (
+            f'{{"response":{{"destination_station":{r.destination_station},'
+            f'"opened_new":{"true" if r.opened_new else "false"},'
+            f'"order_id":{r.order_id},'
+            f'"origin_station":{r.origin_station},'
+            f'"removed_station":{"null" if removed is None else removed},'
+            f'"served":{"true" if r.served else "false"},'
+            f'"walking_m":{float.__repr__(walking)}}},"seq":{seq}}}'
+        )
+    else:
+        text = _encode({"response": vars(response), "seq": seq})
+    body = text.encode("utf-8")
     digest = checksum_hex(body)[:CHECKSUM_PREFIX_LEN].encode("ascii")
     return digest + b" " + body + b"\n"
 

@@ -4,10 +4,15 @@
 :class:`~repro.core.streaming.PlacementService` with the write-ahead
 protocol::
 
-    journal.append_block(trips)  # durable first, one group commit
-    service.handle_trip(trip)    # then apply, trip by trip
+    journal.append_block(block)  # durable first, one group commit
+    service.handle_trip(trip)     # then apply, trip by trip
     every N trips: ledger.append(responses since the last one)
-                   snapshot      # atomic, checksummed, rotated
+                   snapshot       # atomic, checksummed, rotated
+
+A columnar block (the guarded runtime's route) is journaled straight
+from its columns and materialised once, for the planner; a record list
+(``handle_trip``, :meth:`CheckpointingService.serve`) is journaled
+record by record.
 
 The snapshot holds only the state Algorithm 2 continues from (station
 set, cost scale, KS window, RNG, fleet), so it is O(stations + bikes)
@@ -36,6 +41,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Union
 
 from ..core.costs import FacilityCostFn, constant_facility_cost
 from ..core.streaming import PlacementService, ServiceResponse
+from ..core.tripblock import TripBlock
 from ..datasets.trips import TripRecord
 from ..errors import BlockApplyError, SnapshotError, StateDriftError
 from .journal import TripJournal
@@ -222,16 +228,26 @@ class CheckpointingService:
         """Serve a batch in arrival order (one ``None`` per duplicate)."""
         return [self.handle_trip(t) for t in trips]
 
-    def handle_block(self, trips: List[TripRecord]) -> List[Optional[ServiceResponse]]:
+    def handle_block(
+        self, trips: Union[List[TripRecord], TripBlock]
+    ) -> List[Optional[ServiceResponse]]:
         """Serve a block under the *group-commit* write-ahead protocol.
 
         Responses, journal bytes, sequence numbers, dedup decisions and
         checkpoint cadence do not depend on how a stream is cut into
         blocks — but the block's fresh trips are journaled with a single
         fsynced write (:meth:`TripJournal.append_block`) before any of
-        them is applied.  The dedup screen runs first (it sees earlier
-        trips of the same block, as a trip-by-trip run would), so a
-        duplicate is never journaled twice.
+        them is applied.  The dedup screen runs first on the order ids
+        (it sees earlier trips of the same block, as a trip-by-trip run
+        would), so a duplicate is never journaled twice.
+
+        A :class:`~repro.core.tripblock.TripBlock` (what the guarded
+        runtime hands over) is journaled straight from its columns —
+        the whole block, or ``block.take(fresh)`` when some rows are
+        duplicates — and its fresh rows are materialised once, for the
+        planner.  A record list keeps the per-record encoder: a record
+        may hold an int or bool coordinate, which ``json`` writes as
+        ``5`` or ``true`` where a float64 column would write ``5.0``.
 
         Group commit shifts one failure boundary: when applying trip
         ``i`` raises, trips ``> i`` of the block are *already journaled*
@@ -247,18 +263,26 @@ class CheckpointingService:
             BlockApplyError: applying one trip failed (including a
                 checkpoint failure directly after it); see above.
         """
-        responses: List[Optional[ServiceResponse]] = [None] * len(trips)
-        fresh: List[TripRecord] = []
+        if isinstance(trips, TripBlock):
+            order_ids = trips.order_id.tolist()
+        else:
+            order_ids = [trip.order_id for trip in trips]
         fresh_pos: List[int] = []
         pending: set = set()
-        for i, trip in enumerate(trips):
-            if self.dedup and (trip.order_id in self._seen or trip.order_id in pending):
-                continue
-            fresh.append(trip)
-            fresh_pos.append(i)
+        for i, order_id in enumerate(order_ids):
             if self.dedup:
-                pending.add(trip.order_id)
-        seqs = self.journal.append_block(fresh)
+                if order_id in self._seen or order_id in pending:
+                    continue
+                pending.add(order_id)
+            fresh_pos.append(i)
+        if isinstance(trips, TripBlock):
+            block = trips if len(fresh_pos) == len(trips) else trips.take(fresh_pos)
+            seqs = self.journal.append_block(block)
+            fresh = block.to_trips()
+        else:
+            fresh = [trips[i] for i in fresh_pos]
+            seqs = self.journal.append_block(fresh)
+        responses: List[Optional[ServiceResponse]] = [None] * len(order_ids)
         for j, trip in enumerate(fresh):
             pos = fresh_pos[j]
             try:
@@ -274,7 +298,7 @@ class CheckpointingService:
                     index=pos,
                     outcomes=responses[:pos],
                     remaining_fresh=[
-                        p in fresh_set for p in range(pos, len(trips))
+                        p in fresh_set for p in range(pos, len(order_ids))
                     ],
                     cause=exc,
                 ) from exc

@@ -98,7 +98,7 @@ class TestLateAndShed:
             ("shed", 3), ("shed", 4), ("shed", 5), ("shed", 6), ("shed", 7),
             ("too_late", 8),
         ]
-        assert buffer.flush() == held
+        assert buffer.flush().to_trips() == held
         buffer.consistency_check()
 
     def test_flush_empties_the_buffer(self):

@@ -9,9 +9,11 @@ recovered with a short history.
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.core import constant_facility_cost
+from repro.core.streaming import ServiceResponse
 from repro.guard import GuardConfig, GuardedRuntime
 from repro.resilience import (
     LEDGER_NAME,
@@ -30,6 +32,10 @@ from repro.resilience import (
     scrub_checkpoint_dir,
     scrub_ledger,
 )
+from repro.ioutil import checksum_hex
+from repro.resilience.journal import CHECKSUM_PREFIX_LEN
+from repro.resilience.ledger import _encode_line as encode_ledger_line
+from repro.resilience.ledger import decode_ledger_line
 from repro.resilience.service import JOURNAL_NAME
 
 from .conftest import COST_VALUE, build_service, make_trips
@@ -440,3 +446,116 @@ class TestGuardedCheckpointRetry:
         )
         assert logical_state(recovered.service) == logical_state(reference)
         recovered.close()
+
+
+# ----------------------------------------------------------------------
+_json_encode = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), allow_nan=False
+).encode
+
+
+def json_line(seq, response):
+    """The ledger line as the sort-keys ``json`` encoder writes it."""
+    body = _json_encode({"response": vars(response), "seq": seq}).encode("utf-8")
+    return checksum_hex(body)[:CHECKSUM_PREFIX_LEN].encode("ascii") + b" " + body + b"\n"
+
+
+def same_outcome(encode, reference):
+    """Both calls return the same value or raise the same error."""
+    try:
+        want = reference()
+    except (TypeError, ValueError) as exc:
+        with pytest.raises(type(exc)) as got:
+            encode()
+        assert str(got.value) == str(exc)
+        return None
+    assert encode() == want
+    return want
+
+
+_ids = st.one_of(
+    st.sampled_from([0, 1, -(2**63), 2**63 - 1, 2**63]),
+    st.integers(min_value=-(2**63), max_value=2**63),
+)
+_stations = st.one_of(st.sampled_from([-1, 0]), _ids)
+_walking = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.5e-310, 1e16, 1e-7, 1e22, 0.1 + 0.2]),
+)
+_responses = st.builds(
+    ServiceResponse,
+    order_id=_ids,
+    served=st.booleans(),
+    origin_station=_stations,
+    destination_station=_stations,
+    opened_new=st.booleans(),
+    removed_station=st.one_of(st.none(), _stations),
+    walking_m=_walking,
+)
+
+
+class TestLineEncoding:
+    """The hand encoder writes exactly the ``json`` encoder's bytes."""
+
+    @given(seq=st.integers(min_value=1, max_value=2**63), response=_responses)
+    @settings(max_examples=300, deadline=None)
+    def test_hand_encoding_is_byte_identical(self, seq, response):
+        line = encode_ledger_line(seq, response)
+        assert line == json_line(seq, response)
+        assert decode_ledger_line(line) == (seq, response)
+
+    @pytest.mark.parametrize("walking", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_walking_raises_like_json(self, walking):
+        response = ServiceResponse(1, True, 2, 3, False, None, walking)
+        with pytest.raises(ValueError):
+            json_line(1, response)
+        same_outcome(
+            lambda: encode_ledger_line(1, response), lambda: json_line(1, response)
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("order_id", np.int64(4)),
+            ("served", np.bool_(True)),
+            ("origin_station", np.int32(2)),
+            ("destination_station", np.int64(-1)),
+            ("opened_new", np.bool_(False)),
+            ("removed_station", np.int64(7)),
+        ],
+    )
+    def test_numpy_scalar_raises_like_json(self, field, value):
+        fields = dict(
+            order_id=4, served=True, origin_station=2, destination_station=3,
+            opened_new=False, removed_station=None, walking_m=12.5,
+        )
+        fields[field] = value
+        response = ServiceResponse(**fields)
+        with pytest.raises(TypeError):
+            json_line(1, response)
+        same_outcome(
+            lambda: encode_ledger_line(1, response), lambda: json_line(1, response)
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("walking_m", np.float64(12.5)),  # a float subclass: json encodes it
+            ("order_id", True),  # bools in int fields: json writes true/false
+            ("origin_station", False),
+            ("destination_station", True),
+            ("removed_station", False),
+            ("served", 1),  # an int in a bool field: json writes 1
+        ],
+    )
+    def test_other_types_fall_back_to_json_bytes(self, field, value):
+        fields = dict(
+            order_id=4, served=True, origin_station=2, destination_station=3,
+            opened_new=False, removed_station=None, walking_m=12.5,
+        )
+        fields[field] = value
+        response = ServiceResponse(**fields)
+        line = same_outcome(
+            lambda: encode_ledger_line(9, response), lambda: json_line(9, response)
+        )
+        assert line is not None
