@@ -143,21 +143,26 @@ class Fleet:
 
         Charge levels are exact floats and the RNG bit stream is captured
         in full, so a fleet rebuilt by :meth:`from_state` drains batteries
-        bit-identically to the uninterrupted run.
+        bit-identically to the uninterrupted run.  Each distinct battery
+        config is converted once per call; every bike gets its own copy.
         """
+        configs: Dict[BatteryConfig, dict] = {}
+        bikes = []
+        for b in self.bikes:
+            config = b.battery.config
+            if config not in configs:
+                configs[config] = asdict(config)
+            bikes.append({
+                "bike_id": b.bike_id,
+                "station": b.station,
+                "level": b.battery.level,
+                "config": dict(configs[config]),
+            })
         return {
             "stations": [[p.x, p.y] for p in self.stations],
             "threshold": self.threshold,
             "rng": rng_to_state(self._rng),
-            "bikes": [
-                {
-                    "bike_id": b.bike_id,
-                    "station": b.station,
-                    "level": b.battery.level,
-                    "config": asdict(b.battery.config),
-                }
-                for b in self.bikes
-            ],
+            "bikes": bikes,
         }
 
     @classmethod

@@ -23,7 +23,8 @@ row                   what it runs
 ``chaos-block1``      the same at 1,000 trips in blocks of one trip.
 ``chaos-sharded``     1,500 trips on 2 shards: every shard identical to
                       its standalone oracle, and the hostile stream fully
-                      accounted across the fleet.
+                      accounted across the fleet over three epochs, each
+                      shard's dead-letter log holding every epoch's rows.
 ``supervision``       600 trips on 3 supervised shards: fault-free
                       parity, the torn-write, ENOSPC and fsync schedules,
                       torn response-ledger appends, poison quarantine,

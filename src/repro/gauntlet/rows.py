@@ -54,6 +54,8 @@ HOSTILE = dict(
 )
 #: Trips per block in the supervision row.
 BLOCK = 64
+#: Serve epochs of the chaos-sharded row's hostile stream.
+CHAOS_EPOCHS = 3
 #: Stream steps per overload serving epoch (one latency observation each).
 EPOCH_STEPS = 5
 
@@ -183,32 +185,52 @@ def chaos_sharded(check, workdir, seed, n_trips, n_shards):
             )
     oracles = fleet_image(clean, workdir / "oracle")
     oracle_identity(check, "standalone oracles", clean, oracles)
+    clean.close()
 
     injector = FaultInjector(ChaosConfig(seed=seed, **HOSTILE))
     hostile = mutate(check, injector, records)
     summary = injector.summary()
-    out = city.fleet(n_shards, workdir / "hostile", seed).serve(hostile)
+    cut = len(hostile) // CHAOS_EPOCHS
+    parts = [hostile[e * cut:(e + 1) * cut] for e in range(CHAOS_EPOCHS - 1)]
+    parts.append(hostile[(CHAOS_EPOCHS - 1) * cut:])
+    with city.fleet(n_shards, workdir / "hostile", seed) as fleet:
+        outs = [fleet.serve(part) for part in parts]
+    reports = [r for out in outs for r in out.reports]
     shards = "; ".join(
-        f"shard {r.shard_id:03d}: health {r.health}, {r.served} served, "
-        f"{r.incidents} incident(s)" for r in out.reports
+        f"epoch {e} shard {r.shard_id:03d}: health {r.health}, {r.served} "
+        f"served, {r.incidents} incident(s)"
+        for e, out in enumerate(outs) for r in out.reports
     )
-    check(out.health != HALTED, f"sharded fleet halted: {shards}")
-    offered = sum(r.offered for r in out.reports)
+    check(
+        all(out.health != HALTED for out in outs), f"sharded fleet halted: {shards}"
+    )
+    offered = sum(r.offered for r in reports)
     check(
         offered == len(hostile),
         f"{len(hostile)} hostile events offered but the fleet's validators "
         f"saw {offered}",
     )
-    for r in out.reports:
+    for r in reports:
         accounted = r.served + r.degraded + r.duplicates + r.deadlettered
         accounting(check, f"shard {r.shard_id}", r.offered, accounted)
+    for sid in range(n_shards):
+        reported = sum(r.deadlettered for r in reports if r.shard_id == sid)
+        log = workdir / "hostile" / f"shard-{sid:03d}" / "logs" / "deadletter.jsonl"
+        rows = len(log.read_text().splitlines()) if log.exists() else 0
+        check(
+            rows == reported,
+            f"shard {sid} dead-letter log holds {rows} row(s) but its "
+            f"{CHAOS_EPOCHS} epochs reported {reported}",
+        )
+    dead = sum(r.deadlettered for r in reports)
+    served = sum(r.served for r in reports)
     check(
-        out.deadlettered or not summary.garbage_fields,
+        dead or not summary.garbage_fields,
         "garbage fields never reached a shard validator",
     )
     print(
         f"{len(hostile)} hostile events ({summary.to_text()}) on {n_shards} "
-        f"shards; {out.served} served, {out.deadlettered} dead-lettered"
+        f"shards in {CHAOS_EPOCHS} epochs; {served} served, {dead} dead-lettered"
     )
 
 

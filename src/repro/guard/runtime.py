@@ -41,7 +41,6 @@ self-heals, checkpoint retries, halts — lands in a structured
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -61,7 +60,7 @@ from ..errors import (
 )
 from ..forecast.base import Forecaster
 from ..incentives.mechanism import IncentiveMechanism
-from ..ioutil import atomic_write_text, fs_fsync, fs_write, rotate_file
+from ..ioutil import RowLog
 from ..resilience.service import CheckpointingService
 from .breakers import (
     CLOSED,
@@ -117,9 +116,9 @@ class GuardConfig:
             co-located breakers never retry in lockstep).
         deadletter_keep: detail rows retained in the dead-letter sink.
         incident_keep: detail rows retained in the incident log.
-        incident_log_max_bytes: on-disk size cap of ``incidents.jsonl``;
-            past it the file rotates to ``incidents.1.jsonl`` (atomic
-            rename) before the next flush appends.
+        incident_log_max_bytes: on-disk size cap of ``incidents.jsonl``
+            and ``deadletter.jsonl``; past it a file rotates to its
+            ``.1`` sibling (atomic rename) before the next flush appends.
         block_size: trips per columnar block on the :meth:`serve` path
             (validator masks, watermark release and WAL group commit all
             amortise per block).  Any size takes the same route; ``1``
@@ -182,39 +181,26 @@ class Incident:
     detail: str
 
 
-class IncidentLog:
+class IncidentLog(RowLog[Incident]):
     """Bounded structured log of runtime incidents.
 
-    Counters are exact forever; detail rows rotate past ``keep``.  Two
-    disk forms exist: :meth:`write_jsonl` atomically rewrites a full
-    dump of the retained rows, and :meth:`append_jsonl` appends only the
-    rows not yet flushed, rotating the file to its ``.1`` sibling past a
-    size cap — the long-running form, where history accumulates across
-    flushes instead of being rewritten away.
+    Counters are exact forever; detail rows rotate past ``keep``.  On
+    disk it is append-only: :meth:`~repro.ioutil.RowLog.append_jsonl`
+    appends the rows not yet flushed and rotates the file to its ``.1``
+    sibling past a size cap, so history accumulates across flushes.
     """
 
     def __init__(self, keep: int = 10_000) -> None:
-        if keep <= 0:
-            raise ValueError(f"keep must be positive, got {keep}")
-        self.keep = keep
-        self.rows: List[Incident] = []
-        self.total = 0
+        super().__init__(keep)
         self.by_kind: Dict[str, int] = {}
-        self._flushed_total = 0
-
-    def __len__(self) -> int:
-        return self.total
-
-    def __iter__(self):
-        return iter(self.rows)
 
     def add(self, seq: int, kind: str, detail: str) -> None:
         """Record one incident."""
-        self.total += 1
         self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-        self.rows.append(Incident(seq=seq, kind=kind, detail=detail))
-        if len(self.rows) > self.keep:
-            del self.rows[: len(self.rows) - self.keep]
+        self._record(Incident(seq=seq, kind=kind, detail=detail))
+
+    def _json(self, row: Incident) -> Dict[str, object]:
+        return {"seq": row.seq, "kind": row.kind, "detail": row.detail}
 
     def to_text(self, limit: int = 20) -> str:
         """Human-readable summary, at most ``limit`` detail lines."""
@@ -225,55 +211,6 @@ class IncidentLog:
         for entry in self.rows[-limit:]:
             lines.append(f"  seq {entry.seq}: {entry.kind}: {entry.detail}")
         return "\n".join(lines)
-
-    def write_jsonl(self, path: Union[str, Path], durable: bool = True) -> Path:
-        """Dump retained incidents atomically as JSON lines."""
-        lines = [
-            json.dumps({"seq": r.seq, "kind": r.kind, "detail": r.detail})
-            for r in self.rows
-        ]
-        return atomic_write_text(path, "\n".join(lines) + "\n", durable=durable)
-
-    def append_jsonl(
-        self,
-        path: Union[str, Path],
-        durable: bool = True,
-        max_bytes: int = 1_000_000,
-    ) -> Path:
-        """Append the rows not yet flushed; rotate past ``max_bytes``.
-
-        Each call flushes only incidents recorded since the previous
-        call, so repeated flushes (one per epoch, one per supervised
-        restart generation) grow one continuous history instead of
-        rewriting it.  When the file plus the pending append would
-        exceed ``max_bytes`` it is first renamed to ``<stem>.1<suffix>``
-        (atomic ``os.replace``), replacing the previous rotated
-        generation — on-disk history is bounded by roughly two caps.
-        Rows that rotated out of memory before ever being flushed are
-        skipped (the counters in :attr:`by_kind` remain exact).
-        """
-        path = Path(path)
-        start = max(self._flushed_total, self.total - len(self.rows))
-        fresh = self.rows[len(self.rows) - (self.total - start):] if self.total > start else []
-        self._flushed_total = self.total
-        if not fresh:
-            # Nothing new, but the file must exist after a flush: an
-            # operator greps an empty log, not a missing one.
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.touch()
-            return path
-        payload = "".join(
-            json.dumps({"seq": r.seq, "kind": r.kind, "detail": r.detail}) + "\n"
-            for r in fresh
-        )
-        path.parent.mkdir(parents=True, exist_ok=True)
-        rotate_file(path, max_bytes, len(payload), durable=durable)
-        with open(path, "a", encoding="utf-8") as f:
-            fs_write(f, payload, path)
-            f.flush()
-            if durable:
-                fs_fsync(f.fileno(), path)
-        return path
 
 
 @dataclass(frozen=True)
@@ -785,20 +722,22 @@ class GuardedRuntime:
     def flush_logs(self, directory: Union[str, Path], durable: bool = True) -> None:
         """Flush the dead-letter and incident JSONL logs.
 
-        The dead-letter dump is an atomic rewrite of the retained rows;
-        the incident log *appends* its fresh rows instead, rotating to
-        ``incidents.1.jsonl`` past the configured size cap — so a
-        long-running shard's incident history survives epoch after
-        epoch instead of being rewritten away.
+        Both logs *append* the rows recorded since the last flush,
+        rotating ``deadletter.jsonl`` / ``incidents.jsonl`` to their
+        ``.1`` siblings past ``incident_log_max_bytes``, so a
+        long-running shard's history survives epoch after epoch, and an
+        epoch that recorded nothing writes and syncs nothing.
         """
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        self.sink.write_jsonl(directory / "deadletter.jsonl", durable=durable)
-        self.incidents.append_jsonl(
-            directory / "incidents.jsonl",
-            durable=durable,
-            max_bytes=self.config.incident_log_max_bytes,
-        )
+        for log, name in (
+            (self.sink, "deadletter.jsonl"),
+            (self.incidents, "incidents.jsonl"),
+        ):
+            log.append_jsonl(
+                directory / name,
+                durable=durable,
+                max_bytes=self.config.incident_log_max_bytes,
+            )
 
     def consistency_check(self) -> None:
         """Verify the guarded pipeline's end-to-end accounting.

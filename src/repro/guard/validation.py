@@ -22,19 +22,17 @@ is an invariant the property tests pin down.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
-from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.tripblock import TripBlock, datetime_to_us, us_to_datetime
 from ..datasets.trips import TripRecord
 from ..geo.points import BoundingBox, Point
-from ..ioutil import atomic_write_text
+from ..ioutil import RowLog
 
 __all__ = [
     "ValidationConfig",
@@ -117,40 +115,37 @@ class RejectedTrip:
     start_time: str
 
 
-class DeadLetterSink:
+class DeadLetterSink(RowLog[RejectedTrip]):
     """Collects rejected events instead of dropping them on the floor.
 
     The streaming counterpart of the CSV loader's
     :class:`~repro.datasets.mobike.QuarantineReport`: bounded memory
     (the full :class:`RejectedTrip` detail is kept for the most recent
-    ``keep`` rejections, counters are exact forever) and an atomic JSONL
-    dump for offline inspection.
+    ``keep`` rejections, counters are exact forever) and an append-only,
+    size-capped JSONL log (:meth:`~repro.ioutil.RowLog.append_jsonl`)
+    for offline inspection.
     """
 
     def __init__(self, keep: int = 10_000) -> None:
-        if keep <= 0:
-            raise ValueError(f"keep must be positive, got {keep}")
-        self.keep = keep
-        self.rows: List[RejectedTrip] = []
-        self.total = 0
+        super().__init__(keep)
         self.by_rule: Dict[str, int] = {}
-
-    def __len__(self) -> int:
-        return self.total
 
     def __bool__(self) -> bool:
         return self.total > 0
 
-    def __iter__(self):
-        return iter(self.rows)
-
     def add(self, rejected: RejectedTrip) -> None:
         """Record one rejection (detail rows rotate past ``keep``)."""
-        self.total += 1
         self.by_rule[rejected.rule] = self.by_rule.get(rejected.rule, 0) + 1
-        self.rows.append(rejected)
-        if len(self.rows) > self.keep:
-            del self.rows[: len(self.rows) - self.keep]
+        self._record(rejected)
+
+    def _json(self, row: RejectedTrip) -> Dict[str, object]:
+        return {
+            "seq": row.seq,
+            "rule": row.rule,
+            "reason": row.reason,
+            "order_id": row.order_id,
+            "start_time": row.start_time,
+        }
 
     def to_text(self, limit: int = 20) -> str:
         """Human-readable summary, at most ``limit`` detail lines."""
@@ -164,22 +159,6 @@ class DeadLetterSink:
                 f"{entry.rule}: {entry.reason}"
             )
         return "\n".join(lines)
-
-    def write_jsonl(self, path: Union[str, Path], durable: bool = True) -> Path:
-        """Dump the retained detail rows atomically as JSON lines."""
-        lines = [
-            json.dumps(
-                {
-                    "seq": r.seq,
-                    "rule": r.rule,
-                    "reason": r.reason,
-                    "order_id": r.order_id,
-                    "start_time": r.start_time,
-                }
-            )
-            for r in self.rows
-        ]
-        return atomic_write_text(path, "\n".join(lines) + "\n", durable=durable)
 
 
 class TripValidator:

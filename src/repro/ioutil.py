@@ -11,6 +11,10 @@ only a ``*.tmp-*`` sibling that the next writer ignores.
 Checksums use SHA-256; :func:`checksum_hex` is the single definition the
 snapshot and journal formats both embed.
 
+Long-running logs (dead letters, incidents) are the other disk form:
+:class:`RowLog` appends only the rows recorded since its last flush to
+a JSONL file and rotates it past a size cap (:func:`rotate_file`).
+
 Every durable write and fsync funnels through a module-level **fault
 seam** (:func:`fs_write` / :func:`fs_fsync`): a passthrough by default,
 but :func:`install_fs_seam` lets the storage fault injector
@@ -23,12 +27,14 @@ one function call per write.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import uuid
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Any, Generic, List, TypeVar, Union
 
 __all__ = [
+    "RowLog",
     "atomic_write_bytes",
     "atomic_write_text",
     "checksum_hex",
@@ -184,3 +190,78 @@ def rotate_file(
     if durable:
         fsync_dir(path.parent)
     return True
+
+
+Row = TypeVar("Row")
+
+
+class RowLog(Generic[Row]):
+    """Bounded in-memory rows with an append-only, size-capped JSONL flush.
+
+    :attr:`total` counts every row ever recorded; the detail rows in
+    :attr:`rows` rotate past ``keep``.  Subclasses record through
+    :meth:`_record` and turn a row into its JSON object with
+    :meth:`_json`.
+    """
+
+    def __init__(self, keep: int = 10_000) -> None:
+        if keep <= 0:
+            raise ValueError(f"keep must be positive, got {keep}")
+        self.keep = keep
+        self.rows: List[Row] = []
+        self.total = 0
+        self._flushed_total = 0
+
+    def __len__(self) -> int:
+        return self.total
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def _record(self, row: Row) -> None:
+        self.total += 1
+        self.rows.append(row)
+        if len(self.rows) > self.keep:
+            del self.rows[: len(self.rows) - self.keep]
+
+    def _json(self, row: Row) -> Any:
+        raise NotImplementedError
+
+    def append_jsonl(
+        self,
+        path: Union[str, Path],
+        durable: bool = True,
+        max_bytes: int = 1_000_000,
+    ) -> Path:
+        """Append the rows not yet flushed; rotate past ``max_bytes``.
+
+        Each call flushes only rows recorded since the previous call, so
+        repeated flushes (one per epoch, one per supervised restart
+        generation) grow one continuous history instead of rewriting
+        it.  When the file plus the pending append would exceed
+        ``max_bytes`` it is first renamed to ``<stem>.1<suffix>``
+        (atomic ``os.replace``), replacing the previous rotated
+        generation, so on-disk history is bounded by roughly two caps.
+        A flush with nothing new only makes sure the file exists, and
+        writes and syncs nothing.  Rows that rotated out of memory
+        before ever being flushed are skipped (:attr:`total` stays
+        exact).
+        """
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        start = max(self._flushed_total, self.total - len(self.rows))
+        fresh = self.rows[len(self.rows) - (self.total - start):] if self.total > start else []
+        self._flushed_total = self.total
+        if not fresh:
+            # The file must exist after a flush: an operator greps an
+            # empty log, not a missing one.
+            path.touch()
+            return path
+        payload = "".join(json.dumps(self._json(row)) + "\n" for row in fresh)
+        rotate_file(path, max_bytes, len(payload), durable=durable)
+        with open(path, "a", encoding="utf-8") as f:
+            fs_write(f, payload, path)
+            f.flush()
+            if durable:
+                fs_fsync(f.fileno(), path)
+        return path

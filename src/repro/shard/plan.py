@@ -13,7 +13,10 @@ drop into integer cell indices with
 :func:`~repro.geo.geohash.cell_indices_many`, and gather their shard
 ids from a dense ``(n_lat, n_lon)`` table.  The scalar
 :meth:`ShardPlan.shard_of` runs the identical kernel on a length-1
-array, so per-trip and per-block routing can never disagree.
+array, so per-trip and per-block routing can never disagree.  The
+edge tests read one more table built with the plan, ``touch[row, col,
+shard]`` (the cell is another shard's but borders ``shard``), so a
+caller that keeps its points' cells never repeats the geohash work.
 
 Garbage coordinates never raise here: non-finite values land in cell
 ``(0, 0)`` and out-of-range values clamp to the edge cells, so a
@@ -84,7 +87,10 @@ class ShardPlan:
         object.__setattr__(
             self, "_projection", LocalProjection(self.ref_lat, self.ref_lon)
         )
-        object.__setattr__(self, "_boundary", _boundary_mask(table))
+        touch = _touch_table(table, self.n_shards)
+        object.__setattr__(self, "_touch", touch)
+        # A boundary cell is one that touches some other shard.
+        object.__setattr__(self, "_boundary", touch.any(axis=2))
 
     # ------------------------------------------------------------------
     # construction
@@ -228,15 +234,19 @@ class ShardPlan:
         cell bordering) ``shard``'s territory while belonging to another
         shard?  Used to pick which foreign stations enter a halo."""
         rows, cols = self.cell_index_of_many(xs, ys)
-        table = self.cell_shards
-        own = table[rows, cols] == shard
-        near = np.zeros(rows.shape, dtype=bool)
-        for dr in (-1, 0, 1):
-            for dc in (-1, 0, 1):
-                r = np.clip(rows + dr, 0, self.shape[0] - 1)
-                c = np.clip(cols + dc, 0, self.shape[1] - 1)
-                near |= table[r, c] == shard
-        return near & ~own
+        return self.cells_touch_shard(rows, cols, shard)
+
+    def cells_touch_shard(self, rows, cols, shard: int) -> np.ndarray:
+        """:meth:`touches_shard` for cells already located by
+        :meth:`cell_index_of_many`: one lookup in the plan's touch table,
+        no geohash work.
+
+        Raises:
+            ValueError: for a shard id outside ``[0, n_shards)``.
+        """
+        if not 0 <= shard < self.n_shards:
+            raise ValueError(f"shard out of range: {shard}")
+        return self._touch[rows, cols, shard]
 
     # ------------------------------------------------------------------
     # inspection
@@ -292,18 +302,17 @@ class ShardPlan:
         )
 
 
-def _boundary_mask(table: np.ndarray) -> np.ndarray:
-    """Cells whose 8-neighbourhood (clamped at the rectangle edge)
-    contains a different shard."""
-    mask = np.zeros(table.shape, dtype=bool)
+def _touch_table(table: np.ndarray, n_shards: int) -> np.ndarray:
+    """``touch[row, col, shard]``: the cell is not ``shard``'s, but its
+    8-neighbourhood (clamped at the rectangle edge) holds a cell that is."""
     n_lat, n_lon = table.shape
     rows = np.arange(n_lat)[:, None]
     cols = np.arange(n_lon)[None, :]
+    touch = np.zeros((n_lat, n_lon, n_shards), dtype=bool)
     for dr in (-1, 0, 1):
         for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
             r = np.clip(rows + dr, 0, n_lat - 1)
             c = np.clip(cols + dc, 0, n_lon - 1)
-            mask |= table[r, c] != table
-    return mask
+            touch[rows, cols, table[r, c]] = True
+    touch[rows, cols, table] = False
+    return touch

@@ -342,6 +342,16 @@ def _disk_mark(service: CheckpointingService) -> Tuple:
 
 
 @dataclass
+class _RosterCells:
+    """Plan cells of one shard's station roster: ``rows``/``cols`` in
+    roster order, and the cell of each ``(station_id, x, y)``."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    by_station: Dict[Tuple[int, float, float], Tuple[int, int]]
+
+
+@dataclass
 class _Resident:
     """A shard's durable service, left open after a serial epoch that
     ended with its checkpoint, and the disk mark it left."""
@@ -474,16 +484,22 @@ class ShardedRuntime:
         self.historical = np.asarray(historical, dtype=float).reshape(-1, 2)
         self.n_bikes = int(n_bikes)
 
-        anchor_sids = plan.shard_of_many(
+        anchor_rows, anchor_cols = plan.cell_index_of_many(
             np.array([p.x for p in self.anchors]),
             np.array([p.y for p in self.anchors]),
         )
+        anchor_sids = plan.cell_shards[anchor_rows, anchor_cols]
         hist_sids = plan.shard_of_many(self.historical[:, 0], self.historical[:, 1])
         self._shard_anchors: List[List[Tuple[float, float]]] = [
             [] for _ in range(plan.n_shards)
         ]
-        for sid, p in zip(anchor_sids.tolist(), self.anchors):
+        anchor_cells: List[List[Tuple[int, int]]] = [[] for _ in range(plan.n_shards)]
+        for sid, p, cell in zip(
+            anchor_sids.tolist(), self.anchors,
+            zip(anchor_rows.tolist(), anchor_cols.tolist()),
+        ):
             self._shard_anchors[sid].append((p.x, p.y))
+            anchor_cells[sid].append(cell)
         self._shard_hist: List[List[Tuple[float, float]]] = [
             [] for _ in range(plan.n_shards)
         ]
@@ -506,13 +522,16 @@ class ShardedRuntime:
             for sid in range(plan.n_shards)
         ]
         # Genesis halo: each territory's anchors under their genesis
-        # station ids (StationSet ids are assigned in anchor order).
-        self._stations: Dict[int, List[Tuple[int, float, float]]] = {
-            sid: [
-                (i, x, y) for i, (x, y) in enumerate(self._shard_anchors[sid])
-            ]
-            for sid in range(plan.n_shards)
-        }
+        # station ids (StationSet ids are assigned in anchor order), on
+        # the cells routing them just located.
+        self._stations: Dict[int, List[Tuple[int, float, float]]] = {}
+        self._cells: Dict[int, _RosterCells] = {}
+        for sid in range(plan.n_shards):
+            self._adopt_roster(
+                sid,
+                [(i, x, y) for i, (x, y) in enumerate(self._shard_anchors[sid])],
+                anchor_cells[sid],
+            )
 
         if _resume:
             self._load_halo()
@@ -575,28 +594,71 @@ class ShardedRuntime:
     # ------------------------------------------------------------------
     def _halo_for(self, shard_id: int) -> Tuple[Tuple[int, int, float, float], ...]:
         """Read-only edge stations of the *other* shards, as of the last
-        completed epoch (anchors at genesis)."""
+        completed epoch (anchors at genesis): a touch-table lookup per
+        roster, on cells located when each station joined it."""
         rows: List[Tuple[int, int, float, float]] = []
         for sid, stations in sorted(self._stations.items()):
             if sid == shard_id or not stations:
                 continue
-            xs = np.array([s[1] for s in stations])
-            ys = np.array([s[2] for s in stations])
-            near = self.plan.touches_shard(xs, ys, shard_id)
-            for keep, (station_id, x, y) in zip(near.tolist(), stations):
-                if keep:
-                    rows.append((sid, station_id, x, y))
+            cells = self._cells[sid]
+            near = self.plan.cells_touch_shard(cells.rows, cells.cols, shard_id)
+            for i in np.flatnonzero(near).tolist():
+                station_id, x, y = stations[i]
+                rows.append((sid, station_id, x, y))
         return tuple(rows)
+
+    def _set_rosters(self, rosters: Dict[int, List[Tuple[int, float, float]]]) -> None:
+        """Adopt shards' ``(station_id, x, y)`` rosters, locating each
+        station's cell.
+
+        Only stations a shard's previous roster did not hold at the same
+        coordinates go through the geohash kernel, in one call for all
+        shards; stable ids never move, so at an epoch boundary that is
+        the stations opened since.  The cache keeps the current rosters
+        alone.
+        """
+        fresh = [
+            (sid, s) for sid, stations in rosters.items() for s in stations
+            if sid not in self._cells or s not in self._cells[sid].by_station
+        ]
+        located: Dict = {}
+        if fresh:
+            rows, cols = self.plan.cell_index_of_many(
+                [s[1] for _, s in fresh], [s[2] for _, s in fresh]
+            )
+            located = dict(zip(fresh, zip(rows.tolist(), cols.tolist())))
+        for sid, stations in rosters.items():
+            known = self._cells[sid].by_station if sid in self._cells else {}
+            self._adopt_roster(
+                sid,
+                stations,
+                [known[s] if s in known else located[(sid, s)] for s in stations],
+            )
+
+    def _adopt_roster(
+        self,
+        shard_id: int,
+        stations: List[Tuple[int, float, float]],
+        cells: List[Tuple[int, int]],
+    ) -> None:
+        """Install one shard's roster and its stations' cells, in order."""
+        self._stations[shard_id] = stations
+        self._cells[shard_id] = _RosterCells(
+            rows=np.array([c[0] for c in cells], dtype=np.int64),
+            cols=np.array([c[1] for c in cells], dtype=np.int64),
+            by_station=dict(zip(stations, cells)),
+        )
 
     def _load_halo(self) -> None:
         path = self.directory / HALO_FILE
         if not path.exists():
             return
         data = json.loads(path.read_text())
-        self._stations = {
+        self._stations, self._cells = {}, {}
+        self._set_rosters({
             int(sid): [(int(i), float(x), float(y)) for i, x, y in rows]
             for sid, rows in data.items()
-        }
+        })
 
     def _save_halo(self) -> None:
         payload = {
@@ -663,10 +725,7 @@ class ShardedRuntime:
             ]
             runner = ParallelRunner(workers=min(workers, max(1, len(tasks))))
             reports = runner.run(tasks)
-        for report in reports:
-            self._stations[report.shard_id] = [
-                (i, x, y) for i, x, y in report.stations
-            ]
+        self._set_rosters({r.shard_id: list(r.stations) for r in reports})
         self._save_halo()
         referrals: List[CrossShardReferral] = []
         for report in reports:

@@ -471,10 +471,11 @@ class FleetSupervisor:
         ordered = tuple(results[sid] for sid in sorted(results))
         for supervised in ordered:
             self.health[supervised.shard_id] = supervised.state
-            if supervised.report is not None and supervised.report.stations:
-                self.fleet._stations[supervised.shard_id] = [
-                    (i, x, y) for i, x, y in supervised.report.stations
-                ]
+        self.fleet._set_rosters({
+            s.shard_id: list(s.report.stations)
+            for s in ordered
+            if s.report is not None and s.report.stations
+        })
         self.fleet._save_halo()
         self.quarantine.extend(epoch_quarantined)
         self.total_restarts += epoch_restarts

@@ -156,3 +156,74 @@ class TestReplay:
         )
         executed = replay_trips_onto_fleet(f, lambda p: 1 if p.x > 500 else 0, [trip])
         assert executed == 0
+
+
+def _state_per_bike(fleet):
+    """The checkpoint payload built with one ``asdict`` per bike: the
+    form ``Fleet.state_dict`` must keep producing."""
+    from dataclasses import asdict
+
+    from repro.serialize import rng_to_state
+
+    return {
+        "stations": [[p.x, p.y] for p in fleet.stations],
+        "threshold": fleet.threshold,
+        "rng": rng_to_state(fleet._rng),
+        "bikes": [
+            {
+                "bike_id": b.bike_id,
+                "station": b.station,
+                "level": b.battery.level,
+                "config": asdict(b.battery.config),
+            }
+            for b in fleet.bikes
+        ],
+    }
+
+
+def _mixed(fleet):
+    """``fleet`` rebuilt with every third bike on a second battery model."""
+    state = fleet.state_dict()
+    other = {"capacity_wh": 500.0, "wh_per_km": 11.0,
+             "consumption_noise": 0.1, "idle_drain_per_day": 0.01}
+    for b in state["bikes"][::3]:
+        b["config"] = dict(other)
+    return Fleet.from_state(state)
+
+
+class TestStatePayload:
+    def test_matches_per_bike_asdict_form(self, fleet):
+        mixed = _mixed(fleet)
+        assert len({b.battery.config for b in mixed.bikes}) == 2
+        assert mixed.state_dict() == _state_per_bike(mixed)
+        assert fleet.state_dict() == _state_per_bike(fleet)
+
+    def test_no_two_bikes_share_a_config_dict(self, fleet):
+        bikes = _mixed(fleet).state_dict()["bikes"]
+        assert len({id(b["config"]) for b in bikes}) == len(bikes)
+        bikes[0]["config"]["capacity_wh"] = 1.0
+        assert all(b["config"]["capacity_wh"] != 1.0 for b in bikes[1:])
+
+    def test_snapshot_bytes_unchanged(self, tmp_path, monkeypatch):
+        from repro.core.streaming import PlacementService
+        from repro.gauntlet import city
+        from repro.resilience.service import CheckpointingService, constant_cost_spec
+        from repro.resilience.snapshot import encode_snapshot
+
+        base = city.service(0)
+        service = PlacementService(base.planner, _mixed(base.fleet))
+        wrapped = CheckpointingService(
+            service, tmp_path, checkpoint_every=10_000, durable=False,
+            facility_cost_spec=constant_cost_spec(city.COST_VALUE),
+        )
+        wrapped.serve(city.trips(300, 0))
+        written = wrapped.checkpoint().read_bytes()
+        monkeypatch.setattr(Fleet, "state_dict", _state_per_bike)
+        payload = {
+            "service": service.state_dict(),
+            "applied": wrapped.applied_seq,
+            "facility_cost_spec": wrapped.facility_cost_spec,
+            "dedup": wrapped.dedup,
+        }
+        wrapped.close()
+        assert written == encode_snapshot(payload)

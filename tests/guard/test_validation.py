@@ -149,7 +149,7 @@ class TestStateAndAccounting:
         sink = DeadLetterSink()
         v = TripValidator(ValidationConfig(bounds=BOX), sink=sink)
         v.admit(make_trip(0, battery=-1.0))
-        path = sink.write_jsonl(tmp_path / "dead.jsonl", durable=False)
+        path = sink.append_jsonl(tmp_path / "dead.jsonl", durable=False)
         rows = [json.loads(l) for l in path.read_text().splitlines()]
         assert rows[0]["rule"] == "battery" and rows[0]["order_id"] == 0
 
