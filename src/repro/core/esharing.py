@@ -467,7 +467,6 @@ class EsharingPlanner:
             "space": self.space,
             "online_opened": list(self.online_opened),
             "similarity_history": None,
-            "ks_seconds": self.ks_seconds,
             "decisions": None,
         }
         if include_history:
@@ -534,7 +533,9 @@ class EsharingPlanner:
         planner.similarity_history = [
             float(s) for s in (state["similarity_history"] or [])
         ]
-        planner.ks_seconds = float(state["ks_seconds"])
+        # Wall-clock KS time is not state: snapshots written before it
+        # left the state dict still carry it, and it is ignored.
+        planner.ks_seconds = 0.0
         return planner
 
     # ------------------------------------------------------------------

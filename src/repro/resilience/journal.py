@@ -11,14 +11,14 @@ and reproduces the exact state and response stream of an uninterrupted
 run — the trips are the only input, and the restored RNG replays the
 same coin flips.
 
-Record format, one per line::
+Record format, one per line of the record log (:mod:`.records`)::
 
     <sha256-prefix> {"seq": n, "trip": {...}}
 
-The checksum covers the JSON body.  A damaged *final* line is the
-expected signature of a crash mid-append and is dropped silently; damage
-anywhere earlier means the file cannot be trusted and raises
-:class:`~repro.errors.JournalCorruptError`.
+The journal owns only the body encoders and the decoding of ``trip``.
+The record log drops a torn tail (a crash mid-append) on read and cuts
+it off before the next append; mid-file damage or a sequence jump means
+the file cannot be trusted and raises :class:`~repro.errors.JournalCorruptError`.
 """
 
 from __future__ import annotations
@@ -27,20 +27,17 @@ import json
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
-from typing import IO, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
 from ..core.tripblock import TripBlock, us_to_datetime
 from ..datasets.trips import TripRecord
 from ..errors import JournalCorruptError
-from ..ioutil import checksum_hex, fs_fsync, fs_write
 from ..serialize import trip_from_state, trip_to_state
+from .records import RecordWriter, frame, read_records
 
-__all__ = ["JournalEntry", "TripJournal", "CHECKSUM_PREFIX_LEN"]
-
-CHECKSUM_PREFIX_LEN = 16
-"""Hex chars of the per-record SHA-256 stored in front of each line."""
+__all__ = ["JournalEntry", "TripJournal"]
 
 
 @dataclass(frozen=True)
@@ -63,8 +60,7 @@ def _encode_line(seq: int, trip: TripRecord) -> str:
         separators=(",", ":"),
         allow_nan=False,
     )
-    digest = checksum_hex(body.encode("utf-8"))[:CHECKSUM_PREFIX_LEN]
-    return f"{digest} {body}\n"
+    return frame(body)
 
 
 def _encode_block_lines(seqs: Sequence[int], block: TripBlock) -> List[str]:
@@ -128,42 +124,8 @@ def _encode_block_lines(seqs: Sequence[int], block: TripBlock) -> List[str]:
             f'"start_time":"{ts}",'
             f'"user_id":{u}}}}}'
         )
-        digest = checksum_hex(body.encode("utf-8"))[:CHECKSUM_PREFIX_LEN]
-        append(f"{digest} {body}\n")
+        append(frame(body))
     return lines
-
-
-def _decode_record(line: str) -> Optional[dict]:
-    """Checksum-verify one journal line and parse its body; ``None``
-    signals a damaged record."""
-    digest, sep, body = line.rstrip("\n").partition(" ")
-    if not sep or len(digest) != CHECKSUM_PREFIX_LEN:
-        return None
-    if checksum_hex(body.encode("utf-8"))[:CHECKSUM_PREFIX_LEN] != digest:
-        return None
-    try:
-        record = json.loads(body)
-        record["seq"] = int(record["seq"])
-        if not isinstance(record["trip"], dict):
-            return None
-    except (ValueError, KeyError, TypeError):
-        return None
-    return record
-
-
-def _entry(record: Optional[dict]) -> Optional[JournalEntry]:
-    """A parsed record's trip, decoded; ``None`` if it does not decode."""
-    if record is None:
-        return None
-    try:
-        return JournalEntry(seq=record["seq"], trip=trip_from_state(record["trip"]))
-    except (ValueError, KeyError, TypeError, IndexError):
-        return None
-
-
-def _decode_line(line: str) -> Optional[JournalEntry]:
-    """Parse one journal line; ``None`` signals a damaged record."""
-    return _entry(_decode_record(line))
 
 
 class TripJournal:
@@ -180,17 +142,15 @@ class TripJournal:
             makes it, so recovery reads the file once, not twice.
 
     Raises:
-        JournalCorruptError: if an existing file is damaged anywhere
-            other than its final record (at construction, or at the
-            deferred scan).
+        JournalCorruptError: if an existing file has mid-file damage or
+            a sequence jump (at construction, or at the deferred scan).
     """
 
     def __init__(
         self, path: Union[str, Path], durable: bool = True, defer_scan: bool = False
     ) -> None:
         self.path = Path(path)
-        self.durable = durable
-        self._fh: Optional[IO[str]] = None
+        self._writer = RecordWriter(self.path, durable, 0, JournalCorruptError)
         self._next_seq: Optional[int] = None
         if not defer_scan:
             self._scan(after_seq=None)
@@ -228,46 +188,42 @@ class TripJournal:
         record (:func:`_encode_line`), so an int coordinate stays an
         int in the JSON.  Both give the same bytes for the same trips.
 
-        Crash semantics are unchanged: the block goes out as one
-        contiguous write, so a crash mid-commit leaves an intact prefix
-        of the block's records plus at most one torn final line — the
-        exact shape :meth:`scan` already tolerates.  Records of the
-        block *after* the tear are simply absent (never applied either:
-        the caller applies only after this returns), so recovery still
-        sees a journal that is at least as long as any applied state.
+        Crash semantics: the block goes out as one contiguous write, so
+        a crash mid-commit leaves an intact prefix of the block's
+        records plus at most one torn final line, which the record
+        log's writer cuts off before the next append (a retry here, or
+        a recovered process).  Records after the tear were never
+        applied either: the caller applies only after this returns.
+
+        Raises:
+            OSError: the write or fsync failed; a retry journals the
+                same records again.
+            JournalCorruptError: the file lost records already appended.
         """
         if not len(trips):
             return []
         first = self.next_seq
         seqs = list(range(first, first + len(trips)))
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
         if isinstance(trips, TripBlock):
             lines = _encode_block_lines(seqs, trips)
         else:
             lines = [_encode_line(s, t) for s, t in zip(seqs, trips)]
-        fs_write(self._fh, "".join(lines), self.path)
-        self._fh.flush()
-        if self.durable:
-            fs_fsync(self._fh.fileno(), self.path)
+        self._writer.append("".join(lines).encode("utf-8"))
         self._next_seq = seqs[-1] + 1
         return seqs
 
     def close(self) -> None:
         """Close the underlying file handle (reopened on next append)."""
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._writer.close()
 
     # ------------------------------------------------------------------
     def scan(self) -> List[JournalEntry]:
         """Every intact record in order, dropping only a torn tail.
 
         Raises:
-            JournalCorruptError: if a damaged record is followed by an
-                intact one (mid-file corruption — the log cannot be
-                trusted) or if sequence numbers are not consecutive.
+            JournalCorruptError: on mid-file damage or a sequence jump
+                (:mod:`.records`), or an intact record whose trip does
+                not decode.
         """
         return self._scan(after_seq=0)
 
@@ -286,38 +242,16 @@ class TripJournal:
     def _scan(self, after_seq: Optional[int]) -> List[JournalEntry]:
         """The validating pass behind :meth:`scan`, :meth:`replay` and
         the opening scan (``after_seq=None``: decode no trip)."""
-        if not self.path.exists():
-            self._next_seq = 1
-            return []
-        entries: List[JournalEntry] = []
-        last_seq: Optional[int] = None
-        torn_at: Optional[int] = None
-        with open(self.path, "r", encoding="utf-8") as f:
-            for line_no, line in enumerate(f, start=1):
-                if line.strip() == "":
-                    continue
-                record = _decode_record(line)
-                entry = None
-                if record is not None and after_seq is not None and record["seq"] > after_seq:
-                    entry = _entry(record)
-                    if entry is None:
-                        record = None
-                if record is None:
-                    # Tolerated only as the very last record (torn append).
-                    torn_at = line_no
-                    continue
-                if torn_at is not None:
-                    raise JournalCorruptError(
-                        f"{self.path}: damaged record at line {torn_at} is "
-                        "followed by intact records — journal unusable"
-                    )
-                if last_seq is not None and record["seq"] != last_seq + 1:
-                    raise JournalCorruptError(
-                        f"{self.path}: sequence jump {last_seq} -> "
-                        f"{record['seq']} at line {line_no}"
-                    )
-                last_seq = record["seq"]
-                if entry is not None:
-                    entries.append(entry)
-        self._next_seq = (last_seq or 0) + 1
+        scan = read_records(self.path, after_seq, error=JournalCorruptError)
+        try:
+            entries = [
+                JournalEntry(seq=r["seq"], trip=trip_from_state(r["trip"]))
+                for r in scan.records
+            ]
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise JournalCorruptError(
+                f"{self.path}: an intact record holds a malformed trip: {exc!r}"
+            ) from exc
+        self._writer.end = scan.end
+        self._next_seq = (scan.last_seq or 0) + 1
         return entries

@@ -14,7 +14,9 @@ through seq ``S`` always finds records ``1..S`` on disk.  Records past
 ``S`` are legal: a crash between the ledger append and the snapshot
 rename, or a recovery that fell back to an older snapshot generation,
 leaves them behind.  They are cut off before the next append, which
-rewrites them from the replayed journal tail.
+rewrites them from the replayed journal tail.  The framing, the reader
+and that cut are the shared record log's (:mod:`.records`); the ledger
+owns only its line encoder and the decoding of ``response``.
 
 A damaged record inside the first ``S`` is refused with
 :class:`~repro.errors.LedgerCorruptError`, as is a ledger holding fewer
@@ -26,12 +28,11 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from ..core.streaming import ServiceResponse
 from ..errors import LedgerCorruptError
-from ..ioutil import checksum_hex, fs_fsync, fs_write
-from .journal import CHECKSUM_PREFIX_LEN
+from .records import RecordWriter, frame, read_records
 
 __all__ = ["LEDGER_NAME", "ResponseLedger"]
 
@@ -77,37 +78,7 @@ def _encode_line(seq: int, response: ServiceResponse) -> bytes:
         )
     else:
         text = _encode({"response": vars(response), "seq": seq})
-    body = text.encode("utf-8")
-    digest = checksum_hex(body)[:CHECKSUM_PREFIX_LEN].encode("ascii")
-    return digest + b" " + body + b"\n"
-
-
-def _verified_body(line: bytes) -> Optional[bytes]:
-    """A complete line's JSON body if its checksum holds, else ``None``."""
-    if not line.endswith(b"\n"):
-        return None
-    digest, sep, body = line[:-1].partition(b" ")
-    if not sep or len(digest) != CHECKSUM_PREFIX_LEN:
-        return None
-    if checksum_hex(body)[:CHECKSUM_PREFIX_LEN].encode("ascii") != digest:
-        return None
-    return body
-
-
-def _record(record: dict) -> Tuple[int, ServiceResponse]:
-    return int(record["seq"]), ServiceResponse(**record["response"])
-
-
-def decode_ledger_line(line: bytes) -> Optional[Tuple[int, ServiceResponse]]:
-    """Parse one ledger line into ``(seq, response)``; ``None`` signals a
-    damaged record (bad checksum, torn line or malformed body)."""
-    body = _verified_body(line)
-    if body is None:
-        return None
-    try:
-        return _record(json.loads(body))
-    except (ValueError, KeyError, TypeError):
-        return None
+    return frame(text).encode("utf-8")
 
 
 class ResponseLedger:
@@ -132,9 +103,8 @@ class ResponseLedger:
         end: int = 0,
     ) -> None:
         self.path = Path(path)
-        self.durable = durable
         self.count = count
-        self._end = end
+        self._writer = RecordWriter(self.path, durable, end, LedgerCorruptError)
 
     @classmethod
     def open(
@@ -152,55 +122,30 @@ class ResponseLedger:
                 or a record inside them is damaged or out of sequence.
         """
         path = Path(path)
-        bodies: List[bytes] = []
-        end = 0
-        if count > 0:
-            if not path.exists():
-                raise LedgerCorruptError(
-                    f"{path} is missing but the snapshot is current through "
-                    f"seq {count}; refusing to recover without the history"
-                )
-            with open(path, "rb") as f:
-                for line in f:
-                    if len(bodies) == count:
-                        break
-                    end += len(line)
-                    if not line.strip():
-                        continue
-                    body = _verified_body(line)
-                    if body is None:
-                        raise LedgerCorruptError(
-                            f"{path}: record {len(bodies) + 1} is damaged "
-                            f"(snapshot needs {count})"
-                        )
-                    bodies.append(body)
-        if len(bodies) < count:
+        if count > 0 and not path.exists():
             raise LedgerCorruptError(
-                f"{path} holds {len(bodies)} record(s) but the snapshot is "
-                f"current through seq {count}; refusing to recover a short "
-                "history"
+                f"{path} is missing but the snapshot is current through "
+                f"seq {count}; refusing to recover without the history"
             )
-        # Every body passed its checksum: parse them in one call.
+        scan = read_records(path, 0, count, error=LedgerCorruptError)
+        if count and not len(scan.records) == scan.last_seq == count:
+            # The reader keeps seqs consecutive: this is records 1..count.
+            raise LedgerCorruptError(
+                f"{path} holds {len(scan.records)} intact record(s) up to seq "
+                f"{scan.last_seq} but the snapshot is current through seq "
+                f"{count}; refusing to recover a short history"
+            )
         try:
-            records = [_record(r) for r in json.loads(b"[" + b",".join(bodies) + b"]")]
-        except (ValueError, KeyError, TypeError) as exc:
+            responses = [ServiceResponse(**r["response"]) for r in scan.records]
+        except (KeyError, TypeError) as exc:
             raise LedgerCorruptError(f"{path}: malformed record: {exc!r}") from exc
-        for expected, (seq, _) in enumerate(records, start=1):
-            if seq != expected:
-                raise LedgerCorruptError(
-                    f"{path}: record {expected} carries seq {seq}"
-                )
-        responses = [response for _, response in records]
-        return cls(path, durable=durable, count=count, end=end), responses
+        return cls(path, durable=durable, count=count, end=scan.end), responses
 
     def append(self, responses: Sequence[ServiceResponse]) -> None:
         """Durably append the responses to seqs ``count+1 ..`` with one
-        write + flush + fsync, after cutting the file back to ``end``.
-
-        The cut drops whatever a failed earlier append or an abandoned
-        generation left past the trusted history, so a retried append
-        never leaves damage in the middle of the file.  An empty append
-        touches nothing.
+        write + flush + fsync, after cutting off whatever a failed earlier
+        append or an abandoned generation left past record ``count``.  An
+        empty append touches nothing.
 
         Raises:
             OSError: the write or fsync failed; ``count`` is unchanged, so
@@ -210,20 +155,11 @@ class ResponseLedger:
         if not responses:
             return
         first = self.count + 1
-        data = b"".join(
+        self._writer.append(b"".join(
             _encode_line(seq, r) for seq, r in enumerate(responses, start=first)
-        )
-        with open(self.path, "ab") as fh:
-            if fh.tell() < self._end:
-                raise LedgerCorruptError(
-                    f"{self.path} shrank below the {self.count} record(s) "
-                    "already appended; refusing to extend a short history"
-                )
-            if fh.tell() > self._end:
-                fh.truncate(self._end)
-            fs_write(fh, data, self.path)
-            fh.flush()
-            if self.durable:
-                fs_fsync(fh.fileno(), self.path)
+        ))
         self.count += len(responses)
-        self._end += len(data)
+
+    def close(self) -> None:
+        """Close the append handle (reopened on the next append)."""
+        self._writer.close()

@@ -14,7 +14,8 @@ to survive:
 * a **torn journal or ledger tail** (the expected signature of a crash
   or injected fault mid-append) is *rebuilt* — the file is truncated at
   the last intact record boundary, exactly the prefix recovery would
-  use;
+  use: the scrubber reads both with recovery's own reader
+  (:func:`~repro.resilience.records.read_records`);
 * **orphan ``*.tmp-*`` files** (a process killed between the tmp write
   and the rename) are removed;
 * **damaged log lines** in the advisory JSONL logs (incidents,
@@ -41,12 +42,12 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List, Optional, Union
+from typing import List, Optional, Union
 
 from ..errors import SnapshotCorruptError, SnapshotVersionError
 from ..ioutil import atomic_write_bytes, fsync_dir, rotate_file
-from .journal import _decode_line
-from .ledger import LEDGER_NAME, decode_ledger_line
+from .ledger import LEDGER_NAME
+from .records import MIDFILE, SEQ_JUMP, read_records
 from .snapshot import decode_snapshot
 
 __all__ = [
@@ -157,99 +158,43 @@ def _rel(path: Path, root: Path) -> str:
 
 # ----------------------------------------------------------------------
 # journal and ledger
-SeqOf = Callable[[bytes], Optional[int]]
-
-
-def _journal_seq(lb: bytes) -> Optional[int]:
-    try:
-        entry = _decode_line(lb.decode("utf-8"))
-    except UnicodeDecodeError:
-        return None
-    return None if entry is None else entry.seq
-
-
-def _ledger_seq(lb: bytes) -> Optional[int]:
-    record = decode_ledger_line(lb)
-    return None if record is None else record[0]
-
-
-def _classify_records(raw: bytes, seq_of: SeqOf):
-    """Walk a journal's or ledger's bytes; returns ``(good_end, last_seq,
-    problem)``.
-
-    ``good_end`` is the byte offset just past the last intact record
-    reachable from the start; ``problem`` is ``None`` (clean),
-    ``"torn_tail"`` (trailing damage only), ``"midfile"`` (damage
-    followed by an intact record) or ``"seq_jump"``.
-    """
-    good_end = 0
-    last_seq: Optional[int] = None
-    damaged = False
-    offset = 0
-    for lb in raw.splitlines(keepends=True):
-        line_len = len(lb)
-        try:
-            blank = lb.decode("utf-8").strip() == ""
-        except UnicodeDecodeError:
-            blank = False
-        if blank:
-            if not damaged:
-                good_end = offset + line_len
-            offset += line_len
-            continue
-        seq = seq_of(lb)
-        if seq is None or not lb.endswith(b"\n"):
-            damaged = True
-        else:
-            if damaged:
-                return good_end, last_seq, "midfile"
-            if last_seq is not None and seq != last_seq + 1:
-                return good_end, last_seq, "seq_jump"
-            last_seq = seq
-            good_end = offset + line_len
-        offset += line_len
-    return good_end, last_seq, ("torn_tail" if damaged else None)
-
-
 def _scrub_records(
     path: Path, repair: bool, durable: bool, root: Optional[Path],
-    kind: str, seq_of: SeqOf, trusted: str,
+    kind: str, trusted: str,
 ) -> List[ScrubFinding]:
-    """Verify one journal or ledger (``kind``); truncate a torn tail
-    when asked, refuse mid-file damage and sequence jumps."""
+    """Verify one journal or ledger (``kind``) with the record log's
+    reader; truncate a torn tail when asked, refuse mid-file damage and
+    sequence jumps."""
     rel = _rel(path, root or path.parent)
-    if not path.exists():
+    scan = read_records(path)
+    if scan.problem is None:
         return []
-    raw = path.read_bytes()
-    good_end, _last_seq, problem = _classify_records(raw, seq_of)
-    if problem is None:
-        return []
-    if problem == "midfile":
+    if scan.problem == MIDFILE:
         return [ScrubFinding(
             rel, f"{kind}_midfile", "refused",
-            f"damaged record before byte {good_end} is followed by intact "
+            f"damaged record before byte {scan.end} is followed by intact "
             f"records — {trusted} cannot be trusted; restore from a replica",
         )]
-    if problem == "seq_jump":
+    if scan.problem == SEQ_JUMP:
         return [ScrubFinding(
             rel, f"{kind}_seq_jump", "refused",
-            f"sequence jump after byte {good_end} — records are missing "
+            f"sequence jump after byte {scan.end} — records are missing "
             "mid-file; restore from a replica",
         )]
-    torn = len(raw) - good_end
+    torn = path.stat().st_size - scan.end
     if not repair:
         return [ScrubFinding(
             rel, f"{kind}_torn_tail", "found",
             f"{torn} damaged trailing byte(s) after the last intact record",
         )]
     with open(path, "r+b") as f:
-        f.truncate(good_end)
+        f.truncate(scan.end)
         f.flush()
         if durable:
             os.fsync(f.fileno())
     return [ScrubFinding(
         rel, f"{kind}_torn_tail", "repaired",
-        f"truncated {torn} damaged trailing byte(s) at offset {good_end}",
+        f"truncated {torn} damaged trailing byte(s) at offset {scan.end}",
     )]
 
 
@@ -261,16 +206,13 @@ def scrub_journal(
 ) -> List[ScrubFinding]:
     """Verify one write-ahead journal; truncate a torn tail when asked.
 
-    A torn tail — one or more damaged lines with nothing intact after
-    them — is the normal crash signature and is repairable: the file is
-    truncated at the last intact record boundary, the exact prefix
-    :meth:`~repro.resilience.TripJournal.scan` would replay anyway.
-    Damage *followed by* intact records, or a sequence jump between
-    intact records, means the log cannot be trusted and is refused.
+    A torn tail (:mod:`~repro.resilience.records`) is the normal crash
+    signature: truncating it keeps the exact prefix
+    :meth:`~repro.resilience.TripJournal.scan` replays anyway.  Mid-file
+    damage or a sequence jump means the log cannot be trusted and is
+    refused.
     """
-    return _scrub_records(
-        Path(path), repair, durable, root, "journal", _journal_seq, "the WAL"
-    )
+    return _scrub_records(Path(path), repair, durable, root, "journal", "the WAL")
 
 
 def scrub_ledger(
@@ -280,16 +222,11 @@ def scrub_ledger(
     root: Optional[Path] = None,
 ) -> List[ScrubFinding]:
     """Verify one response ledger, exactly as :func:`scrub_journal`
-    verifies a journal.
-
-    A torn tail is what a crash mid-append leaves past the newest
-    snapshot's records, so truncating it loses nothing recovery reads.
-    Mid-file damage or a sequence jump is refused: the response history
-    cannot be trusted.
+    verifies a journal: a torn tail lies past the newest snapshot's
+    records, so truncating it loses nothing recovery reads.
     """
     return _scrub_records(
-        Path(path), repair, durable, root, "ledger", _ledger_seq,
-        "the response history",
+        Path(path), repair, durable, root, "ledger", "the response history"
     )
 
 
@@ -330,19 +267,16 @@ def scrub_snapshots(
         try:
             decode_snapshot(path.read_bytes())
         except SnapshotCorruptError as exc:
+            action, detail = "found", str(exc)
             if repair:
                 demoted = path.with_name(path.name + ".corrupt")
                 os.replace(path, demoted)
                 if durable:
                     fsync_dir(directory)
-                findings.append(ScrubFinding(
-                    _rel(path, rroot), "snapshot_corrupt", "demoted",
-                    f"{exc}; demoted to {demoted.name}",
-                ))
-            else:
-                findings.append(ScrubFinding(
-                    _rel(path, rroot), "snapshot_corrupt", "found", str(exc)
-                ))
+                action, detail = "demoted", f"{exc}; demoted to {demoted.name}"
+            findings.append(
+                ScrubFinding(_rel(path, rroot), "snapshot_corrupt", action, detail)
+            )
         except SnapshotVersionError as exc:
             findings.append(ScrubFinding(
                 _rel(path, rroot), "snapshot_version", "refused", str(exc)
@@ -365,26 +299,28 @@ def _scrub_orphans(
 ) -> List[ScrubFinding]:
     findings: List[ScrubFinding] = []
     for path in sorted(directory.glob("*.tmp-*")):
+        action, detail = "found", "leftover temporary from an interrupted atomic write"
         if repair:
             try:
                 path.unlink()
             except OSError as exc:
-                findings.append(ScrubFinding(
-                    _rel(path, root), "orphan_tmp", "refused", f"unlink failed: {exc}"
-                ))
-                continue
-            if durable:
-                fsync_dir(directory)
-            findings.append(ScrubFinding(
-                _rel(path, root), "orphan_tmp", "removed",
-                "leftover temporary from an interrupted atomic write",
-            ))
-        else:
-            findings.append(ScrubFinding(
-                _rel(path, root), "orphan_tmp", "found",
-                "leftover temporary from an interrupted atomic write",
-            ))
+                action, detail = "refused", f"unlink failed: {exc}"
+            else:
+                action = "removed"
+                if durable:
+                    fsync_dir(directory)
+        findings.append(ScrubFinding(_rel(path, root), "orphan_tmp", action, detail))
     return findings
+
+
+def _scrub_logs(
+    report: ScrubReport, directory: Path, repair: bool, durable: bool, root: Path
+) -> None:
+    """Orphan tmps and advisory ``*.jsonl`` logs of one directory."""
+    report.findings.extend(_scrub_orphans(directory, repair, durable, root))
+    for path in sorted(directory.glob("*.jsonl")):
+        report.logs_checked += 1
+        report.findings.extend(_scrub_log(path, repair, durable, root))
 
 
 def _scrub_log(
@@ -467,10 +403,7 @@ def scrub_checkpoint_dir(
         report.findings.extend(scrub_ledger(ledger, repair, durable, rroot))
     logs = directory / "logs"
     if logs.is_dir():
-        report.findings.extend(_scrub_orphans(logs, repair, durable, rroot))
-        for path in sorted(logs.glob("*.jsonl")):
-            report.logs_checked += 1
-            report.findings.extend(_scrub_log(path, repair, durable, rroot))
+        _scrub_logs(report, logs, repair, durable, rroot)
     if record and repair:
         _record_report(logs, directory, report, durable)
     return report
@@ -540,28 +473,16 @@ def scrub_tree(
         try:
             json.loads(halo.read_text())
         except (ValueError, UnicodeDecodeError) as exc:
+            action, detail = "found", str(exc)
             if repair:
                 halo.unlink()
                 if durable:
                     fsync_dir(root)
-                report.findings.append(ScrubFinding(
-                    _HALO_FILE, "halo_unreadable", "removed",
-                    f"{exc}; shards fall back to the genesis halo",
-                ))
-            else:
-                report.findings.append(ScrubFinding(
-                    _HALO_FILE, "halo_unreadable", "found", str(exc)
-                ))
-    report.findings.extend(_scrub_orphans(root, repair, durable, root))
-    for path in sorted(root.glob("*.jsonl")):
-        report.logs_checked += 1
-        report.findings.extend(_scrub_log(path, repair, durable, root))
-    logs = root / "logs"
-    if logs.is_dir():
-        report.findings.extend(_scrub_orphans(logs, repair, durable, root))
-        for path in sorted(logs.glob("*.jsonl")):
-            report.logs_checked += 1
-            report.findings.extend(_scrub_log(path, repair, durable, root))
+                action, detail = "removed", f"{exc}; shards fall back to the genesis halo"
+            report.findings.append(ScrubFinding(_HALO_FILE, "halo_unreadable", action, detail))
+    _scrub_logs(report, root, repair, durable, root)
+    if (root / "logs").is_dir():
+        _scrub_logs(report, root / "logs", repair, durable, root)
     for shard_dir in sorted(root.iterdir()):
         if shard_dir.is_dir() and _SHARD_DIR_RE.match(shard_dir.name):
             report.extend(scrub_checkpoint_dir(

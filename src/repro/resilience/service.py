@@ -62,18 +62,14 @@ JOURNAL_NAME = "journal.jsonl"
 
 
 def logical_state(service: PlacementService) -> Dict[str, Any]:
-    """``service``'s checkpoint state plus its response history, without
-    the KS wall-clock time.
+    """``service``'s checkpoint state plus its response history.
 
-    ``planner.ks_seconds`` times the KS tests, so it is the one field of
-    :meth:`PlacementService.state_dict` two identical runs do not share;
-    parity checks compare this instead.  The checkpoint state leaves the
-    history out, so ``responses`` is added back: a recovered service
-    must match on every response ever served, not just on the state it
-    continues from.
+    Parity checks compare this.  The checkpoint state leaves the history
+    out, so ``responses`` is added back: a recovered service must match
+    on every response ever served, not just on the state it continues
+    from.
     """
     state = service.state_dict()
-    state["planner"]["ks_seconds"] = 0.0
     state["responses"] = list(service.responses)
     return state
 
@@ -449,5 +445,7 @@ class CheckpointingService:
             )
 
     def close(self) -> None:
-        """Release the journal file handle (safe to call repeatedly)."""
+        """Release the journal and ledger file handles (safe to call
+        repeatedly)."""
         self.journal.close()
+        self.ledger.close()

@@ -8,6 +8,8 @@ recovered with a short history.
 """
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +35,9 @@ from repro.resilience import (
     scrub_ledger,
 )
 from repro.ioutil import checksum_hex
-from repro.resilience.journal import CHECKSUM_PREFIX_LEN
+from repro.resilience import records as records_module
 from repro.resilience.ledger import _encode_line as encode_ledger_line
-from repro.resilience.ledger import decode_ledger_line
+from repro.resilience.records import CHECKSUM_PREFIX_LEN
 from repro.resilience.service import JOURNAL_NAME
 
 from .conftest import COST_VALUE, build_service, make_trips
@@ -366,20 +368,22 @@ class TestSingleJournalPass:
             victim.handle_trip(trip)
         victim.close()
         calls = {"record": 0, "trip": 0}
-        decode_record, entry = journal_module._decode_record, journal_module._entry
+        body, trip_from_state = records_module._body, journal_module.trip_from_state
 
         def counting_record(line):
             calls["record"] += 1
-            return decode_record(line)
+            return body(line)
 
-        def counting_entry(record):
+        def counting_entry(state):
             calls["trip"] += 1
-            return entry(record)
+            return trip_from_state(state)
 
-        monkeypatch.setattr(journal_module, "_decode_record", counting_record)
-        monkeypatch.setattr(journal_module, "_entry", counting_entry)
+        monkeypatch.setattr(records_module, "_body", counting_record)
+        monkeypatch.setattr(journal_module, "trip_from_state", counting_entry)
         recovered = recover(tmp_path / "run")
-        assert calls == {"record": 2 * EVERY + 7, "trip": 7}
+        # Each journal line and each ledger record behind the snapshot is
+        # checksummed once; only the journal tail's trips are decoded.
+        assert calls == {"record": (2 * EVERY + 7) + 2 * EVERY, "trip": 7}
         assert recovered.last_recovery.replayed == 7
         assert recovered.journal.next_seq == 2 * EVERY + 8
         recovered.close()
@@ -502,7 +506,13 @@ class TestLineEncoding:
     def test_hand_encoding_is_byte_identical(self, seq, response):
         line = encode_ledger_line(seq, response)
         assert line == json_line(seq, response)
-        assert decode_ledger_line(line) == (seq, response)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / LEDGER_NAME
+            path.write_bytes(line)
+            scan = records_module.read_records(path, keep_after=0)
+        assert (scan.problem, scan.end) == (None, len(line))
+        [record] = scan.records
+        assert (record["seq"], ServiceResponse(**record["response"])) == (seq, response)
 
     @pytest.mark.parametrize("walking", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_walking_raises_like_json(self, walking):

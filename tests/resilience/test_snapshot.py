@@ -5,16 +5,21 @@ import math
 
 import pytest
 
+from repro.core import EsharingPlanner, constant_facility_cost
 from repro.resilience import (
     SNAPSHOT_VERSION,
+    CheckpointingService,
     SnapshotCorruptError,
     SnapshotError,
     SnapshotStore,
     SnapshotVersionError,
+    constant_cost_spec,
     decode_snapshot,
     encode_snapshot,
 )
 from repro.resilience.chaos import FaultInjector
+
+from .conftest import COST_VALUE, build_service, make_trips
 
 
 class TestEncodeDecode:
@@ -124,3 +129,33 @@ class TestSnapshotStore:
         (tmp_path / "snapshot-0000000001.json.tmp-ab").write_text("partial")
         store.save({"ok": True}, seq=1)
         assert store.load_latest().payload == {"ok": True}
+
+
+class TestDeterministicBytes:
+    def _run(self, directory):
+        service = CheckpointingService(
+            build_service(seed=15), directory, checkpoint_every=50, keep=10,
+            durable=False, facility_cost_spec=constant_cost_spec(COST_VALUE),
+        )
+        for trip in make_trips(300, seed=15, shift_at=150):
+            service.handle_trip(trip)
+        service.close()
+        assert service.service.planner.ks_seconds > 0.0  # the KS tests ran
+        return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+    def test_identical_runs_write_identical_files(self, tmp_path):
+        """No wall-clock time reaches a snapshot: two identical runs
+        leave byte-identical snapshot, journal and ledger files."""
+        first, second = self._run(tmp_path / "a"), self._run(tmp_path / "b")
+        assert len([n for n in first if n.startswith("snapshot-")]) == 7
+        assert first == second
+
+    def test_old_ks_seconds_field_is_ignored(self):
+        planner = build_service(seed=16).planner
+        state = planner.state_dict()
+        assert "ks_seconds" not in state
+        restored = EsharingPlanner.from_state(
+            dict(state, ks_seconds=1.5), constant_facility_cost(COST_VALUE)
+        )
+        assert restored.ks_seconds == 0.0
+        assert restored.state_dict() == state

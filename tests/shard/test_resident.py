@@ -159,7 +159,7 @@ def test_failed_epoch_closes_its_journal_and_is_not_reused(
             fleet.serve(trips[100:200])
         # The first shard journaled its bucket, then failed.
         assert len({id(j) for j in journals}) == 1
-        assert journals[0]._fh is None
+        assert journals[0]._writer._fh is None
 
         # The pool's task closes on failure too.
         journals.clear()
@@ -169,7 +169,7 @@ def test_failed_epoch_closes_its_journal_and_is_not_reused(
                 fleet.spec(1), fleet.plan, str(tmp_path / "shard-001"),
                 bucket, (), None, True,
             )
-        assert journals and all(j._fh is None for j in journals)
+        assert journals and all(j._writer._fh is None for j in journals)
 
     # Shard 0 failed and shard 1's directory changed under it: both come
     # back from disk.  Shard 2 is reused.
@@ -177,7 +177,7 @@ def test_failed_epoch_closes_its_journal_and_is_not_reused(
     fleet.serve(trips[200:])
     fleet.close()
     assert recoveries == [0, 1]
-    assert all(j._fh is None for j in journals)
+    assert all(j._writer._fh is None for j in journals)
 
 
 def test_one_owner_per_shard_directory(tmp_path, journals):
@@ -242,4 +242,4 @@ def test_one_owner_per_shard_directory(tmp_path, journals):
     )
     assert city.fleet_image(fleet) == city.fleet_image(reference)
 
-    assert journals and all(j._fh is None for j in journals)
+    assert journals and all(j._writer._fh is None for j in journals)
