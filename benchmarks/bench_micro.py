@@ -21,10 +21,9 @@ scheduler, not the code.
   dominance grid against a from-scratch ``ks2d_fast``).
 * ``throughput.nn_backend`` — ``StationSet.nearest``, grid against
   linear.
-* ``parallel.*`` and ``shard.scaling`` — process fan-outs against their
-  serial runs (shards against standalone single-shard oracles).
-* ``shard.supervision`` — a fault-free supervised epoch against the
-  plain fleet.
+* ``parallel.*`` — process fan-outs against their serial runs.
+* ``shard.supervision`` — fault-free supervised epochs against the
+  plain fleet's, with the post-epoch scrub's share of the time.
 * ``loadgen.*`` — the overload saturation curve (exact accounting, and
   identity with an uncontrolled runtime below capacity), the vectorised
   scenario apply against its scalar oracle, and stream emission.
@@ -53,6 +52,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -95,12 +95,9 @@ from repro.parallel.cells import offline_cell, random_demand_points, random_poin
 from repro.resilience.chaos import ChaosConfig, FaultInjector
 from repro.resilience.journal import TripJournal
 from repro.resilience.service import CheckpointingService, constant_cost_spec
-from repro.shard import (
-    FleetSupervisor,
-    ShardRouter,
-    SupervisorConfig,
-    build_shard_runtime,
-)
+from repro.resilience.scrub import scrub_tree
+from repro.shard import FleetSupervisor
+from repro.shard import supervisor as shard_supervisor
 from repro.stats.ks2d import CachedKS2D, ks2d_fast
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -128,7 +125,6 @@ GATES = (
     Gate("placement.replay", 3.0),  # at 100,000 arrivals
     Gate("throughput.nn_backend", 3.0),  # at 10,000 stations
     Gate("parallel.placement", 1.6, min_cores=4),  # at 4 workers
-    Gate("shard.scaling", 1.6, min_cores=4),  # at 4 shards, 4 workers
     Gate("loadgen.apply", 5.0, min_cores=4),
 )
 SMOKE_FLOORS = {"stream.replay": 2.0}
@@ -197,21 +193,18 @@ def _same_placement(a, b):
     )
 
 
-def _fanout(what, counts, run, compare=True, **extra):
+def _fanout(what, counts, run, **extra):
     """Run ``run(count) -> (answer, seconds)`` at each count; the first
-    count is the baseline.  With ``compare`` every answer must equal the
-    baseline's; otherwise each answer (a dict) goes into its row."""
+    count is the baseline, and every answer must equal its answer."""
     sweep, base, base_s = [], None, None
     for count in counts:
         answer, seconds = run(count)
         if base_s is None:
             base, base_s = answer, seconds
-        row = {"workers": count, "seconds": seconds, "speedup": base_s / seconds}
-        if compare:
-            _check(answer == base, f"{what}: diverged from serial at {count}")
-        else:
-            row.update(answer)
-        sweep.append(row)
+        _check(answer == base, f"{what}: diverged from serial at {count}")
+        sweep.append(
+            {"workers": count, "seconds": seconds, "speedup": base_s / seconds}
+        )
     at_gate = [r["speedup"] for r in sweep if r["workers"] == GATE_WORKERS]
     return {
         "what": what, "speedup": at_gate[0] if at_gate else None,
@@ -550,7 +543,7 @@ def throughput_nn_backend(workdir, counts, n_queries, seed=0, extent_m=30_000.0)
 
 
 # ----------------------------------------------------------------------
-# parallel.* and shard.*: fan-outs against serial.
+# parallel.*: fan-outs against serial.
 # ----------------------------------------------------------------------
 
 def parallel_placement(workdir, workers, n_cells, n_demands):
@@ -611,71 +604,58 @@ def parallel_pipeline(workdir, workers, seeds, volume):
     )
 
 
-def shard_scaling(workdir, shards, n_trips, seed=0):
-    """One stream served at each shard count (one worker per shard).
-    Every shard must match a standalone single-shard runtime fed its
-    sub-stream, outcomes and journal bytes, checked outside the timing."""
+def shard_supervision(workdir, n_trips, n_epochs=10, n_shards=2, seed=0):
+    """Fault-free supervised epochs vs the plain fleet's, scrub on: no
+    restart, and journal bytes identical shard by shard after every
+    epoch.  Reports each side's mean epoch time over the first and the
+    last three epochs, and the post-epoch scrub's share of the
+    supervised time."""
     trips = gauntlet.trips(n_trips, seed=seed)
-
-    def serve(n_shards):
-        root = workdir / f"{n_shards}-shards"
-        city = gauntlet.fleet(n_shards, root / "city", seed=seed, durable=True)
-        outcome, seconds = _timed(city.serve, trips, workers=n_shards)
-        city.close()
-        by_id = {r.shard_id: r for r in outcome.reports}
-        for sid, bucket in enumerate(ShardRouter(city.plan).split_trips(trips)):
-            if not bucket:
-                continue
-            oracle = build_shard_runtime(city.spec(sid), root / f"oracle-{sid}")
-            expected = oracle.serve(bucket)
-            oracle.close()
-            _check(
-                by_id[sid].outcomes == tuple(expected),
-                f"shard {sid} outcomes diverged from its standalone oracle",
-            )
-            _check(
-                (root / "city" / f"shard-{sid:03d}" / "journal.jsonl").read_bytes()
-                == (root / f"oracle-{sid}" / "journal.jsonl").read_bytes(),
-                f"shard {sid} journal bytes diverged from its standalone oracle",
-            )
-        return {
-            "trips_per_s": n_trips / seconds, "served": outcome.served,
-            "deadlettered": outcome.deadlettered,
-            "referrals": len(outcome.referrals),
-        }, seconds
-
-    return _fanout(
-        "ShardedRuntime.serve at each shard count (workers = shards)",
-        shards, serve, compare=False, trips=n_trips,
-    )
-
-
-def shard_supervision(workdir, n_trips, n_shards=2, seed=0):
-    """Fault-free supervised serve vs the plain fleet: no restart, and
-    journal bytes identical shard by shard."""
-    trips = gauntlet.trips(n_trips, seed=seed)
+    cut = n_trips // n_epochs
+    epochs = [trips[i * cut:(i + 1) * cut] for i in range(n_epochs)]
     plain = gauntlet.fleet(n_shards, workdir / "plain", seed=seed, durable=True)
-    _, slow_s = _timed(plain.serve, trips)
-    plain.close()
     supervisor = FleetSupervisor(
-        gauntlet.fleet(n_shards, workdir / "supervised", seed=seed, durable=True),
-        config=SupervisorConfig(),
+        gauntlet.fleet(n_shards, workdir / "supervised", seed=seed, durable=True)
     )
-    outcome, fast_s = _timed(supervisor.serve, trips)
-    supervisor.fleet.close()
-    _check(not (outcome.restarts or outcome.quarantined), "fault-free run restarted")
-    for sid in range(n_shards):
-        name = f"shard-{sid:03d}/journal.jsonl"
-        _check(
-            (workdir / "supervised" / name).read_bytes()
-            == (workdir / "plain" / name).read_bytes(),
-            f"supervised journal diverged: {name}",
-        )
+    scrub_s = []
+
+    def timed_scrub(*args, **kwargs):
+        report, seconds = _timed(scrub_tree, *args, **kwargs)
+        scrub_s.append(seconds)
+        return report
+
+    plain_s, supervised_s = [], []
+    with plain, supervisor.fleet, mock.patch.object(
+        shard_supervisor, "scrub_tree", timed_scrub
+    ):
+        for e, epoch in enumerate(epochs):
+            plain_s.append(_timed(plain.serve, epoch)[1])
+            outcome, seconds = _timed(supervisor.serve, epoch)
+            supervised_s.append(seconds)
+            _check(
+                not (outcome.restarts or outcome.quarantined),
+                f"fault-free epoch {e} restarted",
+            )
+            for sid in range(n_shards):
+                name = f"shard-{sid:03d}/journal.jsonl"
+                _check(
+                    (workdir / "supervised" / name).read_bytes()
+                    == (workdir / "plain" / name).read_bytes(),
+                    f"supervised journal diverged after epoch {e}: {name}",
+                )
+    _check(len(scrub_s) == n_epochs, "the supervisor skipped a post-epoch scrub")
+
     # Not a speedup: the supervised side is the slower one.
     return {
-        "what": "FleetSupervisor.serve vs plain fleet, fault-free",
-        "trips": n_trips, "shards": n_shards,
-        "plain_s": slow_s, "supervised_s": fast_s, "overhead": fast_s / slow_s - 1.0,
+        "what": "FleetSupervisor.serve vs plain fleet epochs, fault-free, scrub on",
+        "trips": n_trips, "epochs": n_epochs, "shards": n_shards,
+        "plain_s": sum(plain_s), "supervised_s": sum(supervised_s),
+        "overhead": sum(supervised_s) / sum(plain_s) - 1.0,
+        "plain_first3_s": sum(plain_s[:3]) / 3,
+        "plain_last3_s": sum(plain_s[-3:]) / 3,
+        "supervised_first3_s": sum(supervised_s[:3]) / 3,
+        "supervised_last3_s": sum(supervised_s[-3:]) / 3,
+        "scrub_share": sum(scrub_s) / sum(supervised_s),
     }
 
 
@@ -847,11 +827,6 @@ LEGS = {
         parallel_pipeline,
         {"workers": (1, 2, 4), "seeds": (0, 1, 2, 3), "volume": 400},
         {"workers": (1, 2), "seeds": (0, 1), "volume": 200},
-    ),
-    "shard.scaling": (
-        shard_scaling,
-        {"shards": (1, 2, 4, 8), "n_trips": 6_000},
-        {"shards": (1, 2), "n_trips": 600},
     ),
     "shard.supervision": (shard_supervision, {"n_trips": 2_000}, {"n_trips": 400}),
     "loadgen.saturation": (

@@ -159,13 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         "referrals; resume with ShardedRuntime.recover)",
     )
     serve.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="process workers to fan shards across (--shards > 1 only); "
-        "any worker count is bit-identical to serial",
-    )
-    serve.add_argument(
         "--supervise",
         action="store_true",
         help="run the sharded fleet under the self-healing supervisor "
@@ -482,14 +475,15 @@ def _run_serve_sharded(args) -> int:
         n_bikes=args.bikes, cost_value=_DEMO_COST, guard=guard,
         checkpoint_every=args.every,
     )
+    from .guard.runtime import HALTED
+
     if args.supervise:
-        from .guard.runtime import HALTED
         from .shard import FleetSupervisor
 
-        supervisor = FleetSupervisor(runtime)
-        outcome = supervisor.serve(
-            records, workers=args.workers, block_size=args.block_size
-        )
+        with runtime:
+            outcome = FleetSupervisor(runtime).serve(
+                records, block_size=args.block_size
+            )
         for report in outcome.reports:
             extra = ""
             if report.restarts:
@@ -512,9 +506,9 @@ def _run_serve_sharded(args) -> int:
                 f"; scrub repaired {outcome.scrub.repaired} finding(s)"
             )
         print(
-            f"supervised run ({plan.n_shards} shards, {args.workers} "
-            f"worker(s)): {outcome.served} served, {outcome.restarts} "
-            f"restart(s), {len(outcome.quarantined)} quarantined block(s), "
+            f"supervised run ({plan.n_shards} shards): {outcome.served} "
+            f"served, {outcome.restarts} restart(s), "
+            f"{len(outcome.quarantined)} quarantined block(s), "
             f"fleet health {outcome.health}{scrub_note}"
         )
         print(f"per-shard checkpoints in {args.dir}")
@@ -525,12 +519,8 @@ def _run_serve_sharded(args) -> int:
             )
             return 3
         return 0
-    from .guard.runtime import HALTED
-
     with runtime:
-        outcome = runtime.serve(
-            records, workers=args.workers, block_size=args.block_size
-        )
+        outcome = runtime.serve(records, block_size=args.block_size)
     for report in outcome.reports:
         print(
             f"shard {report.shard_id:03d}: {report.offered} offered, "
@@ -538,7 +528,7 @@ def _run_serve_sharded(args) -> int:
             f"{report.degraded} degraded, health {report.health}"
         )
     print(
-        f"sharded run ({plan.n_shards} shards, {args.workers} worker(s)): "
+        f"sharded run ({plan.n_shards} shards): "
         f"{outcome.served} served, {len(outcome.referrals)} cross-shard "
         f"referral(s), worst health {outcome.health}"
     )

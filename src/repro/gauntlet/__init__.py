@@ -27,8 +27,8 @@ row                   what it runs
                       shard's dead-letter log holding every epoch's rows.
 ``supervision``       600 trips on 3 supervised shards: fault-free
                       parity, the torn-write, ENOSPC and fsync schedules,
-                      torn response-ledger appends, poison quarantine,
-                      pool crash and the scrub round-trip.
+                      torn response-ledger appends, poison quarantine
+                      and the scrub round-trip.
 ``overload``          all five loadgen scenarios for 5,400 s on 2 shards,
                       plus zero-overload byte-identity.
 ``overload-stadium``  stadium for 1,800 s on 2 shards, plus parity.
@@ -92,8 +92,8 @@ is now :class:`Checks` plus :func:`main`, for every row.
 
 * ``:126``, ``:134``, ``:138`` journal bytes, recovered state and
   orphan tmps against the durable fault-free oracle:
-  :func:`oracle_identity`, for ``torn-writes``, ``enospc``,
-  ``fsync-failure`` and ``worker-crash``.
+  :func:`oracle_identity`, for ``torn-writes``, ``enospc`` and
+  ``fsync-failure`` (``worker-crash`` went with pool epochs).
 * ``:157`` clean supervised epoch not healthy, restarted or
   quarantined.
 * ``:164`` clean supervised epoch logged fleet incidents.
@@ -113,8 +113,8 @@ is now :class:`Checks` plus :func:`main`, for every row.
 * ``:295`` ledger's journaled count != quarantined trips in the journal.
 * ``:302`` quarantine ledger not persisted.
 * ``:309`` unaffected shards restarted.
-* ``:334`` worker crash halted the fleet.
-* ``:337`` worker-crash epoch recorded no supervised restarts.
+* ``:334``, ``:337`` the dead-pool scenario: deleted with pool epochs,
+  since the fleet no longer fans shards out over a process pool.
 * ``:374`` scrub missed an expected (kind, action) finding, for each
   of the three planted damages.
 * ``:377`` corrupt snapshot not demoted to ``.corrupt``.

@@ -239,22 +239,16 @@ def _no_sleep(_seconds: float) -> None:
     pass
 
 
-class _DeadPool:
-    def run(self, tasks):
-        raise WorkerCrashError("injected: pool lost its workers")
-
-
-def _supervise(fleet, runner_factory=None, **config) -> FleetSupervisor:
+def _supervise(fleet, **config) -> FleetSupervisor:
     return FleetSupervisor(
         fleet, config=SupervisorConfig(backoff_base_s=0.0, **config),
-        sleep=_no_sleep, runner_factory=runner_factory,
+        sleep=_no_sleep,
     )
 
 
 def supervision(check, workdir, seed, n_trips, n_shards):
     """A supervised fleet under every failure class: fault-free parity,
-    disk-fault schedules, poison quarantine, a dead worker pool and a
-    scrub round-trip."""
+    disk-fault schedules, poison quarantine and a scrub round-trip."""
     records = city.trips(n_trips, seed)
 
     def durable(name):
@@ -376,15 +370,6 @@ def supervision(check, workdir, seed, n_trips, n_shards):
         "poison: unaffected shards restarted",
     )
     print(f"poison: {fs.to_text()}; {len(report.quarantined)} block(s) held")
-
-    # A dead pool demotes the epoch to in-process supervision.
-    fleet = durable("crash")
-    sup = _supervise(fleet, runner_factory=lambda workers, timeout: _DeadPool())
-    outcome = sup.serve(records, workers=2, block_size=BLOCK)
-    check(outcome.health != HALTED, "worker crash halted the fleet")
-    check(outcome.restarts, "worker crash epoch recorded no supervised restarts")
-    oracle_identity(check, "worker-crash", fleet, oracle)
-    print(f"worker-crash: {outcome.restarts} restart(s), health {outcome.health}")
 
     # Damage at rest, scrub, then serve epoch 2 against a reference.
     epoch2 = city.trips(n_trips // 2, seed + 17)

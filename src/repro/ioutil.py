@@ -11,9 +11,10 @@ only a ``*.tmp-*`` sibling that the next writer ignores.
 Checksums use SHA-256; :func:`checksum_hex` is the single definition the
 snapshot and journal formats both embed.
 
-Long-running logs (dead letters, incidents) are the other disk form:
-:class:`RowLog` appends only the rows recorded since its last flush to
-a JSONL file and rotates it past a size cap (:func:`rotate_file`).
+Long-running logs (dead letters, incidents, scrub history) are the
+other disk form: :func:`append_rotating` appends to a JSONL file and
+rotates it past a size cap (:func:`rotate_file`); :class:`RowLog` uses
+it to append only the rows recorded since its last flush.
 
 Every durable write and fsync funnels through a module-level **fault
 seam** (:func:`fs_write` / :func:`fs_fsync`): a passthrough by default,
@@ -35,6 +36,7 @@ from typing import IO, Any, Generic, List, TypeVar, Union
 
 __all__ = [
     "RowLog",
+    "append_rotating",
     "atomic_write_bytes",
     "atomic_write_text",
     "checksum_hex",
@@ -192,6 +194,20 @@ def rotate_file(
     return True
 
 
+def append_rotating(
+    path: Union[str, Path], text: str, max_bytes: int, durable: bool = True
+) -> None:
+    """Append ``text`` to a size-capped log through the fault seam,
+    first rotating the file (:func:`rotate_file`) when the append would
+    take it past ``max_bytes``."""
+    rotate_file(path, max_bytes, len(text), durable=durable)
+    with open(path, "a", encoding="utf-8") as f:
+        fs_write(f, text, path)
+        f.flush()
+        if durable:
+            fs_fsync(f.fileno(), path)
+
+
 Row = TypeVar("Row")
 
 
@@ -258,10 +274,5 @@ class RowLog(Generic[Row]):
             path.touch()
             return path
         payload = "".join(json.dumps(self._json(row)) + "\n" for row in fresh)
-        rotate_file(path, max_bytes, len(payload), durable=durable)
-        with open(path, "a", encoding="utf-8") as f:
-            fs_write(f, payload, path)
-            f.flush()
-            if durable:
-                fs_fsync(f.fileno(), path)
+        append_rotating(path, payload, max_bytes, durable=durable)
         return path

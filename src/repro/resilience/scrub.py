@@ -45,7 +45,7 @@ from pathlib import Path
 from typing import List, Optional, Union
 
 from ..errors import SnapshotCorruptError, SnapshotVersionError
-from ..ioutil import atomic_write_bytes, fsync_dir, rotate_file
+from ..ioutil import append_rotating, atomic_write_bytes, fs_fsync, fsync_dir
 from .ledger import LEDGER_NAME
 from .records import MIDFILE, SEQ_JUMP, read_records
 from .snapshot import decode_snapshot
@@ -191,7 +191,7 @@ def _scrub_records(
         f.truncate(scan.end)
         f.flush()
         if durable:
-            os.fsync(f.fileno())
+            fs_fsync(f.fileno(), path)
     return [ScrubFinding(
         rel, f"{kind}_torn_tail", "repaired",
         f"truncated {torn} damaged trailing byte(s) at offset {scan.end}",
@@ -414,7 +414,6 @@ def _record_report(
 ) -> None:
     """Append one summary line + one line per finding to scrub.jsonl."""
     logs.mkdir(parents=True, exist_ok=True)
-    path = logs / "scrub.jsonl"
     rows = [json.dumps({
         "scrub": str(directory),
         "snapshots": report.snapshots_checked,
@@ -430,13 +429,10 @@ def _record_report(
         })
         for f in report.findings
     )
-    payload = "\n".join(rows) + "\n"
-    rotate_file(path, _SCRUB_LOG_MAX_BYTES, len(payload), durable=durable)
-    with open(path, "a", encoding="utf-8") as f:
-        f.write(payload)
-        f.flush()
-        if durable:
-            os.fsync(f.fileno())
+    append_rotating(
+        logs / "scrub.jsonl", "\n".join(rows) + "\n", _SCRUB_LOG_MAX_BYTES,
+        durable=durable,
+    )
 
 
 def scrub_tree(

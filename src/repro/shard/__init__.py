@@ -1,13 +1,13 @@
-"""Geo-sharded multi-city runtime: partition, route, fan out, recover.
+"""Geo-sharded multi-city runtime: partition, route, serve, recover.
 
 The horizontal-scale layer over the guarded online tier.  A
 :class:`ShardPlan` carves the plane into geohash-prefix territories, a
 :class:`ShardRouter` splits trip streams by destination cell with the
 within-shard order preserved, and a :class:`ShardedRuntime` runs one
 independently checkpointed guarded runtime per territory — own WAL, own
-snapshots, own breakers — fanning epochs out over the deterministic
-process pool, keeping each shard's durable service open across serial
-epochs, and replaying each shard's journal independently on recovery.  Serving a territory inside an N-shard fleet is bit-identical
+snapshots, own breakers — keeping each shard's durable service open
+across epochs and replaying each shard's journal independently on
+recovery.  Serving a territory inside an N-shard fleet is bit-identical
 to serving it standalone; boundary trips additionally carry advisory
 cross-shard referrals computed against a read-only halo of neighbouring
 edge stations.

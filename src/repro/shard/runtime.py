@@ -12,29 +12,25 @@ a crash, halt or self-heal in one territory cannot touch another.
 **Serving model.**  Each :meth:`ShardedRuntime.serve` call is an epoch:
 the stream is split by destination cell
 (:class:`~repro.shard.router.ShardRouter`, order preserved per shard)
-and every shard with traffic runs *serve → checkpoint* on its own
-service.  With ``workers > 1`` each shard is a self-contained
-*build-or-recover → serve → checkpoint → close* task fanned out over
-:class:`~repro.parallel.ParallelRunner`.  Serially (``workers <= 1``)
-the shards run in-process and stay *resident*: a shard's durable
-service (planner, fleet, journal handle, ledger, snapshot store) stays
-open for the next serial epoch when this one ended with its checkpoint,
-neither raised nor halted, and its directory still shows exactly the
-journal, ledger and snapshot files the service left.  Otherwise the
-service is closed and the next epoch recovers from disk.  The guard
-layer (validator, reorder buffer, breakers, overload control, logs) is
-built fresh every epoch either way, exactly as recovery builds it, so
-a resident epoch is bit-identical to a recovered one.  Pool epochs,
+and every shard with traffic runs one epoch in-process, in shard-id
+order, through :func:`_run_epoch_task` — the one epoch body, which the
+supervisor's first attempt runs too.  Shards stay *resident*: a shard's
+durable service (planner, fleet, journal handle, ledger, snapshot
+store) stays open for the next epoch when this one ended with its
+checkpoint, neither raised nor halted, and its directory still shows
+exactly the journal, ledger and snapshot files the service left.
+Otherwise the service is closed and the next epoch recovers from disk.
+The guard layer (validator, reorder buffer, breakers, overload control,
+logs) is built fresh every epoch either way, exactly as recovery builds
+it, so a resident epoch is bit-identical to a recovered one.
 :meth:`ShardedRuntime.open_shard` and :meth:`ShardedRuntime.close`
-release every resident shard first.  Results merge in shard order,
-never completion order, so multi-worker epochs are bit-identical to
-serial ones.
+release every resident shard first.
 
 **Determinism contract.**  Each shard's planner is built from the same
 recipe (:class:`ShardSpec`) whether it runs inside an N-shard fleet or
 standalone: anchors and historical demand filtered to its territory,
 per-shard RNG spawned from the root seed in shard-id order
-(``SeedSequence.spawn`` — independent of worker scheduling).  Serving a
+(``SeedSequence.spawn``).  Serving a
 territory as one shard of a fleet is therefore bit-identical — same
 responses, same journal bytes, same checkpoint state — to serving that
 territory alone, which is the interior-trip guarantee the parity suite
@@ -77,7 +73,6 @@ from ..guard.overload import LadderConfig, OverloadConfig
 from ..guard.runtime import HALTED, DEGRADED, HEALTHY, GuardConfig, GuardedRuntime
 from ..guard.validation import ValidationConfig
 from ..ioutil import atomic_write_text
-from ..parallel.pool import ParallelRunner, TaskSpec
 from ..resilience.service import CheckpointingService, constant_cost_spec
 from .plan import ShardPlan
 from .router import ShardRouter
@@ -144,9 +139,9 @@ def _guard_from_state(state: Dict[str, Any]) -> GuardConfig:
 
 @dataclass(frozen=True)
 class ShardSpec:
-    """The complete, picklable build recipe of one shard's stack.
+    """The complete build recipe of one shard's stack.
 
-    Everything a worker process (or a standalone parity oracle) needs to
+    Everything a shard's epoch (or a standalone parity oracle) needs to
     construct the shard's guarded runtime bit-identically: territory
     anchors and historical demand, the derived fleet share, the root
     seed the per-shard entropy is spawned from, and the guard policy.
@@ -295,8 +290,8 @@ def build_shard_runtime(
             durable=spec.durable,
         )
     # Per-shard entropy: spawned from the root seed in shard-id order,
-    # so shard i's RNG stream is the same for every worker schedule and
-    # every fleet size that contains it with the same id.
+    # so shard i's RNG stream is the same for every fleet size that
+    # contains it with the same id.
     child = np.random.SeedSequence(spec.seed).spawn(spec.n_shards)[spec.shard_id]
     planner_seed, fleet_seed = child.spawn(2)
     planner = EsharingPlanner(
@@ -353,8 +348,8 @@ class _RosterCells:
 
 @dataclass
 class _Resident:
-    """A shard's durable service, left open after a serial epoch that
-    ended with its checkpoint, and the disk mark it left."""
+    """A shard's durable service, left open after an epoch that ended
+    with its checkpoint, and the disk mark it left."""
 
     service: CheckpointingService
     mark: Tuple
@@ -423,8 +418,8 @@ def _compute_referrals(
 class ShardedRuntime:
     """N independently durable guarded shards behind one serving API.
 
-    Serial epochs leave each shard's durable service open for the next
-    one; :meth:`close` (or leaving a ``with`` block) releases them.
+    Epochs leave each shard's durable service open for the next one;
+    :meth:`close` (or leaving a ``with`` block) releases them.
 
     Args:
         plan: the cell-to-shard territory assignment.
@@ -683,11 +678,8 @@ class ShardedRuntime:
 
         Args:
             trips: the arrival stream in arrival order.
-            workers: worker processes for the fan-out.  ``<= 1``
-                serves the shards serially in-process, each on the
-                service its last serial epoch left open; more releases
-                those and fans out, each task recovering its shard from
-                disk.  Results are bit-identical either way.
+            workers: must be 1: the shards are served in-process, each
+                on the service its last epoch left open.
             block_size: columnar block size inside each shard (any size
                 takes the same route; ``None`` = the guard default).
             checkpoint: snapshot each shard at epoch end (disable to
@@ -697,70 +689,31 @@ class ShardedRuntime:
         Returns:
             Per-shard reports in shard-id order plus the epoch's
             cross-shard referrals.
+
+        Raises:
+            ValueError: when ``workers`` is not 1.
         """
+        if workers != 1:
+            raise ValueError(
+                f"shards are served in-process: workers must be 1, got {workers}"
+            )
         buckets = self.router.split_trips(trips)
-        active = [sid for sid, bucket in enumerate(buckets) if bucket]
-        if workers <= 1:
-            reports = [
-                self._serve_in_process(sid, buckets[sid], block_size, checkpoint)
-                for sid in active
-            ]
-        else:
-            self.close()
-            tasks = [
-                TaskSpec(
-                    fn=_run_epoch_task,
-                    args=(
-                        self.spec(sid),
-                        self.plan,
-                        str(_shard_dir(self.directory, sid)),
-                        buckets[sid],
-                        self._halo_for(sid),
-                        block_size,
-                        checkpoint,
-                    ),
-                    label=f"shard-{sid:03d}",
-                )
-                for sid in active
-            ]
-            runner = ParallelRunner(workers=min(workers, max(1, len(tasks))))
-            reports = runner.run(tasks)
-        self._set_rosters({r.shard_id: list(r.stations) for r in reports})
-        self._save_halo()
+        reports = [
+            _run_epoch_task(self, sid, bucket, block_size, checkpoint)
+            for sid, bucket in enumerate(buckets)
+            if bucket
+        ]
+        self._publish(reports)
         referrals: List[CrossShardReferral] = []
         for report in reports:
             referrals.extend(report.referrals)
         return ShardedServeOutcome(reports=tuple(reports), referrals=tuple(referrals))
 
-    def _serve_in_process(
-        self,
-        shard_id: int,
-        trips: List[TripRecord],
-        block_size: Optional[int],
-        checkpoint: bool,
-    ) -> ShardReport:
-        """One shard's serial epoch on its resident service.
-
-        The service stays open for the next serial epoch only when this
-        one ended with its checkpoint and neither raised nor halted;
-        otherwise it is closed, and the next epoch recovers from disk.
-        """
-        spec = self.spec(shard_id)
-        directory = _shard_dir(self.directory, shard_id)
-        runtime = self._adopt(spec, directory)
-        try:
-            report = _serve_epoch(
-                runtime, spec, self.plan, str(directory), trips,
-                self._halo_for(shard_id), block_size, checkpoint,
-            )
-        except BaseException:
-            runtime.close()
-            raise
-        if checkpoint and not runtime.halted:
-            self._resident[shard_id] = _Resident(runtime.inner, _disk_mark(runtime.inner))
-        else:
-            runtime.close()
-        return report
+    def _publish(self, reports: Sequence[ShardReport]) -> None:
+        """End an epoch: the reporting shards' rosters become the next
+        epoch's halo, on disk too."""
+        self._set_rosters({r.shard_id: list(r.stations) for r in reports})
+        self._save_halo()
 
     def _adopt(self, spec: ShardSpec, directory: Path) -> GuardedRuntime:
         """A fresh guard layer over the shard's resident service, or
@@ -783,9 +736,15 @@ class ShardedRuntime:
             resident.service.close()
         return build_shard_runtime(spec, directory)
 
+    def _release(self, shard_id: int) -> None:
+        """Close one shard's resident service, if it has one."""
+        resident = self._resident.pop(shard_id, None)
+        if resident is not None:
+            resident.service.close()
+
     def close(self) -> None:
-        """Release every shard service kept open between serial epochs
-        (safe to call repeatedly; the next epoch recovers from disk)."""
+        """Release every shard service kept open between epochs (safe
+        to call repeatedly; the next epoch recovers from disk)."""
         resident, self._resident = self._resident, {}
         for entry in resident.values():
             entry.service.close()
@@ -818,7 +777,7 @@ class ShardedRuntime:
         Reads ``shardplan.json`` (plan + build recipe) and the halo
         cache; each shard's state then recovers lazily — and
         independently — from its own ``shard-NNN/`` directory the next
-        time it serves or is opened.  After a serial epoch the shard's
+        time it serves or is opened.  After an epoch the shard's
         service stays open for the next one (see :meth:`serve`), so a
         shard recovers once per process, not once per epoch.
 
@@ -847,30 +806,6 @@ class ShardedRuntime:
             history_window=build["history_window"],
             _resume=True,
         )
-
-
-def _serve_epoch(
-    runtime: GuardedRuntime,
-    spec: ShardSpec,
-    plan: ShardPlan,
-    directory: str,
-    trips: List[TripRecord],
-    halo: Tuple[Tuple[int, int, float, float], ...],
-    block_size: Optional[int],
-    checkpoint: bool,
-) -> ShardReport:
-    """One shard's epoch on an open runtime: serve → referrals →
-    checkpoint → flush logs → report.  The caller owns the runtime."""
-    offered_before = runtime.validator.offered
-    outcomes = runtime.serve(trips, block_size=block_size)
-    runtime.consistency_check()
-    referrals = _compute_referrals(spec, plan, trips, outcomes, halo)
-    if checkpoint and not runtime.halted:
-        runtime.inner.checkpoint()
-    runtime.flush_logs(Path(directory) / "logs", durable=spec.durable)
-    return _shard_report(
-        spec.shard_id, runtime, offered_before, outcomes, referrals
-    )
 
 
 def _shard_report(
@@ -906,20 +841,39 @@ def _shard_report(
 
 
 def _run_epoch_task(
-    spec: ShardSpec,
-    plan: ShardPlan,
-    directory: str,
+    fleet: ShardedRuntime,
+    shard_id: int,
     trips: List[TripRecord],
-    halo: Tuple[Tuple[int, int, float, float], ...],
     block_size: Optional[int],
     checkpoint: bool,
 ) -> ShardReport:
-    """Module-level epoch task (picklable for the process pool):
-    build-or-recover → serve → close, closing on failure too."""
-    runtime = build_shard_runtime(spec, directory)
+    """One shard's epoch, the body of every fleet epoch, supervised or
+    not: adopt the resident service (or build or recover it) → serve →
+    referrals → checkpoint → flush logs → report.
+
+    The service stays resident for the next epoch only when this one
+    ended with its checkpoint and neither raised nor halted; otherwise
+    it is closed, and the next epoch recovers from disk.
+    """
+    spec = fleet.spec(shard_id)
+    directory = _shard_dir(fleet.directory, shard_id)
+    runtime = fleet._adopt(spec, directory)
     try:
-        return _serve_epoch(
-            runtime, spec, plan, directory, trips, halo, block_size, checkpoint
+        offered_before = runtime.validator.offered
+        outcomes = runtime.serve(trips, block_size=block_size)
+        runtime.consistency_check()
+        referrals = _compute_referrals(
+            spec, fleet.plan, trips, outcomes, fleet._halo_for(shard_id)
         )
-    finally:
+        if checkpoint and not runtime.halted:
+            runtime.inner.checkpoint()
+        runtime.flush_logs(directory / "logs", durable=spec.durable)
+        report = _shard_report(shard_id, runtime, offered_before, outcomes, referrals)
+    except BaseException:
         runtime.close()
+        raise
+    if checkpoint and not runtime.halted:
+        fleet._resident[shard_id] = _Resident(runtime.inner, _disk_mark(runtime.inner))
+    else:
+        runtime.close()
+    return report

@@ -15,12 +15,13 @@ Per epoch, every shard runs through a four-state health machine::
        └── clean epoch: straight through, bit-identical to an
            unsupervised fleet
 
-* **healthy** — the shard's first attempt is literally the
-  unsupervised epoch task, so a fault-free supervised epoch is
-  bit-identical (journal bytes, checkpoint state, outcomes) to
-  :meth:`ShardedRuntime.serve`.
-* **degraded** — the attempt failed (storage fault, worker crash,
-  poisoned planner).  The supervisor backs off (seeded exponential
+* **healthy** — the shard's first attempt is the fleet's own epoch
+  body (:func:`~repro.shard.runtime._run_epoch_task`) on its resident
+  service, so a fault-free supervised epoch is the same code as
+  :meth:`ShardedRuntime.serve`: it recovers nothing, and its journal
+  bytes, checkpoint state and outcomes are identical.
+* **degraded** — the attempt failed (storage fault, poisoned
+  planner).  The supervisor backs off (seeded exponential
   backoff with jitter — drawn only on failures, so clean runs consume
   no randomness), repairs the shard's journal tail, rebuilds the
   runtime with ``recover()`` and re-serves the *whole* bucket from the
@@ -34,19 +35,22 @@ Per epoch, every shard runs through a four-state health machine::
   failed.  The shard keeps its durable state for an operator; the rest
   of the fleet keeps serving.
 
-Fan-out faults are isolated per shard: multi-worker epochs wrap each
-task in an error envelope, so one shard's exception no longer cancels
-its siblings; a pool-level :class:`~repro.errors.WorkerCrashError`
-(worker died, task timeout) drops every unfinished shard into in-process
-supervised mode instead of failing the epoch.
+Only a faulted shard recovers from disk.  Its resident service is
+released before the restart, so no journal ever has two append
+handles, and the healed shard is closed at epoch end, so the next epoch
+recovers that one shard once.
 
 After each epoch the supervisor persists its quarantine ledger
-(``quarantine.jsonl``), its epoch counter (``supervisor_epoch.json``,
+(``quarantine.jsonl``, rewritten only when the epoch quarantined a
+block), its epoch counter (``supervisor_epoch.json``,
 so a recovered supervisor numbers the next epoch on from the last one)
 and fleet incident log (``logs/incidents.jsonl``) under the fleet root,
 and — when ``scrub_after_epoch`` is on — runs the storage scrubber over
 the whole tree so silent corruption is found while the previous good
-generation still exists.
+generation still exists.  A shard whose files the scrub repaired no
+longer matches its resident service's disk mark, so it recovers next
+epoch; a scrub that raises is logged as an incident, since every shard
+has already checkpointed.
 """
 
 from __future__ import annotations
@@ -60,10 +64,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..datasets.trips import TripRecord
-from ..errors import WorkerCrashError
 from ..guard.runtime import DEGRADED, HALTED, HEALTHY, GuardedRuntime, IncidentLog
 from ..ioutil import atomic_write_text
-from ..parallel.pool import ParallelRunner, TaskSpec
 from ..resilience.scrub import ScrubReport, repair_journal_tail, scrub_tree
 from .runtime import (
     ShardReport,
@@ -113,9 +115,6 @@ class SupervisorConfig:
         backoff_cap_s: ceiling of the exponential backoff.
         seed: seed of the backoff jitter — drawn only on failures, so a
             clean epoch consumes no randomness.
-        task_timeout_s: per-shard wall-clock limit on fanned-out first
-            attempts (``workers > 1``); exceeding it is treated as a
-            worker crash.  In-process attempts cannot be preempted.
         quarantine_keep: ledger rows retained in memory and on disk.
         incident_keep: fleet incident rows retained in memory.
         scrub_after_epoch: run the storage scrubber over the fleet tree
@@ -130,7 +129,6 @@ class SupervisorConfig:
     backoff_base_s: float = 0.01
     backoff_cap_s: float = 1.0
     seed: int = 0
-    task_timeout_s: Optional[float] = None
     quarantine_keep: int = 10_000
     incident_keep: int = 10_000
     scrub_after_epoch: bool = True
@@ -258,15 +256,6 @@ def _safe_id(trip: TripRecord) -> int:
         return -1
 
 
-def _enveloped_epoch_task(*args) -> Tuple:
-    """Fan-out envelope: a shard's exception becomes a value, so one
-    failing shard no longer cancels its siblings' futures."""
-    try:
-        return ("ok", _run_epoch_task(*args))
-    except Exception as exc:  # noqa: BLE001 — the envelope's whole point
-        return ("fault", repr(exc))
-
-
 class FleetSupervisor:
     """Self-healing supervision over a :class:`ShardedRuntime`.
 
@@ -277,14 +266,10 @@ class FleetSupervisor:
         runtime_factory: shard-stack constructor used for supervised
             restarts; defaults to :func:`build_shard_runtime` (tests
             inject failing factories to exercise the halt path).
-        runner_factory: ``(workers, task_timeout) -> ParallelRunner``
-            override for the fan-out (tests inject crashing pools).
         pre_block_hook: test seam called as ``hook(shard_id, epoch,
             generation, block_index)`` before the clean attempt
             (``generation 0, block -1``) and before each supervised
             chunk; exceptions it raises are treated as shard faults.
-            Forces in-process serving when set (hooks cannot cross the
-            process boundary meaningfully).
     """
 
     def __init__(
@@ -293,18 +278,12 @@ class FleetSupervisor:
         config: Optional[SupervisorConfig] = None,
         sleep: Callable[[float], None] = time.sleep,
         runtime_factory: Callable[[ShardSpec, Path], GuardedRuntime] = build_shard_runtime,
-        runner_factory: Optional[Callable] = None,
         pre_block_hook: Optional[Callable[[int, int, int, int], None]] = None,
     ) -> None:
         self.fleet = fleet
         self.config = config or SupervisorConfig()
         self._sleep = sleep
         self._factory = runtime_factory
-        self._runner_factory = runner_factory or (
-            lambda workers, timeout: ParallelRunner(
-                workers=workers, task_timeout=timeout
-            )
-        )
         self._hook = pre_block_hook
         self._rng = np.random.default_rng(self.config.seed)
         self.incidents = IncidentLog(keep=self.config.incident_keep)
@@ -388,75 +367,46 @@ class FleetSupervisor:
     def serve(
         self,
         trips: Sequence[TripRecord],
-        workers: int = 1,
         block_size: Optional[int] = None,
         checkpoint: bool = True,
     ) -> SupervisedOutcome:
         """Run one supervised epoch across the fleet.
 
-        Mirrors :meth:`ShardedRuntime.serve` — same routing, same halo
-        update — but no shard fault can fail the epoch: faulted shards
-        are restarted under budget, poison blocks are quarantined, and
-        only a shard that exhausts its budget ends the epoch halted
-        (the rest keep their results).
+        Mirrors :meth:`ShardedRuntime.serve` — same routing, same epoch
+        body on the same resident services, same halo update — but no
+        shard fault can fail the epoch: faulted shards are restarted
+        under budget, poison blocks are quarantined, and only a shard
+        that exhausts its budget ends the epoch halted (the rest keep
+        their results).
         """
         self.epoch += 1
         cfg = self.config
-        # Every supervised attempt recovers its shard from disk: release
-        # the services the fleet's serial epochs left open, so that no
-        # journal has two append handles.
-        self.fleet.close()
         buckets = self.fleet.router.split_trips(trips)
-        active = [sid for sid, bucket in enumerate(buckets) if bucket]
         results: Dict[int, SupervisedShardReport] = {}
         epoch_quarantined: List[QuarantinedBlock] = []
         epoch_restarts = 0
 
-        # -- first attempt: the unsupervised epoch task, enveloped ------
-        pending: List[Tuple[int, Optional[str]]] = []
-        if workers > 1 and self._hook is None and len(active) > 1:
-            tasks = [
-                TaskSpec(
-                    fn=_enveloped_epoch_task,
-                    args=self._task_args(sid, buckets[sid], block_size, checkpoint),
-                    label=f"shard-{sid:03d}",
-                )
-                for sid in active
-            ]
-            runner = self._runner_factory(
-                min(workers, len(tasks)), cfg.task_timeout_s
-            )
+        # -- first attempt: the fleet's own resident epoch --------------
+        pending: List[Tuple[int, str]] = []
+        for sid, bucket in enumerate(buckets):
+            if not bucket:
+                continue
             try:
-                envelopes = runner.run(tasks)
-            except WorkerCrashError as exc:
-                # The pool itself broke: no envelope can be trusted, so
-                # every shard falls back to in-process supervision.
-                self._incident("worker_crash", f"epoch {self.epoch}: {exc!r}")
-                pending = [(sid, repr(exc)) for sid in active]
+                if self._hook is not None:
+                    self._hook(sid, self.epoch, 0, -1)
+                report = _run_epoch_task(
+                    self.fleet, sid, bucket, block_size, checkpoint
+                )
+            except Exception as exc:  # noqa: BLE001 — supervision boundary
+                # The restart recovers from disk: the resident service
+                # (still open when the hook raised) must let go first.
+                self.fleet._release(sid)
+                self._incident(
+                    "shard_fault", f"shard {sid} first attempt: {exc!r}"
+                )
+                pending.append((sid, repr(exc)))
             else:
-                for sid, env in zip(active, envelopes):
-                    if env[0] == "ok":
-                        results[sid] = self._clean_result(sid, env[1])
-                    else:
-                        self._incident(
-                            "shard_fault", f"shard {sid} first attempt: {env[1]}"
-                        )
-                        pending.append((sid, env[1]))
-        else:
-            for sid in active:
-                try:
-                    if self._hook is not None:
-                        self._hook(sid, self.epoch, 0, -1)
-                    report = _run_epoch_task(
-                        *self._task_args(sid, buckets[sid], block_size, checkpoint)
-                    )
-                except Exception as exc:  # noqa: BLE001 — supervision boundary
-                    self._incident(
-                        "shard_fault", f"shard {sid} first attempt: {exc!r}"
-                    )
-                    pending.append((sid, repr(exc)))
-                else:
-                    results[sid] = self._clean_result(sid, report)
+                results[sid] = self._clean_result(sid, report)
 
         # -- supervised mode for everything that failed -----------------
         for sid, first_error in pending:
@@ -471,28 +421,26 @@ class FleetSupervisor:
         ordered = tuple(results[sid] for sid in sorted(results))
         for supervised in ordered:
             self.health[supervised.shard_id] = supervised.state
-        self.fleet._set_rosters({
-            s.shard_id: list(s.report.stations)
-            for s in ordered
-            if s.report is not None and s.report.stations
-        })
-        self.fleet._save_halo()
+        self.fleet._publish([s.report for s in ordered if s.report is not None])
         self.quarantine.extend(epoch_quarantined)
         self.total_restarts += epoch_restarts
-        self._save_quarantine()
+        if epoch_quarantined:
+            self._save_quarantine()
         self._save_epoch()
         self._flush_incidents()
         scrub = None
         if cfg.scrub_after_epoch:
-            scrub = scrub_tree(
-                self.fleet.directory, repair=True, durable=self.fleet.durable
-            )
-            if not scrub.clean:
-                self._incident(
-                    "scrub",
-                    f"epoch {self.epoch}: {scrub.repaired} repaired, "
-                    f"{scrub.refused} refused",
+            try:
+                scrub = scrub_tree(
+                    self.fleet.directory, repair=True, durable=self.fleet.durable
                 )
+                note = None if scrub.clean else (
+                    f"{scrub.repaired} repaired, {scrub.refused} refused"
+                )
+            except Exception as exc:  # noqa: BLE001 — the shards checkpointed
+                note = f"scrub failed: {exc!r}"
+            if note is not None:
+                self._incident("scrub", f"epoch {self.epoch}: {note}")
                 self._flush_incidents()
         return SupervisedOutcome(
             reports=ordered,
@@ -502,17 +450,6 @@ class FleetSupervisor:
         )
 
     # ------------------------------------------------------------------
-    def _task_args(self, sid, bucket, block_size, checkpoint) -> Tuple:
-        return (
-            self.fleet.spec(sid),
-            self.fleet.plan,
-            str(_shard_dir(self.fleet.directory, sid)),
-            bucket,
-            self.fleet._halo_for(sid),
-            block_size,
-            checkpoint,
-        )
-
     def _clean_result(self, sid: int, report: ShardReport) -> SupervisedShardReport:
         return SupervisedShardReport(
             shard_id=sid,

@@ -4,9 +4,12 @@ import json
 import shutil
 from pathlib import Path
 
+import pytest
+
 from repro.resilience import (
     CheckpointingService,
     FaultFS,
+    FaultFSConfig,
     TripJournal,
     constant_cost_spec,
     logical_state,
@@ -109,6 +112,33 @@ class TestScrubJournal:
             f.write(b"torn")
         findings = repair_journal_tail(journal, durable=False)
         assert findings and findings[0].action == "repaired"
+
+
+class TestScrubFaultSeam:
+    def _torn(self, tmp_path):
+        directory = _checkpoint_dir(tmp_path)
+        with open(directory / "journal.jsonl", "ab") as f:
+            f.write(b"0123456789abcdef {torn mid-append")
+        return directory
+
+    def test_durable_repair_writes_through_the_seam(self, tmp_path):
+        directory = self._torn(tmp_path)
+        fs = FaultFS()
+        with fs.inject():
+            report = scrub_checkpoint_dir(directory, repair=True, durable=True)
+        assert [(f.kind, f.action) for f in report.findings] == [
+            ("journal_torn_tail", "repaired")
+        ]
+        # The truncated journal's fsync, then logs/scrub.jsonl's append.
+        assert (fs.counters.writes, fs.counters.fsyncs) == (1, 2)
+
+    def test_failed_fsync_is_not_reported_repaired(self, tmp_path):
+        directory = self._torn(tmp_path)
+        fs = FaultFS(FaultFSConfig(p_fsync=1.0, match="journal.jsonl"))
+        with fs.inject(), pytest.raises(OSError, match="injected fsync"):
+            scrub_checkpoint_dir(directory, repair=True, durable=True)
+        assert fs.counters.fsync == 1
+        assert not (directory / "logs" / "scrub.jsonl").exists()
 
 
 class TestScrubLedger:

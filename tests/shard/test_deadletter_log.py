@@ -4,7 +4,7 @@ Every shard-epoch builds a fresh guard layer, so its dead-letter sink
 starts empty; ``flush_logs`` appends that epoch's rows to
 ``deadletter.jsonl`` instead of rewriting the file.  On disk, each
 shard's rows must equal the sum of the ``deadlettered`` counts it
-reported, through serial and pool epochs, supervised restarts and
+reported, through plain and supervised epochs, supervised restarts and
 repeated flushes of one runtime.
 """
 
@@ -43,8 +43,13 @@ def test_every_epoch_is_kept(tmp_path, seed):
     root = tmp_path / "city"
     reported = {}
     with make_city(make_plan(4), root, seed=seed) as fleet:
-        for part, workers in zip(_epochs(_hostile(1600, seed), 4), (1, 2, 1, 2)):
-            for report in fleet.serve(part, workers=workers).reports:
+        supervisor = FleetSupervisor(fleet)
+        for part, supervised in zip(_epochs(_hostile(1600, seed), 4), (0, 1, 0, 1)):
+            if supervised:
+                reports = [s.report for s in supervisor.serve(part).reports]
+            else:
+                reports = fleet.serve(part).reports
+            for report in reports:
                 reported[report.shard_id] = (
                     reported.get(report.shard_id, 0) + report.deadlettered
                 )

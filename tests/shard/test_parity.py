@@ -122,22 +122,6 @@ def test_multi_epoch_parity(tmp_path):
         oracle.close()
 
 
-def test_parallel_epoch_matches_serial(tmp_path):
-    plan = make_plan(4)
-    trips = make_trips(400, seed=16)
-    serial = make_city(plan, tmp_path / "serial")
-    parallel = make_city(plan, tmp_path / "par")
-    out_serial = serial.serve(trips, workers=1)
-    out_parallel = parallel.serve(trips, workers=2)
-    assert out_serial == out_parallel
-    for sid in range(plan.n_shards):
-        a = tmp_path / "serial" / f"shard-{sid:03d}" / "journal.jsonl"
-        b = tmp_path / "par" / f"shard-{sid:03d}" / "journal.jsonl"
-        assert a.exists() == b.exists()
-        if a.exists():
-            assert a.read_bytes() == b.read_bytes()
-
-
 def test_every_admitted_trip_served_exactly_once(tmp_path):
     plan = make_plan(3)
     city = make_city(plan, tmp_path / "city")

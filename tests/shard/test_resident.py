@@ -3,8 +3,10 @@
 A reused shard must serve exactly as one recovered from disk before
 every epoch: same reports, referrals, journal, ledger and halo bytes,
 same recovered state.  A shard whose epoch failed, or whose directory
-someone else wrote to, is recovered instead; pool epochs, ``open_shard``
-and ``close`` release every open shard.
+someone else wrote to, is recovered instead; ``open_shard`` and
+``close`` release every open shard.  Supervised epochs run the same
+epoch body on the same resident services: only a faulted shard
+recovers.
 """
 
 import numpy as np
@@ -15,9 +17,15 @@ from repro.gauntlet import city
 from repro.gauntlet.rows import HOSTILE
 from repro.guard import GuardedRuntime
 from repro.resilience.chaos import ChaosConfig, FaultInjector
+from repro.resilience.faultfs import FaultFS, FaultFSConfig
 from repro.resilience.journal import TripJournal
-from repro.shard import FleetSupervisor, ShardRouter, ShardedRuntime
-from repro.shard import runtime as shard_runtime
+from repro.shard import (
+    FleetSupervisor,
+    ShardedRuntime,
+    ShardedServeOutcome,
+    SupervisorConfig,
+    build_shard_runtime,
+)
 from repro.stats.ks2d import CachedKS2D
 
 N_SHARDS = 3
@@ -93,15 +101,26 @@ def _disk(root):
     )
 
 
-#: ``(workers, checkpoint)`` per epoch.  After an epoch without its
+#: ``(supervised, checkpoint)`` per epoch.  After an epoch without its
 #: checkpoint the next one must recover: replaying the journal tail
 #: moves the KS guard's breaker and last good result, which matters
 #: once a KS test fails.
 SCHEDULES = {
-    "mixed": ((1, True), (1, False), (2, True), (1, True)),
-    "serial": ((1, True), (1, True), (1, True), (1, True)),
-    "crash": ((1, True), (1, False), (1, True), (1, True)),
+    "mixed": ((False, True), (False, False), (True, True), (False, True)),
+    "serial": ((False, True), (False, True), (False, True), (False, True)),
+    "crash": ((False, True), (False, False), (False, True), (False, True)),
 }
+
+
+def _serve(fleet, trips, supervised, checkpoint):
+    """One epoch, plain or through a supervisor over the same fleet."""
+    if not supervised:
+        return fleet.serve(trips, checkpoint=checkpoint)
+    outcome = FleetSupervisor(fleet).serve(trips, checkpoint=checkpoint)
+    reports = tuple(s.report for s in outcome.reports)
+    return ShardedServeOutcome(
+        reports=reports, referrals=tuple(r for rep in reports for r in rep.referrals)
+    )
 
 
 @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
@@ -115,19 +134,19 @@ def test_reused_shards_match_shards_recovered_every_epoch(
     ref_root = tmp_path / "recovered"
     reference = city.fleet(N_SHARDS, ref_root, seed)
     expected = []
-    for e, (trips, (workers, checkpoint)) in enumerate(zip(epochs, steps)):
+    for e, (trips, (_, checkpoint)) in enumerate(zip(epochs, steps)):
         if e:
             reference.close()
             reference = ShardedRuntime.recover(ref_root)
-        expected.append(reference.serve(trips, workers=workers, checkpoint=checkpoint))
+        expected.append(reference.serve(trips, checkpoint=checkpoint))
     reference.close()
     recovered_each_epoch = len(recoveries)
 
     root = tmp_path / "resident"
     recoveries.clear()
     fleet = city.fleet(N_SHARDS, root, seed)
-    for trips, (workers, checkpoint), want in zip(epochs, steps, expected):
-        got = fleet.serve(trips, workers=workers, checkpoint=checkpoint)
+    for trips, (supervised, checkpoint), want in zip(epochs, steps, expected):
+        got = _serve(fleet, trips, supervised, checkpoint)
         assert got.reports == want.reports
         assert got.referrals == want.referrals
     fleet.close()
@@ -161,22 +180,11 @@ def test_failed_epoch_closes_its_journal_and_is_not_reused(
         assert len({id(j) for j in journals}) == 1
         assert journals[0]._writer._fh is None
 
-        # The pool's task closes on failure too.
-        journals.clear()
-        bucket = ShardRouter(fleet.plan).split_trips(trips[200:])[1]
-        with pytest.raises(StateDriftError):
-            shard_runtime._run_epoch_task(
-                fleet.spec(1), fleet.plan, str(tmp_path / "shard-001"),
-                bucket, (), None, True,
-            )
-        assert journals and all(j._writer._fh is None for j in journals)
-
-    # Shard 0 failed and shard 1's directory changed under it: both come
-    # back from disk.  Shard 2 is reused.
+    # Shard 0 failed: it comes back from disk.  Shards 1 and 2 are reused.
     recoveries.clear()
     fleet.serve(trips[200:])
     fleet.close()
-    assert recoveries == [0, 1]
+    assert recoveries == [0]
     assert all(j._writer._fh is None for j in journals)
 
 
@@ -242,4 +250,81 @@ def test_one_owner_per_shard_directory(tmp_path, journals):
     )
     assert city.fleet_image(fleet) == city.fleet_image(reference)
 
+    assert journals and all(j._writer._fh is None for j in journals)
+
+
+def test_serve_takes_one_worker(tmp_path):
+    with city.fleet(N_SHARDS, tmp_path) as fleet:
+        with pytest.raises(ValueError, match="workers must be 1"):
+            fleet.serve(city.trips(50, 2), workers=2)
+
+
+def _supervisor(fleet, **kwargs):
+    return FleetSupervisor(
+        fleet, config=SupervisorConfig(backoff_base_s=0.0),
+        sleep=lambda _s: None, **kwargs,
+    )
+
+
+def test_clean_supervised_epochs_stay_resident(tmp_path, recoveries):
+    epochs = _epochs(city.trips(1200, 5), 6)
+    plain = city.fleet(N_SHARDS, tmp_path / "plain", 5, durable=True)
+    fleet = city.fleet(N_SHARDS, tmp_path / "supervised", 5, durable=True)
+    supervisor = _supervisor(fleet)
+    assert supervisor.config.scrub_after_epoch
+    with plain, fleet:
+        for trips in epochs:
+            want = plain.serve(trips)
+            got = supervisor.serve(trips)
+            assert not got.restarts and got.scrub.clean
+            assert tuple(s.report for s in got.reports) == want.reports
+            # Journal, ledger and halo bytes after every epoch.
+            assert _disk(fleet.directory) == _disk(plain.directory)
+    # Genesis builds each shard; no later epoch recovers one.
+    assert recoveries == []
+
+
+def test_a_faulted_shard_alone_recovers(tmp_path, recoveries):
+    e1, e2, e3, e4 = _epochs(city.trips(800, 6), 4)
+    with city.fleet(N_SHARDS, tmp_path, 6, durable=True) as fleet:
+        supervisor = _supervisor(fleet)
+        supervisor.serve(e1)
+        fs = FaultFS(FaultFSConfig(
+            p_fsync=1.0, match="shard-001/journal.jsonl", max_faults=1
+        ))
+        with fs.inject():
+            outcome = supervisor.serve(e2)
+        assert fs.counters.fsync == 1
+        assert [r.restarts for r in outcome.reports] == [0, 1, 0]
+        assert recoveries == [1]
+        # The healed shard was closed: it recovers once more, alone.
+        recoveries.clear()
+        supervisor.serve(e3)
+        assert recoveries == [1]
+        recoveries.clear()
+        supervisor.serve(e4)
+        assert recoveries == []
+
+
+def test_hook_fault_releases_the_resident_journal(tmp_path, journals):
+    e1, e2 = _epochs(city.trips(400, 7), 2)
+    released = []
+
+    def hook(sid, epoch, generation, block):
+        if (sid, epoch, generation, block) == (1, 2, 0, -1):
+            raise RuntimeError("injected before the first attempt")
+
+    def factory(spec, directory):
+        released.append(resident._writer._fh is None)
+        return build_shard_runtime(spec, directory)
+
+    fleet = city.fleet(N_SHARDS, tmp_path)
+    supervisor = _supervisor(fleet, pre_block_hook=hook, runtime_factory=factory)
+    supervisor.serve(e1)
+    resident = fleet._resident[1].service.journal
+    assert resident._writer._fh is not None
+    outcome = supervisor.serve(e2)
+    fleet.close()
+    assert [r.restarts for r in outcome.reports] == [0, 1, 0]
+    assert released == [True]
     assert journals and all(j._writer._fh is None for j in journals)

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.errors import WorkerCrashError
 from repro.guard.runtime import DEGRADED, HALTED, HEALTHY
 from repro.shard import (
     QUARANTINED,
@@ -13,7 +12,7 @@ from repro.shard import (
     ShardRouter,
     SupervisorConfig,
 )
-from repro.resilience import TripJournal
+from repro.resilience import FaultFS, FaultFSConfig, TripJournal
 
 from .conftest import make_city, make_plan, make_trips
 
@@ -89,6 +88,20 @@ class TestFaultFreeParity:
         supervisor = _supervised(city, scrub_after_epoch=False)
         outcome = supervisor.serve(make_trips(30, seed=1), block_size=BLOCK)
         assert outcome.scrub is None
+
+    def test_failed_post_epoch_scrub_is_an_incident(self, tmp_path):
+        city = make_city(make_plan(2), tmp_path / "c", seed=1)
+        supervisor = _supervised(city)
+        # The scrub's own log append is the only write this schedule hits.
+        fs = FaultFS(FaultFSConfig(p_enospc=1.0, match="scrub.jsonl"))
+        with fs.inject():
+            outcome = supervisor.serve(make_trips(30, seed=1), block_size=BLOCK)
+        city.close()
+        assert fs.counters.enospc == 1
+        assert outcome.health == HEALTHY and outcome.scrub is None
+        assert [(i.kind, "ENOSPC" in i.detail) for i in supervisor.incidents] == [
+            ("scrub", True)
+        ]
 
 
 class TestTransientFault:
@@ -283,33 +296,3 @@ class TestHaltPath:
         supervisor.serve(make_trips(60, seed=3), block_size=BLOCK)
         assert len(sleeps) == 1
         assert 0.5 <= sleeps[0] < 1.0  # base * jitter in [1, 2)
-
-
-class TestWorkerCrashIsolation:
-    def test_dead_pool_falls_back_in_process(self, tmp_path):
-        trips = make_trips(60, seed=3)
-        plain = make_city(make_plan(3), tmp_path / "plain", seed=3)
-        plain.serve(trips, block_size=BLOCK)
-
-        class _DeadPool:
-            def run(self, tasks):
-                raise WorkerCrashError("pool lost its workers")
-
-        city = make_city(make_plan(3), tmp_path / "c", seed=3)
-        supervisor = FleetSupervisor(
-            city,
-            config=SupervisorConfig(backoff_base_s=0.0),
-            sleep=_no_sleep,
-            runner_factory=lambda workers, timeout: _DeadPool(),
-        )
-        outcome = supervisor.serve(trips, workers=2, block_size=BLOCK)
-        assert outcome.health == DEGRADED  # every shard restarted once
-        assert outcome.restarts == len(outcome.reports)
-        for report in outcome.reports:
-            sid = report.shard_id
-            assert (
-                (tmp_path / "c" / f"shard-{sid:03d}" / "journal.jsonl").read_bytes()
-                == (
-                    tmp_path / "plain" / f"shard-{sid:03d}" / "journal.jsonl"
-                ).read_bytes()
-            )

@@ -16,7 +16,7 @@ import pytest
 from repro.gauntlet import PLANE
 from repro.gauntlet.rows import HOSTILE
 from repro.resilience.chaos import ChaosConfig, FaultInjector
-from repro.shard import ShardPlan, ShardedRuntime
+from repro.shard import FleetSupervisor, ShardPlan, ShardedRuntime
 
 from .conftest import make_city, make_plan, make_trips
 from .touch_oracle import halo_scan, touches_shard_scan
@@ -89,9 +89,12 @@ def test_halo_matches_scan_through_epochs_and_recovery(tmp_path):
     retired = opened = 0
     rosters = {}
     with city:
-        for epoch, workers in zip(epochs[:3], (1, 2, 1)):
-            outcome = city.serve(epoch, workers=workers)
-            for report in outcome.reports:
+        for epoch, supervised in zip(epochs[:3], (0, 1, 0)):
+            if supervised:
+                reports = [s.report for s in FleetSupervisor(city).serve(epoch).reports]
+            else:
+                reports = city.serve(epoch).reports
+            for report in reports:
                 now = set(report.stations)
                 retired += len(seen[report.shard_id] - now)
                 opened += len(now - seen[report.shard_id])

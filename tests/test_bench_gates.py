@@ -23,10 +23,9 @@ def test_gate_table_is_pinned():
         ("placement.replay", 3.0, 0),
         ("throughput.nn_backend", 3.0, 0),
         ("parallel.placement", 1.6, 4),
-        ("shard.scaling", 1.6, 4),
         ("loadgen.apply", 5.0, 4),
     }
-    assert len(bench.GATES) == 7
+    assert len(bench.GATES) == 6
     assert bench.SMOKE_FLOORS == {"stream.replay": 2.0}
     assert bench.GATE_WORKERS == 4
     assert bench.OFFER_RATE_FLOOR == 1_000.0
@@ -42,7 +41,6 @@ def test_gated_sizes_are_pinned():
     assert legs["placement.replay"][1]["sizes"][-1] == 100_000
     assert legs["throughput.nn_backend"][1]["counts"][-1] == 10_000
     assert 4 in legs["parallel.placement"][1]["workers"]
-    assert 4 in legs["shard.scaling"][1]["shards"]
 
 
 def test_verdict_rule():

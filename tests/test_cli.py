@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import EXPERIMENTS
+from repro.resilience.journal import TripJournal
 
 
 class TestParser:
@@ -164,6 +165,32 @@ class TestServeArgumentHardening:
         out = capsys.readouterr().out
         assert "guarded run:" in out
         assert "final health healthy" in out
+
+
+class TestShardedServe:
+    def test_supervised_serve_closes_its_journals(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        journals = []
+        append = TripJournal.append_block
+
+        def spy(self, *args, **kwargs):
+            journals.append(self)
+            return append(self, *args, **kwargs)
+
+        monkeypatch.setattr(TripJournal, "append_block", spy)
+        args = [
+            "serve", "--dir", str(tmp_path / "city"), "--shards", "2",
+            "--supervise", "--trips", "200",
+        ]
+        assert main(args) == 0
+        assert "supervised run (2 shards): " in capsys.readouterr().out
+        assert journals and all(j._writer._fh is None for j in journals)
+
+    def test_serve_has_no_workers_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["serve", "--dir", str(tmp_path), "--shards", "2", "--workers", "2"])
+        assert "--workers" in capsys.readouterr().err
 
 
 class TestIncidentsKindFilter:
