@@ -82,8 +82,7 @@ def main() -> None:
     fleet = Fleet(planner.stations, n_bikes=500, rng=np.random.default_rng(4))
     service = PlacementService(planner, fleet)
 
-    for trip in day:
-        service.handle_trip(trip)
+    service.serve(day)
     service.consistency_check()
 
     served = sum(1 for r in service.responses if r.served)

@@ -133,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         action="store_true",
         help="deliver the workload through a faulty upstream "
-        "(duplicates, drops, reorder, clock skew, garbage fields)",
+        "(duplicates, drops, reorder, clock skew, garbage fields); "
+        "needs --guard on one shard",
     )
     serve.add_argument(
         "--block-size",
@@ -569,6 +570,12 @@ def _run_serve(args) -> int:
             return 2
     if args.shards > 1:
         return _run_serve_sharded(args)
+    if args.chaos and not args.guard:
+        print(
+            "--chaos needs --guard: the unguarded service has no validator "
+            "for the injected faults", file=sys.stderr,
+        )
+        return 2
     records = _serve_workload(args)
     if args.chaos:
         injector = FaultInjector(ChaosConfig(
@@ -578,11 +585,6 @@ def _run_serve(args) -> int:
         ))
         records = injector.mutate_trips(records)
         print(f"chaos upstream: {injector.summary().to_text()}")
-        if not args.guard:
-            print(
-                "warning: --chaos without --guard feeds raw faults to the "
-                "unguarded service", file=sys.stderr,
-            )
     wrapped = CheckpointingService(
         _demo_service(records, args.seed, args.bikes),
         args.dir,
@@ -590,9 +592,11 @@ def _run_serve(args) -> int:
         facility_cost_spec=constant_cost_spec(_DEMO_COST),
     )
     if not args.guard:
+        from .core.tripblock import TripBlock
+
         served = 0
         for lo in range(0, len(records), args.block_size):
-            chunk = records[lo : lo + args.block_size]
+            chunk = TripBlock.from_trips(records[lo : lo + args.block_size])
             served += sum(1 for r in wrapped.handle_block(chunk) if r is not None)
         wrapped.checkpoint()
         wrapped.close()

@@ -127,33 +127,36 @@ class PlacementService:
         return self.planner.station_set.location(station_id)
 
     # ------------------------------------------------------------------
-    def handle_trip(self, trip: TripRecord) -> ServiceResponse:
-        """Serve one trip end to end.
+    def handle_trip(self, order_id: int, start: Point, end: Point) -> ServiceResponse:
+        """Serve one trip end to end: the only fields the step reads.
 
-        Pickup: nearest active station with a bike (the trip is refused
-        when none exists anywhere).  Drop-off: Algorithm 2's decision.
-        If the pickup empties its station, the station retires from P.
+        Pickup: nearest active station with a bike to ``start`` (the
+        trip is refused when none exists anywhere).  Drop-off:
+        Algorithm 2's decision for ``end``.  The bike rides
+        ``start.distance_to(end)``, as :attr:`TripRecord.distance`
+        measures it.  If the pickup empties its station, the station
+        retires from P.
         """
-        origin_id = pickup_station(self.planner.station_set, self.fleet, trip.start)
+        origin_id = pickup_station(self.planner.station_set, self.fleet, start)
         if origin_id is None:
             response = ServiceResponse(
-                order_id=trip.order_id, served=False,
+                order_id=order_id, served=False,
                 origin_station=-1, destination_station=-1,
                 opened_new=False, removed_station=None, walking_m=0.0,
             )
             self.responses.append(response)
             return response
 
-        decision = self.planner.offer(trip.end)
+        decision = self.planner.offer(end)
         dest_id = decision.station_index
 
         bike = self.fleet.pick_bike(origin_id)
         if bike is None:  # guaranteed by pickup_station
             raise StateDriftError(
                 f"station {origin_id} emptied between selection and pickup "
-                f"for order {trip.order_id}"
+                f"for order {order_id}"
             )
-        self.fleet.ride(bike.bike_id, dest_id, trip.distance)
+        self.fleet.ride(bike.bike_id, dest_id, start.distance_to(end))
 
         removed: Optional[int] = None
         if not self.fleet.is_stocked(origin_id) and origin_id != dest_id:
@@ -162,7 +165,7 @@ class PlacementService:
             removed = origin_id
 
         response = ServiceResponse(
-            order_id=trip.order_id, served=True,
+            order_id=order_id, served=True,
             origin_station=origin_id, destination_station=dest_id,
             opened_new=decision.opened, removed_station=removed,
             walking_m=decision.walking_cost,
@@ -170,7 +173,9 @@ class PlacementService:
         self.responses.append(response)
         return response
 
-    def degraded_assign(self, trip: TripRecord) -> ServiceResponse:
+    def degraded_assign(
+        self, order_id: int, start: Point, end: Point
+    ) -> ServiceResponse:
         """Serve a trip in degraded mode: nearest existing station, no
         state mutation.
 
@@ -189,18 +194,18 @@ class PlacementService:
         store = self.planner.station_set
         if not store.ids():
             raise StateDriftError(
-                f"degraded mode has no active station for order {trip.order_id}"
+                f"degraded mode has no active station for order {order_id}"
             )
-        origin = store.nearest(trip.start)
-        dest = store.nearest(trip.end)
+        origin = store.nearest(start)
+        dest = store.nearest(end)
         return ServiceResponse(
-            order_id=trip.order_id, served=True,
+            order_id=order_id, served=True,
             origin_station=origin[0], destination_station=dest[0],
             opened_new=False, removed_station=None, walking_m=dest[1],
         )
 
     def serve(self, trips: Iterable[TripRecord]) -> List[ServiceResponse]:
-        """Serve a batch of trips in arrival order.
+        """Serve a batch of trip records in arrival order.
 
         The service cannot route a whole batch through the planner's
         vectorized :meth:`~repro.core.esharing.EsharingPlanner.replay`:
@@ -213,7 +218,7 @@ class PlacementService:
             The responses for this batch, in order (also appended to
             :attr:`responses`).
         """
-        return [self.handle_trip(t) for t in trips]
+        return [self.handle_trip(t.order_id, t.start, t.end) for t in trips]
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:

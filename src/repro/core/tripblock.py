@@ -34,7 +34,7 @@ exactly):
 from __future__ import annotations
 
 from datetime import datetime, timedelta
-from typing import Iterator, List, Sequence, Union
+from typing import Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -261,6 +261,19 @@ class TripBlock:
             geodesic_m=float(self.geodesic_m[i]) if self.has_geodesic[i] else None,
             battery=float(self.battery[i]) if self.has_battery[i] else None,
         )
+
+    def endpoints(self) -> List[Tuple[int, Point, Point]]:
+        """``(order_id, start, end)`` of every row: all the placement
+        step reads (:meth:`repro.core.PlacementService.handle_trip`).
+
+        Built from the ``tolist()`` columns, so each value is the native
+        Python scalar :meth:`to_trips` would put in the record.
+        """
+        return list(zip(
+            self.order_id.tolist(),
+            map(Point, self.start_x.tolist(), self.start_y.tolist()),
+            map(Point, self.end_x.tolist(), self.end_y.tolist()),
+        ))
 
     def to_trips(self) -> List[TripRecord]:
         """Materialise every row (the block→scalar boundary shim).

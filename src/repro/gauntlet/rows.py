@@ -539,8 +539,7 @@ def recovery(check, workdir, seed, n_trips, crash_at):
         return planner, Fleet(planner.stations, n_bikes=80, rng=bikes)
 
     reference = PlacementService(*build(seed + 1, seed + 2))
-    for r in records:
-        reference.handle_trip(r)
+    reference.serve(records)
     wrapped = CheckpointingService(
         PlacementService(*build(seed + 1, seed + 2)), workdir / "run",
         checkpoint_every=50, durable=False,

@@ -44,7 +44,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Union
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from ..errors import (
     StateDriftError,
 )
 from ..forecast.base import Forecaster
+from ..geo.points import Point
 from ..incentives.mechanism import IncentiveMechanism
 from ..ioutil import RowLog
 from ..resilience.service import CheckpointingService
@@ -444,10 +445,7 @@ class GuardedRuntime:
             seqs = offered_base + np.flatnonzero(mask).astype(np.int64)
         granted, deferred = self.overload.offer(accepted, seqs)
         outcomes = self._apply_block(self.buffer.push_block(granted))
-        for t in deferred.to_trips():
-            outcomes.append(
-                self._fallback(t, self.deferred_decisions, _DEFERRED_REASON)
-            )
+        outcomes.extend(self._defer(deferred))
         return outcomes
 
     def finish(self):
@@ -462,10 +460,7 @@ class GuardedRuntime:
             granted, deferred = self.overload.drain()
             if len(granted):
                 outcomes.extend(self._apply_block(self.buffer.push_block(granted)))
-            for t in deferred.to_trips():
-                outcomes.append(
-                    self._fallback(t, self.deferred_decisions, _DEFERRED_REASON)
-                )
+            outcomes.extend(self._defer(deferred))
         outcomes.extend(self._apply_block(self.buffer.flush()))
         return outcomes
 
@@ -539,11 +534,10 @@ class GuardedRuntime:
         """Route a released run of events into the planner tier.
 
         The run stays columnar: ``handle_block`` receives the block, or
-        a slice of it, journals it from its columns and materialises
-        the rows once, for the planner.  While the planner breaker is
-        closed and no incentive mechanism is attached, the whole run is
-        one ``handle_block`` group commit (one breaker call per trip on
-        the event clock).  Otherwise the run is stepped one row per
+        a slice of it, and journals and applies it from its columns.
+        While the planner breaker is closed and no incentive mechanism
+        is attached, the whole run is one ``handle_block`` group commit
+        (one breaker call per trip on the event clock).  Otherwise the run is stepped one row per
         ``handle_block`` call: each trip asks the breaker, a refused one
         is answered by :meth:`_degraded`, and incentive offers (which
         mutate the fleet, so each pickup depends on the previous
@@ -556,7 +550,8 @@ class GuardedRuntime:
         while i < n:
             stepping = self.incentives is not None or breaker.state != CLOSED
             if not breaker.admit():  # counts one event; refuses only while open
-                outcomes.append(self._degraded(block.trip(i), "planner breaker open"))
+                row = block[i : i + 1].endpoints()[0]
+                outcomes.append(self._degraded(row, "planner breaker open"))
                 i += 1
                 continue
             chunk = block[i : i + 1] if stepping else block[i:]
@@ -592,12 +587,12 @@ class GuardedRuntime:
             breaker.success()
             self._tally(responses, outcomes)
             if self.incentives is not None:
-                for j, response in enumerate(responses):
+                for response, (_, _, end) in zip(responses, chunk.endpoints()):
                     if response is not None and response.served:
                         self.incentives.offer_ride(
                             response.origin_station,
                             response.destination_station,
-                            chunk.trip(j).end,
+                            end,
                         )
         return outcomes
 
@@ -668,11 +663,9 @@ class GuardedRuntime:
                 next_tail += 1
                 applied += 1
             else:
-                outcomes.append(
-                    self._degraded(
-                        chunk.trip(exc.index + offset), "self-heal lost the event"
-                    )
-                )
+                k = exc.index + offset
+                row = chunk[k : k + 1].endpoints()[0]
+                outcomes.append(self._degraded(row, "self-heal lost the event"))
         if applied and len(exc.remaining_fresh) > 1:
             # Event clock: the failing trip's breaker call was already
             # counted; the trips after it went through the healed
@@ -682,9 +675,18 @@ class GuardedRuntime:
             breaker.success()
         return outcomes
 
-    def _fallback(self, trip: TripRecord, ledger: List, reason: str):
-        """Answer from the nearest-station fallback, planner untouched,
-        and record the decision on ``ledger``.
+    def _defer(self, deferred: TripBlock) -> List:
+        """Answer the rows the overload controller deferred from the
+        nearest-station fallback."""
+        return [
+            self._fallback(row, self.deferred_decisions, _DEFERRED_REASON)
+            for row in deferred.endpoints()
+        ]
+
+    def _fallback(self, row: Tuple[int, Point, Point], ledger: List, reason: str):
+        """Answer a row's ``(order_id, start, end)`` from the
+        nearest-station fallback, planner untouched, and record the
+        decision on ``ledger``.
 
         ``degraded_decisions`` records a broken planner (see
         :meth:`_degraded`); ``deferred_decisions`` records overload, the
@@ -694,7 +696,7 @@ class GuardedRuntime:
         would drown the log exactly when it matters most.
         """
         try:
-            response = self.inner.service.degraded_assign(trip)
+            response = self.inner.service.degraded_assign(*row)
         except StateDriftError as exc:
             self._halt(f"nearest-station fallback impossible ({reason}): {exc}")
             raise RuntimeHaltedError(self.halt_reason) from exc
@@ -708,9 +710,9 @@ class GuardedRuntime:
         ledger.append(decision)
         return decision
 
-    def _degraded(self, trip: TripRecord, reason: str):
+    def _degraded(self, row: Tuple[int, Point, Point], reason: str):
         """A broken-planner fallback, with its incident."""
-        decision = self._fallback(trip, self.degraded_decisions, reason)
+        decision = self._fallback(row, self.degraded_decisions, reason)
         self._incident(
             "degraded_decision",
             f"order {decision.order_id} -> station "

@@ -15,7 +15,13 @@ Record format, one per line of the record log (:mod:`.records`)::
 
     <sha256-prefix> {"seq": n, "trip": {...}}
 
-The journal owns only the body encoders and the decoding of ``trip``.
+The journal owns one body encoder and the decoding of ``trip``.  Trips
+go in as :class:`~repro.core.tripblock.TripBlock` columns (a record is
+a block of one) and come back out of :meth:`TripJournal.replay` as
+records (:class:`~repro.datasets.trips.TripRecord`), the one place a
+journaled trip is materialised.  Coordinates are float64 columns, so
+they are always written with a fraction (``5.0``); a line written with
+an int coordinate (``5``) by an older version decodes to the same trip.
 The record log drops a torn tail (a crash mid-append) on read and cuts
 it off before the next append; mid-file damage or a sequence jump means
 the file cannot be trusted and raises :class:`~repro.errors.JournalCorruptError`.
@@ -23,7 +29,6 @@ the file cannot be trusted and raises :class:`~repro.errors.JournalCorruptError`
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
@@ -34,7 +39,7 @@ import numpy as np
 from ..core.tripblock import TripBlock, us_to_datetime
 from ..datasets.trips import TripRecord
 from ..errors import JournalCorruptError
-from ..serialize import trip_from_state, trip_to_state
+from ..serialize import trip_from_state
 from .records import RecordWriter, frame, read_records
 
 __all__ = ["JournalEntry", "TripJournal"]
@@ -53,30 +58,22 @@ class JournalEntry:
     trip: TripRecord
 
 
-def _encode_line(seq: int, trip: TripRecord) -> str:
-    body = json.dumps(
-        {"seq": seq, "trip": trip_to_state(trip)},
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-    )
-    return frame(body)
-
-
 def _encode_block_lines(seqs: Sequence[int], block: TripBlock) -> List[str]:
-    """Journal lines for a whole :class:`TripBlock`, built straight from
-    the columns — byte-identical to :func:`_encode_line` on each
-    materialised trip.
+    """The journal lines of a :class:`TripBlock`, built from its columns.
 
-    The hand-assembled body relies on three facts about the scalar
-    encoding: ``json.dumps(sort_keys=True)`` emits the trip keys in the
-    fixed alphabetical order reproduced here; JSON renders Python ints
-    and floats via ``repr`` (the ``tolist()`` columns are native Python
-    scalars, so ``repr`` matches what the per-trip path serialises); and
-    the only string field is an ISO-8601 timestamp, which never needs
-    escaping.  Non-finite floats cannot take this shortcut (the scalar
-    path raises through ``json.dumps(allow_nan=False)``), so those
-    blocks fall back to the per-trip encoder for identical errors.
+    The body is ``json.dumps({"seq": seq, "trip": {...}},
+    sort_keys=True, separators=(",", ":"))`` written by hand: the trip
+    keys in alphabetical order, ints and floats via ``repr`` (the
+    ``tolist()`` columns are native Python scalars, and ``json`` renders
+    those via ``repr`` too), absent optional fields as ``null``, and the
+    start time as an ISO-8601 string, which never needs escaping.  A
+    coordinate is a float64, so it is always written with a fraction
+    (``5.0``).
+
+    Raises:
+        ValueError: a row holds a NaN or infinite coordinate, or a
+            present non-finite ``geodesic_m`` or ``battery``, which JSON
+            cannot represent.
     """
     if not bool((block.start_us % 1_000_000).any()):
         # Whole-second timestamps (the normal trip feed): numpy renders
@@ -109,7 +106,9 @@ def _encode_block_lines(seqs: Sequence[int], block: TripBlock) -> List[str]:
             isfinite(x1) and isfinite(y1) and isfinite(x2) and isfinite(y2)
             and (isfinite(g) or not hg) and (isfinite(ba) or not hb)
         ):
-            return [_encode_line(s, t) for s, t in zip(seqs, block.to_trips())]
+            raise ValueError(
+                f"order {o}: out of range float values are not JSON compliant"
+            )
         battery = repr(ba) if hb else "null"
         geodesic = repr(g) if hg else "null"
         body = (
@@ -164,29 +163,28 @@ class TripJournal:
         return self._next_seq
 
     def append(self, trip: TripRecord) -> int:
-        """Durably journal one trip; returns its sequence number.
+        """Durably journal one trip record; returns its sequence number.
 
-        A group commit of one: the record is flushed (and fsynced when
-        ``durable``) before this returns, so a trip is never applied to
-        the service without being recoverable from disk.
+        A group commit of one block of one: the record is flushed (and
+        fsynced when ``durable``) before this returns, so a trip is
+        never applied to the service without being recoverable from
+        disk.
+
+        Raises:
+            TypeError, ValueError: the record does not fit a
+                :class:`~repro.core.tripblock.TripBlock`, or holds a
+                value JSON cannot represent.
         """
-        return self.append_block([trip])[0]
+        return self.append_block(TripBlock.from_trips([trip]))[0]
 
-    def append_block(
-        self, trips: Union[Sequence[TripRecord], TripBlock]
-    ) -> List[int]:
+    def append_block(self, block: TripBlock) -> List[int]:
         """Group-commit: durably journal a whole block with **one**
         write + flush + fsync; returns the assigned sequence numbers.
 
         The bytes written do not depend on how the trips are cut into
         blocks — same records, same order, same sequence numbers — but
-        the fsync cost is amortised over the block.  A columnar
-        :class:`~repro.core.tripblock.TripBlock` (the guarded serve
-        path's route) is encoded straight from its arrays
-        (:func:`_encode_block_lines`), at about half the per-trip cost
-        of the record encoder; a record list is encoded record by
-        record (:func:`_encode_line`), so an int coordinate stays an
-        int in the JSON.  Both give the same bytes for the same trips.
+        the fsync cost is amortised over the block.  The lines are
+        encoded straight from the columns (:func:`_encode_block_lines`).
 
         Crash semantics: the block goes out as one contiguous write, so
         a crash mid-commit leaves an intact prefix of the block's
@@ -196,18 +194,17 @@ class TripJournal:
         applied either: the caller applies only after this returns.
 
         Raises:
+            ValueError: a row holds a non-finite value; nothing is
+                written.
             OSError: the write or fsync failed; a retry journals the
                 same records again.
             JournalCorruptError: the file lost records already appended.
         """
-        if not len(trips):
+        if not len(block):
             return []
         first = self.next_seq
-        seqs = list(range(first, first + len(trips)))
-        if isinstance(trips, TripBlock):
-            lines = _encode_block_lines(seqs, trips)
-        else:
-            lines = [_encode_line(s, t) for s, t in zip(seqs, trips)]
+        seqs = list(range(first, first + len(block)))
+        lines = _encode_block_lines(seqs, block)
         self._writer.append("".join(lines).encode("utf-8"))
         self._next_seq = seqs[-1] + 1
         return seqs

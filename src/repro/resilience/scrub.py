@@ -380,8 +380,10 @@ def scrub_checkpoint_dir(
         repair: fix what is fixable; ``False`` only reports (actions
             come back as ``found``) and writes nothing at all.
         durable: fsync repairs.
-        record: append the findings to ``logs/scrub.jsonl`` (forced off
-            when ``repair`` is off — a check must not write).
+        record: append a summary and the findings to
+            ``logs/scrub.jsonl`` when there are findings (forced off
+            when ``repair`` is off — a check must not write), so a clean
+            directory's log does not grow with every scrub.
         root: base for relative paths in findings (fleet scrubs pass the
             fleet root).
     """
@@ -404,7 +406,7 @@ def scrub_checkpoint_dir(
     logs = directory / "logs"
     if logs.is_dir():
         _scrub_logs(report, logs, repair, durable, rroot)
-    if record and repair:
+    if record and repair and report.findings:
         _record_report(logs, directory, report, durable)
     return report
 

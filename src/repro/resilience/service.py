@@ -5,14 +5,16 @@
 protocol::
 
     journal.append_block(block)  # durable first, one group commit
-    service.handle_trip(trip)     # then apply, trip by trip
-    every N trips: ledger.append(responses since the last one)
-                   snapshot       # atomic, checksummed, rotated
+    for (order_id, start, end) in block's columns:
+        service.handle_trip(order_id, start, end)   # then apply
+        every N trips: ledger.append(responses since the last one)
+                       snapshot   # atomic, checksummed, rotated
 
-A columnar block (the guarded runtime's route) is journaled straight
-from its columns and materialised once, for the planner; a record list
-(``handle_trip``, :meth:`CheckpointingService.serve`) is journaled
-record by record.
+The block's columns are the one row type: they are journaled and
+applied without building a :class:`~repro.datasets.trips.TripRecord`.
+Records are converted only at the edges — ``handle_trip(record)`` and
+:meth:`CheckpointingService.serve` columnarise on the way in, and the
+journal's replay decodes records on the way out.
 
 The snapshot holds only the state Algorithm 2 continues from (station
 set, cost scale, KS window, RNG, fleet), so it is O(stations + bikes)
@@ -206,27 +208,32 @@ class CheckpointingService:
         return self._applied
 
     def handle_trip(self, trip: TripRecord) -> Optional[ServiceResponse]:
-        """Serve one trip under the write-ahead protocol: a block of one.
+        """Serve one trip record under the write-ahead protocol: a block
+        of one.
 
         Returns ``None`` for a screened duplicate (its original response
         is already in ``service.responses``); otherwise the service's
         response.  The trip is durably journaled *before* any state
         mutates, so a crash at any point is recoverable.  A failure
         while applying it is re-raised as its original exception.
+
+        Raises:
+            TypeError, ValueError: the record does not fit a
+                :class:`~repro.core.tripblock.TripBlock` (see
+                :meth:`~repro.core.tripblock.TripBlock.from_trips`).
         """
         try:
-            return self.handle_block([trip])[0]
+            return self.handle_block(TripBlock.from_trips([trip]))[0]
         except BlockApplyError as exc:
             cause = exc.cause
         raise cause
 
     def serve(self, trips: Iterable[TripRecord]) -> List[Optional[ServiceResponse]]:
-        """Serve a batch in arrival order (one ``None`` per duplicate)."""
+        """Serve trip records in arrival order, one block of one each
+        (one ``None`` per duplicate)."""
         return [self.handle_trip(t) for t in trips]
 
-    def handle_block(
-        self, trips: Union[List[TripRecord], TripBlock]
-    ) -> List[Optional[ServiceResponse]]:
+    def handle_block(self, block: TripBlock) -> List[Optional[ServiceResponse]]:
         """Serve a block under the *group-commit* write-ahead protocol.
 
         Responses, journal bytes, sequence numbers, dedup decisions and
@@ -235,15 +242,10 @@ class CheckpointingService:
         fsynced write (:meth:`TripJournal.append_block`) before any of
         them is applied.  The dedup screen runs first on the order ids
         (it sees earlier trips of the same block, as a trip-by-trip run
-        would), so a duplicate is never journaled twice.
-
-        A :class:`~repro.core.tripblock.TripBlock` (what the guarded
-        runtime hands over) is journaled straight from its columns —
-        the whole block, or ``block.take(fresh)`` when some rows are
-        duplicates — and its fresh rows are materialised once, for the
-        planner.  A record list keeps the per-record encoder: a record
-        may hold an int or bool coordinate, which ``json`` writes as
-        ``5`` or ``true`` where a float64 column would write ``5.0``.
+        would), so a duplicate is never journaled twice.  The fresh rows
+        (the whole block, or ``block.take(fresh)``) are journaled from
+        their columns and applied from them: the planner step reads
+        only the order id and the two endpoints.
 
         Group commit shifts one failure boundary: when applying trip
         ``i`` raises, trips ``> i`` of the block are *already journaled*
@@ -256,13 +258,12 @@ class CheckpointingService:
         Raises:
             OSError: journal I/O failed; no trip of the block was
                 applied (the WAL write precedes every apply).
+            ValueError: a fresh row holds a non-finite number the
+                journal cannot encode; nothing was journaled or applied.
             BlockApplyError: applying one trip failed (including a
                 checkpoint failure directly after it); see above.
         """
-        if isinstance(trips, TripBlock):
-            order_ids = trips.order_id.tolist()
-        else:
-            order_ids = [trip.order_id for trip in trips]
+        order_ids = block.order_id.tolist()
         fresh_pos: List[int] = []
         pending: set = set()
         for i, order_id in enumerate(order_ids):
@@ -271,19 +272,15 @@ class CheckpointingService:
                     continue
                 pending.add(order_id)
             fresh_pos.append(i)
-        if isinstance(trips, TripBlock):
-            block = trips if len(fresh_pos) == len(trips) else trips.take(fresh_pos)
-            seqs = self.journal.append_block(block)
-            fresh = block.to_trips()
-        else:
-            fresh = [trips[i] for i in fresh_pos]
-            seqs = self.journal.append_block(fresh)
+        if len(fresh_pos) < len(order_ids):
+            block = block.take(fresh_pos)
+        seqs = self.journal.append_block(block)
         responses: List[Optional[ServiceResponse]] = [None] * len(order_ids)
-        for j, trip in enumerate(fresh):
+        for j, (order_id, start, end) in enumerate(block.endpoints()):
             pos = fresh_pos[j]
             try:
-                response = self.service.handle_trip(trip)
-                self._seen.add(trip.order_id)
+                response = self.service.handle_trip(order_id, start, end)
+                self._seen.add(order_id)
                 self._applied = seqs[j]
                 responses[pos] = response
                 if seqs[j] % self.checkpoint_every == 0:
@@ -413,8 +410,9 @@ class CheckpointingService:
         for entry in tail:
             # Already journaled (and already deduped at ingestion): apply
             # directly, without re-appending.
-            wrapper.service.handle_trip(entry.trip)
-            wrapper._seen.add(entry.trip.order_id)
+            trip = entry.trip
+            wrapper.service.handle_trip(trip.order_id, trip.start, trip.end)
+            wrapper._seen.add(trip.order_id)
             wrapper._applied = entry.seq
         wrapper.last_recovery = RecoveryInfo(
             snapshot_seq=snapshot.seq,

@@ -10,16 +10,16 @@ round-trips exactly through JSON:
 * NumPy RNGs — captured via ``Generator.bit_generator.state`` (plain
   ints/strings) and restored onto a freshly constructed bit generator of
   the same class;
-* :class:`~repro.geo.points.Point`, :class:`datetime` and
-  :class:`~repro.datasets.trips.TripRecord` — field-wise encodings with
-  no precision loss.
+* a journaled :class:`~repro.datasets.trips.TripRecord` — decoded field
+  by field from what the journal encodes from a block's columns, with
+  the start time as an ISO-8601 string (microseconds survive).
 """
 
 from __future__ import annotations
 
 import copy
 from datetime import datetime
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -29,11 +29,6 @@ from .geo.points import Point
 __all__ = [
     "rng_to_state",
     "rng_from_state",
-    "points_to_state",
-    "points_from_state",
-    "datetime_to_state",
-    "datetime_from_state",
-    "trip_to_state",
     "trip_from_state",
 ]
 
@@ -63,43 +58,9 @@ def rng_from_state(state: Dict[str, Any]) -> np.random.Generator:
     return np.random.Generator(bit_gen)
 
 
-def points_to_state(points: Sequence[Point]) -> List[List[float]]:
-    """Encode points as ``[[x, y], ...]`` (floats round-trip exactly)."""
-    return [[p.x, p.y] for p in points]
-
-
-def points_from_state(state: Sequence[Sequence[float]]) -> List[Point]:
-    """Decode the :func:`points_to_state` encoding."""
-    return [Point(float(x), float(y)) for x, y in state]
-
-
-def datetime_to_state(moment: datetime) -> str:
-    """ISO-8601 encoding; microseconds and timezone survive."""
-    return moment.isoformat()
-
-
-def datetime_from_state(state: str) -> datetime:
-    """Decode the :func:`datetime_to_state` encoding."""
-    return datetime.fromisoformat(state)
-
-
-def trip_to_state(trip: TripRecord) -> Dict[str, Any]:
-    """Field-wise encoding of a :class:`TripRecord` for the journal."""
-    return {
-        "order_id": trip.order_id,
-        "user_id": trip.user_id,
-        "bike_id": trip.bike_id,
-        "bike_type": trip.bike_type,
-        "start_time": datetime_to_state(trip.start_time),
-        "start": [trip.start.x, trip.start.y],
-        "end": [trip.end.x, trip.end.y],
-        "geodesic_m": trip.geodesic_m,
-        "battery": trip.battery,
-    }
-
-
 def trip_from_state(state: Dict[str, Any]) -> TripRecord:
-    """Decode the :func:`trip_to_state` encoding.
+    """Decode a journal record's ``trip`` object (written from a
+    :class:`~repro.core.tripblock.TripBlock` by the journal's encoder).
 
     Raises:
         KeyError: if a required field is missing.
@@ -111,7 +72,7 @@ def trip_from_state(state: Dict[str, Any]) -> TripRecord:
         user_id=int(state["user_id"]),
         bike_id=int(state["bike_id"]),
         bike_type=int(state["bike_type"]),
-        start_time=datetime_from_state(state["start_time"]),
+        start_time=datetime.fromisoformat(state["start_time"]),
         start=Point(float(state["start"][0]), float(state["start"][1])),
         end=Point(float(state["end"][0]), float(state["end"][1])),
         geodesic_m=None if geodesic is None else float(geodesic),

@@ -1,7 +1,5 @@
 """Tests for repro.core.streaming (the Fig. 3 service + footnote 2)."""
 
-from datetime import datetime, timedelta
-
 import numpy as np
 import pytest
 
@@ -11,17 +9,8 @@ from repro.core import (
     PlacementService,
     constant_facility_cost,
 )
-from repro.datasets import TripRecord
 from repro.energy import Fleet
 from repro.geo import Point
-
-
-def make_trip(i, start, end):
-    return TripRecord(
-        order_id=i, user_id=i, bike_id=0, bike_type=1,
-        start_time=datetime(2017, 5, 10, 8) + timedelta(minutes=i),
-        start=start, end=end,
-    )
 
 
 @pytest.fixture
@@ -63,8 +52,7 @@ class TestConstruction:
 
 class TestHandleTrip:
     def test_serves_from_nearest_stocked_station(self, service):
-        trip = make_trip(0, Point(950, 10), Point(10, 10))
-        response = service.handle_trip(trip)
+        response = service.handle_trip(0, Point(950, 10), Point(10, 10))
         assert response.served
         assert response.origin_station == 1
         service.consistency_check()
@@ -73,7 +61,7 @@ class TestHandleTrip:
         # With no bikes anywhere, every pickup attempt is refused.
         empty = Fleet.from_state({**service.fleet.state_dict(), "bikes": []})
         service = PlacementService(service.planner, empty)
-        response = service.handle_trip(make_trip(99, Point(0, 0), Point(1, 1)))
+        response = service.handle_trip(99, Point(0, 0), Point(1, 1))
         assert not response.served
         assert response.origin_station == -1
         assert response.destination_station == -1
@@ -81,10 +69,10 @@ class TestHandleTrip:
     def test_emptied_station_retires(self, service):
         # Station 2 holds exactly 2 bikes (round robin of 6 over 3).
         assert len(service.fleet.bikes_at(2)) == 2
-        r1 = service.handle_trip(make_trip(0, Point(2000, 5), Point(0, 5)))
+        r1 = service.handle_trip(0, Point(2000, 5), Point(0, 5))
         assert r1.origin_station == 2
         assert r1.removed_station is None
-        r2 = service.handle_trip(make_trip(1, Point(2000, 5), Point(0, 5)))
+        r2 = service.handle_trip(1, Point(2000, 5), Point(0, 5))
         assert r2.origin_station == 2
         assert r2.removed_station == 2
         assert 2 not in service.active_station_ids
@@ -93,26 +81,26 @@ class TestHandleTrip:
 
     def test_retired_station_not_assigned_for_dropoff(self, service):
         # Retire station 2 as above.
-        service.handle_trip(make_trip(0, Point(2000, 5), Point(0, 5)))
-        service.handle_trip(make_trip(1, Point(2000, 5), Point(0, 5)))
+        service.handle_trip(0, Point(2000, 5), Point(0, 5))
+        service.handle_trip(1, Point(2000, 5), Point(0, 5))
         # A drop-off request right at the retired location must not be
         # assigned to it (it is out of P) — either a new station opens
         # there or it walks to an active one.
-        response = service.handle_trip(make_trip(2, Point(0, 5), Point(2000, 0)))
+        response = service.handle_trip(2, Point(0, 5), Point(2000, 0))
         assert response.destination_station != 2
         service.consistency_check()
 
     def test_location_can_reopen_later(self, service):
         """Footnote 2: the algorithm can still establish a station at the
         emptied location depending on later requests."""
-        service.handle_trip(make_trip(0, Point(2000, 5), Point(0, 5)))
-        service.handle_trip(make_trip(1, Point(2000, 5), Point(0, 5)))
+        service.handle_trip(0, Point(2000, 5), Point(0, 5))
+        service.handle_trip(1, Point(2000, 5), Point(0, 5))
         assert 2 in service.retired
         # Hammer the retired location with drop-offs; Algorithm 2's
         # opening coin flip should eventually open a station nearby.
         reopened = False
         for i in range(60):
-            r = service.handle_trip(make_trip(10 + i, Point(0, 5), Point(2000, 0)))
+            r = service.handle_trip(10 + i, Point(0, 5), Point(2000, 0))
             if r.opened_new and service.station_location(
                 r.destination_station
             ).distance_to(Point(2000, 0)) < 300:
@@ -124,7 +112,7 @@ class TestHandleTrip:
     def test_opened_station_gets_stable_id(self, service):
         opened_ids = []
         for i in range(40):
-            r = service.handle_trip(make_trip(i, Point(0, 5), Point(1500, 800)))
+            r = service.handle_trip(i, Point(0, 5), Point(1500, 800))
             if r.opened_new:
                 opened_ids.append(r.destination_station)
         if not opened_ids:
@@ -134,7 +122,7 @@ class TestHandleTrip:
 
     def test_responses_recorded(self, service):
         for i in range(5):
-            service.handle_trip(make_trip(i, Point(0, 5), Point(1000, 5)))
+            service.handle_trip(i, Point(0, 5), Point(1000, 5))
         assert len(service.responses) == 5
 
 

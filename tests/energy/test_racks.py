@@ -1,6 +1,5 @@
 """Tests for the fleet's per-station racks and the shared pickup query."""
 
-from datetime import datetime
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import EsharingPlanner, PlacementService, StationSet, constant_facility_cost
 from repro.core.streaming import pickup_station
-from repro.datasets import TripRecord
 from repro.energy import Fleet
 from repro.errors import StateDriftError
 from repro.geo import Point
@@ -259,12 +257,7 @@ class TestPickupDoesNotScanTheFleet:
             bike.battery = Tripwire()
         service = PlacementService(planner, fleet)
         near_bike = fleet.bikes_at(0)[0]
-        trip = TripRecord(
-            order_id=0, user_id=0, bike_id=0, bike_type=1,
-            start_time=datetime(2017, 5, 10, 8), start=Point(10, 10),
-            end=Point(990, 10),
-        )
-        response = service.handle_trip(trip)
+        response = service.handle_trip(0, Point(10, 10), Point(990, 10))
         assert response.served
         assert response.origin_station == 0
         assert near_bike.station == response.destination_station

@@ -126,12 +126,12 @@ class TestHealBreakerClock:
         service = runtime.inner.service
         real = service.handle_trip
 
-        def faulty(trip):
+        def faulty(order_id, start, end):
             # Only the pre-heal service is patched: the first attempt
             # at order 19 fails, the healed planner replays it cleanly.
-            if trip.order_id == 19:
+            if order_id == 19:
                 raise RuntimeError("injected planner fault")
-            return real(trip)
+            return real(order_id, start, end)
 
         service.handle_trip = faulty
         runtime.serve(make_trips(20, seed=7), block_size=block_size)

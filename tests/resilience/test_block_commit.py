@@ -1,17 +1,22 @@
 """Group-commit WAL: one fsync per block, scalar semantics preserved.
 
 ``TripJournal.append_block`` and ``CheckpointingService.handle_block``
-must be byte- and state-identical to their per-trip counterparts — the
-whole point of the columnar hot path is that batching the WAL write
+must be byte- and state-identical to the per-trip oracle
+(``journal_oracle.py``: the ``json`` record encoder plus
+``PlacementService.handle_trip`` row by row) — batching the WAL write
 changes *when* durability is paid for, never *what* is recorded.  The
 one semantic shift (a mid-block apply failure leaves the block's tail
 already journaled) is pinned down here via ``BlockApplyError`` and the
 recovery replay.
 """
 
+import tempfile
+from dataclasses import replace
 from datetime import datetime, timedelta
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.tripblock import TripBlock
 from repro.datasets.trips import TripRecord
@@ -25,13 +30,14 @@ from repro.resilience import (
 from repro.resilience.journal import TripJournal
 
 from .conftest import COST_VALUE, build_service, make_trips
+from .journal_oracle import encode_line, serve_per_trip
 
 CHECKPOINT_EVERY = 10
 
 
-def build(tmp_path, name, seed=7):
+def build(tmp_path, name, seed=7, n_bikes=80):
     return CheckpointingService(
-        build_service(seed=seed),
+        build_service(seed=seed, n_bikes=n_bikes),
         tmp_path / name,
         checkpoint_every=CHECKPOINT_EVERY,
         durable=False,
@@ -42,6 +48,7 @@ def build(tmp_path, name, seed=7):
 class TestAppendBlock:
     def test_byte_identical_to_per_trip_appends(self, tmp_path):
         trips = make_trips(37, seed=3)
+        block = TripBlock.from_trips(trips)
         scalar = TripJournal(tmp_path / "scalar.jsonl", durable=False)
         scalar_seqs = [scalar.append(t) for t in trips]
         scalar.close()
@@ -49,20 +56,19 @@ class TestAppendBlock:
         blocked = TripJournal(tmp_path / "blocked.jsonl", durable=False)
         blocked_seqs = []
         for lo in range(0, len(trips), 8):
-            blocked_seqs.extend(blocked.append_block(trips[lo : lo + 8]))
+            blocked_seqs.extend(blocked.append_block(block[lo : lo + 8]))
         blocked.close()
 
         assert blocked_seqs == scalar_seqs
-        assert (
-            (tmp_path / "blocked.jsonl").read_bytes()
-            == (tmp_path / "scalar.jsonl").read_bytes()
-        )
+        oracle = "".join(encode_line(s, t) for s, t in zip(scalar_seqs, trips))
+        assert (tmp_path / "blocked.jsonl").read_bytes() == oracle.encode()
+        assert (tmp_path / "scalar.jsonl").read_bytes() == oracle.encode()
 
     def test_empty_block_is_a_no_op(self, tmp_path):
         journal = TripJournal(tmp_path / "j.jsonl", durable=False)
-        assert journal.append_block([]) == []
+        assert journal.append_block(TripBlock.empty()) == []
         assert journal.next_seq == 1
-        journal.append_block(make_trips(2, seed=1))
+        journal.append_block(TripBlock.from_trips(make_trips(2, seed=1)))
         assert journal.next_seq == 3
         journal.close()
 
@@ -70,7 +76,7 @@ class TestAppendBlock:
         trips = make_trips(7, seed=2)
         journal = TripJournal(tmp_path / "j.jsonl", durable=False)
         assert journal.append(trips[0]) == 1
-        assert journal.append_block(trips[1:4]) == [2, 3, 4]
+        assert journal.append_block(TripBlock.from_trips(trips[1:4])) == [2, 3, 4]
         assert journal.append(trips[4]) == 5
         journal.close()
         reopened = TripJournal(tmp_path / "j.jsonl", durable=False)
@@ -83,7 +89,7 @@ class TestAppendBlock:
         trips = make_trips(12, seed=4)
         path = tmp_path / "j.jsonl"
         journal = TripJournal(path, durable=False)
-        journal.append_block(trips)
+        journal.append_block(TripBlock.from_trips(trips))
         journal.close()
         blob = path.read_bytes()
         lines = blob.splitlines(keepends=True)
@@ -138,17 +144,11 @@ class TestBlockNativeEncoding:
     def test_columnar_bytes_match_record_path(self, tmp_path, offsets):
         trips = adversarial_trips(offsets)
         block = TripBlock.from_trips(trips)
-        scalar = TripJournal(tmp_path / "scalar.jsonl", durable=False)
-        for t in trips:
-            scalar.append(t)
-        scalar.close()
         blocked = TripJournal(tmp_path / "blocked.jsonl", durable=False)
         assert blocked.append_block(block) == list(range(1, len(trips) + 1))
         blocked.close()
-        assert (
-            (tmp_path / "blocked.jsonl").read_bytes()
-            == (tmp_path / "scalar.jsonl").read_bytes()
-        )
+        oracle = "".join(encode_line(s, t) for s, t in enumerate(trips, start=1))
+        assert (tmp_path / "blocked.jsonl").read_bytes() == oracle.encode()
         # and the journal replays to the identical trips
         assert [e.trip for e in TripJournal(
             tmp_path / "blocked.jsonl", durable=False
@@ -156,46 +156,79 @@ class TestBlockNativeEncoding:
 
     def test_non_finite_raises_like_scalar(self, tmp_path):
         trips = adversarial_trips([0, 1_000_000])
-        bad = trips[1].with_end(Point(float("inf"), 0.0))
-        block = TripBlock.from_trips([trips[0], bad])
-        scalar = TripJournal(tmp_path / "scalar.jsonl", durable=False)
-        scalar.append(trips[0])
-        with pytest.raises(ValueError):
-            scalar.append(bad)
-        scalar.close()
-        blocked = TripJournal(tmp_path / "blocked.jsonl", durable=False)
-        with pytest.raises(ValueError):
-            blocked.append_block(block)
-        blocked.close()
+        nan = float("nan")
+        for i, bad in enumerate([
+            trips[1].with_end(Point(float("inf"), 0.0)),
+            replace(trips[1], geodesic_m=nan),
+            replace(trips[1], battery=nan),
+        ]):
+            with pytest.raises(ValueError):
+                encode_line(2, bad)
+            scalar = TripJournal(tmp_path / f"scalar-{i}.jsonl", durable=False)
+            scalar.append(trips[0])
+            with pytest.raises(ValueError):
+                scalar.append(bad)
+            scalar.close()
+            blocked = TripJournal(tmp_path / f"blocked-{i}.jsonl", durable=False)
+            with pytest.raises(ValueError, match="order 1"):
+                blocked.append_block(TripBlock.from_trips([trips[0], bad]))
+            blocked.close()
+            assert not (tmp_path / f"blocked-{i}.jsonl").exists()  # nothing written
+
+
+def cut(stream, sizes):
+    """``stream`` as consecutive blocks of the given sizes; the last
+    size repeats until the stream runs out."""
+    block, lo, blocks = TripBlock.from_trips(stream), 0, []
+    sizes, size = iter(sizes), None
+    while lo < len(block):
+        size = next(sizes, size)
+        blocks.append(block[lo : lo + size])
+        lo += size
+    return blocks
 
 
 class TestHandleBlock:
-    def test_parity_with_scalar_service(self, tmp_path):
-        trips = make_trips(55, seed=7)
-        # interleave duplicates, including within one block
-        stream = trips[:20] + trips[10:30] + trips[25:]
-        scalar = build(tmp_path, "scalar")
-        want = scalar.serve(stream)
+    @given(
+        seed=st.integers(min_value=0, max_value=3),
+        redeliveries=st.lists(
+            st.tuples(st.integers(0, 159), st.integers(0, 159)), max_size=24
+        ),
+        sizes=st.lists(st.integers(min_value=1, max_value=256), min_size=1, max_size=12),
+    )
+    @example(seed=1, redeliveries=[(5, 7), (7, 7), (90, 3)], sizes=[256])
+    @settings(max_examples=30, deadline=None)
+    def test_parity_with_scalar_service(self, seed, redeliveries, sizes):
+        """Any cut of a stream into blocks of 1-256 rows, with
+        redelivered order ids inside and across blocks, serves, journals
+        and checkpoints as the per-trip oracle does.  The stream retires
+        emptied stations and opens new ones (its destinations jump away
+        from the anchors at trip 60), mid-block whenever a block holds
+        more than one row."""
+        trips = make_trips(160, seed=seed, shift_at=60)
+        stream = list(trips)
+        for src, dst in redeliveries:
+            stream.insert(dst, trips[src])
+        oracle = build_service(seed=seed, n_bikes=30)
+        want, journal, ledger = serve_per_trip(oracle, stream, CHECKPOINT_EVERY)
+        assert any(r and r.opened_new for r in want)
+        assert any(r and r.removed_station is not None for r in want)
 
-        blocked = build(tmp_path, "blocked")
-        got = []
-        for lo in range(0, len(stream), 16):
-            got.extend(blocked.handle_block(stream[lo : lo + 16]))
-
-        assert got == want  # None markers for duplicates line up too
-        assert blocked.service.responses == scalar.service.responses
-        assert blocked.applied_seq == scalar.applied_seq
-        assert logical_state(blocked.service) == logical_state(scalar.service)
-        assert (
-            (blocked.directory / "journal.jsonl").read_bytes()
-            == (scalar.directory / "journal.jsonl").read_bytes()
-        )
-        blocked.close()
-        scalar.close()
+        with tempfile.TemporaryDirectory() as tmp:
+            blocked = build(Path(tmp), "blocked", seed=seed, n_bikes=30)
+            got = []
+            for block in cut(stream, sizes):
+                got.extend(blocked.handle_block(block))
+            blocked.close()
+            assert got == want  # None markers for duplicates line up too
+            assert blocked.applied_seq == len(oracle.responses)
+            assert logical_state(blocked.service) == logical_state(oracle)
+            assert (blocked.directory / "journal.jsonl").read_bytes() == journal
+            assert (blocked.directory / "responses.jsonl").read_bytes() == ledger
 
     def test_intra_block_duplicate_journaled_once(self, tmp_path):
         trips = make_trips(4, seed=8)
-        block = [trips[0], trips[1], trips[1], trips[2]]
+        block = TripBlock.from_trips([trips[0], trips[1], trips[1], trips[2]])
         service = build(tmp_path, "dup")
         responses = service.handle_block(block)
         assert responses[2] is None
@@ -206,7 +239,7 @@ class TestHandleBlock:
     def test_mid_block_failure_surfaces_block_apply_error(self, tmp_path):
         trips = make_trips(30, seed=9)
         service = build(tmp_path, "faulty")
-        service.handle_block(trips[:10])
+        service.handle_block(TripBlock.from_trips(trips[:10]))
 
         planner = service.service.planner
         real_offer = planner.offer
@@ -219,7 +252,8 @@ class TestHandleBlock:
             return real_offer(point)
 
         planner.offer = poisoned_offer
-        block = trips[10:25] + trips[20:22]  # two trailing duplicates
+        # two trailing duplicates
+        block = TripBlock.from_trips(trips[10:25] + trips[20:22])
         with pytest.raises(BlockApplyError) as excinfo:
             service.handle_block(block)
         err = excinfo.value

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.tripblock import TripBlock
 from repro.resilience import (
     CheckpointingService,
     FaultFS,
@@ -90,7 +91,7 @@ class TestDamage:
         # The torn record 4 is gone; the next append re-uses its seq.
         assert journal.next_seq == 4
         trips = make_trips(6, seed=6)
-        assert journal.append_block(trips[3:]) == [4, 5, 6]
+        assert journal.append_block(TripBlock.from_trips(trips[3:])) == [4, 5, 6]
         journal.close()
         entries = TripJournal(journal_path, durable=False).scan()
         assert [e.seq for e in entries] == [1, 2, 3, 4, 5, 6]
@@ -100,15 +101,16 @@ class TestDamage:
     @pytest.mark.parametrize("fault", ["p_torn", "p_fsync"])
     def test_retry_after_torn_commit_leaves_no_midfile_damage(self, journal_path, fault):
         trips = make_trips(20, seed=34)
+        block = TripBlock.from_trips(trips)
         journal = TripJournal(journal_path, durable=True)
-        journal.append_block(trips[:10])
+        journal.append_block(block[:10])
         fs = FaultFS(FaultFSConfig(seed=1, max_faults=1, match=JOURNAL_NAME, **{fault: 1.0}))
         with fs.inject():
             with pytest.raises(OSError):
-                journal.append_block(trips[10:])
+                journal.append_block(block[10:])
             assert journal.next_seq == 11
             # The budget is spent: the retry lands whole.
-            assert journal.append_block(trips[10:]) == list(range(11, 21))
+            assert journal.append_block(block[10:]) == list(range(11, 21))
         journal.close()
         assert fs.counters.faults == 1
         assert scrub_journal(journal_path, repair=False) == []
@@ -119,19 +121,19 @@ class TestDamage:
         commit, the same block is handed in again, and recovery
         reproduces the fault-free run."""
         trips = make_trips(60, seed=35)
+        block = TripBlock.from_trips(trips)
         reference = build_service(seed=35)
-        for trip in trips:
-            reference.handle_trip(trip)
+        reference.serve(trips)
         service = CheckpointingService(
             build_service(seed=35), tmp_path, checkpoint_every=25,
             durable=True, facility_cost_spec=constant_cost_spec(COST_VALUE),
         )
-        service.handle_block(trips[:30])
+        service.handle_block(block[:30])
         fs = FaultFS(FaultFSConfig(seed=3, p_torn=1.0, max_faults=1, match=JOURNAL_NAME))
         with fs.inject():
             with pytest.raises(OSError):
-                service.handle_block(trips[30:])
-            service.handle_block(trips[30:])
+                service.handle_block(block[30:])
+            service.handle_block(block[30:])
         service.close()
         assert fs.counters.torn == 1
         recovered = CheckpointingService.recover(tmp_path, durable=False)

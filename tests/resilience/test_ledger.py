@@ -115,7 +115,7 @@ def assert_matches_twin(twin, directory, recovered):
 class TestLedger:
     def test_append_then_open_round_trips(self, tmp_path):
         service = build_service(seed=32)
-        responses = [service.handle_trip(t) for t in make_trips(30, seed=32)]
+        responses = service.serve(make_trips(30, seed=32))
         ledger = ResponseLedger(tmp_path / LEDGER_NAME, durable=False)
         ledger.append(responses[:10])
         ledger.append(responses[10:])
@@ -134,7 +134,7 @@ class TestLedger:
 
     def test_open_reads_only_the_snapshot_prefix(self, tmp_path):
         service = build_service(seed=33)
-        responses = [service.handle_trip(t) for t in make_trips(12, seed=33)]
+        responses = service.serve(make_trips(12, seed=33))
         path = tmp_path / LEDGER_NAME
         ResponseLedger(path, durable=False).append(responses)
         ledger, back = ResponseLedger.open(path, 5, durable=False)
@@ -146,7 +146,7 @@ class TestLedger:
 
     def test_retry_after_torn_append_leaves_no_midfile_damage(self, tmp_path):
         service = build_service(seed=34)
-        responses = [service.handle_trip(t) for t in make_trips(20, seed=34)]
+        responses = service.serve(make_trips(20, seed=34))
         path = tmp_path / LEDGER_NAME
         ledger = ResponseLedger(path, durable=True)
         ledger.append(responses[:10])
@@ -415,9 +415,8 @@ class TestConstruction:
     def test_logical_state_compares_the_history(self):
         a, b = build_service(seed=36), build_service(seed=36)
         trips = make_trips(10, seed=36)
-        for t in trips:
-            a.handle_trip(t)
-            b.handle_trip(t)
+        a.serve(trips)
+        b.serve(trips)
         assert logical_state(a) == logical_state(b)
         b.responses[3] = b.responses[4]
         left, right = logical_state(a), logical_state(b)
@@ -432,7 +431,7 @@ class TestGuardedCheckpointRetry:
         trips = make_trips(120, seed=37)
         reference = build_service(seed=37)
         for t in trips:
-            reference.handle_trip(t)
+            reference.handle_trip(t.order_id, t.start, t.end)
         inner = CheckpointingService(
             build_service(seed=37), tmp_path / "run", checkpoint_every=EVERY,
             durable=True, facility_cost_spec=SPEC,

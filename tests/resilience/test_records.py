@@ -9,6 +9,7 @@ directory.
 
 import shutil
 
+from repro.core.tripblock import TripBlock
 from repro.resilience import (
     CheckpointingService,
     ResponseLedger,
@@ -40,9 +41,10 @@ def assert_scrub_repairs_to(scrub, path, tmp_path, end):
 class TestJournalCutPoints:
     def test_torn_at_every_byte(self, tmp_path):
         trips = make_trips(6, seed=11)
+        block = TripBlock.from_trips(trips)
         path = tmp_path / JOURNAL_NAME
         journal = TripJournal(path, durable=False)
-        journal.append_block(trips[:4])
+        journal.append_block(block[:4])
         journal.close()
         raw = path.read_bytes()
         for cut in range(len(raw) + 1):
@@ -52,7 +54,7 @@ class TestJournalCutPoints:
             assert_scrub_repairs_to(scrub_journal, path, tmp_path, end)
             journal = TripJournal(path, durable=False)
             assert journal.next_seq == kept + 1, cut
-            assert journal.append_block(trips[4:]) == [kept + 1, kept + 2]
+            assert journal.append_block(block[4:]) == [kept + 1, kept + 2]
             journal.close()
             entries = TripJournal(path, durable=False).scan()
             assert [e.seq for e in entries] == list(range(1, kept + 3)), cut
@@ -63,7 +65,7 @@ class TestJournalCutPoints:
 class TestLedgerCutPoints:
     def test_torn_at_every_byte(self, tmp_path):
         service = build_service(seed=12)
-        responses = [service.handle_trip(t) for t in make_trips(6, seed=12)]
+        responses = service.serve(make_trips(6, seed=12))
         path = tmp_path / "responses.jsonl"
         ResponseLedger(path, durable=False).append(responses[:4])
         raw = path.read_bytes()
@@ -89,7 +91,7 @@ class TestCrashMidCommit:
         trips = make_trips(400, seed=13)
         reference = build_service(seed=13)
         for trip in trips:
-            reference.handle_trip(trip)
+            reference.handle_trip(trip.order_id, trip.start, trip.end)
 
         def resume():
             service = CheckpointingService.recover(tmp_path, durable=False)
@@ -122,7 +124,7 @@ def test_final_record_without_newline_is_torn(tmp_path):
     trips = make_trips(4, seed=14)
     path = tmp_path / JOURNAL_NAME
     journal = TripJournal(path, durable=False)
-    journal.append_block(trips[:3])
+    journal.append_block(TripBlock.from_trips(trips[:3]))
     journal.close()
     path.write_bytes(path.read_bytes()[:-1])
     journal = TripJournal(path, durable=False)

@@ -45,7 +45,7 @@ class TestKillAtEveryTrip:
         wrapped = make_wrapped(tmp_path / "run", seed=11)
         for k, trip in enumerate(trips, start=1):
             wrapped.handle_trip(trip)
-            reference.handle_trip(trip)
+            reference.handle_trip(trip.order_id, trip.start, trip.end)
             # The directory right now is exactly what a crash immediately
             # after trip k leaves behind: recover from it and compare.
             recovered = CheckpointingService.recover(tmp_path / "run", durable=False)
@@ -72,7 +72,7 @@ class TestKillAtEveryTrip:
         trips = make_trips(200, seed=12, shift_at=100)
         reference = build_service(seed=12)
         for t in trips:
-            reference.handle_trip(t)
+            reference.handle_trip(t.order_id, t.start, t.end)
         wrapped = make_wrapped(tmp_path / "run", seed=12)
         for t in trips[:137]:  # not on a checkpoint boundary
             wrapped.handle_trip(t)
@@ -91,7 +91,7 @@ class TestTornSnapshotFallback:
         trips = make_trips(120, seed=13)
         reference = build_service(seed=13)
         for t in trips:
-            reference.handle_trip(t)
+            reference.handle_trip(t.order_id, t.start, t.end)
         wrapped = make_wrapped(tmp_path / "run", seed=13, keep=10)
         for t in trips[:110]:
             wrapped.handle_trip(t)
@@ -123,7 +123,7 @@ class TestDegenerateRecovery:
         reference = build_service(seed=14)
         for t in make_trips(30, seed=14):
             recovered.handle_trip(t)
-            reference.handle_trip(t)
+            reference.handle_trip(t.order_id, t.start, t.end)
         assert recovered.service.responses == reference.responses
         recovered.close()
 
@@ -146,8 +146,8 @@ class TestDegenerateRecovery:
         assert restored.active_station_ids == []
         assert restored.retired == service.retired
         trip = make_trips(1, seed=15)[0]
-        assert restored.handle_trip(trip).served is False
-        assert service.handle_trip(trip).served is False
+        assert restored.handle_trip(trip.order_id, trip.start, trip.end).served is False
+        assert service.handle_trip(trip.order_id, trip.start, trip.end).served is False
         assert restored.responses == service.responses
 
     def test_double_restore_is_idempotent(self, tmp_path):
@@ -211,7 +211,7 @@ class TestDedup:
                 noisy.append(t)  # immediate redelivery
         reference = build_service(seed=19)
         for t in trips:
-            reference.handle_trip(t)
+            reference.handle_trip(t.order_id, t.start, t.end)
         wrapped = make_wrapped(tmp_path / "run", seed=19)
         responses = [wrapped.handle_trip(t) for t in noisy]
         assert responses.count(None) == len(noisy) - len(trips)
@@ -233,7 +233,7 @@ class TestDedup:
         assert all(r is not None for r in responses[20:])
         reference = build_service(seed=20)
         for t in trips:
-            reference.handle_trip(t)
+            reference.handle_trip(t.order_id, t.start, t.end)
         assert recovered.service.responses == reference.responses
         recovered.close()
 
@@ -245,7 +245,7 @@ class TestConstructionGuards:
 
     def test_preserved_service_refused(self, tmp_path):
         service = build_service(seed=2)
-        service.handle_trip(make_trips(1, seed=2)[0])
+        service.serve(make_trips(1, seed=2))
         with pytest.raises(ValueError, match="already handled"):
             CheckpointingService(
                 service, tmp_path / "run", durable=False

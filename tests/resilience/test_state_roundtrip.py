@@ -101,7 +101,7 @@ class TestFleetRoundtrip:
     def test_bit_identical_after_rides(self):
         service = build_service(seed=21)
         for trip in make_trips(25, seed=21):
-            service.handle_trip(trip)
+            service.handle_trip(trip.order_id, trip.start, trip.end)
         fleet = service.fleet
         restored = Fleet.from_state(json_roundtrip(fleet.state_dict()))
         assert restored.state_dict() == fleet.state_dict()
@@ -172,8 +172,8 @@ class TestServiceRoundtrip:
         reference = build_service(seed=61)
         twin = build_service(seed=61)
         for t in trips[:60]:
-            reference.handle_trip(t)
-            twin.handle_trip(t)
+            reference.handle_trip(t.order_id, t.start, t.end)
+            twin.handle_trip(t.order_id, t.start, t.end)
         restored = PlacementService.from_state(
             json_roundtrip(twin.state_dict()),
             constant_facility_cost(COST_VALUE),
@@ -183,8 +183,8 @@ class TestServiceRoundtrip:
         assert restored.responses == []
         restored.responses = list(twin.responses)
         for t in trips[60:]:
-            reference.handle_trip(t)
-            restored.handle_trip(t)
+            reference.handle_trip(t.order_id, t.start, t.end)
+            restored.handle_trip(t.order_id, t.start, t.end)
         assert restored.responses == reference.responses
         assert logical_state(restored) == logical_state(reference)
         restored.consistency_check()

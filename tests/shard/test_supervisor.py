@@ -89,13 +89,27 @@ class TestFaultFreeParity:
         outcome = supervisor.serve(make_trips(30, seed=1), block_size=BLOCK)
         assert outcome.scrub is None
 
+    def test_clean_epochs_write_no_scrub_log(self, tmp_path):
+        city = make_city(make_plan(2), tmp_path / "c", seed=1)
+        supervisor = _supervised(city)
+        trips = make_trips(90, seed=1)
+        for lo in range(0, len(trips), 30):
+            outcome = supervisor.serve(trips[lo : lo + 30], block_size=BLOCK)
+            assert outcome.scrub is not None and outcome.scrub.clean
+        city.close()
+        assert not list((tmp_path / "c").rglob("scrub.jsonl"))
+
     def test_failed_post_epoch_scrub_is_an_incident(self, tmp_path):
         city = make_city(make_plan(2), tmp_path / "c", seed=1)
         supervisor = _supervised(city)
-        # The scrub's own log append is the only write this schedule hits.
+        trips = make_trips(60, seed=1)
+        supervisor.serve(trips[:30], block_size=BLOCK)
+        # An orphan tmp gives the next post-epoch scrub a finding to log;
+        # that log append is the only write this schedule hits.
+        (tmp_path / "c" / "shard-000" / "planted.tmp-1").write_text("orphan")
         fs = FaultFS(FaultFSConfig(p_enospc=1.0, match="scrub.jsonl"))
         with fs.inject():
-            outcome = supervisor.serve(make_trips(30, seed=1), block_size=BLOCK)
+            outcome = supervisor.serve(trips[30:], block_size=BLOCK)
         city.close()
         assert fs.counters.enospc == 1
         assert outcome.health == HEALTHY and outcome.scrub is None

@@ -156,6 +156,11 @@ class TestServeArgumentHardening:
         assert "unknown scenario 'tsunami'" in err
         assert "stadium" in err  # the one-liner lists the known names
 
+    def test_chaos_without_guard_is_usage_error(self, tmp_path, capsys):
+        assert main(["serve", "--dir", str(tmp_path / "ckpt"), "--chaos"]) == 2
+        assert "--chaos needs --guard" in capsys.readouterr().err
+        assert not (tmp_path / "ckpt").exists()
+
     def test_named_scenario_feeds_the_serve_path(self, tmp_path, capsys):
         args = [
             "serve", "--dir", str(tmp_path / "ckpt"),
@@ -165,6 +170,18 @@ class TestServeArgumentHardening:
         out = capsys.readouterr().out
         assert "guarded run:" in out
         assert "final health healthy" in out
+
+
+class TestUnguardedServe:
+    def test_serves_every_trip_and_resumes(self, tmp_path, capsys):
+        run = tmp_path / "plain"
+        assert main(["serve", "--dir", str(run), "--trips", "400"]) == 0
+        assert "served 400/400 trips" in capsys.readouterr().out
+        assert main(["resume", "--dir", str(run)]) == 0
+        out = capsys.readouterr().out
+        assert "replayed 0 journal records" in out
+        assert "400 trips applied; consistency check passed" in out
+        assert main(["scrub", "--dir", str(run), "--check"]) == 0
 
 
 class TestShardedServe:
