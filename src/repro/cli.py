@@ -391,6 +391,26 @@ def _demo_service(records, seed: int, bikes: int):
     return PlacementService(planner, fleet)
 
 
+def _serve_blocks(wrapped, records, size: Optional[int] = None) -> int:
+    """Serve ``records`` through ``wrapped.handle_block`` in blocks of
+    ``size`` (the guard's default block size when ``None``) and return
+    how many were fresh rather than screened as duplicates.
+
+    Responses, journal and ledger bytes and the checkpoint cadence do
+    not depend on the block size, so this writes what serving the
+    records one by one would.
+    """
+    from .core.tripblock import TripBlock
+    from .guard import GuardConfig
+
+    size = GuardConfig().block_size if size is None else size
+    fresh = 0
+    for lo in range(0, len(records), size):
+        block = TripBlock.from_trips(records[lo : lo + size])
+        fresh += sum(1 for r in wrapped.handle_block(block) if r is not None)
+    return fresh
+
+
 def _run_checkpoint(args) -> int:
     from .resilience import CheckpointingService, constant_cost_spec
 
@@ -402,8 +422,7 @@ def _run_checkpoint(args) -> int:
         facility_cost_spec=constant_cost_spec(_DEMO_COST),
     )
     served = len(records) if args.crash_at is None else min(args.crash_at, len(records))
-    for record in records[:served]:
-        wrapped.handle_trip(record)
+    _serve_blocks(wrapped, records[:served])
     if args.crash_at is None:
         # Clean completion gets a final snapshot; a simulated crash does
         # not, so 'resume' genuinely exercises the journal-tail replay.
@@ -592,12 +611,7 @@ def _run_serve(args) -> int:
         facility_cost_spec=constant_cost_spec(_DEMO_COST),
     )
     if not args.guard:
-        from .core.tripblock import TripBlock
-
-        served = 0
-        for lo in range(0, len(records), args.block_size):
-            chunk = TripBlock.from_trips(records[lo : lo + args.block_size])
-            served += sum(1 for r in wrapped.handle_block(chunk) if r is not None)
+        served = _serve_blocks(wrapped, records, args.block_size)
         wrapped.checkpoint()
         wrapped.close()
         print(f"served {served}/{len(records)} trips; checkpoints in {args.dir}")
@@ -747,7 +761,7 @@ def _run_resume(args) -> int:
     print(f"{wrapped.applied_seq} trips applied; consistency check passed")
     if args.trips is not None:
         records = _demo_trips(args.seed, args.trips)
-        fresh = sum(1 for r in records if wrapped.handle_trip(r) is not None)
+        fresh = _serve_blocks(wrapped, records)
         wrapped.consistency_check()
         print(
             f"continued: {fresh} new trips served "

@@ -1,31 +1,29 @@
-"""Columnar trip routing: split one stream into per-shard sub-streams.
+"""Vectorized trip routing: split one stream into per-shard sub-streams.
 
 The router keys every trip on its **destination** — placement and
 parking decisions concern where the ride ends, so the shard that owns
 the end cell owns the trip.  Within each shard the original arrival
-order is preserved exactly (`numpy.flatnonzero` over a stable mask),
-which is what makes per-shard runs replayable against a standalone
+order is preserved exactly (each bucket is appended to in arrival
+order), which is what makes per-shard runs replayable against a standalone
 single-shard oracle: the shard sees the same trips in the same order
 whether it was split out of a city stream or fed directly.
 
-Both entry points run the identical routing kernel
-(:meth:`~repro.shard.plan.ShardPlan.shard_of_many`): the columnar
-:meth:`ShardRouter.split_block` gathers shard ids for a whole
-:class:`~repro.core.tripblock.TripBlock` in one vectorized pass, while
-:meth:`ShardRouter.split_trips` chunks record lists through the same
-arithmetic (with a scalar per-trip fallback for rows whose destination
-is not a point or cannot even be coerced to floats — chaos garbage
-routes deterministically to shard 0 and is rejected by that shard's
-validator).
+:meth:`ShardRouter.split_trips` gathers shard ids for chunks of a
+record list in one vectorized pass of the routing kernel
+(:meth:`~repro.shard.plan.ShardPlan.shard_of_many`, which clamps NaN
+and out-of-range coordinates to edge cells); :meth:`ShardRouter.route`
+runs the same kernel on one trip.  A chunk with a row whose destination
+is not a point or cannot even be coerced to floats falls back to
+per-trip routing — chaos garbage routes deterministically to shard 0
+and is rejected by that shard's validator.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
-from ..core.tripblock import TripBlock
 from ..datasets.trips import TripRecord
 from .plan import ShardPlan
 
@@ -43,28 +41,13 @@ class ShardRouter:
 
     # ------------------------------------------------------------------
     def route(self, trip: TripRecord) -> int:
-        """Shard id of one trip (same kernel as the columnar path)."""
+        """Shard id of one trip (same kernel as :meth:`split_trips`)."""
         try:
             xs = np.array([float(trip.end.x)])
             ys = np.array([float(trip.end.y)])
         except (AttributeError, TypeError, ValueError):
             return 0
         return int(self.plan.shard_of_many(xs, ys)[0])
-
-    def split_block(self, block: TripBlock) -> List[Tuple[int, TripBlock]]:
-        """Per-shard sub-blocks of a columnar block.
-
-        Returns ``(shard_id, sub_block)`` pairs in ascending shard id,
-        only for shards that received trips.  Concatenating the
-        sub-blocks in the order of the original row indices reproduces
-        the input bit for bit — `take` copies, never reorders within a
-        shard.
-        """
-        sids = self.plan.shard_of_many(block.end_x, block.end_y)
-        out: List[Tuple[int, TripBlock]] = []
-        for sid in np.unique(sids).tolist():
-            out.append((int(sid), block.take(np.flatnonzero(sids == sid))))
-        return out
 
     def split_trips(self, trips: Sequence[TripRecord]) -> List[List[TripRecord]]:
         """Per-shard record lists (length ``n_shards``; empty allowed).

@@ -13,16 +13,17 @@ a crash, halt or self-heal in one territory cannot touch another.
 the stream is split by destination cell
 (:class:`~repro.shard.router.ShardRouter`, order preserved per shard)
 and every shard with traffic runs one epoch in-process, in shard-id
-order, through :func:`_run_epoch_task` — the one epoch body, which the
-supervisor's first attempt runs too.  Shards stay *resident*: a shard's
-durable service (planner, fleet, journal handle, ledger, snapshot
-store) stays open for the next epoch when this one ended with its
-checkpoint, neither raised nor halted, and its directory still shows
-exactly the journal, ledger and snapshot files the service left.
-Otherwise the service is closed and the next epoch recovers from disk.
-The guard layer (validator, reorder buffer, breakers, overload control,
-logs) is built fresh every epoch either way, exactly as recovery builds
-it, so a resident epoch is bit-identical to a recovered one.
+order, through :func:`_run_epoch_task` — the one epoch body, which
+every supervised attempt runs too, restarts included.  Shards stay
+*resident*: a shard's durable service (planner, fleet, journal handle,
+ledger, snapshot store) stays open for the next epoch when this one
+ended with its checkpoint, neither raised nor halted, and its directory
+still shows exactly the journal, ledger and snapshot files the service
+left.  Otherwise the service is closed and the next epoch recovers from
+disk.  The guard layer (validator, reorder buffer, breakers, overload
+control, logs) is built fresh every epoch either way, exactly as
+recovery builds it, so a resident epoch is bit-identical to a recovered
+one.
 :meth:`ShardedRuntime.open_shard` and :meth:`ShardedRuntime.close`
 release every resident shard first.
 
@@ -58,7 +59,9 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -736,12 +739,6 @@ class ShardedRuntime:
             resident.service.close()
         return build_shard_runtime(spec, directory)
 
-    def _release(self, shard_id: int) -> None:
-        """Close one shard's resident service, if it has one."""
-        resident = self._resident.pop(shard_id, None)
-        if resident is not None:
-            resident.service.close()
-
     def close(self) -> None:
         """Release every shard service kept open between epochs (safe
         to call repeatedly; the next epoch recovers from disk)."""
@@ -846,10 +843,18 @@ def _run_epoch_task(
     trips: List[TripRecord],
     block_size: Optional[int],
     checkpoint: bool,
+    skip: Collection[int] = (),
+    on_chunk: Callable[[GuardedRuntime, Optional[int]], None] = lambda runtime, i: None,
 ) -> ShardReport:
-    """One shard's epoch, the body of every fleet epoch, supervised or
-    not: adopt the resident service (or build or recover it) → serve →
-    referrals → checkpoint → flush logs → report.
+    """One shard's epoch, the body of every fleet epoch and of every
+    supervised attempt, restarts included: adopt the resident service
+    (or build or recover it) → serve the bucket in ``block_size``
+    chunks (the guard default when ``None``), cut as
+    :meth:`GuardedRuntime.serve` cuts it, minus the chunk indices in
+    ``skip`` → finish → referrals → checkpoint → flush logs → report.
+    ``on_chunk(runtime, i)`` runs before chunk ``i`` and
+    ``on_chunk(runtime, None)`` before the finish, so a caller can tell
+    where an attempt failed.
 
     The service stays resident for the next epoch only when this one
     ended with its checkpoint and neither raised nor halted; otherwise
@@ -859,8 +864,18 @@ def _run_epoch_task(
     directory = _shard_dir(fleet.directory, shard_id)
     runtime = fleet._adopt(spec, directory)
     try:
+        size = runtime.config.block_size if block_size is None else block_size
+        if size <= 0:
+            raise ValueError(f"block_size must be positive, got {size}")
         offered_before = runtime.validator.offered
-        outcomes = runtime.serve(trips, block_size=block_size)
+        outcomes: List = []
+        for index, lo in enumerate(range(0, len(trips), size)):
+            if index in skip:
+                continue
+            on_chunk(runtime, index)
+            outcomes.extend(runtime.ingest_many(trips[lo : lo + size], block_size=size))
+        on_chunk(runtime, None)
+        outcomes.extend(runtime.finish())
         runtime.consistency_check()
         referrals = _compute_referrals(
             spec, fleet.plan, trips, outcomes, fleet._halo_for(shard_id)

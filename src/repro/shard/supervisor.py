@@ -21,24 +21,26 @@ Per epoch, every shard runs through a four-state health machine::
   :meth:`ShardedRuntime.serve`: it recovers nothing, and its journal
   bytes, checkpoint state and outcomes are identical.
 * **degraded** — the attempt failed (storage fault, poisoned
-  planner).  The supervisor backs off (seeded exponential
-  backoff with jitter — drawn only on failures, so clean runs consume
-  no randomness), repairs the shard's journal tail, rebuilds the
-  runtime with ``recover()`` and re-serves the *whole* bucket from the
-  start: order-id dedup screens everything the journal already holds,
-  which makes restart-from-start both simple and exactly-once.
-* **quarantined** — a block that failed ``poison_retries`` consecutive
-  generations is dead-lettered with full provenance (shard, epoch,
-  block index, order ids, how many were already durable, the error)
-  and skipped thereafter; the shard serves everything else.
+  planner).  Once every shard's first attempt has run, the supervisor
+  backs off (seeded exponential backoff with jitter — drawn only on
+  failures, so clean runs consume no randomness), repairs the shard's
+  journal tail and runs the same epoch body again, which recovers the
+  shard from disk and re-serves the *whole* bucket from the start:
+  order-id dedup screens everything the journal already holds, which
+  makes restart-from-start both simple and exactly-once.
+* **quarantined** — a block that failed ``poison_retries`` restarts
+  (a first-attempt fault counts against no block) is dead-lettered
+  with full provenance (shard, epoch, block index, order ids, how many
+  were already durable, the error) and skipped thereafter; the shard
+  serves everything else.
 * **halted** — the restart budget is exhausted or recovery itself
   failed.  The shard keeps its durable state for an operator; the rest
   of the fleet keeps serving.
 
-Only a faulted shard recovers from disk.  Its resident service is
-released before the restart, so no journal ever has two append
-handles, and the healed shard is closed at epoch end, so the next epoch
-recovers that one shard once.
+Only a faulted shard recovers from disk, and only in the epoch it
+faulted: a failed attempt closes its service, so no journal ever has
+two append handles, and a healed shard that ended its epoch with its
+checkpoint stays resident like any other.
 
 After each epoch the supervisor persists its quarantine ledger
 (``quarantine.jsonl``, rewritten only when the epoch quarantined a
@@ -59,7 +61,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Collection, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,16 +69,7 @@ from ..datasets.trips import TripRecord
 from ..guard.runtime import DEGRADED, HALTED, HEALTHY, GuardedRuntime, IncidentLog
 from ..ioutil import atomic_write_text
 from ..resilience.scrub import ScrubReport, repair_journal_tail, scrub_tree
-from .runtime import (
-    ShardReport,
-    ShardSpec,
-    ShardedRuntime,
-    _compute_referrals,
-    _run_epoch_task,
-    _shard_dir,
-    _shard_report,
-    build_shard_runtime,
-)
+from .runtime import ShardReport, ShardedRuntime, _run_epoch_task, _shard_dir
 
 __all__ = [
     "QUARANTINED",
@@ -263,13 +256,10 @@ class FleetSupervisor:
         fleet: the sharded runtime to supervise (fresh or recovered).
         config: retry budgets / backoff policy.
         sleep: backoff sleeper (tests inject a no-op).
-        runtime_factory: shard-stack constructor used for supervised
-            restarts; defaults to :func:`build_shard_runtime` (tests
-            inject failing factories to exercise the halt path).
         pre_block_hook: test seam called as ``hook(shard_id, epoch,
-            generation, block_index)`` before the clean attempt
-            (``generation 0, block -1``) and before each supervised
-            chunk; exceptions it raises are treated as shard faults.
+            generation, block_index)`` before each chunk of every
+            generation (``0`` is the first attempt); exceptions it
+            raises are treated as shard faults in that chunk.
     """
 
     def __init__(
@@ -277,13 +267,11 @@ class FleetSupervisor:
         fleet: ShardedRuntime,
         config: Optional[SupervisorConfig] = None,
         sleep: Callable[[float], None] = time.sleep,
-        runtime_factory: Callable[[ShardSpec, Path], GuardedRuntime] = build_shard_runtime,
         pre_block_hook: Optional[Callable[[int, int, int, int], None]] = None,
     ) -> None:
         self.fleet = fleet
         self.config = config or SupervisorConfig()
         self._sleep = sleep
-        self._factory = runtime_factory
         self._hook = pre_block_hook
         self._rng = np.random.default_rng(self.config.seed)
         self.incidents = IncidentLog(keep=self.config.incident_keep)
@@ -383,45 +371,36 @@ class FleetSupervisor:
         cfg = self.config
         buckets = self.fleet.router.split_trips(trips)
         results: Dict[int, SupervisedShardReport] = {}
-        epoch_quarantined: List[QuarantinedBlock] = []
-        epoch_restarts = 0
 
-        # -- first attempt: the fleet's own resident epoch --------------
+        # -- first attempts, in shard order, before any restart -----------
         pending: List[Tuple[int, str]] = []
         for sid, bucket in enumerate(buckets):
             if not bucket:
                 continue
             try:
-                if self._hook is not None:
-                    self._hook(sid, self.epoch, 0, -1)
-                report = _run_epoch_task(
-                    self.fleet, sid, bucket, block_size, checkpoint
-                )
+                report = self._attempt(sid, bucket, block_size, checkpoint, 0, (), [])
             except Exception as exc:  # noqa: BLE001 — supervision boundary
-                # The restart recovers from disk: the resident service
-                # (still open when the hook raised) must let go first.
-                self.fleet._release(sid)
                 self._incident(
                     "shard_fault", f"shard {sid} first attempt: {exc!r}"
                 )
                 pending.append((sid, repr(exc)))
             else:
-                results[sid] = self._clean_result(sid, report)
-
-        # -- supervised mode for everything that failed -----------------
+                results[sid] = SupervisedShardReport(
+                    shard_id=sid, state=report.health, restarts=0,
+                    quarantined=(), report=report,
+                )
         for sid, first_error in pending:
-            supervised, restarts = self._supervise_shard(
+            results[sid] = self._restart(
                 sid, buckets[sid], block_size, checkpoint, first_error
             )
-            results[sid] = supervised
-            epoch_restarts += restarts
-            epoch_quarantined.extend(supervised.quarantined)
 
         # -- merge: halo, health, ledgers -------------------------------
         ordered = tuple(results[sid] for sid in sorted(results))
         for supervised in ordered:
             self.health[supervised.shard_id] = supervised.state
         self.fleet._publish([s.report for s in ordered if s.report is not None])
+        epoch_quarantined = tuple(q for s in ordered for q in s.quarantined)
+        epoch_restarts = sum(s.restarts for s in ordered)
         self.quarantine.extend(epoch_quarantined)
         self.total_restarts += epoch_restarts
         if epoch_quarantined:
@@ -444,218 +423,131 @@ class FleetSupervisor:
                 self._flush_incidents()
         return SupervisedOutcome(
             reports=ordered,
-            quarantined=tuple(epoch_quarantined),
+            quarantined=epoch_quarantined,
             restarts=epoch_restarts,
             scrub=scrub,
         )
 
     # ------------------------------------------------------------------
-    def _clean_result(self, sid: int, report: ShardReport) -> SupervisedShardReport:
-        return SupervisedShardReport(
-            shard_id=sid,
-            state=report.health,
-            restarts=0,
-            quarantined=(),
-            report=report,
-        )
-
-    def _supervise_shard(
+    def _attempt(
         self,
         sid: int,
         bucket: List[TripRecord],
         block_size: Optional[int],
         checkpoint: bool,
-        first_error: Optional[str],
-    ) -> Tuple[SupervisedShardReport, int]:
+        generation: int,
+        skip: Collection[int],
+        reached: List,
+    ) -> ShardReport:
+        """One generation of a shard's epoch: the fleet's own epoch body,
+        with the test hook before each chunk.  ``reached`` is left
+        holding ``(runtime, chunk index)`` of the last step begun
+        (``None`` for the epoch tail; empty while adopting the service).
+        """
+
+        def on_chunk(runtime: GuardedRuntime, index: Optional[int]) -> None:
+            reached[:] = [(runtime, index)]
+            if index is not None and self._hook is not None:
+                self._hook(sid, self.epoch, generation, index)
+
+        return _run_epoch_task(
+            self.fleet, sid, bucket, block_size, checkpoint, skip, on_chunk
+        )
+
+    def _restart(
+        self,
+        sid: int,
+        bucket: List[TripRecord],
+        block_size: Optional[int],
+        checkpoint: bool,
+        last_error: str,
+    ) -> SupervisedShardReport:
         """Restart-with-recover loop for one faulted shard.
 
-        Each generation: backoff → repair the journal tail → rebuild via
-        ``recover()`` → re-serve the whole bucket chunk by chunk (dedup
-        screens what the journal already holds), skipping quarantined
-        chunks.  A chunk failing ``poison_retries`` generations is
-        quarantined.  Success finishes the stream, checkpoints, flushes
-        logs; budget exhaustion halts the shard for the epoch.
+        Each generation: backoff → repair the journal tail → the epoch
+        body again, which recovers the shard from disk and re-serves the
+        whole bucket chunk by chunk (dedup screens what the journal
+        already holds), skipping quarantined chunks.  Where a generation
+        failed classifies it: recovery, chunk ``k`` (which counts
+        towards ``k``'s ``poison_retries``), or the epoch tail.  Budget
+        exhaustion halts the shard for the epoch.
         """
         cfg = self.config
-        spec = self.fleet.spec(sid)
-        sdir = _shard_dir(self.fleet.directory, sid)
-        size = block_size if block_size is not None else spec.guard_config().block_size
-        chunks = [bucket[lo: lo + size] for lo in range(0, len(bucket), size)]
-        quarantined_idx: set = set()
-        attempts_by_block: Dict[int, int] = {}
-        quarantine_info: Dict[int, Dict] = {}
+        journal = _shard_dir(self.fleet.directory, sid) / "journal.jsonl"
+        size = self.fleet.guard.block_size if block_size is None else block_size
+        failures: Dict[int, int] = {}
+        held: Dict[int, Tuple[Tuple[int, ...], int, str]] = {}
+        report: Optional[ShardReport] = None
         restarts = 0
-        last_error = first_error
-        runtime: Optional[GuardedRuntime] = None
-        outcomes: List = []
-        offered_before = 0
-        while restarts < cfg.max_restarts:
+        while report is None and restarts < cfg.max_restarts:
             restarts += 1
             self._backoff(restarts)
+            reached: List = []
             try:
-                for finding in repair_journal_tail(
-                    sdir / "journal.jsonl", durable=spec.durable
-                ):
-                    self._incident(
-                        "journal_repair", f"shard {sid}: {finding.detail}"
-                    )
+                for finding in repair_journal_tail(journal, durable=self.fleet.durable):
+                    self._incident("journal_repair", f"shard {sid}: {finding.detail}")
                     if finding.action == "refused":
-                        raise RuntimeError(
-                            f"journal unrepairable: {finding.detail}"
-                        )
-                runtime = self._factory(spec, sdir)
-            except Exception as exc:  # noqa: BLE001 — recovery itself failed
-                last_error = repr(exc)
-                self._incident(
-                    "recovery_failed",
-                    f"shard {sid} restart {restarts}: {exc!r}",
+                        raise RuntimeError(f"journal unrepairable: {finding.detail}")
+                report = self._attempt(
+                    sid, bucket, block_size, checkpoint, restarts, held, reached
                 )
-                runtime = None
-                continue
-            outcomes = []
-            offered_before = runtime.validator.offered
-            failed_at: Optional[int] = None
-            for idx, chunk in enumerate(chunks):
-                if idx in quarantined_idx:
+            except Exception as exc:  # noqa: BLE001 — supervision boundary
+                last_error = repr(exc)
+                if not reached:
+                    self._incident(
+                        "recovery_failed", f"shard {sid} restart {restarts}: {exc!r}"
+                    )
                     continue
-                try:
-                    if self._hook is not None:
-                        self._hook(sid, self.epoch, restarts, idx)
-                    outcomes.extend(runtime.ingest_many(chunk, block_size=size))
-                except Exception as exc:  # noqa: BLE001 — supervision boundary
-                    last_error = repr(exc)
-                    failed_at = idx
-                    count = attempts_by_block.get(idx, 0) + 1
-                    attempts_by_block[idx] = count
+                index = reached[0][1]
+                if index is None:
                     self._incident(
                         "shard_fault",
-                        f"shard {sid} restart {restarts} block {idx} "
-                        f"(attempt {count}/{cfg.poison_retries}): {exc!r}",
+                        f"shard {sid} restart {restarts} epoch finish: {exc!r}",
                     )
-                    if count >= cfg.poison_retries:
-                        quarantined_idx.add(idx)
-                        quarantine_info[idx] = {
-                            "attempts": count,
-                            "error": repr(exc),
-                            "order_ids": tuple(_safe_id(t) for t in chunk),
-                        }
-                        self._incident(
-                            "quarantine",
-                            f"shard {sid} block {idx} quarantined after "
-                            f"{count} attempt(s): {exc!r}",
-                        )
-                    break
-            if failed_at is not None:
-                self._close_quietly(runtime)
-                runtime = None
-                continue
-            try:
-                outcomes.extend(runtime.finish())
-                runtime.consistency_check()
-                if checkpoint and not runtime.halted:
-                    runtime.inner.checkpoint()
-                runtime.flush_logs(sdir / "logs", durable=spec.durable)
-            except Exception as exc:  # noqa: BLE001 — end-of-epoch fault
-                last_error = repr(exc)
+                    continue
+                count = failures[index] = failures.get(index, 0) + 1
                 self._incident(
                     "shard_fault",
-                    f"shard {sid} restart {restarts} epoch finish: {exc!r}",
+                    f"shard {sid} restart {restarts} block {index} "
+                    f"(attempt {count}/{cfg.poison_retries}): {exc!r}",
                 )
-                self._close_quietly(runtime)
-                runtime = None
-                continue
-            break
-        if runtime is None:
+                if count >= cfg.poison_retries:
+                    chunk = bucket[index * size : (index + 1) * size]
+                    held[index] = (tuple(_safe_id(t) for t in chunk), count, repr(exc))
+                    self._incident(
+                        "quarantine",
+                        f"shard {sid} block {index} quarantined after "
+                        f"{count} attempt(s): {exc!r}",
+                    )
+        if report is None:
             # Budget exhausted (or recovery terminally failed): halted.
             self._incident(
                 "halt",
                 f"shard {sid} halted after {restarts} restart(s): {last_error}",
             )
-            rows = tuple(
-                QuarantinedBlock(
-                    shard_id=sid,
-                    epoch=self.epoch,
-                    block_index=idx,
-                    order_ids=info["order_ids"],
-                    attempts=info["attempts"],
-                    journaled=-1,
-                    error=info["error"],
-                )
-                for idx, info in sorted(quarantine_info.items())
+            seen, state = None, HALTED
+        else:
+            # The final generation's runtime holds the applied order ids.
+            seen = reached[0][0].inner._seen
+            state = QUARANTINED if held else (
+                DEGRADED if report.health == HEALTHY else report.health
             )
-            return (
-                SupervisedShardReport(
-                    shard_id=sid,
-                    state=HALTED,
-                    restarts=restarts,
-                    quarantined=rows,
-                    report=None,
-                    error=last_error,
-                ),
-                restarts,
-            )
-        report = self._final_report(
-            sid, spec, bucket, runtime, outcomes, offered_before
-        )
-        seen = runtime.inner._seen
         rows = tuple(
             QuarantinedBlock(
                 shard_id=sid,
                 epoch=self.epoch,
-                block_index=idx,
-                order_ids=info["order_ids"],
-                attempts=info["attempts"],
-                journaled=sum(1 for oid in info["order_ids"] if oid in seen),
-                error=info["error"],
+                block_index=index,
+                order_ids=ids,
+                attempts=attempts,
+                journaled=-1 if seen is None else sum(1 for o in ids if o in seen),
+                error=error,
             )
-            for idx, info in sorted(quarantine_info.items())
+            for index, (ids, attempts, error) in sorted(held.items())
         )
-        runtime.close()
-        state = QUARANTINED if rows else (
-            DEGRADED if report.health == HEALTHY else report.health
+        return SupervisedShardReport(
+            shard_id=sid, state=state, restarts=restarts, quarantined=rows,
+            report=report, error=last_error,
         )
-        return (
-            SupervisedShardReport(
-                shard_id=sid,
-                state=state,
-                restarts=restarts,
-                quarantined=rows,
-                report=report,
-                error=last_error,
-            ),
-            restarts,
-        )
-
-    def _final_report(
-        self,
-        sid: int,
-        spec: ShardSpec,
-        bucket: List[TripRecord],
-        runtime: GuardedRuntime,
-        outcomes: Sequence,
-        offered_before: int,
-    ) -> ShardReport:
-        """Epoch report from the final successful generation.
-
-        Counters are the final generation's own (internally consistent:
-        trips served in crashed generations re-arrive as duplicates).
-        Referrals are computed from this generation's served responses
-        only — trips that became duplicates across the restart lose
-        their advisory referral, never their journaled decision.
-        """
-        referrals = _compute_referrals(
-            spec, self.fleet.plan, bucket, outcomes, self.fleet._halo_for(sid)
-        )
-        return _shard_report(sid, runtime, offered_before, outcomes, referrals)
-
-    @staticmethod
-    def _close_quietly(runtime: Optional[GuardedRuntime]) -> None:
-        if runtime is None:
-            return
-        try:
-            runtime.close()
-        except Exception:  # noqa: BLE001 — already failing
-            pass
 
     # ------------------------------------------------------------------
     def scrub(self, repair: bool = True) -> ScrubReport:

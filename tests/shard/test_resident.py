@@ -286,43 +286,50 @@ def test_clean_supervised_epochs_stay_resident(tmp_path, recoveries):
 
 def test_a_faulted_shard_alone_recovers(tmp_path, recoveries):
     e1, e2, e3, e4 = _epochs(city.trips(800, 6), 4)
-    with city.fleet(N_SHARDS, tmp_path, 6, durable=True) as fleet:
-        supervisor = _supervisor(fleet)
+    plain = city.fleet(N_SHARDS, tmp_path / "plain", 6, durable=True)
+    fleet = city.fleet(N_SHARDS, tmp_path / "supervised", 6, durable=True)
+    supervisor = _supervisor(fleet)
+    with plain, fleet:
+        plain.serve(e1)
         supervisor.serve(e1)
+        plain.serve(e2)
         fs = FaultFS(FaultFSConfig(
-            p_fsync=1.0, match="shard-001/journal.jsonl", max_faults=1
+            p_fsync=1.0, match="supervised/shard-001/journal.jsonl", max_faults=1
         ))
         with fs.inject():
             outcome = supervisor.serve(e2)
         assert fs.counters.fsync == 1
         assert [r.restarts for r in outcome.reports] == [0, 1, 0]
         assert recoveries == [1]
-        # The healed shard was closed: it recovers once more, alone.
+        # The healed shard ended its epoch with its checkpoint, so it
+        # stays resident like the others: no later epoch recovers.
         recoveries.clear()
-        supervisor.serve(e3)
-        assert recoveries == [1]
-        recoveries.clear()
-        supervisor.serve(e4)
-        assert recoveries == []
+        for trips in (e3, e4):
+            want = plain.serve(trips)
+            got = supervisor.serve(trips)
+            assert tuple(s.report for s in got.reports) == want.reports
+            assert recoveries == []
+            assert _disk(fleet.directory) == _disk(plain.directory)
 
 
-def test_hook_fault_releases_the_resident_journal(tmp_path, journals):
+def test_hook_fault_releases_the_resident_journal(tmp_path, monkeypatch, journals):
     e1, e2 = _epochs(city.trips(400, 7), 2)
     released = []
 
     def hook(sid, epoch, generation, block):
-        if (sid, epoch, generation, block) == (1, 2, 0, -1):
-            raise RuntimeError("injected before the first attempt")
+        if (sid, epoch, generation, block) == (1, 2, 0, 0):
+            raise RuntimeError("injected before the first chunk")
 
-    def factory(spec, directory):
+    def build(spec, directory):
         released.append(resident._writer._fh is None)
         return build_shard_runtime(spec, directory)
 
     fleet = city.fleet(N_SHARDS, tmp_path)
-    supervisor = _supervisor(fleet, pre_block_hook=hook, runtime_factory=factory)
+    supervisor = _supervisor(fleet, pre_block_hook=hook)
     supervisor.serve(e1)
     resident = fleet._resident[1].service.journal
     assert resident._writer._fh is not None
+    monkeypatch.setattr("repro.shard.runtime.build_shard_runtime", build)
     outcome = supervisor.serve(e2)
     fleet.close()
     assert [r.restarts for r in outcome.reports] == [0, 1, 0]

@@ -1,8 +1,8 @@
-"""ShardRouter: exact partition, stable order, columnar == scalar."""
+"""ShardRouter: exact partition, stable order, chunked == scalar."""
 
-import numpy as np
+from dataclasses import replace
 
-from repro.core.tripblock import TripBlock
+from repro.geo.points import Point
 from repro.shard import ShardRouter
 
 from .conftest import make_plan, make_trips
@@ -34,6 +34,19 @@ class TestSplitTrips:
             for t in bucket:
                 assert router.route(t) == sid
 
+    def test_nan_destination_routes_like_scalar_route(self):
+        router = ShardRouter(make_plan(3))
+        trips = make_trips(50, seed=8)
+        trips[10] = replace(trips[10], end=Point(float("nan"), trips[10].end.y))
+        # A row whose destination is not a point sends its whole chunk
+        # down the per-trip fallback; the NaN row must route alike there.
+        garbage = trips[:30] + [replace(trips[30], end=None)] + trips[31:]
+        for stream in (trips, garbage):
+            buckets = router.split_trips(stream)
+            routed = {t.order_id: sid for sid, b in enumerate(buckets) for t in b}
+            assert routed == {t.order_id: router.route(t) for t in stream}
+            assert routed[trips[10].order_id] == router.route(trips[10])
+
     def test_chunking_does_not_change_routing(self):
         import repro.shard.router as router_mod
 
@@ -49,61 +62,3 @@ class TestSplitTrips:
         assert [[t.order_id for t in b] for b in whole] == [
             [t.order_id for t in b] for b in chunked
         ]
-
-
-class TestSplitBlock:
-    def test_block_and_list_paths_agree(self):
-        router = ShardRouter(make_plan(4))
-        trips = make_trips(600, seed=5)
-        block = TripBlock.from_trips(trips)
-        by_block = {sid: sub.order_id.tolist() for sid, sub in router.split_block(block)}
-        by_list = {
-            sid: [t.order_id for t in bucket]
-            for sid, bucket in enumerate(router.split_trips(trips))
-            if bucket
-        }
-        assert by_block == by_list
-
-    def test_subblocks_reassemble_bit_identically(self):
-        router = ShardRouter(make_plan(3))
-        trips = make_trips(400, seed=6)
-        block = TripBlock.from_trips(trips)
-        pieces = router.split_block(block)
-        sids = router.plan.shard_of_many(block.end_x, block.end_y)
-        for sid, sub in pieces:
-            rows = np.flatnonzero(sids == sid)
-            for col in (
-                "order_id", "user_id", "bike_id", "bike_type", "start_us",
-                "start_x", "start_y", "end_x", "end_y",
-                "geodesic_m", "has_geodesic", "battery", "has_battery",
-            ):
-                got = getattr(sub, col)
-                want = getattr(block, col)[rows]
-                if got.dtype.kind == "f":
-                    assert np.array_equal(got, want, equal_nan=True)
-                else:
-                    assert np.array_equal(got, want)
-
-    def test_shard_ids_ascending_and_nonempty(self):
-        router = ShardRouter(make_plan(6))
-        block = TripBlock.from_trips(make_trips(300, seed=7))
-        pieces = router.split_block(block)
-        sids = [sid for sid, _ in pieces]
-        assert sids == sorted(sids)
-        assert all(len(sub) > 0 for _, sub in pieces)
-
-    def test_nan_destination_routes_like_list_path(self):
-        router = ShardRouter(make_plan(3))
-        trips = make_trips(50, seed=8)
-        from dataclasses import replace
-        from repro.geo.points import Point
-
-        trips[10] = replace(trips[10], end=Point(float("nan"), trips[10].end.y))
-        block = TripBlock.from_trips(trips)
-        by_block = {sid: sub.order_id.tolist() for sid, sub in router.split_block(block)}
-        by_list = {
-            sid: [t.order_id for t in bucket]
-            for sid, bucket in enumerate(router.split_trips(trips))
-            if bucket
-        }
-        assert by_block == by_list

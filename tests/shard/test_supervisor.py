@@ -13,6 +13,7 @@ from repro.shard import (
     SupervisorConfig,
 )
 from repro.resilience import FaultFS, FaultFSConfig, TripJournal
+from repro.shard import runtime as runtime_module
 
 from .conftest import make_city, make_plan, make_trips
 
@@ -151,7 +152,7 @@ class TestTransientFault:
         fired = []
 
         def hook(sid, epoch, generation, block):
-            if sid == 1 and generation <= 1 and block in (-1, 1) and len(fired) < 2:
+            if sid == 1 and generation <= 1 and block == 1:
                 fired.append((generation, block))
                 raise RuntimeError("injected")
 
@@ -159,6 +160,7 @@ class TestTransientFault:
         supervisor = _supervised(city, hook=hook)
         outcome = supervisor.serve(trips, block_size=BLOCK)
         by_id = {r.shard_id: r for r in outcome.reports}
+        assert fired == [(0, 1), (1, 1)]
         assert by_id[1].restarts == 2 and by_id[1].state == DEGRADED
         bucket = ShardRouter(city.plan).split_trips(trips)[1]
         journal = tmp_path / "c" / "shard-001" / "journal.jsonl"
@@ -250,6 +252,36 @@ class TestPoisonQuarantine:
         ]
         assert incidents and {row["seq"] for row in incidents} == {4}
 
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_poison_anywhere_in_the_bucket(self, tmp_path, where, size):
+        trips = make_trips(60, seed=3)
+        city = make_city(make_plan(3), tmp_path / "c", seed=3)
+        bucket = ShardRouter(city.plan).split_trips(trips)[1]
+        n_chunks = -(-len(bucket) // size)
+        poison = {"first": 0, "middle": n_chunks // 2, "last": n_chunks - 1}[where]
+
+        def hook(sid, epoch, generation, block):
+            if sid == 1 and (generation == 0 or block == poison):
+                raise RuntimeError("poisoned planner input")
+
+        supervisor = _supervised(city, hook=hook, poison_retries=2)
+        outcome = supervisor.serve(trips, block_size=size)
+        report = {r.shard_id: r for r in outcome.reports}[1]
+        chunk = tuple(t.order_id for t in bucket[poison * size : (poison + 1) * size])
+        assert [(q.block_index, q.order_ids) for q in report.quarantined] == [
+            (poison, chunk)
+        ]
+        assert report.quarantined[0].attempts == 2
+        assert report.quarantined[0].journaled == 0
+        # The first attempt, then two failed generations, then the one
+        # that skips the poison chunk.
+        assert report.restarts == 3 and report.state == QUARANTINED
+        journal = tmp_path / "c" / "shard-001" / "journal.jsonl"
+        ids = [e.trip.order_id for e in TripJournal(journal, durable=False).scan()]
+        assert len(ids) == len(set(ids))
+        assert set(ids) == {t.order_id for t in bucket} - set(chunk)
+
     def test_unaffected_shards_keep_serving(self, tmp_path):
         trips, city, _, outcome = self._run(tmp_path, poison_retries=2)
         buckets = ShardRouter(city.plan).split_trips(trips)
@@ -263,23 +295,21 @@ class TestPoisonQuarantine:
 
 
 class TestHaltPath:
-    def test_budget_exhaustion_halts_only_that_shard(self, tmp_path):
+    def test_budget_exhaustion_halts_only_that_shard(self, tmp_path, monkeypatch):
         trips = make_trips(60, seed=3)
+        build = runtime_module.build_shard_runtime
 
-        def hook(sid, epoch, generation, block):
-            if sid == 1 and generation == 0:
-                raise RuntimeError("first attempt down")
+        def broken(spec, directory):
+            if spec.shard_id == 1:
+                raise RuntimeError("recovery permanently broken")
+            return build(spec, directory)
 
-        def broken_factory(spec, directory):
-            raise RuntimeError("recovery permanently broken")
-
+        monkeypatch.setattr(runtime_module, "build_shard_runtime", broken)
         city = make_city(make_plan(3), tmp_path / "c", seed=3)
         supervisor = FleetSupervisor(
             city,
             config=SupervisorConfig(backoff_base_s=0.0, max_restarts=2),
             sleep=_no_sleep,
-            runtime_factory=broken_factory,
-            pre_block_hook=hook,
         )
         outcome = supervisor.serve(trips, block_size=BLOCK)
         by_id = {r.shard_id: r for r in outcome.reports}
