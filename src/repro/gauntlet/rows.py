@@ -21,6 +21,7 @@ import numpy as np
 from ..core.costs import constant_facility_cost
 from ..core.esharing import EsharingConfig, EsharingPlanner
 from ..core.streaming import PlacementService
+from ..core.tripblock import TripBlock
 from ..datasets import load_mobike_csv, mobike_like_dataset, save_mobike_csv
 from ..datasets.mobike import QuarantineReport
 from ..datasets.synthetic import SyntheticConfig
@@ -56,8 +57,6 @@ HOSTILE = dict(
 BLOCK = 64
 #: Serve epochs of the chaos-sharded row's hostile stream.
 CHAOS_EPOCHS = 3
-#: Stream steps per overload serving epoch (one latency observation each).
-EPOCH_STEPS = 5
 
 
 def mutate(check: Checks, injector: FaultInjector, records) -> List[TripRecord]:
@@ -419,19 +418,11 @@ def surge(check, workdir, seed, name, od, duration_s, n_shards):
     fleet = city.fleet(n_shards, workdir / name, seed, overload=overload)
     shards = [fleet.open_shard(sid) for sid in range(n_shards)]
     try:
-        blocks = list(stream.blocks(duration_s))
-        epoch_dt = [0.0] * n_shards
-        for i, block in enumerate(blocks):
+        for block in stream.blocks(duration_s):
             buckets = fleet.router.split_trips(block.to_trips())
             for sid, bucket in enumerate(buckets):
                 if bucket:
-                    t0 = time.perf_counter()
                     shards[sid].ingest_many(bucket)
-                    epoch_dt[sid] += time.perf_counter() - t0
-            if (i + 1) % EPOCH_STEPS == 0 or i + 1 == len(blocks):
-                for rt, dt in zip(shards, epoch_dt):
-                    rt.overload.observe_latency(dt)
-                epoch_dt = [0.0] * n_shards
         for rt in shards:
             rt.finish()
     except Exception as exc:  # noqa: BLE001 — the gauntlet's whole point
@@ -545,12 +536,15 @@ def recovery(check, workdir, seed, n_trips, crash_at):
         checkpoint_every=50, durable=False,
         facility_cost_spec=constant_cost_spec(city.COST_VALUE),
     )
-    for r in records[:crash_at]:
-        wrapped.handle_trip(r)
+    def serve(service, rows):
+        # Responses and journal bytes do not depend on the block size.
+        for lo in range(0, len(rows), BLOCK):
+            service.handle_block(TripBlock.from_trips(rows[lo : lo + BLOCK]))
+
+    serve(wrapped, records[:crash_at])
     wrapped.close()  # the "crash": the in-memory object is abandoned
     recovered = CheckpointingService.recover(workdir / "run", durable=False)
-    for r in records[crash_at:]:
-        recovered.handle_trip(r)
+    serve(recovered, records[crash_at:])
     recovered.consistency_check()
     check(
         recovered.service.responses == reference.responses,

@@ -8,7 +8,7 @@ service lives here:
 * :mod:`~repro.guard.reorder` — watermark-based reordering of bounded
   out-of-order streams;
 * :mod:`~repro.guard.breakers` — deterministic circuit breakers and the
-  per-subsystem degradations (KS test, incentives, forecasting);
+  per-subsystem degradations (KS test, incentives);
 * :mod:`~repro.guard.overload` — admission control for traffic past
   saturation: event-time token bucket, bounded ingest queue with
   backpressure, seeded priority load-shedder, and a three-rung
@@ -27,7 +27,6 @@ service (``chaos-block1`` and ``chaos-sharded`` are its block-of-one and
 from .breakers import (
     BreakerConfig,
     CircuitBreaker,
-    GuardedForecaster,
     GuardedIncentives,
     GuardedKS2D,
 )
@@ -67,7 +66,6 @@ __all__ = [
     "CircuitBreaker",
     "GuardedKS2D",
     "GuardedIncentives",
-    "GuardedForecaster",
     "GuardConfig",
     "GuardedRuntime",
     "Incident",

@@ -1,9 +1,9 @@
 """Circuit breakers with deterministic, replay-safe backoff.
 
-The online tier leans on three subsystems that can wedge or throw
-independently of the placement math: the periodic Peacock KS-2D test,
-the Tier-2 incentive mechanism, and the demand forecaster.  A breaker
-isolates each one behind the classic three-state machine —
+The online tier leans on subsystems that can wedge or throw
+independently of the placement math: the periodic Peacock KS-2D test
+and the Tier-2 incentive mechanism.  A breaker isolates each one
+behind the classic three-state machine —
 
 * **closed**: calls pass through; ``failure_threshold`` *consecutive*
   failures trip it open;
@@ -20,8 +20,7 @@ isolates each one behind the classic three-state machine —
 Refused or failed calls return the configured fallback; the per-subsystem
 fallbacks implement the paper-side degradations: the KS wrapper repeats
 the last accepted test result (so the planner keeps its last accepted
-penalty type), the incentive wrapper answers "no offer", the forecast
-wrapper flatlines at the last observed value.
+penalty type) and the incentive wrapper answers "no offer".
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ from typing import Any, Callable, List, Optional, Sequence
 import numpy as np
 
 from ..errors import BreakerOpenError
-from ..forecast.base import Forecaster
 from ..incentives.mechanism import IncentiveMechanism, OfferOutcome
 from ..stats.ks2d import CachedKS2D, KSResult
 
@@ -41,7 +39,6 @@ __all__ = [
     "CircuitBreaker",
     "GuardedKS2D",
     "GuardedIncentives",
-    "GuardedForecaster",
 ]
 
 #: Breaker states (plain strings so they serialise and print cleanly).
@@ -284,40 +281,3 @@ class GuardedIncentives:
             fallback=self.NO_OFFER,
         )
 
-
-class GuardedForecaster(Forecaster):
-    """Breaker-guarded wrapper over any :class:`Forecaster`.
-
-    Degradation: persistence — repeat the last observed value of the
-    history (zero before any observation), the standard naive forecast.
-    A failed ``fit`` leaves the model unfitted but usable: ``forecast``
-    then simply keeps degrading until a later refit succeeds.
-    """
-
-    def __init__(self, inner: Forecaster, breaker: CircuitBreaker) -> None:
-        self.inner = inner
-        self.breaker = breaker
-        self.fit_ok = False
-
-    def fit(self, series: np.ndarray) -> "GuardedForecaster":
-        def _fit() -> bool:
-            self.inner.fit(series)
-            return True
-
-        self.fit_ok = bool(self.breaker.call(_fit, fallback=False))
-        return self
-
-    def forecast(self, history: np.ndarray, horizon: int) -> np.ndarray:
-        self._check_horizon(horizon)
-
-        def _persistence() -> np.ndarray:
-            arr = np.asarray(history, dtype=float).ravel()
-            last = float(arr[-1]) if arr.size else 0.0
-            return np.full(horizon, last)
-
-        if not self.fit_ok:
-            self.breaker.fallbacks += 1
-            return _persistence()
-        return self.breaker.call(
-            self.inner.forecast, history, horizon, fallback=_persistence
-        )

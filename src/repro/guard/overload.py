@@ -29,15 +29,16 @@ watermark buffer::
   with rule ``overload_shed`` and a reason, so accounting stays exact;
   the tie-break RNG is consumed only on overflow, so runs that never
   overload draw nothing.
-* **Degradation ladder** — three rungs driven by queue depth (and
-  optionally per-epoch latency), with streak-based hysteresis so the
-  ladder climbs and descends deliberately instead of flapping:
+* **Degradation ladder** — three rungs driven by queue depth, with
+  streak-based hysteresis so the ladder climbs and descends
+  deliberately instead of flapping.  Only event-time state drives it,
+  never wall clock, so journal content does not depend on host speed:
 
   ====  ================  ==============================================
   rung  name              behaviour
   ====  ================  ==============================================
   0     ``full``          everything runs
-  1     ``defer_aux``     KS / incentives / forecast breakers suspended
+  1     ``defer_aux``     KS / incentive breakers suspended
                           (their existing fallbacks answer instead)
   2     ``nearest_only``  journaled serving stops; every queued and
                           incoming trip is answered from the
@@ -82,12 +83,15 @@ RUNGS = ("full", "defer_aux", "nearest_only")
 SHED_RULE = "overload_shed"
 
 #: Breakers the ladder suspends on rung >= 1 (their fallbacks serve).
-_AUX_BREAKERS = ("ks", "incentive", "forecast")
+_AUX_BREAKERS = ("ks", "incentive")
 
 
 @dataclass(frozen=True)
 class LadderConfig:
     """Hysteresis policy of the degradation ladder.
+
+    Queue depth alone drives the ladder: it is event-time state, so
+    journal content never depends on host speed.
 
     Attributes:
         high_queue: queue-depth fraction (of ``queue_limit``) at or
@@ -95,13 +99,6 @@ class LadderConfig:
         low_queue: fraction at or below which an observation counts
             toward de-escalation.  Depths between the two reset both
             streaks — the dead band of the hysteresis.
-        high_latency_s: per-epoch serve latency at or above which an
-            observation escalates regardless of depth.  ``0`` disables
-            the latency driver (the default: wall-clock-driven
-            transitions would make journal content depend on host
-            speed).
-        low_latency_s: latency that must also hold for a de-escalation
-            observation while the latency driver is enabled.
         escalate_after: consecutive high observations before climbing
             one rung.
         deescalate_after: consecutive low observations before stepping
@@ -115,8 +112,6 @@ class LadderConfig:
 
     high_queue: float = 0.6
     low_queue: float = 0.2
-    high_latency_s: float = 0.0
-    low_latency_s: float = 0.0
     escalate_after: int = 2
     deescalate_after: int = 3
 
@@ -125,13 +120,6 @@ class LadderConfig:
             raise ValueError(
                 f"need 0 <= low_queue <= high_queue <= 1, got "
                 f"{self.low_queue}/{self.high_queue}"
-            )
-        if self.high_latency_s < 0 or self.low_latency_s < 0:
-            raise ValueError("latency thresholds must be >= 0")
-        if self.high_latency_s > 0 and self.low_latency_s > self.high_latency_s:
-            raise ValueError(
-                f"need low_latency_s <= high_latency_s, got "
-                f"{self.low_latency_s}/{self.high_latency_s}"
             )
         if self.escalate_after <= 0 or self.deescalate_after <= 0:
             raise ValueError("escalate_after and deescalate_after must be positive")
@@ -150,17 +138,16 @@ class OverloadConfig:
             the shedder runs.
         high_water / low_water: queue-depth fractions at which the
             explicit backpressure signal raises / clears.
-        shed_policy: ``"synthetic_first"`` sheds priority class 0
-            (synthetic / low-value trips, marked by ``user_id < 0``)
-            before class 1 (journal-bound real trips);
-            ``"uniform"`` treats all rows as one class.
         seed: RNG seed of the within-class shed tie-break — consumed
             only on overflow, so non-overloaded runs draw nothing.
         ladder: degradation-ladder hysteresis policy.
 
     Raises:
-        ValueError: on non-positive rate/burst/queue, inverted water
-            marks, or an unknown shed policy.
+        ValueError: on non-positive rate/burst/queue or inverted water
+            marks.
+
+    The shedder always ranks synthetic / low-value trips (marked by
+    ``user_id < 0``) before journal-bound real trips.
     """
 
     rate_per_s: float = 50.0
@@ -168,7 +155,6 @@ class OverloadConfig:
     queue_limit: int = 2048
     high_water: float = 0.75
     low_water: float = 0.25
-    shed_policy: str = "synthetic_first"
     seed: int = 0
     ladder: LadderConfig = field(default_factory=LadderConfig)
 
@@ -181,11 +167,6 @@ class OverloadConfig:
             raise ValueError(
                 f"need 0 <= low_water <= high_water <= 1, got "
                 f"{self.low_water}/{self.high_water}"
-            )
-        if self.shed_policy not in ("synthetic_first", "uniform"):
-            raise ValueError(
-                f"unknown shed_policy {self.shed_policy!r} "
-                "(known: synthetic_first, uniform)"
             )
 
 
@@ -241,7 +222,7 @@ class OverloadController:
         incident: ``(kind, detail)`` callback into the runtime's
             incident log (``backpressure`` / ``overload_shed`` /
             ``ladder`` / ``overload_deferred`` kinds).
-        breakers: the aux breakers (ks/incentive/forecast) the ladder
+        breakers: the aux breakers (ks/incentive) the ladder
             suspends on rung >= 1; optional for standalone use.
     """
 
@@ -261,7 +242,6 @@ class OverloadController:
         self._depth = 0
         self._max_us: Optional[int] = None
         self._rng = np.random.default_rng(config.seed)
-        self._latency_s: Optional[float] = None
         self._high_streak = 0
         self._low_streak = 0
         self.rung = 0
@@ -284,15 +264,6 @@ class OverloadController:
     @property
     def rung_name(self) -> str:
         return RUNGS[self.rung]
-
-    def observe_latency(self, seconds: float) -> None:
-        """Feed one per-epoch serve latency into the ladder.
-
-        A no-op unless the ladder's latency thresholds are enabled —
-        the deterministic default keeps journal content independent of
-        host speed.
-        """
-        self._latency_s = float(seconds)
 
     # ------------------------------------------------------------------
     def offer(
@@ -369,12 +340,6 @@ class OverloadController:
         return rest, TripBlock.empty()
 
     # ------------------------------------------------------------------
-    def _classes(self, block: TripBlock) -> np.ndarray:
-        """Priority class per row — lower sheds first."""
-        if self.config.shed_policy == "synthetic_first":
-            return np.where(block.user_id < 0, 0, 1).astype(np.int8)
-        return np.zeros(len(block), dtype=np.int8)
-
     def _shed_overflow(
         self, block: TripBlock, seqs: np.ndarray, excess: int
     ) -> Tuple[TripBlock, np.ndarray, int]:
@@ -387,7 +352,8 @@ class OverloadController:
         """
         n = len(block)
         excess = min(excess, n)
-        classes = self._classes(block)
+        # Priority class per row: synthetic trips (class 0) shed first.
+        classes = np.where(block.user_id < 0, 0, 1).astype(np.int8)
         keys = self._rng.random(n)
         order = np.lexsort((keys, classes))
         victims = np.sort(order[:excess])
@@ -451,9 +417,6 @@ class OverloadController:
         lad = self.config.ladder
         high = depth >= lad.high_queue * limit
         low = depth <= lad.low_queue * limit
-        if lad.high_latency_s > 0 and self._latency_s is not None:
-            high = high or self._latency_s >= lad.high_latency_s
-            low = low and self._latency_s <= lad.low_latency_s
         if high:
             self._high_streak += 1
             self._low_streak = 0

@@ -58,16 +58,14 @@ from ..errors import (
     SnapshotError,
     StateDriftError,
 )
-from ..forecast.base import Forecaster
 from ..geo.points import Point
 from ..incentives.mechanism import IncentiveMechanism
-from ..ioutil import RowLog
+from ..ioutil import ROW_KEEP, RowLog
 from ..resilience.service import CheckpointingService
 from .breakers import (
     CLOSED,
     BreakerConfig,
     CircuitBreaker,
-    GuardedForecaster,
     GuardedIncentives,
     GuardedKS2D,
 )
@@ -87,7 +85,7 @@ __all__ = [
 ]
 
 #: Aux breakers the overload ladder suspends on rung >= 1.
-_LADDER_AUX = ("ks", "incentive", "forecast")
+_LADDER_AUX = ("ks", "incentive")
 
 #: Reason stamped on a ladder-deferred trip's fallback decision.
 _DEFERRED_REASON = "overload ladder: nearest-station-only serving"
@@ -96,7 +94,7 @@ _DEFERRED_REASON = "overload ladder: nearest-station-only serving"
 HEALTHY, DEGRADED, HALTED = "healthy", "degraded", "halted"
 
 #: Breaker names, in the order they are created (seed offsets follow it).
-_BREAKER_NAMES = ("planner", "ks", "incentive", "forecast")
+_BREAKER_NAMES = ("planner", "ks", "incentive")
 
 
 @dataclass(frozen=True)
@@ -115,8 +113,6 @@ class GuardConfig:
         breaker: trip/backoff policy shared by the subsystem breakers
             (each breaker derives its own jitter seed from it, so
             co-located breakers never retry in lockstep).
-        deadletter_keep: detail rows retained in the dead-letter sink.
-        incident_keep: detail rows retained in the incident log.
         incident_log_max_bytes: on-disk size cap of ``incidents.jsonl``
             and ``deadletter.jsonl``; past it a file rotates to its
             ``.1`` sibling (atomic rename) before the next flush appends.
@@ -129,6 +125,10 @@ class GuardConfig:
             ``None`` (the default) serves unthrottled, exactly the
             historical pipeline.
 
+    The dead-letter sink and the incident log each keep the newest
+    :data:`~repro.ioutil.ROW_KEEP` detail rows in memory; their counters
+    stay exact.
+
     Raises:
         ValueError: on non-positive retry/rotation limits or block size.
     """
@@ -139,8 +139,6 @@ class GuardConfig:
     checkpoint_attempts: int = 4
     checkpoint_backoff_s: float = 0.05
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
-    deadletter_keep: int = 10_000
-    incident_keep: int = 10_000
     incident_log_max_bytes: int = 1_000_000
     block_size: int = 256
     overload: Optional[OverloadConfig] = None
@@ -156,8 +154,6 @@ class GuardConfig:
             raise ValueError(
                 f"checkpoint_backoff_s must be >= 0, got {self.checkpoint_backoff_s}"
             )
-        if self.deadletter_keep <= 0 or self.incident_keep <= 0:
-            raise ValueError("deadletter_keep and incident_keep must be positive")
         if self.incident_log_max_bytes <= 0:
             raise ValueError(
                 f"incident_log_max_bytes must be positive, got "
@@ -191,7 +187,7 @@ class IncidentLog(RowLog[Incident]):
     sibling past a size cap, so history accumulates across flushes.
     """
 
-    def __init__(self, keep: int = 10_000) -> None:
+    def __init__(self, keep: int = ROW_KEEP) -> None:
         super().__init__(keep)
         self.by_kind: Dict[str, int] = {}
 
@@ -250,12 +246,13 @@ class GuardedRuntime:
             journal, so attaching a mechanism trades bit-identical
             recoverability for Tier-2 coverage (exactly as the
             simulator does).
-        forecaster: optional demand forecaster to guard; exposed as
-            :attr:`forecaster`, not called by the runtime itself.
         facility_cost: opening-cost callable handed to self-heal
             recovery when the snapshot carries no declarative spec.
         sleep: sleeper used by checkpoint-retry backoff (tests inject a
             no-op; the serving path itself never sleeps).
+
+    One breaker per guarded subsystem lives in :attr:`breakers`:
+    ``planner``, ``ks`` and ``incentive``.
     """
 
     def __init__(
@@ -263,7 +260,6 @@ class GuardedRuntime:
         inner: CheckpointingService,
         config: Optional[GuardConfig] = None,
         incentives: Optional[IncentiveMechanism] = None,
-        forecaster: Optional[Forecaster] = None,
         facility_cost: Optional[FacilityCostFn] = None,
         sleep: Callable[[float], None] = time.sleep,
         _preinstalled_ks: Optional[GuardedKS2D] = None,
@@ -272,8 +268,8 @@ class GuardedRuntime:
         self.inner = inner
         self._facility_cost = facility_cost
         self._sleep = sleep
-        self.incidents = IncidentLog(keep=self.config.incident_keep)
-        self.sink = DeadLetterSink(keep=self.config.deadletter_keep)
+        self.incidents = IncidentLog()
+        self.sink = DeadLetterSink()
         self.validator = TripValidator(self.config.validation, sink=self.sink)
         self.buffer = WatermarkBuffer(
             lateness_s=self.config.lateness_s,
@@ -294,9 +290,6 @@ class GuardedRuntime:
         self.incentives: Optional[GuardedIncentives] = None
         if incentives is not None:
             self.incentives = GuardedIncentives(incentives, self.breakers["incentive"])
-        self.forecaster: Optional[GuardedForecaster] = None
-        if forecaster is not None:
-            self.forecaster = GuardedForecaster(forecaster, self.breakers["forecast"])
         self.overload: Optional[OverloadController] = None
         if self.config.overload is not None:
             self.overload = OverloadController(
@@ -801,7 +794,6 @@ class GuardedRuntime:
         keep: int = 3,
         durable: bool = True,
         incentives: Optional[IncentiveMechanism] = None,
-        forecaster: Optional[Forecaster] = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> "GuardedRuntime":
         """Rebuild a guarded runtime from a checkpoint directory.
@@ -835,7 +827,6 @@ class GuardedRuntime:
             inner,
             cfg,
             incentives=incentives,
-            forecaster=forecaster,
             facility_cost=facility_cost,
             sleep=sleep,
             _preinstalled_ks=installed[0],

@@ -32,7 +32,7 @@ import numpy as np
 from ..core.tripblock import TripBlock, datetime_to_us, us_to_datetime
 from ..datasets.trips import TripRecord
 from ..geo.points import BoundingBox, Point
-from ..ioutil import RowLog
+from ..ioutil import ROW_KEEP, RowLog
 
 __all__ = [
     "ValidationConfig",
@@ -126,7 +126,7 @@ class DeadLetterSink(RowLog[RejectedTrip]):
     for offline inspection.
     """
 
-    def __init__(self, keep: int = 10_000) -> None:
+    def __init__(self, keep: int = ROW_KEEP) -> None:
         super().__init__(keep)
         self.by_rule: Dict[str, int] = {}
 

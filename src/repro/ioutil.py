@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import IO, Any, Generic, List, TypeVar, Union
 
 __all__ = [
+    "ROW_KEEP",
     "RowLog",
     "append_rotating",
     "atomic_write_bytes",
@@ -210,6 +211,10 @@ def append_rotating(
 
 Row = TypeVar("Row")
 
+#: Detail rows an in-memory log (dead letters, incidents, the
+#: supervisor's quarantine ledger) retains; counters stay exact.
+ROW_KEEP = 10_000
+
 
 class RowLog(Generic[Row]):
     """Bounded in-memory rows with an append-only, size-capped JSONL flush.
@@ -220,7 +225,7 @@ class RowLog(Generic[Row]):
     :meth:`_json`.
     """
 
-    def __init__(self, keep: int = 10_000) -> None:
+    def __init__(self, keep: int = ROW_KEEP) -> None:
         if keep <= 0:
             raise ValueError(f"keep must be positive, got {keep}")
         self.keep = keep

@@ -17,7 +17,7 @@ crashes with **bit-identical recovery**:
 * :class:`CheckpointingService` — the crash-safe wrapper gluing the
   three around a :class:`~repro.core.streaming.PlacementService`;
 * :class:`FaultInjector` — chaos tooling that injects crashes,
-  duplicated/reordered/dropped trips and torn checkpoint writes, for the
+  duplicated/reordered/dropped trips and torn checkpoint files, for the
   recovery tests and the CI fault-injection smoke job;
 * :class:`FaultFS` — deterministic *storage*-level fault injection on
   the :mod:`repro.ioutil` write/fsync seam (ENOSPC, torn writes, fsync

@@ -1,4 +1,4 @@
-"""Fault injection: crashes, torn writes, and unreliable trip delivery.
+"""Fault injection: crashes, torn files, and unreliable trip delivery.
 
 A long-running deployment will eventually see every failure this module
 can manufacture: the process dies mid-trip, the checkpoint file is torn
@@ -8,8 +8,8 @@ so the recovery tests and the gauntlet can assert that
 
 * recovery from the latest *good* snapshot + journal tail is
   bit-identical to an uninterrupted run;
-* torn snapshot writes are detected by checksum and recovery falls back
-  to the previous good generation;
+* a torn snapshot file (:meth:`FaultInjector.corrupt_file`) is detected
+  by checksum and recovery falls back to the previous good generation;
 * duplicated trips are screened, dropped/reordered trips leave the
   accounting invariants intact.
 
@@ -43,7 +43,6 @@ from ..datasets.trips import TripRecord
 from ..energy.fleet import Fleet
 from ..errors import InjectedCrash, InjectedSubsystemError
 from ..geo.points import Point
-from ..ioutil import atomic_write_bytes
 
 __all__ = [
     "ChaosConfig",
@@ -60,7 +59,9 @@ class ChaosConfig:
 
     New fault categories draw from the RNG *only when their rate is
     non-zero*, so configs that leave them at the default keep the exact
-    fault sequence older seeds produced.
+    fault sequence older seeds produced.  Storage faults (torn, failed
+    or unsynced writes) are scheduled by
+    :class:`~repro.resilience.faultfs.FaultFSConfig` instead.
 
     Attributes:
         seed: RNG seed — identical configs inject identical faults.
@@ -68,9 +69,6 @@ class ChaosConfig:
         p_drop: per-trip probability the trip is lost upstream.
         p_swap: per-position probability two adjacent trips arrive
             reordered.
-        torn_write_rate: per-snapshot probability the write is torn
-            (a truncated file appears under the final name, as if power
-            failed mid-write on a non-atomic writer).
         p_clock_skew: per-trip probability the device clock skews the
             ``start_time`` by up to ``skew_max_s`` seconds either way.
         skew_max_s: bound of the injected clock skew.
@@ -94,7 +92,6 @@ class ChaosConfig:
     p_duplicate: float = 0.0
     p_drop: float = 0.0
     p_swap: float = 0.0
-    torn_write_rate: float = 0.0
     p_clock_skew: float = 0.0
     skew_max_s: float = 600.0
     p_garbage: float = 0.0
@@ -104,8 +101,7 @@ class ChaosConfig:
 
     def __post_init__(self) -> None:
         for name in (
-            "p_duplicate", "p_drop", "p_swap", "torn_write_rate",
-            "p_clock_skew", "p_garbage", "p_late", "p_subsystem_error",
+            "p_duplicate", "p_drop", "p_swap", "p_clock_skew", "p_garbage", "p_late", "p_subsystem_error",
         ):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -133,7 +129,6 @@ class FaultSummary:
     clock_skews: int = 0
     garbage_fields: int = 0
     late_deliveries: int = 0
-    torn_writes: int = 0
     subsystem_errors: Dict[str, int] = field(default_factory=dict)
 
     @property
@@ -141,7 +136,7 @@ class FaultSummary:
         """All injected faults, across every category."""
         return (
             self.duplicates + self.drops + self.swaps + self.clock_skews
-            + self.garbage_fields + self.late_deliveries + self.torn_writes
+            + self.garbage_fields + self.late_deliveries
             + sum(self.subsystem_errors.values())
         )
 
@@ -150,7 +145,7 @@ class FaultSummary:
         parts = [
             f"dup={self.duplicates}", f"drop={self.drops}", f"swap={self.swaps}",
             f"skew={self.clock_skews}", f"garbage={self.garbage_fields}",
-            f"late={self.late_deliveries}", f"torn={self.torn_writes}",
+            f"late={self.late_deliveries}",
         ]
         for label, count in sorted(self.subsystem_errors.items()):
             parts.append(f"{label}!={count}")
@@ -178,19 +173,19 @@ def crashing_stream(
 
 
 class FaultInjector:
-    """Deterministic fault source for streams and snapshot writes.
+    """Deterministic fault source for trip streams and subsystem calls.
+
+    Torn durable writes come from the ``repro.ioutil`` fault seam
+    (:class:`~repro.resilience.faultfs.FaultFS`); a file torn at rest
+    from :meth:`corrupt_file`.
 
     Args:
         config: fault rates and seed.
-
-    Attributes:
-        torn_writes: how many snapshot writes have been torn so far.
     """
 
     def __init__(self, config: Optional[ChaosConfig] = None) -> None:
         self.config = config or ChaosConfig()
         self._rng = np.random.default_rng(self.config.seed)
-        self.torn_writes = 0
         self.counts: Dict[str, int] = {
             "duplicates": 0, "drops": 0, "swaps": 0, "clock_skews": 0,
             "garbage_fields": 0, "late_deliveries": 0,
@@ -207,7 +202,6 @@ class FaultInjector:
             clock_skews=self.counts["clock_skews"],
             garbage_fields=self.counts["garbage_fields"],
             late_deliveries=self.counts["late_deliveries"],
-            torn_writes=self.torn_writes,
             subsystem_errors=dict(self._subsystem_errors),
         )
 
@@ -311,24 +305,6 @@ class FaultInjector:
         return sabotaged
 
     # ------------------------------------------------------------------
-    def write_bytes(self, path: Union[str, Path], data: bytes) -> Path:
-        """Snapshot writer that sometimes tears the file.
-
-        Drop-in for :class:`~repro.resilience.snapshot.SnapshotStore`'s
-        ``write_bytes`` hook.  At ``torn_write_rate`` the file appears
-        *under its final name* holding only a truncated prefix — the
-        failure atomic renames prevent, simulated here to prove the
-        checksum catches it; otherwise the write is delegated to the
-        real atomic writer.
-        """
-        path = Path(path)
-        if self._rng.uniform() < self.config.torn_write_rate and len(data) > 1:
-            cut = int(self._rng.integers(1, len(data)))
-            path.write_bytes(data[:cut])
-            self.torn_writes += 1
-            return path
-        return atomic_write_bytes(path, data, durable=False)
-
     @staticmethod
     def corrupt_file(path: Union[str, Path], mode: str = "truncate") -> None:
         """Damage an existing file in place (test utility).

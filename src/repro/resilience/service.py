@@ -48,7 +48,7 @@ from ..datasets.trips import TripRecord
 from ..errors import BlockApplyError, SnapshotError, StateDriftError
 from .journal import TripJournal
 from .ledger import LEDGER_NAME, ResponseLedger
-from .snapshot import SnapshotStore, WriteBytes
+from .snapshot import SnapshotStore
 
 __all__ = [
     "CheckpointingService",
@@ -145,9 +145,9 @@ class CheckpointingService:
         facility_cost_spec: declarative description of the planner's
             opening cost (see :func:`constant_cost_spec`) stored in every
             snapshot so :meth:`recover` can rebuild it without help.
-        dedup: screen out trips whose order id was already served
-            (at-least-once upstream delivery).
-        write_bytes: snapshot writer override for fault injection.
+
+    A trip whose order id was already served is screened out, not
+    served twice (at-least-once upstream delivery).
 
     Raises:
         ValueError: on a non-positive ``checkpoint_every``, a service
@@ -169,8 +169,6 @@ class CheckpointingService:
         keep: int = 3,
         durable: bool = True,
         facility_cost_spec: Optional[Dict[str, Any]] = None,
-        dedup: bool = True,
-        write_bytes: Optional[WriteBytes] = None,
     ) -> None:
         if checkpoint_every <= 0:
             raise ValueError(
@@ -184,11 +182,8 @@ class CheckpointingService:
         self.service = service
         self.directory = Path(directory)
         self.checkpoint_every = checkpoint_every
-        self.dedup = dedup
         self.facility_cost_spec = facility_cost_spec
-        self.store = SnapshotStore(
-            self.directory, keep=keep, durable=durable, write_bytes=write_bytes
-        )
+        self.store = SnapshotStore(self.directory, keep=keep, durable=durable)
         if self.store.list() or (self.directory / LEDGER_NAME).exists():
             raise ValueError(
                 f"{self.directory} already holds snapshots or a response "
@@ -267,10 +262,9 @@ class CheckpointingService:
         fresh_pos: List[int] = []
         pending: set = set()
         for i, order_id in enumerate(order_ids):
-            if self.dedup:
-                if order_id in self._seen or order_id in pending:
-                    continue
-                pending.add(order_id)
+            if order_id in self._seen or order_id in pending:
+                continue
+            pending.add(order_id)
             fresh_pos.append(i)
         if len(fresh_pos) < len(order_ids):
             block = block.take(fresh_pos)
@@ -320,7 +314,6 @@ class CheckpointingService:
             "service": self.service.state_dict(),
             "applied": self._applied,
             "facility_cost_spec": self.facility_cost_spec,
-            "dedup": self.dedup,
         }
         return self.store.save(payload, self._applied)
 
@@ -333,7 +326,6 @@ class CheckpointingService:
         checkpoint_every: int = 200,
         keep: int = 3,
         durable: bool = True,
-        write_bytes: Optional[WriteBytes] = None,
         post_restore: Optional[Callable[[PlacementService], None]] = None,
     ) -> "CheckpointingService":
         """Rebuild the service from a checkpoint directory after a crash.
@@ -355,7 +347,6 @@ class CheckpointingService:
                 service.
             keep: snapshot generations to retain going forward.
             durable: fsync policy going forward.
-            write_bytes: snapshot writer override for fault injection.
             post_restore: hook invoked with the restored
                 :class:`PlacementService` *before* the journal tail is
                 replayed.  The guarded runtime uses it to re-install its
@@ -375,9 +366,7 @@ class CheckpointingService:
                 available.
         """
         directory = Path(directory)
-        store = SnapshotStore(
-            directory, keep=keep, durable=durable, write_bytes=write_bytes
-        )
+        store = SnapshotStore(directory, keep=keep, durable=durable)
         snapshot = store.load_latest()
         payload = snapshot.payload
         spec = payload.get("facility_cost_spec")
@@ -396,7 +385,6 @@ class CheckpointingService:
         wrapper.service = service
         wrapper.directory = directory
         wrapper.checkpoint_every = checkpoint_every
-        wrapper.dedup = bool(payload.get("dedup", True))
         wrapper.facility_cost_spec = spec
         wrapper.store = store
         wrapper.journal = TripJournal(

@@ -20,7 +20,8 @@ header's checksum is the SHA-256 of exactly those bytes, so
 Writes go through :func:`repro.ioutil.atomic_write_bytes` (tmp + fsync +
 rename), so a crash mid-write can never leave a partial file under a
 snapshot name; corruption only enters through outside forces (disk
-errors, the chaos harness's torn-write injector).
+errors, the ``repro.ioutil`` fault seam, the chaos harness's
+:meth:`~repro.resilience.chaos.FaultInjector.corrupt_file`).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
 
 from ..errors import SnapshotCorruptError, SnapshotError, SnapshotVersionError
 from ..ioutil import atomic_write_bytes, checksum_hex
@@ -133,9 +134,6 @@ def decode_snapshot(data: bytes) -> Any:
         raise SnapshotCorruptError(f"unreadable snapshot payload: {exc}") from exc
 
 
-WriteBytes = Callable[[Union[str, Path], bytes], Any]
-
-
 class SnapshotStore:
     """A directory of rotated snapshots with corrupt-tolerant loading.
 
@@ -149,9 +147,6 @@ class SnapshotStore:
         keep: how many snapshot generations to retain (>= 1).
         durable: fsync file and directory on every save (tests disable
             for speed; atomicity is kept either way).
-        write_bytes: override for the file writer — the chaos harness
-            swaps in a torn-write injector here.  Production code always
-            leaves the default atomic writer in place.
 
     Raises:
         ValueError: if ``keep`` is not positive.
@@ -162,7 +157,6 @@ class SnapshotStore:
         directory: Union[str, Path],
         keep: int = 3,
         durable: bool = True,
-        write_bytes: Optional[WriteBytes] = None,
     ) -> None:
         if keep <= 0:
             raise ValueError(f"keep must be positive, got {keep}")
@@ -170,9 +164,6 @@ class SnapshotStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.keep = keep
         self.durable = durable
-        self._write_bytes: WriteBytes = write_bytes or (
-            lambda path, data: atomic_write_bytes(path, data, durable=self.durable)
-        )
 
     # ------------------------------------------------------------------
     def path_for(self, seq: int) -> Path:
@@ -202,7 +193,7 @@ class SnapshotStore:
         if seq < 0:
             raise ValueError(f"seq must be non-negative, got {seq}")
         path = self.path_for(seq)
-        self._write_bytes(path, encode_snapshot(payload))
+        atomic_write_bytes(path, encode_snapshot(payload), durable=self.durable)
         self._prune()
         return path
 

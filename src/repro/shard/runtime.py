@@ -105,6 +105,18 @@ def _shard_dir(root: Path, shard_id: int) -> Path:
 # ----------------------------------------------------------------------
 # GuardConfig <-> JSON state (persisted in shardplan.json so recover()
 # rebuilds byte-identical shard behaviour without caller help).
+
+#: Options a plan written by an older release may hold, since retired:
+#: each was only ever set to the value that is now fixed behaviour.
+_RETIRED_GUARD_KEYS = ("deadletter_keep", "incident_keep")
+_RETIRED_OVERLOAD_KEYS = ("shed_policy",)
+_RETIRED_LADDER_KEYS = ("high_latency_s", "low_latency_s")
+
+
+def _without(state: Dict[str, Any], retired: Tuple[str, ...]) -> Dict[str, Any]:
+    return {k: v for k, v in state.items() if k not in retired}
+
+
 def _guard_to_state(config: GuardConfig) -> Dict[str, Any]:
     state = asdict(config)
     validation = state["validation"]
@@ -118,7 +130,7 @@ def _guard_to_state(config: GuardConfig) -> Dict[str, Any]:
 
 
 def _guard_from_state(state: Dict[str, Any]) -> GuardConfig:
-    state = dict(state)
+    state = _without(state, _RETIRED_GUARD_KEYS)
     validation = dict(state.pop("validation"))
     bounds = validation.pop("bounds")
     battery = validation.pop("battery_range")
@@ -127,8 +139,10 @@ def _guard_from_state(state: Dict[str, Any]) -> GuardConfig:
     overload_state = state.pop("overload", None)
     overload = None
     if overload_state is not None:
-        overload_state = dict(overload_state)
-        ladder = LadderConfig(**overload_state.pop("ladder"))
+        overload_state = _without(overload_state, _RETIRED_OVERLOAD_KEYS)
+        ladder = LadderConfig(
+            **_without(overload_state.pop("ladder"), _RETIRED_LADDER_KEYS)
+        )
         overload = OverloadConfig(ladder=ladder, **overload_state)
     config = ValidationConfig(
         bounds=None if bounds is None else BoundingBox(*bounds),
@@ -162,11 +176,7 @@ class ShardSpec:
     checkpoint_every: int
     keep: int
     durable: bool
-    guard_state: Dict[str, Any]
-
-    def guard_config(self) -> GuardConfig:
-        """The shard's :class:`GuardConfig`, rebuilt from its JSON form."""
-        return _guard_from_state(self.guard_state)
+    guard: GuardConfig
 
 
 @dataclass(frozen=True)
@@ -281,12 +291,11 @@ def build_shard_runtime(
     ``build_shard_runtime(spec, somewhere_else)``.
     """
     directory = Path(directory)
-    config = spec.guard_config()
     cost = constant_facility_cost(spec.cost_value)
     if directory.exists() and any(directory.iterdir()):
         return GuardedRuntime.recover(
             directory,
-            config=config,
+            config=spec.guard,
             facility_cost=cost,
             checkpoint_every=spec.checkpoint_every,
             keep=spec.keep,
@@ -313,7 +322,7 @@ def build_shard_runtime(
         durable=spec.durable,
         facility_cost_spec=constant_cost_spec(spec.cost_value),
     )
-    return GuardedRuntime(inner, config, facility_cost=cost)
+    return GuardedRuntime(inner, spec.guard, facility_cost=cost)
 
 
 def _disk_mark(service: CheckpointingService) -> Tuple:
@@ -582,7 +591,7 @@ class ShardedRuntime:
             checkpoint_every=self.checkpoint_every,
             keep=self.keep,
             durable=self.durable,
-            guard_state=_guard_to_state(self.guard),
+            guard=self.guard,
         )
 
     def specs(self) -> List[ShardSpec]:
@@ -733,7 +742,7 @@ class ShardedRuntime:
             if _disk_mark(resident.service) == resident.mark:
                 return GuardedRuntime(
                     resident.service,
-                    spec.guard_config(),
+                    spec.guard,
                     facility_cost=constant_facility_cost(spec.cost_value),
                 )
             resident.service.close()

@@ -67,7 +67,7 @@ import numpy as np
 
 from ..datasets.trips import TripRecord
 from ..guard.runtime import DEGRADED, HALTED, HEALTHY, GuardedRuntime, IncidentLog
-from ..ioutil import atomic_write_text
+from ..ioutil import ROW_KEEP, atomic_write_text
 from ..resilience.scrub import ScrubReport, repair_journal_tail, scrub_tree
 from .runtime import ShardReport, ShardedRuntime, _run_epoch_task, _shard_dir
 
@@ -108,10 +108,11 @@ class SupervisorConfig:
         backoff_cap_s: ceiling of the exponential backoff.
         seed: seed of the backoff jitter — drawn only on failures, so a
             clean epoch consumes no randomness.
-        quarantine_keep: ledger rows retained in memory and on disk.
-        incident_keep: fleet incident rows retained in memory.
         scrub_after_epoch: run the storage scrubber over the fleet tree
             at the end of every epoch (post-checkpoint).
+
+    The quarantine ledger (in memory and on disk) and the fleet incident
+    log keep the newest :data:`~repro.ioutil.ROW_KEEP` rows.
 
     Raises:
         ValueError: on non-positive budgets or negative backoff.
@@ -122,8 +123,6 @@ class SupervisorConfig:
     backoff_base_s: float = 0.01
     backoff_cap_s: float = 1.0
     seed: int = 0
-    quarantine_keep: int = 10_000
-    incident_keep: int = 10_000
     scrub_after_epoch: bool = True
 
     def __post_init__(self) -> None:
@@ -135,8 +134,6 @@ class SupervisorConfig:
             )
         if self.backoff_base_s < 0 or self.backoff_cap_s < 0:
             raise ValueError("backoff must be >= 0")
-        if self.quarantine_keep <= 0 or self.incident_keep <= 0:
-            raise ValueError("quarantine_keep and incident_keep must be positive")
 
 
 @dataclass(frozen=True)
@@ -274,7 +271,7 @@ class FleetSupervisor:
         self._sleep = sleep
         self._hook = pre_block_hook
         self._rng = np.random.default_rng(self.config.seed)
-        self.incidents = IncidentLog(keep=self.config.incident_keep)
+        self.incidents = IncidentLog()
         self.quarantine: List[QuarantinedBlock] = []
         self.health: Dict[int, str] = {
             sid: HEALTHY for sid in range(fleet.plan.n_shards)
@@ -322,7 +319,7 @@ class FleetSupervisor:
         )
 
     def _save_quarantine(self) -> None:
-        rows = self.quarantine[-self.config.quarantine_keep:]
+        rows = self.quarantine[-ROW_KEEP:]
         payload = "".join(json.dumps(r.to_json()) + "\n" for r in rows)
         atomic_write_text(
             self._quarantine_path(), payload, durable=self.fleet.durable

@@ -223,7 +223,6 @@ class TestStatePayload:
             "service": service.state_dict(),
             "applied": wrapped.applied_seq,
             "facility_cost_spec": wrapped.facility_cost_spec,
-            "dedup": wrapped.dedup,
         }
         wrapped.close()
         assert written == encode_snapshot(payload)

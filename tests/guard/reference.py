@@ -217,7 +217,7 @@ class Reference:
 
 def serve_reference(inner: CheckpointingService, config: GuardConfig, trips) -> Reference:
     """Serve ``trips`` trip by trip through ``inner`` under ``config``."""
-    sink = DeadLetterSink(keep=config.deadletter_keep)
+    sink = DeadLetterSink()
     ref = Reference(
         inner=inner,
         validator=ReferenceValidator(config.validation, sink=sink),

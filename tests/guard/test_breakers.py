@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import BreakerOpenError
-from repro.forecast import Forecaster
 from repro.guard import (
     BreakerConfig,
     CircuitBreaker,
-    GuardedForecaster,
     GuardedKS2D,
 )
 from repro.stats.ks2d import CachedKS2D
@@ -159,46 +157,6 @@ class TestGuardedKS2D:
         guard.inner.test = lambda live: boom()
         result = guard.test(self.live)
         assert result.statistic == 0.0 and result.p_value == 1.0
-
-
-class TestGuardedForecaster:
-    class Flaky(Forecaster):
-        def __init__(self, fail=False):
-            self.fail = fail
-
-        def fit(self, series):
-            if self.fail:
-                boom()
-            return self
-
-        def forecast(self, history, horizon):
-            self._check_horizon(horizon)
-            if self.fail:
-                boom()
-            return np.arange(horizon, dtype=float)
-
-    def test_transparent_while_healthy(self):
-        guard = GuardedForecaster(self.Flaky(), make_breaker())
-        guard.fit(np.arange(5.0))
-        np.testing.assert_array_equal(guard.forecast(np.arange(5.0), 3),
-                                      np.arange(3.0))
-
-    def test_persistence_fallback_on_failure(self):
-        guard = GuardedForecaster(self.Flaky(fail=True),
-                                  make_breaker(failure_threshold=1))
-        guard.fit(np.arange(5.0))
-        assert not guard.fit_ok
-        np.testing.assert_array_equal(
-            guard.forecast(np.asarray([1.0, 2.0, 7.0]), 4), np.full(4, 7.0)
-        )
-
-    def test_empty_history_forecasts_zero(self):
-        guard = GuardedForecaster(self.Flaky(fail=True),
-                                  make_breaker(failure_threshold=1))
-        guard.fit(np.arange(3.0))
-        np.testing.assert_array_equal(
-            guard.forecast(np.asarray([]), 2), np.zeros(2)
-        )
 
 
 class TestConfigValidation:

@@ -60,7 +60,6 @@ overload_configs = st.builds(
     rate_per_s=st.floats(min_value=0.05, max_value=50.0, allow_nan=False),
     burst=st.integers(min_value=1, max_value=64),
     queue_limit=st.integers(min_value=1, max_value=64),
-    shed_policy=st.sampled_from(["synthetic_first", "uniform"]),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
 

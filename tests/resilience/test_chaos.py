@@ -8,6 +8,8 @@ from repro.energy import Fleet
 from repro.geo import Point
 from repro.resilience import (
     ChaosConfig,
+    FaultFS,
+    FaultFSConfig,
     FaultInjector,
     InjectedCrash,
     SnapshotError,
@@ -26,7 +28,7 @@ class TestChaosConfig:
         assert config.p_drop == config.p_duplicate == config.p_swap == 0.0
 
     @pytest.mark.parametrize(
-        "field", ["p_duplicate", "p_drop", "p_swap", "torn_write_rate"]
+        "field", ["p_duplicate", "p_drop", "p_swap"]
     )
     @pytest.mark.parametrize("value", [-0.1, 1.5])
     def test_rates_validated(self, field, value):
@@ -80,27 +82,31 @@ class TestMutateTrips:
 
 class TestTornWrites:
     def test_torn_write_fails_checksum(self, tmp_path):
-        injector = FaultInjector(ChaosConfig(seed=0, torn_write_rate=1.0))
-        store = SnapshotStore(tmp_path, durable=False, write_bytes=injector.write_bytes)
-        store.save({"state": list(range(100))}, seq=1)
-        assert injector.torn_writes == 1
+        store = SnapshotStore(tmp_path, durable=False)
+        path = store.save({"state": list(range(100))}, seq=1)
+        FaultInjector.corrupt_file(path, mode="truncate")  # torn at rest
         with pytest.raises(SnapshotError):
             store.load_latest()
 
     def test_zero_rate_delegates_to_atomic_writer(self, tmp_path):
-        injector = FaultInjector(ChaosConfig(seed=0, torn_write_rate=0.0))
-        store = SnapshotStore(tmp_path, durable=False, write_bytes=injector.write_bytes)
-        store.save({"ok": True}, seq=1)
-        assert injector.torn_writes == 0
+        fs = FaultFS(FaultFSConfig(seed=0, p_torn=0.0))
+        store = SnapshotStore(tmp_path, durable=False)
+        with fs.inject():
+            store.save({"ok": True}, seq=1)
+        assert fs.counters.writes == 1 and fs.counters.faults == 0
         assert store.load_latest().payload == {"ok": True}
 
     def test_torn_newest_falls_back_to_good(self, tmp_path):
-        good = SnapshotStore(tmp_path, durable=False)
-        good.save({"gen": 1}, seq=1)
-        injector = FaultInjector(ChaosConfig(seed=0, torn_write_rate=1.0))
-        torn = SnapshotStore(tmp_path, durable=False, write_bytes=injector.write_bytes)
-        torn.save({"gen": 2}, seq=2)
-        assert good.load_latest().payload == {"gen": 1}
+        store = SnapshotStore(tmp_path, durable=False)
+        store.save({"gen": 1}, seq=1)
+        fs = FaultFS(FaultFSConfig(seed=0, p_torn=1.0))
+        with fs.inject(), pytest.raises(OSError):
+            store.save({"gen": 2}, seq=2)  # torn mid-write: never renamed
+        assert fs.counters.torn == 1
+        assert store.load_latest().payload == {"gen": 1}
+        torn = store.save({"gen": 3}, seq=3)
+        FaultInjector.corrupt_file(torn, mode="truncate")  # torn at rest
+        assert store.load_latest().payload == {"gen": 1}
 
     def test_corrupt_file_modes(self, tmp_path):
         victim = tmp_path / "f.bin"

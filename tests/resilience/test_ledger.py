@@ -8,6 +8,7 @@ recovered with a short history.
 """
 
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -34,7 +35,7 @@ from repro.resilience import (
     scrub_checkpoint_dir,
     scrub_ledger,
 )
-from repro.ioutil import checksum_hex
+from repro.ioutil import checksum_hex, install_fs_seam
 from repro.resilience import records as records_module
 from repro.resilience.ledger import _encode_line as encode_ledger_line
 from repro.resilience.records import CHECKSUM_PREFIX_LEN
@@ -175,7 +176,7 @@ class TestBoundedSnapshot:
         for trip in TRIPS[:60]:
             service.handle_trip(trip)
         payload = decode_snapshot(service.store.list()[-1][1].read_bytes())
-        assert set(payload) == {"applied", "dedup", "facility_cost_spec", "service"}
+        assert set(payload) == {"applied", "facility_cost_spec", "service"}
         assert "responses" not in payload["service"]
         assert payload["service"]["planner"]["decisions"] is None
         assert payload["service"]["planner"]["similarity_history"] is None
@@ -232,19 +233,33 @@ class TestCrashWindows:
         """The ledger append landed, the snapshot rename did not: the
         ledger runs past the newest snapshot by one checkpoint."""
         directory = tmp_path_factory.mktemp("window") / "run"
-        saves = []
 
-        def crash_on_save(path, data):
-            saves.append(path)
-            if len(saves) == crash_at + 1:  # save 1 is the genesis snapshot
-                raise InjectedCrash(f"crash before renaming {path.name}")
-            path.write_bytes(data)
+        class CrashOnSave:
+            """Seam that dies writing the ``crash_at``-th snapshot after
+            genesis, before its tmp file is renamed into place."""
 
-        victim = wrap(directory, write_bytes=crash_on_save)
-        with pytest.raises(InjectedCrash):
-            for trip in TRIPS:
-                victim.handle_trip(trip)
+            saves = 0
+
+            def write(self, fh, data, path):
+                if path.name.startswith("snapshot-"):
+                    self.saves += 1
+                    if self.saves == crash_at + 1:  # save 1 is genesis
+                        raise InjectedCrash(f"crash before renaming {path.name}")
+                fh.write(data)
+
+            def fsync(self, fileno, path):
+                os.fsync(fileno)
+
+        previous = install_fs_seam(CrashOnSave())
+        try:
+            victim = wrap(directory)
+            with pytest.raises(InjectedCrash):
+                for trip in TRIPS:
+                    victim.handle_trip(trip)
+        finally:
+            install_fs_seam(previous)
         victim.close()
+        assert not list(directory.glob("*.tmp-*"))
         seq = crash_at * EVERY
         ledger_lines = (directory / LEDGER_NAME).read_bytes().splitlines()
         assert len(ledger_lines) == seq

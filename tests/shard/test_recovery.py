@@ -7,10 +7,15 @@ recovering and serving the remainder, every shard's journal bytes and
 service state must match the run that never crashed.
 """
 
+import json
+
 import pytest
 
 from repro.gauntlet import logical_state
+from repro.guard import OverloadConfig
+from repro.resilience import decode_snapshot, encode_snapshot
 from repro.shard import ShardedRuntime
+from repro.shard.runtime import PLAN_FILE
 
 from .conftest import make_city, make_plan, make_trips
 
@@ -94,3 +99,40 @@ def test_double_crash_still_recovers(tmp_path):
 def test_recover_refuses_missing_manifest(tmp_path):
     with pytest.raises(FileNotFoundError):
         ShardedRuntime.recover(tmp_path / "nowhere")
+
+
+def test_root_in_the_previous_format_recovers(tmp_path):
+    """A root whose ``shardplan.json`` still names the retired guard
+    options and whose snapshot still says ``"dedup": true`` recovers, and
+    its next epoch writes the bytes an untouched twin writes."""
+    trips = make_trips(N_TRIPS, seed=44)
+    overload = OverloadConfig(rate_per_s=1000.0)
+    old, twin = tmp_path / "old", tmp_path / "twin"
+    for root in (old, twin):
+        with make_city(make_plan(2), root, durable=True, overload=overload) as city:
+            city.serve(trips[: N_TRIPS // 2])
+
+    manifest = json.loads((old / PLAN_FILE).read_text())
+    guard = manifest["build"]["guard"]
+    guard.update(deadletter_keep=10_000, incident_keep=10_000)
+    guard["overload"]["shed_policy"] = "synthetic_first"
+    guard["overload"]["ladder"].update(high_latency_s=0.0, low_latency_s=0.0)
+    (old / PLAN_FILE).write_text(json.dumps(manifest, sort_keys=True))
+    newest = sorted((old / "shard-000").glob("snapshot-*.json"))[-1]
+    payload = decode_snapshot(newest.read_bytes())
+    payload["dedup"] = True
+    newest.write_bytes(encode_snapshot(payload))
+
+    guards = []
+    for root in (old, twin):
+        with ShardedRuntime.recover(root) as city:
+            guards.append(city.guard)
+            city.serve(trips[N_TRIPS // 2 :])
+    assert guards[0] == guards[1]
+    names = ["halo.json"] + [
+        f"shard-{sid:03d}/{name}"
+        for sid in range(2)
+        for name in ("journal.jsonl", "responses.jsonl")
+    ]
+    for name in names:
+        assert (old / name).read_bytes() == (twin / name).read_bytes(), name

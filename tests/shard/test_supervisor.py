@@ -43,8 +43,6 @@ class TestConfig:
             {"poison_retries": 0},
             {"backoff_base_s": -1.0},
             {"backoff_cap_s": -0.5},
-            {"quarantine_keep": 0},
-            {"incident_keep": 0},
         ],
     )
     def test_validation(self, kwargs):
