@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .penalty import (
     TypeIIPenalty,
     select_penalty,
 )
-from .replay import NearestCache, UniformStream, checkpoint_schedule
+from .replay import DrawStream, NearestCache, checkpoint_schedule
 from .result import PlacementResult
 from .station_set import BACKENDS, StationSet
 from .tripblock import TripBlock
@@ -236,23 +236,49 @@ class EsharingPlanner:
         """Locations of the active stations, in ascending-id order."""
         return self.station_set.locations()
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """The coin-flip generator (one uniform draw per request)."""
+        return self._rng
+
     # ------------------------------------------------------------------
-    def offer(self, destination: Point) -> EsharingDecision:
-        """Process one request (lines 5-11 of Algorithm 2)."""
-        idx, c_ij = self.station_set.nearest(destination)
+    def _decide(
+        self,
+        destination: Point,
+        nearest_id: int,
+        c_ij: float,
+        draw: Callable[[], float],
+    ) -> Tuple[int, bool, float, float]:
+        """The opening rule (lines 6-7 of Algorithm 2) for one request.
+
+        ``nearest_id`` at ``c_ij`` is the nearest active station.  The
+        scaled cost, the penalty and the probability are computed, then
+        ``draw()`` flips the coin — exactly one draw per request, after
+        every computation that may raise.  An opening adds the station
+        and pays its unscaled cost; otherwise the walk is paid.  Every
+        caller (:meth:`offer`, :meth:`replay`, the serve path's block
+        step) goes through here, so they agree bit for bit.
+
+        Returns:
+            ``(station_index, opened, walking_cost, open_probability)``.
+        """
         scaled_f = self._facility_cost(destination) * self._cost_scale
         g = self.penalty.value(c_ij)
         prob = 1.0 if scaled_f <= 0 else min(g * c_ij / scaled_f, 1.0)
-        opened = bool(self._rng.uniform() < prob) and c_ij > 0
-        if opened:
+        if draw() < prob and c_ij > 0:
             station_index = self.station_set.add(destination)
             self.online_opened.append(station_index)
             self.space += self._facility_cost(destination)
-            walking_cost = 0.0
-        else:
-            station_index = idx
-            walking_cost = c_ij
-            self.walking += c_ij
+            return station_index, True, 0.0, prob
+        self.walking += c_ij
+        return nearest_id, False, c_ij, prob
+
+    def offer(self, destination: Point) -> EsharingDecision:
+        """Process one request (lines 5-11 of Algorithm 2)."""
+        idx, c_ij = self.station_set.nearest(destination)
+        station_index, opened, walking_cost, prob = self._decide(
+            destination, idx, c_ij, self._rng.uniform
+        )
         self._arrivals_since_check += 1
         self._live.push(destination.x, destination.y)
         if self._arrivals_since_check >= self._check_period:
@@ -307,46 +333,31 @@ class EsharingPlanner:
                 return []
             store = self.station_set
             cache = NearestCache(destinations, store.ids(), store.locations())
-        uniforms = UniformStream(self._rng, n)
+        uniforms = DrawStream(self._rng, n)
         fires = checkpoint_schedule(self._arrivals_since_check, n, self._check_period)
         fire_iter = iter(fires)
         next_fire = next(fire_iter, -1)
-        facility_cost = self._facility_cost
         out: List[EsharingDecision] = []
-        # Hot-loop locals.  cost_scale and the penalty only change inside
-        # _periodic_check, so they are re-read right after each fire; the
+        # Hot-loop locals: the penalty's name only changes inside
+        # _periodic_check, so it is re-read right after each fire; the
         # rest are invariant method/bound lookups hoisted out of the loop.
-        cost_scale = self._cost_scale
-        penalty_value = self.penalty.value
+        decide = self._decide
         penalty_name = self.penalty.name
         live_push = self._live.push
-        rng_next = uniforms.next
+        draw = uniforms.next
         store_location = store.location
         trace = self.decisions.append
         emit = out.append
         for t, dest in enumerate(destinations):
             sid = int(cache.best_id[t])
             c_ij = dest.distance_to(store_location(sid))
-            scaled_f = facility_cost(dest) * cost_scale
-            g = penalty_value(c_ij)
-            prob = 1.0 if scaled_f <= 0 else min(g * c_ij / scaled_f, 1.0)
-            opened = bool(rng_next() < prob) and c_ij > 0
+            station_index, opened, walking_cost, prob = decide(dest, sid, c_ij, draw)
             if opened:
-                station_index = store.add(dest)
-                self.online_opened.append(station_index)
-                self.space += facility_cost(dest)
-                walking_cost = 0.0
                 cache.open(t, dest, station_index)
-            else:
-                station_index = sid
-                walking_cost = c_ij
-                self.walking += c_ij
             live_push(dest.x, dest.y)
             if t == next_fire:
                 self._periodic_check()
                 next_fire = next(fire_iter, -1)
-                cost_scale = self._cost_scale
-                penalty_value = self.penalty.value
                 penalty_name = self.penalty.name
             decision = EsharingDecision(
                 destination=dest,

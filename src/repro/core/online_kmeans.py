@@ -26,7 +26,7 @@ import numpy as np
 
 from ..geo.points import Point
 from .costs import DemandPoint, FacilityCostFn
-from .replay import NearestCache, UniformStream
+from .replay import NearestCache, DrawStream
 from .result import PlacementResult
 from .station_set import StationSet
 
@@ -101,7 +101,7 @@ def online_kmeans_placement(
     if batched:
         rest = stream[warmup:]
         cache = NearestCache(rest, stations.ids(), stations.locations())
-        uniforms = UniformStream(rng, len(rest))
+        uniforms = DrawStream(rng, len(rest))
     for t in range(warmup, n):
         dest = stream[t]
         if batched:

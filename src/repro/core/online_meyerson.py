@@ -20,7 +20,7 @@ import numpy as np
 from ..geo.points import Point
 from .costs import DemandPoint, FacilityCostFn
 from .penalty import PenaltyFunction
-from .replay import NearestCache, UniformStream
+from .replay import NearestCache, DrawStream
 from .result import PlacementResult
 from .station_set import StationSet
 
@@ -72,7 +72,7 @@ def meyerson_placement(
     cache = uniforms = None
     if batched:
         cache = NearestCache(stream, stations.ids(), stations.locations())
-        uniforms = UniformStream(rng, len(stream))
+        uniforms = DrawStream(rng, len(stream))
     for t, dest in enumerate(stream):
         if batched:
             idx = int(cache.best_id[t])

@@ -23,7 +23,10 @@ Bit-identity contract (see DESIGN.md "Performance"):
   lowest id either way.
 * RNG draws happen one per arrival in arrival order.  Replay fetches them
   in blocks via ``rng.uniform(size=m)``, which NumPy guarantees consumes
-  the stream exactly like ``m`` scalar ``rng.uniform()`` calls.
+  the stream exactly like ``m`` scalar ``rng.uniform()`` calls.  A caller
+  that may stop short of its block (the serve path refuses a trip when
+  no station holds a bike, and draws nothing for it) settles the stream:
+  the generator is rewound to where the draws actually used leave it.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import numpy as np
 from ..geo.points import Point
 from .offline import DEFAULT_BLOCK_ELEMS
 
-__all__ = ["NearestCache", "UniformStream", "checkpoint_schedule"]
+__all__ = ["NearestCache", "DrawStream", "checkpoint_schedule"]
 
 
 class NearestCache:
@@ -122,38 +125,70 @@ class NearestCache:
         self.best_id[t + 1 :][closer] = station_id
 
 
-class UniformStream:
-    """Block-buffered ``rng.uniform()`` draws, one per arrival in order.
+class DrawStream:
+    """Block-buffered draws of one distribution, one per use in order.
 
-    ``rng.uniform(size=m)`` consumes the bit stream exactly like ``m``
-    scalar calls, so fetching in blocks keeps replay on the same RNG
-    trajectory as the per-call API while skipping per-call overhead.
+    ``rng.<kind>(size=m)`` consumes the bit stream exactly like ``m``
+    scalar calls (for ``"uniform"`` and ``"standard_normal"`` alike), so
+    fetching in blocks keeps the caller on the same RNG trajectory as the
+    per-call API while skipping per-call overhead.  Blocks are fetched
+    on first use: a stream that is never read draws nothing.
+
+    Args:
+        rng: the generator to draw from.
+        total: most draws the caller may take.
+        kind: the generator method, called with ``size=``.
+        block: most draws fetched at once.  A block of 1 draws each
+            value when it is read, as a scalar call would.
     """
 
-    _BLOCK = 8192
-
-    def __init__(self, rng: np.random.Generator, total: int) -> None:
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        total: int,
+        kind: str = "uniform",
+        block: int = 8192,
+    ) -> None:
         self._rng = rng
+        self._draw = getattr(rng, kind)
+        self._block = max(1, block)
         self._left = total
-        self._buf: np.ndarray = np.empty(0)
+        self._buf: List[float] = []
         self._pos = 0
+        self._state = None
 
     def next(self) -> float:
-        """The next uniform draw, refilling the block buffer as needed.
+        """The next draw, refilling the block buffer as needed.
 
         Raises:
             RuntimeError: when more than ``total`` draws are requested.
         """
-        if self._pos >= self._buf.size:
+        if self._pos >= len(self._buf):
             if self._left <= 0:
-                raise RuntimeError("uniform stream exhausted")
-            take = min(self._BLOCK, self._left)
-            self._buf = self._rng.uniform(size=take)
+                raise RuntimeError("draw stream exhausted")
+            take = min(self._block, self._left)
+            # Only a block of two or more can be left partly used.
+            self._state = self._rng.bit_generator.state if take > 1 else None
+            self._buf = self._draw(size=take).tolist()
             self._left -= take
             self._pos = 0
-        u = float(self._buf[self._pos])
+        value = self._buf[self._pos]
         self._pos += 1
-        return u
+        return value
+
+    def settle(self) -> None:
+        """End the stream, leaving the generator exactly where one
+        scalar draw per :meth:`next` call would have: an unused tail of
+        the last block is undrawn by restoring the state saved before
+        it and redrawing only the used head."""
+        used = self._pos
+        if used < len(self._buf):
+            self._rng.bit_generator.state = self._state
+            if used:
+                self._draw(size=used)
+        self._buf = []
+        self._pos = 0
+        self._left = 0
 
 
 def checkpoint_schedule(counter: float, n: int, period: float) -> List[int]:

@@ -19,21 +19,36 @@ Pickup is one query shared with the system simulator,
 holds a bike, within the distance a rider will walk.  The service
 passes no radius (a trip is refused only when no active station holds a
 bike); the simulator passes its ``pickup_radius_m``.
+
+:meth:`PlacementService.handle_block` is the one planner step: pickup,
+opening rule, pick, ride and retirement run row by row in arrival
+order, since a pickup may empty a rack and retire its station
+(footnote 2) before the next row's queries.  What needs no per-row call
+is done per block: the coin flips and the ride noise are drawn in one
+call each (:class:`~repro.core.replay.DrawStream`), and the KS live
+window is filled just before each periodic check.  The result is bit
+for bit the per-row run's: a refused row draws nothing, so after every
+return and every raise the generators are rewound to where one scalar
+draw per use leaves them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from ..datasets.trips import TripRecord
 from ..energy.fleet import Fleet
-from ..errors import StateDriftError
+from ..errors import BlockApplyError, StateDriftError
 from ..geo.points import Point
 from .costs import FacilityCostFn
-from .esharing import EsharingPlanner
+from .esharing import EsharingDecision, EsharingPlanner
+from .replay import DrawStream
 from .station_set import StationSet
+from .tripblock import TripBlock
 
 __all__ = ["ServiceResponse", "PlacementService", "pickup_station"]
 
@@ -128,50 +143,128 @@ class PlacementService:
 
     # ------------------------------------------------------------------
     def handle_trip(self, order_id: int, start: Point, end: Point) -> ServiceResponse:
-        """Serve one trip end to end: the only fields the step reads.
+        """Serve one trip end to end: a block of one.
 
-        Pickup: nearest active station with a bike to ``start`` (the
-        trip is refused when none exists anywhere).  Drop-off:
-        Algorithm 2's decision for ``end``.  The bike rides
-        ``start.distance_to(end)``, as :attr:`TripRecord.distance`
-        measures it.  If the pickup empties its station, the station
-        retires from P.
+        A failure is re-raised as its original exception.
         """
-        origin_id = pickup_station(self.planner.station_set, self.fleet, start)
-        if origin_id is None:
-            response = ServiceResponse(
-                order_id=order_id, served=False,
-                origin_station=-1, destination_station=-1,
-                opened_new=False, removed_station=None, walking_m=0.0,
-            )
-            self.responses.append(response)
-            return response
+        try:
+            return self._serve([order_id], [start.x], [start.y], [end.x], [end.y])[0]
+        except BlockApplyError as exc:
+            cause = exc.cause
+        raise cause
 
-        decision = self.planner.offer(end)
-        dest_id = decision.station_index
+    def handle_block(self, block: TripBlock) -> List[ServiceResponse]:
+        """Serve a block of trips in arrival order: the planner step.
 
-        bike = self.fleet.pick_bike(origin_id)
-        if bike is None:  # guaranteed by pickup_station
-            raise StateDriftError(
-                f"station {origin_id} emptied between selection and pickup "
-                f"for order {order_id}"
-            )
-        self.fleet.ride(bike.bike_id, dest_id, start.distance_to(end))
+        Reads only the order-id and endpoint columns.  Per row: pickup
+        at the nearest active station with a bike to the start (the trip
+        is refused when none exists anywhere); Algorithm 2's decision
+        for the end; the rider takes the rack's highest-charge bike,
+        which rides ``start.distance_to(end)`` (as
+        :attr:`TripRecord.distance` measures it); if the pickup emptied
+        its station, the station retires from P.  Responses, state and
+        both generators end exactly as a per-row step (one scalar coin
+        flip per served row in ``planner.offer``, one scalar lognormal
+        per noisy ride) leaves them, however the stream is cut into
+        blocks.
 
-        removed: Optional[int] = None
-        if not self.fleet.is_stocked(origin_id) and origin_id != dest_id:
-            self.planner.remove_station(origin_id)
-            self.retired.append(origin_id)
-            removed = origin_id
+        Returns:
+            The block's responses, in order (also appended to
+            :attr:`responses`).
 
-        response = ServiceResponse(
-            order_id=order_id, served=True,
-            origin_station=origin_id, destination_station=dest_id,
-            opened_new=decision.opened, removed_station=removed,
-            walking_m=decision.walking_cost,
+        Raises:
+            BlockApplyError: row ``index`` raised ``cause``.  The rows
+                before it were applied (their responses are
+                ``outcomes``, and in :attr:`responses`), and the
+                generators and the KS window are where the per-row run
+                leaves them at that raise.
+        """
+        return self._serve(
+            block.order_id.tolist(),
+            block.start_x.tolist(),
+            block.start_y.tolist(),
+            block.end_x.tolist(),
+            block.end_y.tolist(),
         )
-        self.responses.append(response)
-        return response
+
+    def _serve(
+        self,
+        order_ids: Sequence[int],
+        sx: Sequence[float],
+        sy: Sequence[float],
+        ex: Sequence[float],
+        ey: Sequence[float],
+    ) -> List[ServiceResponse]:
+        planner, fleet = self.planner, self.fleet
+        store = planner.station_set
+        n = len(order_ids)
+        # One generator behind both the coin and the ride would need
+        # the per-row interleaving of its draws: fetch one at a time.
+        chunk = 1 if planner.rng is fleet.rng else n
+        coins = DrawStream(planner.rng, n, block=chunk)
+        rides = DrawStream(fleet.rng, n, "standard_normal", block=chunk)
+        coin, normal = coins.next, rides.next
+        nearest, decide = store.nearest, planner._decide
+        is_stocked, pick_bike, ride = fleet.is_stocked, fleet.pick_bike, fleet.ride
+        trace = planner.decisions.append
+        period = planner._check_period
+        since = planner._arrivals_since_check
+        live: List[int] = []  # rows whose end joins the KS window next
+        out: List[ServiceResponse] = []
+        emit = out.append
+        j = 0
+        try:
+            for j in range(n):
+                order_id = order_ids[j]
+                start = Point(sx[j], sy[j])
+                origin_id = pickup_station(store, fleet, start)
+                if origin_id is None:
+                    emit(ServiceResponse(order_id, False, -1, -1, False, None, 0.0))
+                    continue
+                end = Point(ex[j], ey[j])
+                idx, c_ij = nearest(end)
+                dest_id, opened, walking, prob = decide(end, idx, c_ij, coin)
+                since += 1
+                live.append(j)
+                if since >= period:
+                    since = 0
+                    self._fill_window(live, ex, ey)
+                    planner._periodic_check()
+                trace(EsharingDecision(end, dest_id, opened, walking, prob, planner.penalty.name))
+
+                bike = pick_bike(origin_id)
+                if bike is None:  # guaranteed by pickup_station
+                    raise StateDriftError(
+                        f"station {origin_id} emptied between selection and "
+                        f"pickup for order {order_id}"
+                    )
+                ride(bike.bike_id, dest_id, start.distance_to(end), normal)
+
+                removed: Optional[int] = None
+                if not is_stocked(origin_id) and origin_id != dest_id:
+                    planner.remove_station(origin_id)
+                    self.retired.append(origin_id)
+                    removed = origin_id
+                emit(ServiceResponse(order_id, True, origin_id, dest_id, opened, removed, walking))
+        except Exception as exc:  # noqa: BLE001 — classified by caller
+            raise BlockApplyError(
+                index=j, outcomes=list(out), remaining_fresh=[True] * (n - j),
+                cause=exc,
+            ) from exc
+        finally:
+            coins.settle()
+            rides.settle()
+            self._fill_window(live, ex, ey)
+            planner._arrivals_since_check = since
+            self.responses.extend(out)
+        return out
+
+    def _fill_window(self, rows: List[int], ex: Sequence[float], ey: Sequence[float]) -> None:
+        """Push the ends of ``rows`` into the planner's KS live window,
+        in order, and clear ``rows``."""
+        if rows:
+            self.planner._live.extend(np.array([(ex[j], ey[j]) for j in rows], dtype=float))
+            rows.clear()
 
     def degraded_assign(
         self, order_id: int, start: Point, end: Point
@@ -205,20 +298,24 @@ class PlacementService:
         )
 
     def serve(self, trips: Iterable[TripRecord]) -> List[ServiceResponse]:
-        """Serve a batch of trip records in arrival order.
-
-        The service cannot route a whole batch through the planner's
-        vectorized :meth:`~repro.core.esharing.EsharingPlanner.replay`:
-        each pickup may empty a rack and retire its station (footnote 2),
-        which invalidates the nearest-station cache mid-batch, so trips
-        stay sequential here.  Drop-off-only streams — no fleet in the
-        loop — should call ``planner.replay`` directly.
+        """Serve a batch of trip records in arrival order, as one block
+        (see :meth:`handle_block`).  A failure is re-raised as its
+        original exception.
 
         Returns:
             The responses for this batch, in order (also appended to
             :attr:`responses`).
         """
-        return [self.handle_trip(t.order_id, t.start, t.end) for t in trips]
+        trips = list(trips)
+        try:
+            return self._serve(
+                [t.order_id for t in trips],
+                [t.start.x for t in trips], [t.start.y for t in trips],
+                [t.end.x for t in trips], [t.end.y for t in trips],
+            )
+        except BlockApplyError as exc:
+            cause = exc.cause
+        raise cause
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:

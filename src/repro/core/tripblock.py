@@ -264,7 +264,7 @@ class TripBlock:
 
     def endpoints(self) -> List[Tuple[int, Point, Point]]:
         """``(order_id, start, end)`` of every row: all the placement
-        step reads (:meth:`repro.core.PlacementService.handle_trip`).
+        step reads (:meth:`repro.core.PlacementService.handle_block`).
 
         Built from the ``tolist()`` columns, so each value is the native
         Python scalar :meth:`to_trips` would put in the record.

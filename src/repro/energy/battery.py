@@ -10,8 +10,9 @@ high charge with a tail of low-energy bikes below the service threshold.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -87,20 +88,37 @@ class Battery:
         needed = (distance_m / 1000.0) * self.config.wh_per_km * margin
         return needed <= self.level * self.config.capacity_wh
 
-    def ride(self, distance_m: float, rng: Optional[np.random.Generator] = None) -> float:
+    def ride(
+        self,
+        distance_m: float,
+        rng: Optional[np.random.Generator] = None,
+        normal: Optional[Callable[[], float]] = None,
+    ) -> float:
         """Drain the battery for a ride of ``distance_m`` metres.
+
+        Consumption is the mean per-km rate times a lognormal noise
+        factor with sigma ``consumption_noise`` (no factor when it is 0).
+        The factor is drawn from ``rng``, or built from ``normal``, a
+        source of standard-normal draws: ``exp(0.0 + sigma * z)`` is
+        bit for bit what ``rng.lognormal(mean=0.0, sigma=sigma)`` returns
+        for the same ``z``, so a caller that fetches a block's draws at
+        once stays on the scalar trajectory.  With neither, no noise.
 
         Returns:
             The new charge level.
 
         Raises:
-            ValueError: if ``distance_m`` is negative.
+            ValueError: if ``distance_m`` is negative (nothing is drawn).
         """
         if distance_m < 0:
             raise ValueError(f"distance_m must be non-negative, got {distance_m}")
         noise = 1.0
-        if rng is not None and self.config.consumption_noise > 0:
-            noise = float(rng.lognormal(mean=0.0, sigma=self.config.consumption_noise))
+        sigma = self.config.consumption_noise
+        if sigma > 0:
+            if normal is not None:
+                noise = math.exp(0.0 + sigma * normal())
+            elif rng is not None:
+                noise = float(rng.lognormal(mean=0.0, sigma=sigma))
         used_wh = (distance_m / 1000.0) * self.config.wh_per_km * noise
         self.level = max(0.0, self.level - used_wh / self.config.capacity_wh)
         return self.level

@@ -6,22 +6,24 @@ current station, replays trips to evolve the energy state, and reports the
 station -> low-energy-bike map that the incentive mechanism and the
 operator's tour planner consume.
 
-Each station has a *rack*: the set of bike ids parked there.  The racks
-are an index over :attr:`Bike.station`, kept by the fleet alone — only
+Each station has a *rack*: the set of bike ids parked there, plus a
+charge index over those bikes (a heap of ``(-level, bike_id)``).  Both
+are derived from the bikes and kept by the fleet alone: only
 :meth:`Fleet.ride`, :meth:`Fleet.move` and :meth:`Fleet.add_station`
-change where bikes are, and ``Bike.station`` is read-only to everyone
-else — so a per-station question (who is parked here, which bike does a
-rider take) costs O(bikes at that station), not O(fleet).  Charge levels
-are not indexed: they stay on the batteries and are read live, so code
-that changes levels directly (idle drain, recharges, tests) cannot make
-a rack stale.
+change where bikes are (``Bike.station`` is read-only to everyone
+else), and only :meth:`Fleet.ride`, :meth:`Fleet.recharge_station` and
+:meth:`Fleet.set_level` change a parked bike's charge.  So a per-station
+question costs O(bikes at that station), not O(fleet), and a rider's
+pick — the highest charge — costs O(log bikes at that station).  A
+level written straight onto a battery bypasses the index;
+:meth:`Fleet.verify_racks` reports it as drift.
 """
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import asdict, dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -31,6 +33,11 @@ from ..serialize import rng_from_state, rng_to_state
 from .battery import Battery, BatteryConfig, LOW_ENERGY_THRESHOLD
 
 __all__ = ["Bike", "Fleet", "StationEnergySnapshot"]
+
+#: A rack's charge index is rebuilt once it holds more than twice its
+#: bikes plus this many entries (stale ones are otherwise dropped only
+#: when they reach the top).
+_INDEX_SLACK = 16
 
 
 @dataclass(init=False)
@@ -128,11 +135,34 @@ class Fleet:
 
     def _park(self, bikes: List[Bike]) -> None:
         """Install the bikes (a tuple: only the fleet adds or moves
-        bikes) and build the racks from their stations."""
+        bikes) and build the racks and their charge indexes from the
+        bikes' stations and levels."""
         self.bikes: Tuple[Bike, ...] = tuple(bikes)
         self._racks: List[Set[int]] = [set() for _ in self.stations]
         for b in self.bikes:
             self._racks[b.station].add(b.bike_id)
+        self._charge: List[List[Tuple[float, int]]] = [
+            self._charge_entries(rack) for rack in self._racks
+        ]
+
+    def _charge_entries(self, rack: Set[int]) -> List[Tuple[float, int]]:
+        """A fresh charge index (a heap) over the bikes of ``rack``."""
+        bikes = self.bikes
+        heap = [(-bikes[i].battery.level, i) for i in rack]
+        heapq.heapify(heap)
+        return heap
+
+    def _index(self, bike: Bike) -> None:
+        """Record ``bike``'s current level in its rack's charge index.
+
+        The entry it had before is left behind; it no longer matches the
+        bike and is dropped lazily, or when the index is rebuilt.
+        """
+        station = bike._station
+        heap = self._charge[station]
+        heapq.heappush(heap, (-bike.battery.level, bike.bike_id))
+        if len(heap) > 2 * len(self._racks[station]) + _INDEX_SLACK:
+            self._charge[station] = self._charge_entries(self._racks[station])
 
     def __len__(self) -> int:
         return len(self.bikes)
@@ -143,7 +173,8 @@ class Fleet:
 
         Charge levels are exact floats and the RNG bit stream is captured
         in full, so a fleet rebuilt by :meth:`from_state` drains batteries
-        bit-identically to the uninterrupted run.  Each distinct battery
+        bit-identically to the uninterrupted run.  The charge indexes are
+        derived too, and rebuilt from the levels.  Each distinct battery
         config is converted once per call; every bike gets its own copy.
         """
         configs: Dict[BatteryConfig, dict] = {}
@@ -169,8 +200,8 @@ class Fleet:
     def from_state(cls, state: dict) -> "Fleet":
         """Rebuild a fleet from :meth:`state_dict` output.
 
-        The racks are derived state: they are rebuilt from the bikes'
-        stations, not read from ``state``.
+        The racks and charge indexes are derived state: they are rebuilt
+        from the bikes' stations and levels, not read from ``state``.
 
         Raises:
             KeyError: on a missing field.
@@ -213,7 +244,30 @@ class Fleet:
         """
         self.stations.append(location)
         self._racks.append(set())
+        self._charge.append([])
         return len(self.stations) - 1
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The ride-noise generator (one lognormal draw per noisy ride)."""
+        return self._rng
+
+    def set_level(self, bike_id: int, level: float) -> None:
+        """Set one bike's charge level (setup, tests, outside writers).
+
+        The one way to change a level other than a ride or a recharge:
+        it keeps the bike's rack index current, which a direct
+        ``battery.level`` write does not.
+
+        Raises:
+            KeyError: if the bike id is unknown.
+            ValueError: if ``level`` is outside [0, 1].
+        """
+        if not 0.0 <= level <= 1.0:
+            raise ValueError(f"level must be in [0, 1], got {level}")
+        bike = self._bike(bike_id)
+        bike.battery.level = level
+        self._index(bike)
 
     def bikes_at(self, station: int) -> List[Bike]:
         """Bikes currently parked at ``station``, in ascending id order."""
@@ -269,19 +323,32 @@ class Fleet:
         """Census of every station."""
         return [self.snapshot(s) for s in range(len(self.stations))]
 
-    def ride(self, bike_id: int, to_station: int, distance_m: float) -> float:
+    def ride(
+        self,
+        bike_id: int,
+        to_station: int,
+        distance_m: float,
+        normal: Optional[Callable[[], float]] = None,
+    ) -> float:
         """Move a bike to ``to_station``, draining its battery.
+
+        Args:
+            normal: source of the standard-normal draw behind the ride's
+                noise (see :meth:`Battery.ride`); the serve path passes
+                draws it fetched in one block from :attr:`rng`.  ``None``
+                draws the noise from :attr:`rng` here.
 
         Returns:
             The bike's new charge level.
 
         Raises:
             KeyError: if the bike id is unknown.
-            ValueError: if the target station is invalid.
+            ValueError: if the target station is invalid, or the
+                distance is negative.
         """
         self._check_station(to_station)
         bike = self._bike(bike_id)
-        level = bike.battery.ride(distance_m, rng=self._rng)
+        level = bike.battery.ride(distance_m, rng=self._rng, normal=normal)
         self._repark(bike, to_station)
         return level
 
@@ -297,10 +364,12 @@ class Fleet:
         self._repark(self._bike(bike_id), station)
 
     def _repark(self, bike: Bike, station: int) -> None:
-        """The single writer of ``Bike.station``: moves the rack entry too."""
+        """The single writer of ``Bike.station``: moves the rack entry
+        and indexes the bike's level at its new rack."""
         self._racks[bike._station].discard(bike.bike_id)
         self._racks[station].add(bike.bike_id)
         bike._station = station
+        self._index(bike)
 
     def pick_bike(self, station: int, prefer_low: bool = False) -> Optional[Bike]:
         """A rider's bike choice at ``station``.
@@ -311,19 +380,25 @@ class Fleet:
         is set and no low-energy bike is present.
         """
         self._check_station(station)
-        bikes, rack = self.bikes, self._racks[station]
+        bikes = self.bikes
         # Both choices break charge ties to the lowest id, so the rack's
         # set order cannot leak into them.
         if prefer_low:
-            low = [bikes[i] for i in rack if bikes[i].battery.level < self.threshold]
+            low = [
+                bikes[i] for i in self._racks[station]
+                if bikes[i].battery.level < self.threshold
+            ]
             return min(low, key=lambda b: (b.battery.level, b.bike_id)) if low else None
-        # Every served trip takes this path: one pass, no key tuples.
-        best, best_level = -1, -math.inf
-        for i in rack:
-            level = bikes[i].battery.level
-            if level > best_level or (level == best_level and i < best):
-                best, best_level = i, level
-        return bikes[best] if best >= 0 else None
+        # Every served trip takes this path: the charge index's top,
+        # after dropping entries that no longer describe a parked bike.
+        heap = self._charge[station]
+        while heap:
+            neg_level, i = heap[0]
+            bike = bikes[i]
+            if bike._station == station and bike.battery.level == -neg_level:
+                return bike
+            heapq.heappop(heap)
+        return None
 
     def recharge_station(self, station: int) -> int:
         """Operator services a station: recharge all low-energy bikes there.
@@ -335,6 +410,7 @@ class Fleet:
         for b in self.bikes_at(station):
             if b.battery.level < self.threshold:
                 b.battery.recharge()
+                self._index(b)
                 count += 1
         return count
 
@@ -347,15 +423,19 @@ class Fleet:
         return int(np.count_nonzero(self.charge_levels() < self.threshold))
 
     def verify_racks(self) -> None:
-        """Check every rack against every bike's station.
+        """Check every rack against every bike's station, and every
+        rack's charge index against its bikes' live levels.
 
         Raises:
-            StateDriftError: if a rack and the bikes disagree (a real
-                exception, so the check also holds under ``python -O``).
+            StateDriftError: if a rack and the bikes disagree, or a
+                parked bike's level has no entry in its rack's index (a
+                level written around :meth:`set_level`).  A real
+                exception, so the check also holds under ``python -O``.
         """
-        if len(self._racks) != len(self.stations):
+        if not len(self._racks) == len(self._charge) == len(self.stations):
             raise StateDriftError(
-                f"fleet has {len(self._racks)} racks for "
+                f"fleet has {len(self._racks)} racks and "
+                f"{len(self._charge)} charge indexes for "
                 f"{len(self.stations)} stations"
             )
         expected: List[Set[int]] = [set() for _ in self.stations]
@@ -371,6 +451,17 @@ class Fleet:
                     f"rack {station} holds bikes {sorted(rack)} but bikes "
                     f"{sorted(want)} are parked there"
                 )
+        bikes = self.bikes
+        for station, (rack, heap) in enumerate(zip(self._racks, self._charge)):
+            entries = set(heap)
+            for i in sorted(rack):
+                level = bikes[i].battery.level
+                if (-level, i) not in entries:
+                    raise StateDriftError(
+                        f"rack {station}'s charge index has no entry for bike "
+                        f"{i} at level {level!r}; set levels through "
+                        "Fleet.set_level"
+                    )
 
     def _bike(self, bike_id: int) -> Bike:
         if not 0 <= bike_id < len(self.bikes):

@@ -128,7 +128,9 @@ class BlockApplyError(RuntimeError):
     trip of the block was already durably journaled (group commit writes
     the WAL *before* any apply), so the supervisor can recover: the
     journal replay re-applies the failing trip and the rest of the block
-    through a healed service.
+    through a healed service.  The planner step it applies with,
+    :meth:`repro.core.PlacementService.handle_block`, raises it too (its
+    blocks hold no duplicates, so every ``remaining_fresh`` is ``True``).
 
     Attributes:
         index: 0-based position in the block where the apply failed.

@@ -5,13 +5,15 @@
 protocol::
 
     journal.append_block(block)  # durable first, one group commit
-    for (order_id, start, end) in block's columns:
-        service.handle_trip(order_id, start, end)   # then apply
-        every N trips: ledger.append(responses since the last one)
-                       snapshot   # atomic, checksummed, rotated
+    for segment in block, cut after every N-th journal seq:
+        service.handle_block(segment)   # then apply: the planner step
+        at a cut: ledger.append(responses since the last one)
+                  snapshot   # atomic, checksummed, rotated
 
 The block's columns are the one row type: they are journaled and
 applied without building a :class:`~repro.datasets.trips.TripRecord`.
+A segment ends at a checkpoint boundary, so every snapshot sees the
+exact generator and KS-window state a per-row run has there.
 Records are converted only at the edges — ``handle_trip(record)`` and
 :meth:`CheckpointingService.serve` columnarise on the way in, and the
 journal's replay decodes records on the way out.
@@ -239,8 +241,10 @@ class CheckpointingService:
         (it sees earlier trips of the same block, as a trip-by-trip run
         would), so a duplicate is never journaled twice.  The fresh rows
         (the whole block, or ``block.take(fresh)``) are journaled from
-        their columns and applied from them: the planner step reads
-        only the order id and the two endpoints.
+        their columns and applied from them, one
+        :meth:`PlacementService.handle_block` per segment between
+        checkpoint boundaries: the planner step reads only the order id
+        and the two endpoints.
 
         Group commit shifts one failure boundary: when applying trip
         ``i`` raises, trips ``> i`` of the block are *already journaled*
@@ -270,25 +274,42 @@ class CheckpointingService:
             block = block.take(fresh_pos)
         seqs = self.journal.append_block(block)
         responses: List[Optional[ServiceResponse]] = [None] * len(order_ids)
-        for j, (order_id, start, end) in enumerate(block.endpoints()):
+
+        def error(j: int, cause: Exception) -> BlockApplyError:
+            """The block's error for fresh row ``j`` raising ``cause``."""
             pos = fresh_pos[j]
+            fresh_set = set(fresh_pos[j:])
+            return BlockApplyError(
+                index=pos,
+                outcomes=responses[:pos],
+                remaining_fresh=[p in fresh_set for p in range(pos, len(order_ids))],
+                cause=cause,
+            )
+
+        fresh_ids = block.order_id.tolist()
+        every = self.checkpoint_every
+        lo = 0
+        while lo < len(seqs):
+            # A segment ends at the next checkpoint boundary, so each
+            # snapshot sees the state the per-row run has there.
+            hi = min(len(seqs), lo + 1 + (-seqs[lo]) % every)
+            failed: Optional[BlockApplyError] = None
             try:
-                response = self.service.handle_trip(order_id, start, end)
-                self._seen.add(order_id)
+                served = self.service.handle_block(block[lo:hi])
+            except BlockApplyError as exc:
+                served, failed = exc.outcomes, exc
+            for j, response in enumerate(served, start=lo):
+                self._seen.add(fresh_ids[j])
                 self._applied = seqs[j]
-                responses[pos] = response
-                if seqs[j] % self.checkpoint_every == 0:
+                responses[fresh_pos[j]] = response
+            if failed is not None:
+                raise error(lo + failed.index, failed.cause) from failed.cause
+            if seqs[hi - 1] % every == 0:
+                try:
                     self.checkpoint()
-            except Exception as exc:  # noqa: BLE001 — classified by caller
-                fresh_set = set(fresh_pos[j:])
-                raise BlockApplyError(
-                    index=pos,
-                    outcomes=responses[:pos],
-                    remaining_fresh=[
-                        p in fresh_set for p in range(pos, len(order_ids))
-                    ],
-                    cause=exc,
-                ) from exc
+                except Exception as exc:  # noqa: BLE001 — classified by caller
+                    raise error(hi - 1, exc) from exc
+            lo = hi
         return responses
 
     def checkpoint(self) -> Path:
@@ -332,9 +353,9 @@ class CheckpointingService:
 
         Loads the newest *good* snapshot (torn files are skipped), reads
         the response history through its seq from the ledger, then
-        replays the journal tail beyond it — reproducing exactly the
-        state and responses an uninterrupted run would hold.  The journal
-        is read in one pass.  Recovery is read-only until new trips
+        replays the journal tail beyond it, as one block — reproducing
+        exactly the state and responses an uninterrupted run would hold.
+        The journal is read in one pass.  Recovery is read-only until new trips
         arrive (ledger records past the snapshot are cut off at the next
         checkpoint), so recovering twice from the same directory yields
         identical services.
@@ -395,13 +416,13 @@ class CheckpointingService:
         # One response per applied trip: their ids are the dedup screen.
         wrapper._seen = {r.order_id for r in responses}
         tail = wrapper.journal.replay(after_seq=applied)
-        for entry in tail:
+        if tail:
             # Already journaled (and already deduped at ingestion): apply
-            # directly, without re-appending.
-            trip = entry.trip
-            wrapper.service.handle_trip(trip.order_id, trip.start, trip.end)
-            wrapper._seen.add(trip.order_id)
-            wrapper._applied = entry.seq
+            # as one block, without re-appending.
+            trips = [entry.trip for entry in tail]
+            wrapper.service.serve(trips)
+            wrapper._seen.update(t.order_id for t in trips)
+            wrapper._applied = tail[-1].seq
         wrapper.last_recovery = RecoveryInfo(
             snapshot_seq=snapshot.seq,
             replayed=len(tail),

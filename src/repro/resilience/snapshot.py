@@ -95,15 +95,14 @@ def encode_snapshot(payload: Any, version: int = SNAPSHOT_VERSION) -> bytes:
     return header + b"\n" + body + b"\n"
 
 
-def decode_snapshot(data: bytes) -> Any:
-    """Parse and verify a snapshot file's bytes; returns the payload.
+def _verified_body(data: bytes) -> bytes:
+    """The payload bytes of a snapshot file whose header and checksum
+    verify; the payload itself is not parsed.
 
     Raises:
-        SnapshotCorruptError: on any parse or checksum failure — the
-            signature of a torn or bit-rotted file.
-        SnapshotVersionError: when the header is intact but written by an
-            incompatible format version; loading must be refused, not
-            skipped.
+        SnapshotCorruptError: on a torn header, a foreign format or a
+            checksum mismatch.
+        SnapshotVersionError: on an intact header of another version.
     """
     head, sep, rest = data.partition(b"\n")
     if not sep:
@@ -128,6 +127,20 @@ def decode_snapshot(data: bytes) -> Any:
         raise SnapshotCorruptError(
             "snapshot payload failed its checksum (torn or corrupted write)"
         )
+    return body
+
+
+def decode_snapshot(data: bytes) -> Any:
+    """Parse and verify a snapshot file's bytes; returns the payload.
+
+    Raises:
+        SnapshotCorruptError: on any parse or checksum failure — the
+            signature of a torn or bit-rotted file.
+        SnapshotVersionError: when the header is intact but written by an
+            incompatible format version; loading must be refused, not
+            skipped.
+    """
+    body = _verified_body(data)
     try:
         return json.loads(body)
     except (ValueError, UnicodeDecodeError) as exc:  # pragma: no cover - checksum catches first
@@ -138,9 +151,9 @@ class SnapshotStore:
     """A directory of rotated snapshots with corrupt-tolerant loading.
 
     Files are named ``snapshot-<seq>.json`` where ``seq`` is the journal
-    sequence number the state is current through; :meth:`save` prunes the
-    oldest files beyond ``keep`` *good* generations so a torn newest file
-    never leaves the store empty.
+    sequence number the state is current through; :meth:`save` deletes
+    only files older than the ``keep``-th newest *good* generation, so
+    torn files never push the good ones out.
 
     Args:
         directory: where snapshots live; created if missing.
@@ -182,8 +195,8 @@ class SnapshotStore:
     def save(self, payload: Any, seq: int) -> Path:
         """Write a snapshot current through journal sequence ``seq``.
 
-        The write is atomic; afterwards the oldest generations beyond
-        ``keep`` are pruned.
+        The write is atomic; afterwards the files older than the
+        ``keep``-th newest good generation are pruned.
 
         Raises:
             ValueError: on a negative sequence number.
@@ -194,16 +207,35 @@ class SnapshotStore:
             raise ValueError(f"seq must be non-negative, got {seq}")
         path = self.path_for(seq)
         atomic_write_bytes(path, encode_snapshot(payload), durable=self.durable)
-        self._prune()
+        self._prune(path)
         return path
 
-    def _prune(self) -> None:
+    def _prune(self, written: Path) -> None:
+        """Delete the files older than the ``keep``-th good generation.
+
+        Files are walked newest first; ``written`` (just saved) counts as
+        good, the others by their header and checksum alone.  A corrupt
+        file never counts, so it cannot push a good one out; one newer
+        than the ``keep``-th good generation is left for
+        :meth:`load_latest` to skip.
+        """
+        good = 0
         entries = self.list()
-        for _seq, path in entries[: -self.keep]:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+        for i in range(len(entries) - 1, -1, -1):
+            path = entries[i][1]
+            if path != written:
+                try:
+                    _verified_body(path.read_bytes())
+                except (OSError, SnapshotError):
+                    continue
+            good += 1
+            if good == self.keep:
+                for _seq, old in entries[:i]:
+                    try:
+                        old.unlink()
+                    except OSError:
+                        pass
+                return
 
     def load_latest(self) -> Snapshot:
         """The newest snapshot that passes verification.

@@ -21,7 +21,7 @@ from repro.core import (
     uniform_facility_cost,
 )
 from repro.core.penalty import TypeIPenalty
-from repro.core.replay import UniformStream
+from repro.core.replay import DrawStream
 from repro.core.tripblock import TripBlock
 from repro.gauntlet import trips as demo_trips
 from repro.geo import Point
@@ -170,7 +170,7 @@ class TestReplayPrimitives:
     def test_uniform_stream_matches_scalar_draws(self):
         a = np.random.default_rng(1)
         b = np.random.default_rng(1)
-        stream = UniformStream(a, 20_000)
+        stream = DrawStream(a, 20_000)
         got = [stream.next() for _ in range(20_000)]
         want = [float(b.uniform()) for _ in range(20_000)]
         assert got == want

@@ -26,7 +26,7 @@ def service():
     )
     fleet = Fleet(planner.stations, n_bikes=6, rng=np.random.default_rng(2))
     for b in fleet.bikes:
-        b.battery.level = 0.9
+        fleet.set_level(b.bike_id, 0.9)
     return PlacementService(planner, fleet)
 
 

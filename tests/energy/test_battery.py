@@ -1,5 +1,7 @@
 """Tests for repro.energy.battery."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -97,3 +99,28 @@ class TestBattery:
         assert 0.0 <= b.level <= 1.0
         b.idle(3.0)
         assert 0.0 <= b.level <= 1.0
+
+
+class TestBlockDrawnNoise:
+    """The serve path draws a block's ride noise as standard normals
+    and applies ``exp(0.0 + sigma * z)``: numpy's lognormal, bit for
+    bit, on the same generator trajectory."""
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.25, 1.0])
+    def test_block_of_normals_is_scalar_lognormal(self, sigma):
+        scalar, block = np.random.default_rng(11), np.random.default_rng(11)
+        want = [float(scalar.lognormal(mean=0.0, sigma=sigma)) for _ in range(2000)]
+        got = [math.exp(0.0 + sigma * z) for z in block.standard_normal(size=2000).tolist()]
+        assert got == want
+        assert block.bit_generator.state == scalar.bit_generator.state
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.25])
+    def test_ride_from_normals_matches_ride_from_rng(self, sigma):
+        config = BatteryConfig(consumption_noise=sigma)
+        scalar, block = np.random.default_rng(5), np.random.default_rng(5)
+        normals = iter(block.standard_normal(size=50).tolist())
+        a, b = Battery(config, 1.0), Battery(config, 1.0)
+        for distance in np.linspace(0.0, 9000.0, 50):
+            assert b.ride(distance, normal=normals.__next__) == a.ride(distance, rng=scalar)
+        # A noiseless battery reads no draw at all.
+        assert len(list(normals)) == (50 if sigma == 0.0 else 0)

@@ -95,16 +95,16 @@ class TestFleetOperations:
 
     def test_pick_bike_prefer_low(self):
         f = Fleet(stations(1), n_bikes=3, rng=np.random.default_rng(2))
-        f.bikes[0].battery.level = 0.9
-        f.bikes[1].battery.level = 0.10
-        f.bikes[2].battery.level = 0.05
+        f.set_level(0, 0.9)
+        f.set_level(1, 0.10)
+        f.set_level(2, 0.05)
         bike = f.pick_bike(0, prefer_low=True)
         assert bike.bike_id == 2
 
     def test_pick_bike_prefer_low_none_when_all_high(self):
         f = Fleet(stations(1), n_bikes=2, rng=np.random.default_rng(3))
         for b in f.bikes:
-            b.battery.level = 0.9
+            f.set_level(b.bike_id, 0.9)
         assert f.pick_bike(0, prefer_low=True) is None
 
     def test_pick_bike_empty_station(self):

@@ -72,6 +72,7 @@ OPS = st.lists(
         st.tuples(st.just("recharge"), st.integers(0, 7)),
         st.tuples(st.just("add_station"), st.floats(-5000.0, 5000.0)),
         st.tuples(st.just("level"), st.integers(0, 11), LEVELS),
+        st.tuples(st.just("direct"), st.integers(0, 11)),
     ),
     max_size=40,
 )
@@ -85,7 +86,7 @@ class TestRacksMatchScan:
         fleet = Fleet(line(n_stations), n_bikes=n_bikes,
                       rng=np.random.default_rng(seed))
         assert_matches_scan(fleet)
-        for op in ops:
+        for step, op in enumerate(ops):
             kind, args = op[0], op[1:]
             n_st = len(fleet.stations)
             if kind == "ride":
@@ -98,9 +99,18 @@ class TestRacksMatchScan:
                 fleet.recharge_station(args[0] % n_st)
             elif kind == "add_station":
                 assert fleet.add_station(Point(args[0], 1.0)) == n_st
-            else:
+            elif kind == "level":
                 bike, level = args
-                fleet.bikes[bike % n_bikes].battery.level = level
+                fleet.set_level(bike % n_bikes, level)
+            else:
+                # A level written around Fleet.set_level leaves the
+                # rack's charge index stale: verify_racks reports it,
+                # and set_level indexes the level again.
+                bike, level = args[0] % n_bikes, 0.31415926 + 1e-9 * step
+                fleet.bikes[bike].battery.level = level
+                with pytest.raises(StateDriftError, match="charge index"):
+                    fleet.verify_racks()
+                fleet.set_level(bike, level)
             assert_matches_scan(fleet)
 
     def test_bikes_at_in_ascending_id_order(self):
@@ -154,6 +164,23 @@ class TestSingleWriter:
         fleet = Fleet(line(2), n_bikes=4)
         fleet._racks[0].discard(0)
         with pytest.raises(StateDriftError):
+            fleet.verify_racks()
+
+    def test_set_level_validates_and_reindexes(self):
+        fleet = Fleet(line(2), n_bikes=4, rng=np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            fleet.set_level(0, 1.5)
+        with pytest.raises(KeyError):
+            fleet.set_level(9, 0.5)
+        fleet.set_level(0, 0.0)
+        fleet.set_level(2, 1.0)
+        assert fleet.pick_bike(0) is fleet.bikes[2]
+        fleet.verify_racks()
+
+    def test_direct_level_write_is_drift(self):
+        fleet = Fleet(line(2), n_bikes=4, rng=np.random.default_rng(0))
+        fleet.bikes[1].battery.level = 0.123
+        with pytest.raises(StateDriftError, match="bike 1"):
             fleet.verify_racks()
 
 

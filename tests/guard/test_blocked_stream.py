@@ -336,12 +336,12 @@ class TestBlockedSelfHeal:
 
         runtime = wrap(tmp_path / "faulty")
         runtime.ingest_block(TripBlock.from_trips(trips[:30]))
-        planner = runtime.inner.service.planner
+        store = runtime.inner.service.planner.station_set
 
-        def poisoned_offer(point):
+        def poisoned_nearest(point):
             raise RuntimeError("injected planner corruption")
 
-        planner.offer = poisoned_offer
+        store.nearest = poisoned_nearest
         # The fault fires mid-block; the group commit already journaled
         # the chunk, so recovery replays it with the healed planner.
         runtime.ingest_block(TripBlock.from_trips(trips[30:]))

@@ -73,12 +73,12 @@ class TestSelfHeal:
         runtime = wrap(tmp_path, "faulty")
         for trip in trips[:30]:
             runtime.ingest(trip)
-        planner = runtime.inner.service.planner
+        store = runtime.inner.service.planner.station_set
 
-        def poisoned_offer(point):
+        def poisoned_nearest(point):
             raise RuntimeError("injected planner corruption")
 
-        planner.offer = poisoned_offer
+        store.nearest = poisoned_nearest
         for trip in trips[30:]:
             runtime.ingest(trip)
         runtime.finish()
@@ -102,8 +102,8 @@ class TestSelfHeal:
         guard_before = runtime.guarded_ks
         for trip in trips[:20]:
             runtime.ingest(trip)
-        runtime.inner.service.planner.offer = lambda p: (_ for _ in ()).throw(
-            RuntimeError("boom")
+        runtime.inner.service.planner.station_set.nearest = (
+            lambda p: (_ for _ in ()).throw(RuntimeError("boom"))
         )
         for trip in trips[20:]:
             runtime.ingest(trip)
@@ -123,18 +123,19 @@ class TestHealBreakerClock:
             lateness_s=0.0, breaker=BreakerConfig(failure_threshold=1)
         )
         runtime = wrap(tmp_path, config=config)
-        service = runtime.inner.service
-        real = service.handle_trip
+        trips = make_trips(20, seed=7)
+        store = runtime.inner.service.planner.station_set
+        real = store.nearest
 
-        def faulty(order_id, start, end):
+        def faulty(point):
             # Only the pre-heal service is patched: the first attempt
             # at order 19 fails, the healed planner replays it cleanly.
-            if order_id == 19:
+            if point == trips[19].end:
                 raise RuntimeError("injected planner fault")
-            return real(order_id, start, end)
+            return real(point)
 
-        service.handle_trip = faulty
-        runtime.serve(make_trips(20, seed=7), block_size=block_size)
+        store.nearest = faulty
+        runtime.serve(trips, block_size=block_size)
         runtime.consistency_check()
         assert runtime.healed == 1
         assert runtime.served == 20

@@ -87,9 +87,9 @@ class TestMechanismIntegration:
         stations = [Point(500.0 * i, 500.0 * (i % 3)) for i in range(9)]
         f = Fleet(stations, n_bikes=90, rng=np.random.default_rng(0))
         for b in f.bikes:
-            b.battery.level = 0.9
+            f.set_level(b.bike_id, 0.9)
         for b in f.bikes[:20]:
-            b.battery.level = 0.1
+            f.set_level(b.bike_id, 0.1)
         return f
 
     def test_controller_overrides_config_alpha(self, fleet):

@@ -31,10 +31,10 @@ def fleet():
     f = Fleet(grid_stations(), n_bikes=90, rng=np.random.default_rng(0))
     # Deterministic energy layout: two low bikes at station 0, one at 4.
     for b in f.bikes:
-        b.battery.level = 0.9
-    f.bikes[0].battery.level = 0.10
-    f.bikes[9].battery.level = 0.12
-    f.bikes[4].battery.level = 0.15
+        f.set_level(b.bike_id, 0.9)
+    f.set_level(0, 0.10)
+    f.set_level(9, 0.12)
+    f.set_level(4, 0.15)
     # bikes 0 and 9 sit at stations 0 and 0 (round robin: bike i at i%9).
     f.move(9, 0)
     return f
@@ -116,7 +116,7 @@ class TestAggregationSite:
         # mileage-equivalent candidates are {2, 5, 6, 7}, so consolidation
         # should pick 7 over the empty alternatives.
         bike = fleet.bikes_at(7)[0]
-        bike.battery.level = 0.11
+        fleet.set_level(bike.bike_id, 0.11)
         mech = IncentiveMechanism(fleet, ChargingCostParams())
         assert mech.choose_aggregation_site(0, 8) == 7
 
@@ -173,7 +173,7 @@ class TestOfferRide:
 
     def test_dead_battery_blocks_relocation(self, fleet):
         for bike_id in (0, 9):
-            fleet.bikes[bike_id].battery.level = 0.001
+            fleet.set_level(bike_id, 0.001)
         mech = IncentiveMechanism(
             fleet, ChargingCostParams(), population=eager_population()
         )
@@ -238,7 +238,7 @@ class TestAggregationSiteParity:
         ]
         f = Fleet(stations, n_bikes=60, rng=np.random.default_rng(seed + 100))
         for b in f.bikes:
-            b.battery.level = float(rng.uniform(0.05, 1.0))
+            f.set_level(b.bike_id, float(rng.uniform(0.05, 1.0)))
         targets = {int(rng.integers(0, 12)): int(rng.integers(0, 12))}
         mech = IncentiveMechanism(
             f, ChargingCostParams(), aggregation_targets=targets,

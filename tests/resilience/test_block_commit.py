@@ -2,8 +2,8 @@
 
 ``TripJournal.append_block`` and ``CheckpointingService.handle_block``
 must be byte- and state-identical to the per-trip oracle
-(``journal_oracle.py``: the ``json`` record encoder plus
-``PlacementService.handle_trip`` row by row) — batching the WAL write
+(``journal_oracle.py``: the ``json`` record encoder plus the planner
+step row by row with scalar draws) — batching the WAL write
 changes *when* durability is paid for, never *what* is recorded.  The
 one semantic shift (a mid-block apply failure leaves the block's tail
 already journaled) is pinned down here via ``BlockApplyError`` and the
@@ -241,17 +241,18 @@ class TestHandleBlock:
         service = build(tmp_path, "faulty")
         service.handle_block(TripBlock.from_trips(trips[:10]))
 
-        planner = service.service.planner
-        real_offer = planner.offer
-        calls = {"n": 0}
+        # The planner step's per-row nearest-station query is the seam:
+        # it fails on the 6th trip of the block.
+        store = service.service.planner.station_set
+        real_nearest = store.nearest
+        failing = trips[15].end
 
-        def poisoned_offer(point):
-            calls["n"] += 1
-            if calls["n"] == 6:  # fails on the 6th trip of the block
+        def poisoned_nearest(point):
+            if point == failing:
                 raise RuntimeError("injected planner corruption")
-            return real_offer(point)
+            return real_nearest(point)
 
-        planner.offer = poisoned_offer
+        store.nearest = poisoned_nearest
         # two trailing duplicates
         block = TripBlock.from_trips(trips[10:25] + trips[20:22])
         with pytest.raises(BlockApplyError) as excinfo:

@@ -84,6 +84,22 @@ class TestSnapshotStore:
             store.save({"seq": seq}, seq=seq)
         assert [seq for seq, _ in store.list()] == [3, 4]
 
+    def test_prune_counts_good_generations(self, tmp_path):
+        """A torn file never pushes a good generation out of the store."""
+        store = SnapshotStore(tmp_path, keep=2, durable=False)
+        store.save({"seq": 1}, seq=1)
+        store.save({"seq": 2}, seq=2)
+        FaultInjector.corrupt_file(store.path_for(2))
+        store.save({"seq": 3}, seq=3)
+        assert [seq for seq, _ in store.list()] == [1, 2, 3]
+        FaultInjector.corrupt_file(store.path_for(3), mode="flip")
+        snap = store.load_latest()
+        assert (snap.seq, snap.payload) == (1, {"seq": 1})
+        store.save({"seq": 4}, seq=4)  # good: 4 and 1; nothing older to drop
+        assert [seq for seq, _ in store.list()] == [1, 2, 3, 4]
+        store.save({"seq": 5}, seq=5)  # good: 5 and 4
+        assert [seq for seq, _ in store.list()] == [4, 5]
+
     def test_keep_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
             SnapshotStore(tmp_path, keep=0)

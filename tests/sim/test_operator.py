@@ -20,7 +20,7 @@ def fleet_with_low_bikes(low_per_station, spacing=500.0, seed=0):
     f = Fleet(line_stations(n_stations, spacing), n_bikes=n_bikes,
               rng=np.random.default_rng(seed))
     for b in f.bikes:
-        b.battery.level = 0.9
+        f.set_level(b.bike_id, 0.9)
     i = 0
     for station, count in enumerate(low_per_station):
         placed = 0
@@ -29,7 +29,7 @@ def fleet_with_low_bikes(low_per_station, spacing=500.0, seed=0):
                 break
             if b.battery.level > 0.5:
                 f.move(b.bike_id, station)
-                b.battery.level = 0.1
+                f.set_level(b.bike_id, 0.1)
                 placed += 1
         i += count
     return f

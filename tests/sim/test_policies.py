@@ -91,7 +91,7 @@ class TestOperatorIntegration:
         f = Fleet(locations(n), n_bikes=sum(per_station) + n,
                   rng=np.random.default_rng(0))
         for b in f.bikes:
-            b.battery.level = 0.9
+            f.set_level(b.bike_id, 0.9)
         i = 0
         for st, count in enumerate(per_station):
             placed = 0
@@ -100,7 +100,7 @@ class TestOperatorIntegration:
                     break
                 if b.battery.level > 0.5:
                     f.move(b.bike_id, st)
-                    b.battery.level = 0.1
+                    f.set_level(b.bike_id, 0.1)
                     placed += 1
         return f
 

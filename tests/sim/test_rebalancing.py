@@ -107,7 +107,7 @@ class TestRebalanceFleet:
     def test_high_charge_bikes_move(self):
         f = skewed_fleet([6, 0])
         for i, b in enumerate(f.bikes):
-            b.battery.level = 0.1 + 0.15 * i
+            f.set_level(b.bike_id, 0.1 + 0.15 * i)
         rebalance_fleet(f, targets=[3, 3])
         moved_levels = [b.battery.level for b in f.bikes if b.station == 1]
         stayed_levels = [b.battery.level for b in f.bikes if b.station == 0]

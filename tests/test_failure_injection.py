@@ -70,7 +70,7 @@ class TestDeadFleet:
         fleet = Fleet([Point(0, 0), Point(1000, 0)], n_bikes=10,
                       rng=np.random.default_rng(0))
         for b in fleet.bikes:
-            b.battery.level = 0.01
+            fleet.set_level(b.bike_id, 0.01)
         report = ChargingOperator(
             ChargingCostParams(), OperatorConfig(working_hours=100.0)
         ).service_period(fleet)
@@ -83,7 +83,7 @@ class TestDeadFleet:
         fleet = Fleet([Point(0, 0), Point(500, 0), Point(1000, 0)], n_bikes=9,
                       rng=np.random.default_rng(1))
         for b in fleet.bikes:
-            b.battery.level = 0.001
+            fleet.set_level(b.bike_id, 0.001)
         mech = IncentiveMechanism(
             fleet, ChargingCostParams(),
             population=UserPopulation(walk_mean=1e6, reward_mean=0.0),
