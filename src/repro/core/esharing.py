@@ -255,9 +255,9 @@ class EsharingPlanner:
         scaled cost, the penalty and the probability are computed, then
         ``draw()`` flips the coin — exactly one draw per request, after
         every computation that may raise.  An opening adds the station
-        and pays its unscaled cost; otherwise the walk is paid.  Every
-        caller (:meth:`offer`, :meth:`replay`, the serve path's block
-        step) goes through here, so they agree bit for bit.
+        and pays its unscaled cost; otherwise the walk is paid.
+        :meth:`arrive` and :meth:`replay` both go through here, so every
+        path agrees bit for bit.
 
         Returns:
             ``(station_index, opened, walking_cost, open_probability)``.
@@ -276,8 +276,28 @@ class EsharingPlanner:
     def offer(self, destination: Point) -> EsharingDecision:
         """Process one request (lines 5-11 of Algorithm 2)."""
         idx, c_ij = self.station_set.nearest(destination)
+        return self.arrive(destination, idx, c_ij, self._rng.uniform)
+
+    def arrive(
+        self,
+        destination: Point,
+        nearest_id: int,
+        c_ij: float,
+        draw: Callable[[], float],
+    ) -> EsharingDecision:
+        """Process one request whose nearest active station is already
+        known (lines 6-11 of Algorithm 2): the per-arrival step.
+
+        ``nearest_id`` at ``c_ij`` is the nearest active station, and
+        ``draw()`` returns the request's coin flip, a uniform draw from
+        :attr:`rng` (the serve path passes draws it fetched in one block).
+        The opening rule is applied, the destination joins the KS live
+        window, and every ``beta * k`` arrivals the opening cost doubles
+        and the penalty is re-selected.  :meth:`offer` and the serve
+        path's block step both run here.
+        """
         station_index, opened, walking_cost, prob = self._decide(
-            destination, idx, c_ij, self._rng.uniform
+            destination, nearest_id, c_ij, draw
         )
         self._arrivals_since_check += 1
         self._live.push(destination.x, destination.y)

@@ -16,9 +16,8 @@ answers all of them from one indexed store:
   O(k) scan, bit-identical to the historical behaviour) and ``"grid"``
   (the bucketed :class:`~repro.geo.spatial_index.NearestNeighborIndex`,
   sub-linear per query at production station counts).  Both backends
-  measure distances as :meth:`Point.distance_to` does (the linear scans
-  inline its ``math.hypot``) and break ties by lowest id, so placement
-  outputs are bit-identical across backends;
+  measure distances with :meth:`Point.distance_to` and break ties by
+  lowest id, so placement outputs are bit-identical across backends;
 * **inventory hooks** — consumers subscribe to open/retire events to keep
   side-tables (the fleet's per-station racks, event logs) in sync instead
   of diffing station lists after every request.
@@ -241,9 +240,8 @@ class StationSet:
             return self._index.nearest(query)
         best_id = -1
         best_d = math.inf
-        qx, qy, hypot = query.x, query.y, math.hypot
         for sid, p in self._active.items():
-            d = hypot(qx - p.x, qy - p.y)  # Point.distance_to, inlined
+            d = query.distance_to(p)
             if d < best_d:
                 best_id, best_d = sid, d
         return best_id, best_d
@@ -259,11 +257,10 @@ class StationSet:
             sid, d = self._index.nearest(query, predicate=predicate)
             return (sid, d) if sid >= 0 else None
         best: Optional[Tuple[int, float]] = None
-        qx, qy, hypot = query.x, query.y, math.hypot
         for sid, p in self._active.items():
             if not predicate(sid):
                 continue
-            d = hypot(qx - p.x, qy - p.y)  # Point.distance_to, inlined
+            d = query.distance_to(p)
             if best is None or d < best[1]:
                 best = (sid, d)
         return best

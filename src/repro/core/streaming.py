@@ -23,29 +23,28 @@ bike); the simulator passes its ``pickup_radius_m``.
 :meth:`PlacementService.handle_block` is the one planner step: pickup,
 opening rule, pick, ride and retirement run row by row in arrival
 order, since a pickup may empty a rack and retire its station
-(footnote 2) before the next row's queries.  What needs no per-row call
-is done per block: the coin flips and the ride noise are drawn in one
-call each (:class:`~repro.core.replay.DrawStream`), and the KS live
-window is filled just before each periodic check.  The result is bit
-for bit the per-row run's: a refused row draws nothing, so after every
-return and every raise the generators are rewound to where one scalar
-draw per use leaves them.
+(footnote 2) before the next row's queries.  Each served row's decision
+is the planner's own per-arrival step,
+:meth:`~repro.core.esharing.EsharingPlanner.arrive`.  What needs no
+per-row call is done per block: the coin flips and the ride noise are
+drawn in one call each (:class:`~repro.core.replay.DrawStream`).  The
+result is bit for bit the per-row run's: a refused row draws nothing,
+so after every return and every raise the generators are rewound to
+where one scalar draw per use leaves them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..datasets.trips import TripRecord
 from ..energy.fleet import Fleet
 from ..errors import BlockApplyError, StateDriftError
 from ..geo.points import Point
 from .costs import FacilityCostFn
-from .esharing import EsharingDecision, EsharingPlanner
+from .esharing import EsharingPlanner
 from .replay import DrawStream
 from .station_set import StationSet
 from .tripblock import TripBlock
@@ -66,6 +65,16 @@ def pickup_station(
     if hit is None or hit[1] > radius:
         return None
     return hit[0]
+
+
+def _raising_cause(step: Callable[..., List[ServiceResponse]], *args) -> List[ServiceResponse]:
+    """Run a planner step, re-raising a row's failure as the original
+    exception rather than its :class:`BlockApplyError`."""
+    try:
+        return step(*args)
+    except BlockApplyError as exc:
+        cause = exc.cause
+    raise cause
 
 
 @dataclass(frozen=True)
@@ -147,11 +156,9 @@ class PlacementService:
 
         A failure is re-raised as its original exception.
         """
-        try:
-            return self._serve([order_id], [start.x], [start.y], [end.x], [end.y])[0]
-        except BlockApplyError as exc:
-            cause = exc.cause
-        raise cause
+        return _raising_cause(
+            self._serve, [order_id], [start.x], [start.y], [end.x], [end.y]
+        )[0]
 
     def handle_block(self, block: TripBlock) -> List[ServiceResponse]:
         """Serve a block of trips in arrival order: the planner step.
@@ -204,12 +211,8 @@ class PlacementService:
         coins = DrawStream(planner.rng, n, block=chunk)
         rides = DrawStream(fleet.rng, n, "standard_normal", block=chunk)
         coin, normal = coins.next, rides.next
-        nearest, decide = store.nearest, planner._decide
+        nearest, arrive = store.nearest, planner.arrive
         is_stocked, pick_bike, ride = fleet.is_stocked, fleet.pick_bike, fleet.ride
-        trace = planner.decisions.append
-        period = planner._check_period
-        since = planner._arrivals_since_check
-        live: List[int] = []  # rows whose end joins the KS window next
         out: List[ServiceResponse] = []
         emit = out.append
         j = 0
@@ -222,15 +225,8 @@ class PlacementService:
                     emit(ServiceResponse(order_id, False, -1, -1, False, None, 0.0))
                     continue
                 end = Point(ex[j], ey[j])
-                idx, c_ij = nearest(end)
-                dest_id, opened, walking, prob = decide(end, idx, c_ij, coin)
-                since += 1
-                live.append(j)
-                if since >= period:
-                    since = 0
-                    self._fill_window(live, ex, ey)
-                    planner._periodic_check()
-                trace(EsharingDecision(end, dest_id, opened, walking, prob, planner.penalty.name))
+                decision = arrive(end, *nearest(end), coin)
+                dest_id = decision.station_index
 
                 bike = pick_bike(origin_id)
                 if bike is None:  # guaranteed by pickup_station
@@ -245,7 +241,10 @@ class PlacementService:
                     planner.remove_station(origin_id)
                     self.retired.append(origin_id)
                     removed = origin_id
-                emit(ServiceResponse(order_id, True, origin_id, dest_id, opened, removed, walking))
+                emit(ServiceResponse(
+                    order_id, True, origin_id, dest_id, decision.opened, removed,
+                    decision.walking_cost,
+                ))
         except Exception as exc:  # noqa: BLE001 — classified by caller
             raise BlockApplyError(
                 index=j, outcomes=list(out), remaining_fresh=[True] * (n - j),
@@ -254,17 +253,8 @@ class PlacementService:
         finally:
             coins.settle()
             rides.settle()
-            self._fill_window(live, ex, ey)
-            planner._arrivals_since_check = since
             self.responses.extend(out)
         return out
-
-    def _fill_window(self, rows: List[int], ex: Sequence[float], ey: Sequence[float]) -> None:
-        """Push the ends of ``rows`` into the planner's KS live window,
-        in order, and clear ``rows``."""
-        if rows:
-            self.planner._live.extend(np.array([(ex[j], ey[j]) for j in rows], dtype=float))
-            rows.clear()
 
     def degraded_assign(
         self, order_id: int, start: Point, end: Point
@@ -306,16 +296,7 @@ class PlacementService:
             The responses for this batch, in order (also appended to
             :attr:`responses`).
         """
-        trips = list(trips)
-        try:
-            return self._serve(
-                [t.order_id for t in trips],
-                [t.start.x for t in trips], [t.start.y for t in trips],
-                [t.end.x for t in trips], [t.end.y for t in trips],
-            )
-        except BlockApplyError as exc:
-            cause = exc.cause
-        raise cause
+        return _raising_cause(self.handle_block, TripBlock.from_trips(list(trips)))
 
     # ------------------------------------------------------------------
     def state_dict(self) -> dict:

@@ -98,11 +98,12 @@ class Battery:
 
         Consumption is the mean per-km rate times a lognormal noise
         factor with sigma ``consumption_noise`` (no factor when it is 0).
-        The factor is drawn from ``rng``, or built from ``normal``, a
-        source of standard-normal draws: ``exp(0.0 + sigma * z)`` is
-        bit for bit what ``rng.lognormal(mean=0.0, sigma=sigma)`` returns
-        for the same ``z``, so a caller that fetches a block's draws at
-        once stays on the scalar trajectory.  With neither, no noise.
+        The factor is ``exp(0.0 + sigma * z)`` for one standard-normal
+        draw ``z`` taken from ``normal``, or else from
+        ``rng.standard_normal``: bit for bit what
+        ``rng.lognormal(mean=0.0, sigma=sigma)`` returns, so a caller
+        that fetches a block's draws at once stays on the scalar
+        trajectory.  With neither, no noise.
 
         Returns:
             The new charge level.
@@ -114,11 +115,10 @@ class Battery:
             raise ValueError(f"distance_m must be non-negative, got {distance_m}")
         noise = 1.0
         sigma = self.config.consumption_noise
-        if sigma > 0:
-            if normal is not None:
-                noise = math.exp(0.0 + sigma * normal())
-            elif rng is not None:
-                noise = float(rng.lognormal(mean=0.0, sigma=sigma))
+        if normal is None and rng is not None:
+            normal = rng.standard_normal
+        if sigma > 0 and normal is not None:
+            noise = math.exp(0.0 + sigma * normal())
         used_wh = (distance_m / 1000.0) * self.config.wh_per_km * noise
         self.level = max(0.0, self.level - used_wh / self.config.capacity_wh)
         return self.level

@@ -249,7 +249,8 @@ class Fleet:
 
     @property
     def rng(self) -> np.random.Generator:
-        """The ride-noise generator (one lognormal draw per noisy ride)."""
+        """The ride-noise generator (one standard-normal draw per noisy
+        ride)."""
         return self._rng
 
     def set_level(self, bike_id: int, level: float) -> None:

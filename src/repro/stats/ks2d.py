@@ -267,7 +267,9 @@ class LiveWindow:
     The online algorithm's live window previously lived in a Python list
     with an O(window) ``pop(0)`` per arrival once full; this ring buffer
     makes every push O(1) and hands the KS test its ``(n, 2)`` array
-    without rebuilding it from Python objects.
+    without rebuilding it from Python objects.  Pushes are buffered and
+    written in one bulk copy when the window is next read (or the buffer
+    reaches ``cap``), so a push costs one list append.
 
     Raises:
         ValueError: if the cap is not positive.
@@ -280,8 +282,10 @@ class LiveWindow:
         self._buf = np.empty((cap, 2), dtype=float)
         self._n = 0
         self._head = 0
+        self._pending: list = []
 
     def __len__(self) -> int:
+        self._flush()
         return self._n
 
     @property
@@ -290,15 +294,23 @@ class LiveWindow:
 
     def push(self, x: float, y: float) -> None:
         """Append one observation, evicting the oldest when full."""
-        self._buf[self._head, 0] = x
-        self._buf[self._head, 1] = y
-        self._head = (self._head + 1) % self._cap
-        if self._n < self._cap:
-            self._n += 1
+        pending = self._pending
+        pending.append((x, y))
+        if len(pending) >= self._cap:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Write the buffered pushes into the ring, in order."""
+        if self._pending:
+            pts, self._pending = self._pending, []
+            self._write(np.array(pts, dtype=float))
 
     def extend(self, points: np.ndarray) -> None:
         """Append ``(m, 2)`` observations in order (bulk, still O(m))."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        self._flush()
+        self._write(np.asarray(points, dtype=float).reshape(-1, 2))
+
+    def _write(self, pts: np.ndarray) -> None:
         if pts.shape[0] >= self._cap:
             # Only the trailing cap observations survive.
             self._buf[:] = pts[-self._cap :]
@@ -315,6 +327,7 @@ class LiveWindow:
 
     def array(self) -> np.ndarray:
         """The current window, oldest first, as an ``(n, 2)`` copy."""
+        self._flush()
         if self._n < self._cap:
             return self._buf[: self._n].copy()
         return np.concatenate([self._buf[self._head :], self._buf[: self._head]])

@@ -124,3 +124,14 @@ class TestBlockDrawnNoise:
             assert b.ride(distance, normal=normals.__next__) == a.ride(distance, rng=scalar)
         # A noiseless battery reads no draw at all.
         assert len(list(normals)) == (50 if sigma == 0.0 else 0)
+
+    def test_ride_from_rng_drains_by_scalar_lognormal(self):
+        config = BatteryConfig(consumption_noise=0.25)
+        ours, ref = np.random.default_rng(8), np.random.default_rng(8)
+        battery, level = Battery(config, 1.0), 1.0
+        for distance in np.linspace(0.0, 9000.0, 50):
+            noise = float(ref.lognormal(mean=0.0, sigma=0.25))
+            used_wh = (distance / 1000.0) * config.wh_per_km * noise
+            level = max(0.0, level - used_wh / config.capacity_wh)
+            assert battery.ride(distance, rng=ours) == level
+        assert ours.bit_generator.state == ref.bit_generator.state
