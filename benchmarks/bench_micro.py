@@ -395,8 +395,8 @@ def stream_serve(workdir, n, seed=7):
     """``GuardedRuntime.serve`` end to end with a durable journal, at a
     block of 256 vs a block of one (the same serve path).  The planner
     step runs row by row in either case (a pickup may retire a station
-    before the next row); only its draws and window fills are per
-    block, which bounds this ratio."""
+    before the next row); only its draws are per block, which bounds
+    this ratio."""
     stream = gauntlet.trips(n, seed=seed)
     runs = []
     for size in (1, BLOCK):
