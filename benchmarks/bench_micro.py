@@ -16,7 +16,7 @@ scheduler, not the code.
   (durable) → plan path; its per-trip side does one fsync per trip, so
   its ratio follows the host's fsync latency.
 * ``placement.*`` — Algorithm 1's lazy JMS solver against the per-round
-  rescan; Algorithm 2's batched ``EsharingPlanner.replay`` against one
+  rescan; Algorithm 2's cached ``EsharingPlanner.replay`` against one
   ``offer`` per arrival, plus one periodic KS check (the cached
   dominance grid against a from-scratch ``ks2d_fast``).
 * ``throughput.nn_backend`` — ``StationSet.nearest``, grid against
@@ -470,7 +470,7 @@ def _offer_each(planner, stream):
 
 
 def placement_replay(workdir, sizes, n_anchors, seed=0):
-    """Per-call ``offer`` loop vs batched ``replay`` from identical RNG
+    """Per-call ``offer`` loop vs cached ``replay`` from identical RNG
     streams, then one periodic KS check (800 vs 800 points)."""
     rng = np.random.default_rng(seed)
     sites = random_points(rng, n_anchors, EXTENT_M)

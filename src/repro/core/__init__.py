@@ -26,7 +26,7 @@ from .penalty import (
     select_penalty,
 )
 from .esharing import EsharingConfig, EsharingDecision, EsharingPlanner, esharing_placement
-from .replay import NearestCache, DrawStream, checkpoint_schedule
+from .replay import NearestCache, DrawStream
 from .tripblock import TripBlock, datetime_to_us, us_to_datetime
 from .local_search import local_search, refine_placement
 from .capacity import CapacitatedAssignment, assign_with_capacity
@@ -71,7 +71,6 @@ __all__ = [
     "esharing_placement",
     "NearestCache",
     "DrawStream",
-    "checkpoint_schedule",
     "TripBlock",
     "datetime_to_us",
     "us_to_datetime",

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .penalty import (
     TypeIIPenalty,
     select_penalty,
 )
-from .replay import DrawStream, NearestCache, checkpoint_schedule
+from .replay import DrawStream, NearestCache
 from .result import PlacementResult
 from .station_set import BACKENDS, StationSet
 from .tripblock import TripBlock
@@ -242,37 +242,6 @@ class EsharingPlanner:
         return self._rng
 
     # ------------------------------------------------------------------
-    def _decide(
-        self,
-        destination: Point,
-        nearest_id: int,
-        c_ij: float,
-        draw: Callable[[], float],
-    ) -> Tuple[int, bool, float, float]:
-        """The opening rule (lines 6-7 of Algorithm 2) for one request.
-
-        ``nearest_id`` at ``c_ij`` is the nearest active station.  The
-        scaled cost, the penalty and the probability are computed, then
-        ``draw()`` flips the coin — exactly one draw per request, after
-        every computation that may raise.  An opening adds the station
-        and pays its unscaled cost; otherwise the walk is paid.
-        :meth:`arrive` and :meth:`replay` both go through here, so every
-        path agrees bit for bit.
-
-        Returns:
-            ``(station_index, opened, walking_cost, open_probability)``.
-        """
-        scaled_f = self._facility_cost(destination) * self._cost_scale
-        g = self.penalty.value(c_ij)
-        prob = 1.0 if scaled_f <= 0 else min(g * c_ij / scaled_f, 1.0)
-        if draw() < prob and c_ij > 0:
-            station_index = self.station_set.add(destination)
-            self.online_opened.append(station_index)
-            self.space += self._facility_cost(destination)
-            return station_index, True, 0.0, prob
-        self.walking += c_ij
-        return nearest_id, False, c_ij, prob
-
     def offer(self, destination: Point) -> EsharingDecision:
         """Process one request (lines 5-11 of Algorithm 2)."""
         idx, c_ij = self.station_set.nearest(destination)
@@ -290,24 +259,36 @@ class EsharingPlanner:
 
         ``nearest_id`` at ``c_ij`` is the nearest active station, and
         ``draw()`` returns the request's coin flip, a uniform draw from
-        :attr:`rng` (the serve path passes draws it fetched in one block).
-        The opening rule is applied, the destination joins the KS live
-        window, and every ``beta * k`` arrivals the opening cost doubles
-        and the penalty is re-selected.  :meth:`offer` and the serve
-        path's block step both run here.
+        :attr:`rng` (callers may pass draws fetched in one block).  The
+        scaled cost, the penalty and the probability are computed, then
+        the coin is flipped — exactly one draw per request, after every
+        computation that may raise.  An opening adds the station and
+        pays its unscaled cost; otherwise the walk is paid.  The
+        destination then joins the KS live window, and every ``beta * k``
+        arrivals the opening cost doubles and the penalty is re-selected.
+        :meth:`offer`, :meth:`replay` and the serve path's block step
+        all run here, so every path agrees bit for bit.
         """
-        station_index, opened, walking_cost, prob = self._decide(
-            destination, nearest_id, c_ij, draw
-        )
+        scaled_f = self._facility_cost(destination) * self._cost_scale
+        g = self.penalty.value(c_ij)
+        prob = 1.0 if scaled_f <= 0 else min(g * c_ij / scaled_f, 1.0)
+        opened = draw() < prob and c_ij > 0
+        if opened:
+            nearest_id = self.station_set.add(destination)
+            self.online_opened.append(nearest_id)
+            self.space += self._facility_cost(destination)
+            c_ij = 0.0
+        else:
+            self.walking += c_ij
         self._arrivals_since_check += 1
         self._live.push(destination.x, destination.y)
         if self._arrivals_since_check >= self._check_period:
             self._periodic_check()
         decision = EsharingDecision(
             destination=destination,
-            station_index=station_index,
+            station_index=nearest_id,
             opened=opened,
-            walking_cost=walking_cost,
+            walking_cost=c_ij,
             open_probability=prob,
             penalty_name=self.penalty.name,
         )
@@ -315,85 +296,55 @@ class EsharingPlanner:
         return decision
 
     def replay(self, stream: Sequence[Point]) -> List[EsharingDecision]:
-        """Process a whole request stream through the batched fast path.
+        """Process a whole request stream: :meth:`offer` per element,
+        with the nearest-station scan answered from a cache.
 
-        Bit-identical to calling :meth:`offer` once per element, and
-        interleaves freely with per-call offers: it carries in the
-        current checkpoint counter, cost scale and live window, and
-        leaves the planner in exactly the state the per-call loop would.
-        The speedup comes from replacing the per-arrival
-        ``StationSet.nearest`` scan with a :class:`NearestCache`
-        (vectorized upfront, patched incrementally per opening), fetching
-        the per-arrival RNG draws in blocks, and precomputing the
-        doubling-checkpoint schedule instead of testing a counter per
-        arrival.  Decision distances are recomputed with the scalar
-        ``Point.distance_to`` so probabilities and walking sums match the
-        per-call path bit for bit (see ``core/replay.py``).
+        Every arrival runs through :meth:`arrive`, so the checkpoint
+        counter, the live window and the decision trace move exactly as
+        in the per-call loop, and replays interleave freely with offers.
+        What is saved is the per-arrival ``StationSet.nearest`` scan: a
+        :class:`NearestCache` (vectorized up front, patched per opening)
+        selects the station, and the decision distance is recomputed
+        with the scalar ``Point.distance_to`` so every probability and
+        walking sum matches the per-call path bit for bit (see
+        ``core/replay.py``).  Coin flips are fetched in blocks, and the
+        generator is settled after every return and raise, so a raise at
+        arrival ``t`` leaves the planner as the per-call loop leaves it.
 
         ``stream`` may also be a :class:`~repro.core.tripblock.TripBlock`
         — its trip *end* coordinates are the request destinations, and
-        the cache is seeded straight from the columnar arrays without
-        materialising per-point objects.
+        the cache is seeded straight from the columnar arrays.
+
+        Raises:
+            ValueError: when no station is active, as :meth:`offer` does.
         """
+        store = self.station_set
         if isinstance(stream, TripBlock):
-            n = len(stream)
-            if n == 0:
-                return []
-            store = self.station_set
-            cache = NearestCache(
-                (stream.end_x, stream.end_y), store.ids(), store.locations()
-            )
-            ex = stream.end_x.tolist()
-            ey = stream.end_y.tolist()
-            destinations = [Point(ex[t], ey[t]) for t in range(n)]
+            arrivals = (stream.end_x, stream.end_y)
+            destinations = [
+                Point(x, y)
+                for x, y in zip(stream.end_x.tolist(), stream.end_y.tolist())
+            ]
         else:
             destinations = list(stream)
-            n = len(destinations)
-            if n == 0:
-                return []
-            store = self.station_set
-            cache = NearestCache(destinations, store.ids(), store.locations())
-        uniforms = DrawStream(self._rng, n)
-        fires = checkpoint_schedule(self._arrivals_since_check, n, self._check_period)
-        fire_iter = iter(fires)
-        next_fire = next(fire_iter, -1)
+            arrivals = destinations
+        if not destinations:
+            return []
+        cache = NearestCache(arrivals, store.ids(), store.locations())
+        uniforms = DrawStream(self._rng, len(destinations))
+        arrive, draw, location = self.arrive, uniforms.next, store.location
         out: List[EsharingDecision] = []
-        # Hot-loop locals: the penalty's name only changes inside
-        # _periodic_check, so it is re-read right after each fire; the
-        # rest are invariant method/bound lookups hoisted out of the loop.
-        decide = self._decide
-        penalty_name = self.penalty.name
-        live_push = self._live.push
-        draw = uniforms.next
-        store_location = store.location
-        trace = self.decisions.append
-        emit = out.append
-        for t, dest in enumerate(destinations):
-            sid = int(cache.best_id[t])
-            c_ij = dest.distance_to(store_location(sid))
-            station_index, opened, walking_cost, prob = decide(dest, sid, c_ij, draw)
-            if opened:
-                cache.open(t, dest, station_index)
-            live_push(dest.x, dest.y)
-            if t == next_fire:
-                self._periodic_check()
-                next_fire = next(fire_iter, -1)
-                penalty_name = self.penalty.name
-            decision = EsharingDecision(
-                destination=dest,
-                station_index=station_index,
-                opened=opened,
-                walking_cost=walking_cost,
-                open_probability=prob,
-                penalty_name=penalty_name,
-            )
-            trace(decision)
-            emit(decision)
-        # Restore the per-call counter contract for any later offer().
-        if fires:
-            self._arrivals_since_check = n - 1 - fires[-1]
-        else:
-            self._arrivals_since_check += n
+        try:
+            for t, dest in enumerate(destinations):
+                sid = int(cache.best_id[t])
+                if sid < 0:
+                    raise ValueError("nearest() on an empty StationSet")
+                decision = arrive(dest, sid, dest.distance_to(location(sid)), draw)
+                if decision.opened:
+                    cache.open(t, dest, decision.station_index)
+                out.append(decision)
+        finally:
+            uniforms.settle()
         return out
 
     def remove_station(self, station_index: int) -> None:
@@ -602,17 +553,9 @@ def esharing_placement(
     historical: np.ndarray,
     rng: np.random.Generator,
     config: Optional[EsharingConfig] = None,
-    batched: bool = False,
 ) -> PlacementResult:
-    """Run Algorithm 2 over a full request stream (batch convenience).
-
-    ``batched=True`` routes through :meth:`EsharingPlanner.replay` —
-    bit-identical placements, several times faster on long streams.
-    """
+    """Run Algorithm 2 over a full request stream: one
+    :meth:`EsharingPlanner.replay` of a fresh planner."""
     planner = EsharingPlanner(offline_stations, facility_cost, historical, rng, config)
-    if batched:
-        planner.replay(stream)
-    else:
-        for dest in stream:
-            planner.offer(dest)
+    planner.replay(stream)
     return planner.result()

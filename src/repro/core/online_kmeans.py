@@ -39,11 +39,14 @@ def online_kmeans_placement(
     facility_cost: FacilityCostFn,
     rng: np.random.Generator,
     gamma: Optional[float] = None,
-    nn_backend: str = "linear",
-    nn_cell_size: Optional[float] = None,
-    batched: bool = False,
 ) -> PlacementResult:
     """Run online k-means clustering over a destination stream.
+
+    After the warm-up, each request's nearest centre comes from a
+    :class:`~repro.core.replay.NearestCache` and the coin flips are
+    fetched in blocks; the decision distance is the scalar
+    ``Point.distance_to``, so the run is bit-identical to a per-request
+    ``StationSet.nearest`` scan with one ``rng.uniform()`` per request.
 
     Args:
         stream: request destinations in arrival order.
@@ -51,15 +54,10 @@ def online_kmeans_placement(
             station count).
         facility_cost: used only to charge space cost for each opened
             centre, so results are comparable with the other algorithms.
-        rng: randomness for the opening coin flips.
+        rng: randomness for the opening coin flips, drawn ahead in
+            blocks (so it must not also feed ``facility_cost``).
         gamma: per-phase opening budget before ``f`` doubles; defaults to
             ``3 * k * (1 + log2(n))`` as in [26].
-        nn_backend: :class:`StationSet` nearest-neighbour backend
-            (``"linear"`` or ``"grid"``); output is identical either way.
-        nn_cell_size: grid-bucket side for the ``"grid"`` backend.
-        batched: replace the per-arrival nearest scan with the
-            :class:`~repro.core.replay.NearestCache` fast path —
-            bit-identical results, several times faster on long streams.
 
     Raises:
         ValueError: if ``k`` is not positive.
@@ -68,7 +66,7 @@ def online_kmeans_placement(
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     n = len(stream)
-    stations = StationSet(backend=nn_backend, cell_size=nn_cell_size)
+    stations = StationSet()
     assignment: List[int] = []
     online_opened: List[int] = []
     walking = 0.0
@@ -97,27 +95,18 @@ def online_kmeans_placement(
     budget = gamma if gamma is not None else 3.0 * k * (1.0 + math.log2(max(n, 2)))
     opened_this_phase = 0
 
-    cache = uniforms = None
-    if batched:
-        rest = stream[warmup:]
-        cache = NearestCache(rest, stations.ids(), stations.locations())
-        uniforms = DrawStream(rng, len(rest))
-    for t in range(warmup, n):
-        dest = stream[t]
-        if batched:
-            idx = int(cache.best_id[t - warmup])
-            # Scalar recompute keeps dist bit-identical to the scan.
-            dist = dest.distance_to(stations.location(idx))
-        else:
-            idx, dist = stations.nearest(dest)
+    rest = stream[warmup:]
+    cache = NearestCache(rest, stations.ids(), stations.locations())
+    uniforms = DrawStream(rng, len(rest))
+    for t, dest in enumerate(rest):
+        idx = int(cache.best_id[t])
+        dist = dest.distance_to(stations.location(idx))
         prob = min(dist**2 / f, 1.0)
-        u = uniforms.next() if batched else rng.uniform()
-        if u < prob:
+        if uniforms.next() < prob:
             online_opened.append(stations.add(dest))
             space += facility_cost(dest)
             assignment.append(online_opened[-1])
-            if batched:
-                cache.open(t - warmup, dest, online_opened[-1])
+            cache.open(t, dest, online_opened[-1])
             opened_this_phase += 1
             if opened_this_phase >= budget:
                 f *= 2.0

@@ -33,70 +33,54 @@ def meyerson_placement(
     rng: np.random.Generator,
     initial_stations: Optional[Sequence[Point]] = None,
     penalty: Optional[PenaltyFunction] = None,
-    nn_backend: str = "linear",
-    nn_cell_size: Optional[float] = None,
-    batched: bool = False,
 ) -> PlacementResult:
     """Run Meyerson's online algorithm over a destination stream.
+
+    The nearest open parking of each request comes from a
+    :class:`~repro.core.replay.NearestCache` and the coin flips are
+    fetched in blocks; the decision distance is the scalar
+    ``Point.distance_to``, so the run is bit-identical to a per-request
+    ``StationSet.nearest`` scan with one ``rng.uniform()`` per request.
 
     Args:
         stream: request destinations in arrival order (weight 1 each).
         facility_cost: opening cost ``f_i`` at each location.
-        rng: randomness for the opening coin flips.
+        rng: randomness for the opening coin flips, drawn ahead in
+            blocks (so it must not also feed ``facility_cost``).
         initial_stations: optional pre-existing parking (their space cost
             is charged up front).
         penalty: optional deviation penalty ``g``; when given, the opening
             probability becomes ``min(g(d) * d / f, 1)`` — the setting of
             the paper's Section V-B sector experiment (Table III), where
             ``no penalty`` is plain Meyerson.
-        nn_backend: :class:`StationSet` nearest-neighbour backend
-            (``"linear"`` or ``"grid"``); output is identical either way.
-        nn_cell_size: grid-bucket side for the ``"grid"`` backend.
-        batched: replace the per-arrival nearest scan with the
-            :class:`~repro.core.replay.NearestCache` fast path —
-            bit-identical results (same RNG draws, same scalar decision
-            distances), several times faster on long streams.
 
     Returns:
         :class:`PlacementResult`; ``assignment[t]`` is the irrevocable
         decision for the ``t``-th request.
     """
     stream = list(stream)
-    stations = StationSet(
-        initial_stations, backend=nn_backend, cell_size=nn_cell_size
-    )
+    stations = StationSet(initial_stations)
     space = sum(facility_cost(s) for s in stations.locations())
     online_opened: List[int] = []
     assignment: List[int] = []
     walking = 0.0
-    cache = uniforms = None
-    if batched:
-        cache = NearestCache(stream, stations.ids(), stations.locations())
-        uniforms = DrawStream(rng, len(stream))
+    cache = NearestCache(stream, stations.ids(), stations.locations())
+    uniforms = DrawStream(rng, len(stream))
     for t, dest in enumerate(stream):
-        if batched:
-            idx = int(cache.best_id[t])
-            # The decision distance is recomputed with the same scalar
-            # math.hypot the per-call scan uses (see core/replay.py).
-            dist = dest.distance_to(stations.location(idx)) if idx >= 0 else float("inf")
-        elif len(stations):
-            idx, dist = stations.nearest(dest)
-        else:
-            idx, dist = -1, float("inf")
+        idx = int(cache.best_id[t])
+        dist = dest.distance_to(stations.location(idx)) if idx >= 0 else float("inf")
         f = facility_cost(dest)
         g = 1.0
         if penalty is not None and np.isfinite(dist):
             g = penalty.value(dist)
         prob = 1.0 if f <= 0 else min(g * dist / f, 1.0)
-        u = uniforms.next() if batched else rng.uniform()
-        if u < prob:
+        if uniforms.next() < prob:
             # No removals happen here, so the stable id doubles as the
             # position in the final dense station list.
             online_opened.append(stations.add(dest))
             space += f
             assignment.append(online_opened[-1])
-            if batched:
-                cache.open(t, dest, online_opened[-1])
+            cache.open(t, dest, online_opened[-1])
         else:
             assignment.append(idx)
             walking += dist

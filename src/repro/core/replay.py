@@ -1,14 +1,16 @@
-"""Shared machinery for the batched ``replay`` paths of the online planners.
+"""Shared machinery for the cached loops of the online planners.
 
 Every online planner (Algorithm 2, Meyerson, online k-means) spends its
 per-arrival budget on the same two things: a nearest-station query and a
-handful of scalar cost/probability operations.  The per-call APIs pay a
-Python-level ``StationSet.nearest`` per arrival; the batched replay paths
-instead maintain a :class:`NearestCache` — the nearest active station of
-every *future* arrival, computed once with blocked NumPy broadcasting and
-patched incrementally when a station opens (only strictly-closer entries
+handful of scalar cost/probability operations.  The whole-stream entry
+points (``EsharingPlanner.replay``, ``meyerson_placement``,
+``online_kmeans_placement``) answer the query from a
+:class:`NearestCache` — the nearest active station of every *future*
+arrival, computed once with blocked NumPy broadcasting and patched
+incrementally when a station opens (only strictly-closer entries
 change, and a new station can never steal a tie because its id is the
-highest).
+highest).  The baselines' per-arrival ``StationSet.nearest`` loops are
+kept only as the parity oracle in ``tests/core/placement_oracle.py``.
 
 Bit-identity contract (see DESIGN.md "Performance"):
 
@@ -21,17 +23,17 @@ Bit-identity contract (see DESIGN.md "Performance"):
   other that are *not* bitwise-equal under both formulas; exact ties
   (duplicate points) produce identical bits under both and resolve to the
   lowest id either way.
-* RNG draws happen one per arrival in arrival order.  Replay fetches them
+* RNG draws happen one per arrival in arrival order.  They are fetched
   in blocks via ``rng.uniform(size=m)``, which NumPy guarantees consumes
   the stream exactly like ``m`` scalar ``rng.uniform()`` calls.  A caller
-  that may stop short of its block (the serve path refuses a trip when
-  no station holds a bike, and draws nothing for it) settles the stream:
-  the generator is rewound to where the draws actually used leave it.
+  that may stop short of its block (``replay`` on a raise; the serve path
+  refuses a trip when no station holds a bike, and draws nothing for it)
+  settles the stream: the generator is rewound to where the draws
+  actually used leave it.
 """
 
 from __future__ import annotations
 
-import math
 from typing import List, Sequence
 
 import numpy as np
@@ -39,7 +41,7 @@ import numpy as np
 from ..geo.points import Point
 from .offline import DEFAULT_BLOCK_ELEMS
 
-__all__ = ["NearestCache", "DrawStream", "checkpoint_schedule"]
+__all__ = ["NearestCache", "DrawStream"]
 
 
 class NearestCache:
@@ -190,22 +192,3 @@ class DrawStream:
         self._pos = 0
         self._left = 0
 
-
-def checkpoint_schedule(counter: float, n: int, period: float) -> List[int]:
-    """Arrival indices (0-based) where a ``counter >= period`` checkpoint
-    fires, given the per-call contract: increment the counter once per
-    arrival, fire when it reaches ``period``, reset it to zero.
-
-    ``counter`` is the value carried in from arrivals already processed.
-    The schedule is exact because ``period`` never changes mid-stream
-    (``beta`` and ``k`` are fixed for a planner's lifetime).
-    """
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    fires: List[int] = []
-    step = max(1, math.ceil(period))
-    nxt = max(1, math.ceil(period - counter))
-    while nxt <= n:
-        fires.append(nxt - 1)
-        nxt += step
-    return fires

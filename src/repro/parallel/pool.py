@@ -2,7 +2,7 @@
 
 The execution contract every fast path in this repo honours is
 *bit-identical outputs*: the lazy offline solver matches the reference
-rescan, the batched replay matches the per-call loop, recovery matches
+rescan, the cached replay matches the per-call loop, recovery matches
 the uncrashed run.  :class:`ParallelRunner` extends that contract to
 multicore execution: a sweep fanned across ``N`` worker processes
 returns **exactly** the results of running the same tasks serially, for

@@ -1,12 +1,11 @@
-"""Parity of the batched replay paths against the per-call online APIs.
+"""Parity of the cached online placement loops against per-call loops.
 
 The contract (core/replay.py, DESIGN.md "Performance"): one RNG draw per
 arrival in arrival order, scalar decision distances, nearest-station
-selection with the lowest-id tie-break — so every planner's batched path
-must reproduce its per-call path bit for bit.
+selection with the lowest-id tie-break — so ``EsharingPlanner.replay``
+must reproduce a loop of ``offer`` calls, and the two baselines the
+per-arrival oracles in ``placement_oracle.py``, bit for bit.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ import pytest
 from repro.core import (
     EsharingConfig,
     EsharingPlanner,
-    checkpoint_schedule,
     constant_facility_cost,
     meyerson_placement,
     online_kmeans_placement,
@@ -25,6 +23,8 @@ from repro.core.replay import DrawStream
 from repro.core.tripblock import TripBlock
 from repro.gauntlet import trips as demo_trips
 from repro.geo import Point
+
+from .placement_oracle import meyerson_per_call, online_kmeans_per_call
 
 
 def _points(rng, n, extent=5_000.0):
@@ -109,6 +109,48 @@ class TestEsharingReplay:
         batched.replay(TripBlock.from_trips(trips[300:]))
         _same_run(per_call, batched)
 
+    @pytest.mark.parametrize("case", ["cost@0", "cost@37", "cost@700", "retired"])
+    def test_raise_leaves_planner_as_offer_loop_does(self, case):
+        # A raise at arrival k leaves decisions, counter, live window and
+        # coin generator where the offer loop leaves them, and is the
+        # offer loop's exception.
+        rng = np.random.default_rng(11)
+        anchors = _points(rng, 6)
+        historical = rng.uniform(0, 5_000.0, size=(400, 2))
+        stream = _points(rng, 1_000)
+        bad = stream[5 + int(case.split("@")[1])] if "@" in case else None
+
+        def cost(p):
+            if p == bad:
+                raise RuntimeError("no cost for this location")
+            return 700.0
+
+        runs = []
+        for step in ("offer", "replay"):
+            planner = EsharingPlanner(
+                anchors, cost, historical, np.random.default_rng(12),
+                EsharingConfig(beta=1.0),
+            )
+            for p in stream[:5]:
+                planner.offer(p)
+            if bad is None:
+                for sid in planner.station_set.ids():
+                    planner.remove_station(sid)
+            with pytest.raises(Exception) as info:
+                if step == "offer":
+                    for p in stream[5:]:
+                        planner.offer(p)
+                else:
+                    planner.replay(stream[5:])
+            runs.append((planner, info.type))
+        (a, ea), (b, eb) = runs
+        assert ea is eb is (ValueError if bad is None else RuntimeError)
+        assert a.decisions == b.decisions
+        assert a._arrivals_since_check == b._arrivals_since_check
+        assert a._cost_scale == b._cost_scale
+        assert np.array_equal(a._live.array(), b._live.array())
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+
     def test_empty_stream_is_noop(self):
         planner, _ = _setup(0, 10)
         scale = planner._cost_scale
@@ -117,7 +159,17 @@ class TestEsharingReplay:
         assert planner._cost_scale == scale
 
 
+def _same_placement(a, b):
+    assert a.stations == b.stations
+    assert a.assignment == b.assignment
+    assert a.walking == b.walking
+    assert a.space == b.space
+    assert a.online_opened == b.online_opened
+
+
 class TestBaselineBatched:
+    """The production baselines against their per-arrival oracles."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_meyerson(self, seed):
         rng = np.random.default_rng(seed)
@@ -125,43 +177,38 @@ class TestBaselineBatched:
         stream = _with_duplicates(rng, stream, stream[:5])
         init = _points(rng, 4) if seed % 2 else None
         penalty = TypeIPenalty(200.0) if seed % 3 == 0 else None
-        runs = {}
-        for batched in (False, True):
+        runs = []
+        for run in (meyerson_per_call, meyerson_placement):
             fc = uniform_facility_cost(500.0, np.random.default_rng(seed + 1))
-            runs[batched] = meyerson_placement(
-                stream, fc, np.random.default_rng(seed + 2),
-                initial_stations=init, penalty=penalty, batched=batched,
-            )
-        assert runs[False].stations == runs[True].stations
-        assert runs[False].assignment == runs[True].assignment
-        assert runs[False].walking == runs[True].walking
-        assert runs[False].space == runs[True].space
+            coins = np.random.default_rng(seed + 2)
+            result = run(stream, fc, coins, initial_stations=init, penalty=penalty)
+            runs.append((result, coins.bit_generator.state))
+        (want, want_rng), (got, got_rng) = runs
+        _same_placement(want, got)
+        assert want_rng == got_rng
 
     @pytest.mark.parametrize("seed", range(6))
     def test_online_kmeans(self, seed):
         rng = np.random.default_rng(seed)
         stream = _points(rng, 800)
         stream = _with_duplicates(rng, stream, stream[:5])
-        runs = {}
-        for batched in (False, True):
-            runs[batched] = online_kmeans_placement(
-                stream, 10, constant_facility_cost(400.0),
-                np.random.default_rng(seed + 3), batched=batched,
-            )
-        assert runs[False].stations == runs[True].stations
-        assert runs[False].assignment == runs[True].assignment
-        assert runs[False].walking == runs[True].walking
-        assert runs[False].space == runs[True].space
+        runs = []
+        for run in (online_kmeans_per_call, online_kmeans_placement):
+            coins = np.random.default_rng(seed + 3)
+            result = run(stream, 10, constant_facility_cost(400.0), coins)
+            runs.append((result, coins.bit_generator.state))
+        (want, want_rng), (got, got_rng) = runs
+        _same_placement(want, got)
+        assert want_rng == got_rng
 
     def test_kmeans_short_stream_warmup_only(self):
         rng = np.random.default_rng(9)
         stream = _points(rng, 5)
-        a = online_kmeans_placement(
+        a = online_kmeans_per_call(
             stream, 10, constant_facility_cost(1.0), np.random.default_rng(0)
         )
         b = online_kmeans_placement(
-            stream, 10, constant_facility_cost(1.0), np.random.default_rng(0),
-            batched=True,
+            stream, 10, constant_facility_cost(1.0), np.random.default_rng(0)
         )
         assert a.stations == b.stations and a.assignment == b.assignment
 
@@ -182,17 +229,30 @@ class TestReplayPrimitives:
         [(0, 100, 10), (3, 100, 10), (0, 50, 7.5), (2, 40, 3.0), (0, 5, 100)],
     )
     def test_checkpoint_schedule_matches_counter_loop(self, counter, n, period):
-        fires = []
+        # Two anchors, so the checkpoint period beta * k is 2 * beta.
+        rng = np.random.default_rng(17)
+        planner = EsharingPlanner(
+            _points(rng, 2), constant_facility_cost(700.0),
+            rng.uniform(0, 5_000.0, size=(300, 2)), np.random.default_rng(18),
+            EsharingConfig(beta=period / 2, reset_on_shift=False),
+        )
+        stream = _points(rng, counter + n)
+        for p in stream[:counter]:
+            planner.offer(p)
+        scale = planner._cost_scale
+        fires = 0
         c = counter
-        for t in range(n):
+        for _ in range(n):
             c += 1
             if c >= period:
-                fires.append(t)
+                fires += 1
                 c = 0
-        assert checkpoint_schedule(counter, n, period) == fires
-        if fires:
-            assert n - 1 - fires[-1] == c
+        planner.replay(stream[counter:])
+        assert planner._arrivals_since_check == c
+        assert planner._cost_scale == scale * 2.0**fires
 
     def test_checkpoint_schedule_rejects_bad_period(self):
-        with pytest.raises(ValueError):
-            checkpoint_schedule(0, 10, 0)
+        # The period beta * k is at least k: beta below 1 is refused.
+        for beta in (0.0, 0.5, 0.999):
+            with pytest.raises(ValueError):
+                EsharingConfig(beta=beta)

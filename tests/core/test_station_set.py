@@ -20,6 +20,8 @@ from repro.core import (
 )
 from repro.geo import Point
 
+from .placement_oracle import meyerson_per_call, online_kmeans_per_call
+
 
 class TestConstruction:
     def test_unknown_backend_rejected(self):
@@ -191,7 +193,9 @@ class TestBackendEquivalence:
 
 class TestPlacementBitIdentity:
     """Acceptance: placement outputs (stations, assignments, costs) are
-    bit-identical between backends for a fixed seed."""
+    bit-identical between backends for a fixed seed.  The baselines have
+    no backend switch: their per-arrival oracles scan a grid-backed
+    StationSet against the production cached loop."""
 
     def _stream(self, seed, n=300):
         rng = np.random.default_rng(seed)
@@ -220,8 +224,8 @@ class TestPlacementBitIdentity:
         stream = self._stream(11)
         cost_fn = constant_facility_cost(5_000.0)
         a = meyerson_placement(stream, cost_fn, np.random.default_rng(3))
-        b = meyerson_placement(
-            stream, cost_fn, np.random.default_rng(3), nn_backend="grid"
+        b = meyerson_per_call(
+            stream, cost_fn, np.random.default_rng(3), backend="grid"
         )
         assert a.stations == b.stations
         assert a.assignment == b.assignment
@@ -232,8 +236,8 @@ class TestPlacementBitIdentity:
         stream = self._stream(13)
         cost_fn = constant_facility_cost(5_000.0)
         a = online_kmeans_placement(stream, 8, cost_fn, np.random.default_rng(5))
-        b = online_kmeans_placement(
-            stream, 8, cost_fn, np.random.default_rng(5), nn_backend="grid"
+        b = online_kmeans_per_call(
+            stream, 8, cost_fn, np.random.default_rng(5), backend="grid"
         )
         assert a.stations == b.stations
         assert a.assignment == b.assignment
