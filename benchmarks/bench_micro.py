@@ -17,8 +17,10 @@ scheduler, not the code.
   its ratio follows the host's fsync latency.
 * ``placement.*`` — Algorithm 1's lazy JMS solver against the per-round
   rescan; Algorithm 2's cached ``EsharingPlanner.replay`` against one
-  ``offer`` per arrival, plus one periodic KS check (the cached
-  dominance grid against a from-scratch ``ks2d_fast``).
+  ``offer`` per arrival, plus one periodic KS check (``CachedKS2D``
+  against a from-scratch ``ks2d_fast``); and the periodic KS check on
+  a sliding live window, counts carried between checks against a
+  fresh ``CachedKS2D`` per check.
 * ``throughput.nn_backend`` — ``StationSet.nearest``, grid against
   linear.
 * ``parallel.*`` — process fan-outs against their serial runs.
@@ -98,7 +100,7 @@ from repro.resilience.service import CheckpointingService, constant_cost_spec
 from repro.resilience.scrub import scrub_tree
 from repro.shard import FleetSupervisor
 from repro.shard import supervisor as shard_supervisor
-from repro.stats.ks2d import CachedKS2D, ks2d_fast
+from repro.stats.ks2d import CachedKS2D, LiveWindow, ks2d_fast
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
@@ -123,6 +125,7 @@ GATES = (
     Gate("stream.replay", 10.0),
     Gate("placement.offline", 5.0),  # at 2,000 demands
     Gate("placement.replay", 3.0),  # at 100,000 arrivals
+    Gate("placement.ks_slide", 1.2),  # history 200, window 200, period 32
     Gate("throughput.nn_backend", 3.0),  # at 10,000 stations
     Gate("parallel.placement", 1.6, min_cores=4),  # at 4 workers
     Gate("loadgen.apply", 5.0, min_cores=4),
@@ -516,6 +519,36 @@ def placement_replay(workdir, sizes, n_anchors, seed=0):
     }
 
 
+def placement_ks_slide(workdir, n_hist, window, period, checks, seed=0):
+    """Algorithm 2's periodic KS check on a sliding live window: one
+    ``CachedKS2D`` carried across every check against a fresh cache per
+    check (counting from scratch).  Both must equal ``ks2d_fast`` at
+    every check; only the ``test`` calls are timed."""
+    rng = np.random.default_rng(seed)
+    past = rng.normal(size=(n_hist, 2))
+    arrivals = rng.normal(loc=0.2, size=(window + period * checks, 2))
+    carried, live = CachedKS2D(past), LiveWindow(window)
+    slow_s = fast_s = 0.0
+    for t, (x, y) in enumerate(arrivals.tolist(), 1):
+        live.push(x, y)
+        if t <= window or (t - window) % period:
+            continue
+        sample, fresh = live.array(), CachedKS2D(past)
+        want, seconds = _timed(fresh.test, sample)
+        slow_s += seconds
+        got, seconds = _timed(carried.test, sample)
+        fast_s += seconds
+        _check(
+            got == want == ks2d_fast(past, sample),
+            f"carried KS check diverged at arrival {t}",
+        )
+    return _ratio(
+        "CachedKS2D.test carried vs fresh per check", checks, slow_s, fast_s,
+        slow_us_per_check=1e6 * slow_s / checks,
+        fast_us_per_check=1e6 * fast_s / checks,
+    )
+
+
 def throughput_nn_backend(workdir, counts, n_queries, seed=0, extent_m=30_000.0):
     """``StationSet.nearest`` per backend over a station-count sweep, on
     one seeded query stream; both backends must answer the same ids."""
@@ -809,6 +842,11 @@ LEGS = {
         placement_replay,
         {"sizes": (10_000, 100_000), "n_anchors": 150},
         {"sizes": (3_000,), "n_anchors": 40, "seed": 4},
+    ),
+    "placement.ks_slide": (
+        placement_ks_slide,
+        {"n_hist": 200, "window": 200, "period": 32, "checks": 400},
+        {"n_hist": 200, "window": 200, "period": 32, "checks": 40},
     ),
     "throughput.nn_backend": (
         throughput_nn_backend,

@@ -184,7 +184,8 @@ class EsharingPlanner:
             idx = np.linspace(0, self._historical.shape[0] - 1, window).astype(int)
             self._historical = self._historical[idx]
         # The historical side of every periodic KS test is fixed for the
-        # planner's lifetime — sort/rank it once instead of per checkpoint.
+        # planner's lifetime, and the live window only slides between
+        # tests: the cache counts the first once and carries the second.
         self._ks_cache = CachedKS2D(self._historical)
         self._rng = rng
         # Line 3: w* = min pairwise distance / 2 (0 for a single anchor).

@@ -55,7 +55,9 @@ def online_kmeans_placement(
         facility_cost: used only to charge space cost for each opened
             centre, so results are comparable with the other algorithms.
         rng: randomness for the opening coin flips, drawn ahead in
-            blocks (so it must not also feed ``facility_cost``).
+            blocks (so it must not also feed ``facility_cost``).  After
+            a return or a raise it stands where one ``rng.uniform()``
+            per processed request leaves it.
         gamma: per-phase opening budget before ``f`` doubles; defaults to
             ``3 * k * (1 + log2(n))`` as in [26].
 
@@ -98,22 +100,25 @@ def online_kmeans_placement(
     rest = stream[warmup:]
     cache = NearestCache(rest, stations.ids(), stations.locations())
     uniforms = DrawStream(rng, len(rest))
-    for t, dest in enumerate(rest):
-        idx = int(cache.best_id[t])
-        dist = dest.distance_to(stations.location(idx))
-        prob = min(dist**2 / f, 1.0)
-        if uniforms.next() < prob:
-            online_opened.append(stations.add(dest))
-            space += facility_cost(dest)
-            assignment.append(online_opened[-1])
-            cache.open(t, dest, online_opened[-1])
-            opened_this_phase += 1
-            if opened_this_phase >= budget:
-                f *= 2.0
-                opened_this_phase = 0
-        else:
-            assignment.append(idx)
-            walking += dist
+    try:
+        for t, dest in enumerate(rest):
+            idx = int(cache.best_id[t])
+            dist = dest.distance_to(stations.location(idx))
+            prob = min(dist**2 / f, 1.0)
+            if uniforms.next() < prob:
+                online_opened.append(stations.add(dest))
+                space += facility_cost(dest)
+                assignment.append(online_opened[-1])
+                cache.open(t, dest, online_opened[-1])
+                opened_this_phase += 1
+                if opened_this_phase >= budget:
+                    f *= 2.0
+                    opened_this_phase = 0
+            else:
+                assignment.append(idx)
+                walking += dist
+    finally:
+        uniforms.settle()
     return PlacementResult(
         stations=stations.locations(),
         assignment=assignment,

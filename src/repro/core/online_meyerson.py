@@ -46,7 +46,9 @@ def meyerson_placement(
         stream: request destinations in arrival order (weight 1 each).
         facility_cost: opening cost ``f_i`` at each location.
         rng: randomness for the opening coin flips, drawn ahead in
-            blocks (so it must not also feed ``facility_cost``).
+            blocks (so it must not also feed ``facility_cost``).  After
+            a return or a raise it stands where one ``rng.uniform()``
+            per processed request leaves it.
         initial_stations: optional pre-existing parking (their space cost
             is charged up front).
         penalty: optional deviation penalty ``g``; when given, the opening
@@ -66,24 +68,27 @@ def meyerson_placement(
     walking = 0.0
     cache = NearestCache(stream, stations.ids(), stations.locations())
     uniforms = DrawStream(rng, len(stream))
-    for t, dest in enumerate(stream):
-        idx = int(cache.best_id[t])
-        dist = dest.distance_to(stations.location(idx)) if idx >= 0 else float("inf")
-        f = facility_cost(dest)
-        g = 1.0
-        if penalty is not None and np.isfinite(dist):
-            g = penalty.value(dist)
-        prob = 1.0 if f <= 0 else min(g * dist / f, 1.0)
-        if uniforms.next() < prob:
-            # No removals happen here, so the stable id doubles as the
-            # position in the final dense station list.
-            online_opened.append(stations.add(dest))
-            space += f
-            assignment.append(online_opened[-1])
-            cache.open(t, dest, online_opened[-1])
-        else:
-            assignment.append(idx)
-            walking += dist
+    try:
+        for t, dest in enumerate(stream):
+            idx = int(cache.best_id[t])
+            dist = dest.distance_to(stations.location(idx)) if idx >= 0 else float("inf")
+            f = facility_cost(dest)
+            g = 1.0
+            if penalty is not None and np.isfinite(dist):
+                g = penalty.value(dist)
+            prob = 1.0 if f <= 0 else min(g * dist / f, 1.0)
+            if uniforms.next() < prob:
+                # No removals happen here, so the stable id doubles as the
+                # position in the final dense station list.
+                online_opened.append(stations.add(dest))
+                space += f
+                assignment.append(online_opened[-1])
+                cache.open(t, dest, online_opened[-1])
+            else:
+                assignment.append(idx)
+                walking += dist
+    finally:
+        uniforms.settle()
     return PlacementResult(
         stations=stations.locations(),
         assignment=assignment,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,22 +60,6 @@ def _as_xy(sample: Sequence) -> np.ndarray:
     if arr.shape[0] == 0:
         raise ValueError("empty sample")
     return arr
-
-
-def _quadrant_fractions(data: np.ndarray, x: float, y: float) -> np.ndarray:
-    """Fractions of ``data`` in the four open quadrants around ``(x, y)``."""
-    lx = data[:, 0] < x
-    ly = data[:, 1] < y
-    n = data.shape[0]
-    return np.array(
-        [
-            np.count_nonzero(lx & ly),
-            np.count_nonzero(lx & ~ly),
-            np.count_nonzero(~lx & ly),
-            np.count_nonzero(~lx & ~ly),
-        ],
-        dtype=float,
-    ) / n
 
 
 def _max_quadrant_gap(a: np.ndarray, b: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:
@@ -183,62 +167,89 @@ def similarity_percent(sample1: Sequence, sample2: Sequence, exact: bool = False
     return result.similarity
 
 
-class _DominanceGrid:
-    """Exact quadrant counts of a fixed 2-D sample, answered in O(log n).
+#: Rows map a corner's ``(x<X and y<Y, x<X, y<Y)`` counts to its four
+#: quadrant counts in :func:`ks2d_fast`'s order; the sample size is added
+#: to the last row.
+_QUADRANTS = np.array(
+    [[1, 0, 0], [-1, 1, 0], [-1, 0, 1], [1, -1, -1]], dtype=float
+)
 
-    Points are mapped to rank space (their index among the sorted unique
-    coordinates per axis) and a 2-D cumulative count grid is built once:
-    ``cum[i, j]`` is the number of sample points with x-rank < ``i`` and
-    y-rank < ``j``.  Any quadrant count around any corner then reduces to
-    two ``searchsorted`` calls and four grid lookups — the counts are the
-    same integers the brute-force boolean tables of
-    :func:`ks2d_fast` produce, so the derived statistic is bit-identical.
+
+def _corner_counts(points: np.ndarray, corners: np.ndarray, cut: int) -> np.ndarray:
+    """Dominance counts of two groups of points at each corner.
+
+    ``points`` is a ``(2, n)`` array (x row, y row) and ``corners`` a
+    ``(2, m)`` one.  Returns a ``(2, 3, m)`` array: for the points
+    ``[:, :cut]`` and then ``[:, cut:]``, the number at each corner
+    ``(X, Y)`` with ``x < X and y < Y``, with ``x < X`` and with
+    ``y < Y``.  They are the integers :func:`ks2d_fast`'s boolean tables
+    count, held exactly in float64.
     """
+    n, m = points.shape[1], corners.shape[1]
+    # The (3, n, m) table is laid out with the longer of n and m along
+    # its contiguous axis.
+    if n <= m:
+        table = np.empty((3, n, m), dtype=bool)
+        np.less(points[:, :, None], corners[:, None, :], out=table[1:])
+    else:
+        table = np.empty((3, m, n), dtype=bool)
+        np.greater(corners[:, :, None], points[:, None, :], out=table[1:])
+        table = table.transpose(0, 2, 1)
+    np.logical_and(table[1], table[2], out=table[0])
+    table = table.view(np.uint8)
+    acc = np.min_scalar_type(-n)
+    counts = np.empty((2, 3, m))
+    counts[0] = table[:, :cut].sum(axis=1, dtype=acc)
+    counts[1] = table[:, cut:].sum(axis=1, dtype=acc)
+    return counts
 
-    def __init__(self, data: np.ndarray) -> None:
-        self.n = data.shape[0]
-        self._ux, x_rank = np.unique(data[:, 0], return_inverse=True)
-        self._uy, y_rank = np.unique(data[:, 1], return_inverse=True)
-        grid = np.zeros((self._ux.size + 1, self._uy.size + 1), dtype=np.int64)
-        np.add.at(grid, (x_rank + 1, y_rank + 1), 1)
-        self._cum = grid.cumsum(axis=0).cumsum(axis=1)
 
-    def quadrant_counts(self, xs: np.ndarray, ys: np.ndarray):
-        """Per-corner point counts in the four strict/non-strict quadrants.
+def _max_gap(counts: np.ndarray, na: int, nb: int) -> float:
+    """The statistic from both samples' ``(2, 3, m)`` corner counts.
 
-        Returns four arrays in the quadrant order of :func:`ks2d_fast`:
-        ``(x<X, y<Y), (x<X, y>=Y), (x>=X, y<Y), (x>=X, y>=Y)``.
-        """
-        i = np.searchsorted(self._ux, xs, side="left")
-        j = np.searchsorted(self._uy, ys, side="left")
-        ll = self._cum[i, j]
-        x_lt = self._cum[i, -1]
-        y_lt = self._cum[-1, j]
-        return ll, x_lt - ll, y_lt - ll, self.n - x_lt - y_lt + ll
+    All four quadrants of both samples are formed in one stacked
+    operation; each fraction is ``count / n`` per element, then the
+    largest absolute difference is taken, as in :func:`ks2d_fast`.
+    """
+    sizes = np.array([na, nb], dtype=float)[:, None, None]
+    quadrants = _QUADRANTS @ counts
+    quadrants[:, 3] += sizes[:, 0]
+    fractions = quadrants / sizes
+    return float(np.max(np.abs(fractions[0] - fractions[1])))
 
 
 class CachedKS2D:
-    """Checkpoint-ready :func:`ks2d_fast` against a fixed reference sample.
+    """:func:`ks2d_fast` against a fixed reference sample, carried
+    between calls.
 
-    Algorithm 2 re-tests the live destination window against the *same*
-    historical sample at every periodic checkpoint; :func:`ks2d_fast`
-    re-derives both samples' quadrant tables from scratch each time,
-    which is O((n1 + n2) * (n1 + n2)) per call.  This class sorts the
-    historical sample once into a :class:`_DominanceGrid` (and caches the
-    historical-side fractions at the historical corners, which never
-    change), so each checkpoint costs O((n1 + n2) log n) plus one small
-    grid build for the live window.
+    Algorithm 2 re-tests the live destination window against the same
+    historical sample every ``beta * k`` arrivals, and between two tests
+    the window only slides.  The statistic needs, at every corner (each
+    historical point, then each live point), how many points of each
+    sample lie below-left of it, left of it and below it.  The
+    historical sample's counts at its own corners are computed once, at
+    construction.  :meth:`test` keeps the live sample and both samples'
+    counts from its last successful call.  When the new sample is the
+    old one with ``d`` points dropped from the front and ``P`` appended —
+    checked by value: the new sample's prefix must equal the old one's
+    suffix — only those ``d + P`` points are counted, at
+    O((d + P) * (n_hist + n_live)) cost.  Any other sample (the first
+    call, a slide of the whole window, a sample that shares no such
+    overlap with the last one) is counted from scratch at
+    O(n_live * (n_hist + n_live)).
 
-    :meth:`test` returns a :class:`KSResult` bit-identical to
-    ``ks2d_fast(historical, live)`` — same statistic, same p-value.
+    The result is bit-identical to ``ks2d_fast(historical, live)``: the
+    counts are integers and each fraction is ``count / n`` per element.
+    A raise leaves the carried state as the last successful call left
+    it.
     """
 
     def __init__(self, historical: Sequence) -> None:
         self._a = _as_xy(historical)
-        self._grid_a = _DominanceGrid(self._a)
-        self._counts_a_at_a = self._grid_a.quadrant_counts(
-            self._a[:, 0], self._a[:, 1]
-        )
+        self._a_cols = np.ascontiguousarray(self._a.T)
+        self._a_at_a = _corner_counts(self._a_cols, self._a_cols, self._a.shape[0])[0]
+        self._live: Optional[np.ndarray] = None
+        self._counts: Optional[np.ndarray] = None
 
     @property
     def historical(self) -> np.ndarray:
@@ -247,18 +258,50 @@ class CachedKS2D:
 
     def test(self, live: Sequence) -> KSResult:
         """KS comparison of ``live`` against the cached reference."""
-        b = _as_xy(live)
-        grid_b = _DominanceGrid(b)
+        b = np.array(_as_xy(live))
         na, nb = self._a.shape[0], b.shape[0]
-        counts_b_at_a = grid_b.quadrant_counts(self._a[:, 0], self._a[:, 1])
-        counts_a_at_b = self._grid_a.quadrant_counts(b[:, 0], b[:, 1])
-        counts_b_at_b = grid_b.quadrant_counts(b[:, 0], b[:, 1])
-        best = 0.0
-        for q in range(4):
-            gap_a = np.max(np.abs(self._counts_a_at_a[q] / na - counts_b_at_a[q] / nb))
-            gap_b = np.max(np.abs(counts_a_at_b[q] / na - counts_b_at_b[q] / nb))
-            best = max(best, float(gap_a), float(gap_b))
-        return KSResult(best, na, nb, _peacock_pvalue(best, na, nb))
+        cols = np.concatenate([self._a_cols, b.T], axis=1)
+        dropped = self._slide(b)
+        if dropped is None:
+            counts = np.empty((2, 3, na + nb))
+            counts[0, :, :na] = self._a_at_a
+            counts[:, :, na:] = _corner_counts(cols, cols[:, na:], na)
+            counts[1, :, :na] = _corner_counts(cols[:, na:], self._a_cols, nb)[0]
+        else:
+            counts = self._advance(cols, dropped)
+        best = _max_gap(counts, na, nb)
+        result = KSResult(best, na, nb, _peacock_pvalue(best, na, nb))
+        self._live, self._counts = b, counts
+        return result
+
+    def _slide(self, b: np.ndarray) -> Optional[int]:
+        """The fewest points the last live sample can drop from its front
+        to leave a prefix of ``b``, or ``None`` when no drop does."""
+        old = self._live
+        if old is None:
+            return None
+        starts = (old[:, 0] == b[0, 0]) & (old[:, 1] == b[0, 1])
+        for dropped in np.flatnonzero(starts).tolist():
+            keep = old.shape[0] - dropped
+            if keep <= b.shape[0] and (old[dropped:] == b[:keep]).all():
+                return dropped
+        return None
+
+    def _advance(self, cols: np.ndarray, dropped: int) -> np.ndarray:
+        """The carried counts moved to the live sample in ``cols[:, na:]``:
+        the first ``dropped`` points of the last sample leave, and the
+        points after the kept ones arrive."""
+        old, prev = self._live, self._counts
+        na, nb = self._a.shape[0], cols.shape[1] - self._a.shape[0]
+        kept = na + old.shape[0] - dropped  # corners carried over
+        counts = np.empty((2, 3, na + nb))
+        counts[:, :, :na] = prev[:, :, :na]
+        counts[:, :, na:kept] = prev[:, :, na + dropped:]
+        moved = np.concatenate([cols[:, kept:], old[:dropped].T], axis=1)
+        arrived, left = _corner_counts(moved, cols[:, :kept], na + nb - kept)
+        counts[1, :, :kept] += arrived - left
+        counts[:, :, kept:] = _corner_counts(cols, cols[:, kept:], na)
+        return counts
 
 
 class LiveWindow:

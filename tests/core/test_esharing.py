@@ -13,6 +13,7 @@ from repro.core import (
     offline_placement,
 )
 from repro.geo import Point
+from repro.stats import CachedKS2D
 
 
 def cluster_stream(rng, centers, n, sigma=100.0, noise=0.25, extent=3000.0):
@@ -300,3 +301,54 @@ class TestAlgorithmBehaviour:
         assert a.stations == b.stations
         assert a.assignment == b.assignment
         assert a.total == pytest.approx(b.total)
+
+
+class _FreshKS:
+    """A KS cache rebuilt from scratch for every test: carries nothing."""
+
+    def __init__(self, historical):
+        self.historical = historical
+
+    def test(self, live):
+        return CachedKS2D(self.historical).test(live)
+
+
+class TestCarriedKS:
+    """Algorithm 2 on a carried KS cache matches one rebuilt per check."""
+
+    def test_shifting_stream_matches_fresh_cache_per_check(self):
+        rng = np.random.default_rng(8)
+        centers = [Point(float(x), float(y)) for x, y in rng.uniform(300, 2700, (6, 2))]
+        shifted = [Point(c.x + 1500.0, c.y) for c in centers]
+        historical = np.asarray([(p.x, p.y) for p in cluster_stream(rng, centers, 300)])
+        stream = (
+            cluster_stream(rng, centers, 400)
+            + cluster_stream(rng, shifted, 400)
+            + cluster_stream(rng, centers, 400)
+        )
+        # beta * k = 8 arrivals between checks of a 60-point window.
+        config = EsharingConfig(beta=2.0, history_window=60)
+        cost = constant_facility_cost(10_000.0)
+
+        def planner():
+            return EsharingPlanner(
+                centers[:4], cost, historical, np.random.default_rng(9), config
+            )
+
+        carried, fresh = planner(), planner()
+        fresh._ks_cache = _FreshKS(fresh._historical)
+        for p in stream[:700]:
+            carried.offer(p)
+        # Mid-stream recovery: a restored planner starts a new cache.
+        restored = EsharingPlanner.from_state(carried.state_dict(), cost)
+        for p in stream[700:]:
+            carried.offer(p)
+            restored.offer(p)
+        for p in stream:
+            fresh.offer(p)
+        assert len({d.penalty_name for d in fresh.decisions}) > 1
+        assert len(fresh.similarity_history) == len(stream) // 8
+        for other in (carried, restored):
+            assert other.similarity_history == fresh.similarity_history
+            assert other.decisions == fresh.decisions
+            assert other.state_dict() == fresh.state_dict()

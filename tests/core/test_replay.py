@@ -201,6 +201,36 @@ class TestBaselineBatched:
         _same_placement(want, got)
         assert want_rng == got_rng
 
+    @pytest.mark.parametrize("at", [0, 50, 199])
+    @pytest.mark.parametrize("algorithm", ["meyerson", "online_kmeans"])
+    def test_raise_leaves_rng_as_oracle_does(self, algorithm, at):
+        # A cost that raises at arrival `at` leaves the coin generator
+        # where the per-arrival loop leaves it.  The raising arrival is
+        # far from every other, so online k-means opens it and asks for
+        # its cost too.
+        stream = _points(np.random.default_rng(21), 200)
+        stream[at] = Point(1e7, 1e7)
+
+        def cost(p):
+            if p == stream[at]:
+                raise RuntimeError("no cost for this location")
+            return 400.0
+
+        runs = {
+            "meyerson": (meyerson_per_call, meyerson_placement),
+            "online_kmeans": (online_kmeans_per_call, online_kmeans_placement),
+        }[algorithm]
+        states = []
+        for run in runs:
+            coins = np.random.default_rng(22)
+            with pytest.raises(RuntimeError, match="no cost"):
+                if algorithm == "meyerson":
+                    run(stream, cost, coins)
+                else:
+                    run(stream, 10, cost, coins)
+            states.append(coins.bit_generator.state)
+        assert states[0] == states[1]
+
     def test_kmeans_short_stream_warmup_only(self):
         rng = np.random.default_rng(9)
         stream = _points(rng, 5)

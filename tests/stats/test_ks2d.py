@@ -1,5 +1,7 @@
 """Tests for repro.stats.ks2d (Peacock 2-D KS test)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from repro.stats import (
     ks2d_peacock,
     similarity_percent,
 )
+from repro.stats import ks2d
 
 
 def gaussian_sample(rng, n, mean=(0.0, 0.0), sigma=1.0):
@@ -137,6 +140,12 @@ class TestSimilarityPercent:
         assert res.similarity == pytest.approx(100 * (1 - res.statistic))
 
 
+def _same_result(got, want):
+    assert got.statistic == want.statistic
+    assert got.p_value == want.p_value
+    assert (got.n1, got.n2) == (want.n1, want.n2)
+
+
 class TestCachedKS2D:
     """The checkpoint cache must be bit-identical to ks2d_fast."""
 
@@ -150,12 +159,7 @@ class TestCachedKS2D:
         if seed % 3 == 0:  # inject duplicate coordinates / exact ties
             a[:: 4] = a[0]
             b[:: 5] = a[0]
-        cache = CachedKS2D(a)
-        got = cache.test(b)
-        want = ks2d_fast(a, b)
-        assert got.statistic == want.statistic
-        assert got.p_value == want.p_value
-        assert (got.n1, got.n2) == (want.n1, want.n2)
+        _same_result(CachedKS2D(a).test(b), ks2d_fast(a, b))
 
     def test_reused_across_checkpoints(self):
         rng = np.random.default_rng(99)
@@ -165,6 +169,98 @@ class TestCachedKS2D:
             b = gaussian_sample(rng, 150, mean=(rng.uniform(-1, 1), 0.0))
             assert cache.test(b).statistic == ks2d_fast(a, b).statistic
         assert cache.historical.shape == (200, 2)
+
+
+#: Where a test call can fail part way: the first or second count, or
+#: the statistic.
+_FAULTS = (("_corner_counts", 1), ("_corner_counts", 2), ("_max_gap", 1))
+
+
+def _failing(where, call):
+    """Make the ``call``-th call of ``ks2d.<where>`` raise."""
+    real = getattr(ks2d, where)
+    calls = []
+
+    def fail(*args):
+        calls.append(1)
+        if len(calls) == call:
+            raise RuntimeError("injected KS failure")
+        return real(*args)
+
+    return mock.patch.object(ks2d, where, fail)
+
+
+class TestCachedSlide:
+    """Counts carried between calls stay exact on every path."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_hist=st.integers(1, 40),
+        cap=st.integers(1, 40),
+        period=st.integers(1, 50),
+        span=st.integers(0, 4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_streamed_window_matches_ks2d_fast(self, seed, n_hist, cap, period, span):
+        # Integer coordinates in [0, span] make ties the rule; a check is
+        # skipped (as while the KS breaker is open) or fails part way
+        # (a raise in a count or in the statistic) at random.
+        rng = np.random.default_rng(seed)
+        hist = rng.integers(0, span + 1, size=(n_hist, 2)).astype(float)
+        cache = CachedKS2D(hist)
+        window = LiveWindow(cap)
+        stream = rng.integers(0, span + 1, size=(12 * period, 2)).tolist()
+        for t, (x, y) in enumerate(stream, 1):
+            window.push(float(x), float(y))
+            if t % period:
+                continue
+            action = rng.integers(0, 5)
+            if action == 0:
+                continue
+            live = window.array()
+            if action < 4:
+                with _failing(*_FAULTS[action - 1]), pytest.raises(RuntimeError, match="injected"):
+                    cache.test(live)
+            _same_result(cache.test(live), ks2d_fast(hist, live))
+
+    def test_slides_reuse_the_carried_counts(self):
+        rng = np.random.default_rng(3)
+        hist = rng.normal(size=(200, 2))
+        cache, window = CachedKS2D(hist), LiveWindow(200)
+        advance = mock.patch.object(
+            CachedKS2D, "_advance", autospec=True, side_effect=CachedKS2D._advance
+        )
+        with advance as spy:
+            for t, (x, y) in enumerate(rng.normal(size=(32 * 20, 2)).tolist(), 1):
+                window.push(x, y)
+                if t % 32 == 0:
+                    live = window.array()
+                    _same_result(cache.test(live), ks2d_fast(hist, live))
+        # Only the first check counts from scratch.
+        assert spy.call_count == 19
+
+    @pytest.mark.parametrize("where, call", _FAULTS)
+    def test_raise_keeps_the_last_successful_state(self, where, call):
+        rng = np.random.default_rng(4)
+        hist = rng.normal(size=(60, 2))
+        stream = rng.normal(size=(90, 2))
+        cache = CachedKS2D(hist)
+        cache.test(stream[:50])
+        live, counts = cache._live.copy(), cache._counts.copy()
+        with _failing(where, call), pytest.raises(RuntimeError, match="injected"):
+            cache.test(stream[10:60])
+        np.testing.assert_array_equal(cache._live, live)
+        np.testing.assert_array_equal(cache._counts, counts)
+        for sample in (stream[10:60], stream[20:75], stream[20:75] + 1.0):
+            _same_result(cache.test(sample), ks2d_fast(hist, sample))
+
+    def test_caller_mutation_does_not_reach_the_cache(self):
+        rng = np.random.default_rng(5)
+        hist, live = rng.normal(size=(30, 2)), rng.normal(size=(30, 2))
+        cache = CachedKS2D(hist)
+        cache.test(live)
+        live[5:] += 3.0
+        _same_result(cache.test(live), ks2d_fast(hist, live))
 
 
 class TestLiveWindow:

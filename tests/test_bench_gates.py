@@ -21,11 +21,12 @@ def test_gate_table_is_pinned():
         ("stream.replay", 10.0, 0),
         ("placement.offline", 5.0, 0),
         ("placement.replay", 3.0, 0),
+        ("placement.ks_slide", 1.2, 0),
         ("throughput.nn_backend", 3.0, 0),
         ("parallel.placement", 1.6, 4),
         ("loadgen.apply", 5.0, 4),
     }
-    assert len(bench.GATES) == 6
+    assert len(bench.GATES) == 7
     assert bench.SMOKE_FLOORS == {"stream.replay": 2.0}
     assert bench.GATE_WORKERS == 4
     assert bench.OFFER_RATE_FLOOR == 1_000.0
@@ -39,6 +40,9 @@ def test_gated_sizes_are_pinned():
     assert legs["stream.replay"][1] == {"n": 20_000}
     assert legs["placement.offline"][1]["sizes"][-1] == 2_000
     assert legs["placement.replay"][1]["sizes"][-1] == 100_000
+    assert legs["placement.ks_slide"][1] == {
+        "n_hist": 200, "window": 200, "period": 32, "checks": 400,
+    }
     assert legs["throughput.nn_backend"][1]["counts"][-1] == 10_000
     assert 4 in legs["parallel.placement"][1]["workers"]
 
