@@ -197,7 +197,8 @@ def _corner_counts(points: np.ndarray, corners: np.ndarray, cut: int) -> np.ndar
         table = table.transpose(0, 2, 1)
     np.logical_and(table[1], table[2], out=table[0])
     table = table.view(np.uint8)
-    acc = np.min_scalar_type(-n)
+    # Unsigned and wide enough for a count of n (every point in a group).
+    acc = np.min_scalar_type(n)
     counts = np.empty((2, 3, m))
     counts[0] = table[:, :cut].sum(axis=1, dtype=acc)
     counts[1] = table[:, cut:].sum(axis=1, dtype=acc)
@@ -236,7 +237,7 @@ class CachedKS2D:
     O((d + P) * (n_hist + n_live)) cost.  Any other sample (the first
     call, a slide of the whole window, a sample that shares no such
     overlap with the last one) is counted from scratch at
-    O(n_live * (n_hist + n_live)).
+    O(n_live * (n_hist + n_live)), as a slide from the empty sample.
 
     The result is bit-identical to ``ks2d_fast(historical, live)``: the
     counts are integers and each fraction is ``count / n`` per element.
@@ -247,9 +248,13 @@ class CachedKS2D:
     def __init__(self, historical: Sequence) -> None:
         self._a = _as_xy(historical)
         self._a_cols = np.ascontiguousarray(self._a.T)
-        self._a_at_a = _corner_counts(self._a_cols, self._a_cols, self._a.shape[0])[0]
-        self._live: Optional[np.ndarray] = None
-        self._counts: Optional[np.ndarray] = None
+        na = self._a.shape[0]
+        # The empty live sample every count from scratch slides from: no
+        # live points, so zero live counts at the historical corners.
+        empty_counts = np.zeros((2, 3, na))
+        empty_counts[0] = _corner_counts(self._a_cols, self._a_cols, na)[0]
+        self._empty = (np.empty((0, 2)), empty_counts)
+        self._live, self._counts = self._empty
 
     @property
     def historical(self) -> np.ndarray:
@@ -261,25 +266,21 @@ class CachedKS2D:
         b = np.array(_as_xy(live))
         na, nb = self._a.shape[0], b.shape[0]
         cols = np.concatenate([self._a_cols, b.T], axis=1)
-        dropped = self._slide(b)
+        old, prev = self._live, self._counts
+        dropped = self._slide(old, b)
         if dropped is None:
-            counts = np.empty((2, 3, na + nb))
-            counts[0, :, :na] = self._a_at_a
-            counts[:, :, na:] = _corner_counts(cols, cols[:, na:], na)
-            counts[1, :, :na] = _corner_counts(cols[:, na:], self._a_cols, nb)[0]
-        else:
-            counts = self._advance(cols, dropped)
+            # Count from scratch: every live point arrives in an empty sample.
+            (old, prev), dropped = self._empty, 0
+        counts = self._advance(old, prev, cols, dropped)
         best = _max_gap(counts, na, nb)
         result = KSResult(best, na, nb, _peacock_pvalue(best, na, nb))
         self._live, self._counts = b, counts
         return result
 
-    def _slide(self, b: np.ndarray) -> Optional[int]:
-        """The fewest points the last live sample can drop from its front
-        to leave a prefix of ``b``, or ``None`` when no drop does."""
-        old = self._live
-        if old is None:
-            return None
+    @staticmethod
+    def _slide(old: np.ndarray, b: np.ndarray) -> Optional[int]:
+        """The fewest points ``old`` can drop from its front to leave a
+        non-empty prefix of ``b``, or ``None`` when no drop does."""
         starts = (old[:, 0] == b[0, 0]) & (old[:, 1] == b[0, 1])
         for dropped in np.flatnonzero(starts).tolist():
             keep = old.shape[0] - dropped
@@ -287,11 +288,12 @@ class CachedKS2D:
                 return dropped
         return None
 
-    def _advance(self, cols: np.ndarray, dropped: int) -> np.ndarray:
-        """The carried counts moved to the live sample in ``cols[:, na:]``:
-        the first ``dropped`` points of the last sample leave, and the
-        points after the kept ones arrive."""
-        old, prev = self._live, self._counts
+    def _advance(
+        self, old: np.ndarray, prev: np.ndarray, cols: np.ndarray, dropped: int
+    ) -> np.ndarray:
+        """The counts ``prev`` of live sample ``old`` moved to the live
+        sample in ``cols[:, na:]``: the first ``dropped`` points of
+        ``old`` leave, and the points after the kept ones arrive."""
         na, nb = self._a.shape[0], cols.shape[1] - self._a.shape[0]
         kept = na + old.shape[0] - dropped  # corners carried over
         counts = np.empty((2, 3, na + nb))

@@ -227,17 +227,41 @@ class TestCachedSlide:
         rng = np.random.default_rng(3)
         hist = rng.normal(size=(200, 2))
         cache, window = CachedKS2D(hist), LiveWindow(200)
-        advance = mock.patch.object(
-            CachedKS2D, "_advance", autospec=True, side_effect=CachedKS2D._advance
-        )
-        with advance as spy:
+        drops = []
+        real = CachedKS2D._slide
+
+        def slide(old, b):
+            drops.append(real(old, b))
+            return drops[-1]
+
+        with mock.patch.object(CachedKS2D, "_slide", staticmethod(slide)):
             for t, (x, y) in enumerate(rng.normal(size=(32 * 20, 2)).tolist(), 1):
                 window.push(x, y)
                 if t % 32 == 0:
                     live = window.array()
                     _same_result(cache.test(live), ks2d_fast(hist, live))
-        # Only the first check counts from scratch.
-        assert spy.call_count == 19
+        # Only the first check counts from scratch; the window fills at
+        # t = 200, so the check at t = 224 drops 24 points.
+        assert drops == [None] + [0] * 5 + [24] + [32] * 13
+
+    @pytest.mark.parametrize("n", [127, 128, 255, 256])
+    def test_a_whole_group_at_one_corner_is_counted(self, n):
+        # Every live point lies below-left of the historical corner
+        # (10, 10), so one group's count there is n: the count's
+        # accumulator must hold n itself.
+        hist = np.array([[0.0, 0.0], [10.0, 10.0]])
+        live = np.random.default_rng(n).uniform(1.0, 2.0, size=(n, 2))
+        _same_result(CachedKS2D(hist).test(live), ks2d_fast(hist, live))
+
+    def test_a_pure_append_of_a_whole_group_is_counted(self):
+        # 128 points arrive and none leaves, all below-left of (10, 10).
+        rng = np.random.default_rng(6)
+        hist = np.array([[0.0, 0.0], [10.0, 10.0], [1.5, 1.5]])
+        stream = rng.uniform(1.0, 2.0, size=(178, 2))
+        cache = CachedKS2D(hist)
+        cache.test(stream[:50])
+        assert CachedKS2D._slide(cache._live, stream) == 0
+        _same_result(cache.test(stream), ks2d_fast(hist, stream))
 
     @pytest.mark.parametrize("where, call", _FAULTS)
     def test_raise_keeps_the_last_successful_state(self, where, call):
