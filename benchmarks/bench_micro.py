@@ -15,6 +15,12 @@ scheduler, not the code.
   ``stream.replay`` is the composed validate → reorder → journal
   (durable) → plan path; its per-trip side does one fsync per trip, so
   its ratio follows the host's fsync latency.
+* ``serve.horizon`` — ``GuardedRuntime.ingest_many`` on the e2e
+  ``steady`` config at several stream lengths, each in a fresh
+  interpreter: trips/s, µs per trip in the first and last quarter, RSS
+  growth and retained tracked objects per trip, and ``recover`` time.
+  It has no speed gate; the recovered state and at most one retained
+  object per served trip are checked at every length.
 * ``placement.*`` — Algorithm 1's lazy JMS solver against the per-round
   rescan; Algorithm 2's cached ``EsharingPlanner.replay`` against one
   ``offer`` per arrival, plus one periodic KS check (``CachedKS2D``
@@ -46,9 +52,11 @@ Exit codes: 0 pass, 1 a check failed, 2 unknown leg.
 """
 
 import argparse
+import gc
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -136,6 +144,12 @@ SMOKE_FLOORS = {"stream.replay": 2.0}
 # one periodic KS check (800 vs 800 points) takes under 0.5 s.
 OFFER_RATE_FLOOR = 1_000.0
 KS_CHECK_LIMIT_S = 0.5
+# Checked at every serve.horizon length: the serve path keeps one object
+# per served trip, its response.  One-off objects (an opened station's
+# location, rack and charge heap) stay well under the margin, while any
+# second object kept per trip would read 2.
+RETAINED_PER_TRIP_LIMIT = 1.1
+HORIZON_BLOCK = 128  # the e2e steady workload's block
 GATE_WORKERS = 4  # the fan-out legs report their speedup at this count
 
 
@@ -187,6 +201,21 @@ def _planner(seed):
         anchors(), constant_facility_cost(COST_VALUE), historical(seed),
         np.random.default_rng(seed + 1),
         EsharingConfig(beta=8.0, history_window=100),
+    )
+
+
+def _steady_runtime(directory, seed):
+    """The e2e ``steady`` config: ``_planner``'s city, 120 bikes, a
+    durable journal and a checkpoint every 500 trips."""
+    planner = _planner(seed)
+    bikes = Fleet(planner.stations, n_bikes=120, rng=np.random.default_rng(seed + 2))
+    return GuardedRuntime(
+        CheckpointingService(
+            PlacementService(planner, bikes), directory,
+            checkpoint_every=500, durable=True,
+            facility_cost_spec=constant_cost_spec(COST_VALUE),
+        ),
+        guard_config(),
     )
 
 
@@ -403,16 +432,7 @@ def stream_serve(workdir, n, seed=7):
     stream = gauntlet.trips(n, seed=seed)
     runs = []
     for size in (1, BLOCK):
-        planner = _planner(seed)
-        bikes = Fleet(planner.stations, n_bikes=120, rng=np.random.default_rng(seed + 2))
-        runtime = GuardedRuntime(
-            CheckpointingService(
-                PlacementService(planner, bikes), workdir / f"block-{size}",
-                checkpoint_every=500, durable=True,
-                facility_cost_spec=constant_cost_spec(COST_VALUE),
-            ),
-            guard_config(),
-        )
+        runtime = _steady_runtime(workdir / f"block-{size}", seed)
         _, seconds = _timed(runtime.serve, stream, block_size=size)
         runs.append((runtime, seconds))
     (one, slow_s), (blocked, fast_s) = runs
@@ -435,6 +455,102 @@ def stream_serve(workdir, n, seed=7):
         f"GuardedRuntime.serve, block {BLOCK} vs block 1 (durable)",
         n, slow_s, fast_s,
     )
+
+
+def _rss_bytes():
+    """This process's resident set size, or ``None`` off Linux."""
+    try:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
+        return None
+
+
+def _horizon_run(directory, n, seed):
+    """One ``serve.horizon`` length in this process: the e2e ``steady``
+    config (16 anchors, beta 8, 120 bikes, durable, a checkpoint every
+    500 trips; :func:`_steady_runtime`) serves ``n`` clean trips through
+    ``GuardedRuntime.ingest_many`` in blocks of 128, then
+    ``CheckpointingService.recover`` reads the directory back.
+
+    Tracked objects are counted (after a full collection, outside the
+    timed calls) once half the stream is served and again at the end,
+    so first-use caches (the first checkpoint's among them) and the
+    early online openings stay out of the per-trip figure.  RSS growth is
+    the rise in resident set size while serving (``None`` where
+    ``/proc/self/statm`` is missing: a peak-RSS counter would carry the
+    parent process's peak into the child).
+    """
+    directory = Path(directory)
+    stream = gauntlet.trips(n, seed=seed)
+    runtime = _steady_runtime(directory, seed)
+    responses = runtime.inner.service.responses
+    quarter = n // 4
+    seconds, sizes = [0.0] * 4, [0] * 4  # per quarter of the stream
+    counted = None
+    rss_before = _rss_bytes()
+    for lo in range(0, n, HORIZON_BLOCK):
+        if counted is None and lo >= n // 2:
+            gc.collect()
+            counted = (len(gc.get_objects()), len(responses))
+        chunk = stream[lo : lo + HORIZON_BLOCK]
+        _, took = _timed(runtime.ingest_many, chunk, block_size=HORIZON_BLOCK)
+        q = min(lo // quarter, 3)
+        seconds[q] += took
+        sizes[q] += len(chunk)
+    runtime.finish()
+    rss_after = _rss_bytes()
+    gc.collect()
+    served = len(responses) - counted[1]
+    retained = (len(gc.get_objects()) - counted[0]) / served
+    live = logical_state(runtime.inner.service)
+    runtime.close()
+    recovered, recover_s = _timed(CheckpointingService.recover, directory, durable=True)
+    _check(logical_state(recovered.service) == live,
+           f"recovered state diverged from the live run at {n} trips")
+    recovered.close()
+    _check(
+        retained <= RETAINED_PER_TRIP_LIMIT,
+        f"{retained:.3f} tracked objects retained per served trip at {n} "
+        f"trips, limit {RETAINED_PER_TRIP_LIMIT}",
+    )
+    return {
+        "trips": n, "trips_per_s": n / sum(seconds),
+        "us_per_trip_q1": 1e6 * seconds[0] / sizes[0],
+        "us_per_trip_q4": 1e6 * seconds[3] / sizes[3],
+        "rss_growth_b_per_trip": (
+            None if rss_before is None else (rss_after - rss_before) / n
+        ),
+        "retained_per_trip": retained, "recover_s": recover_s,
+    }
+
+
+def serve_horizon(workdir, lengths, seed=0):
+    """The serve path at several stream lengths, each in a fresh
+    interpreter, one at a time (see :func:`_horizon_run`): super-linear
+    time or memory shows as a q4 cost or a per-trip figure that grows
+    with the length.  No speed gate; the recovered state and the
+    per-trip object retention are checked at every length."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    sweep = []
+    for n in lengths:
+        code = (
+            "import json, runpy; "
+            f"leg = runpy.run_path({str(Path(__file__).resolve())!r}); "
+            f"print(json.dumps(leg['_horizon_run']({str(workdir / str(n))!r}, {n}, {seed})))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        _check(proc.returncode == 0, f"serve.horizon at {n} trips: {proc.stderr.strip()}")
+        sweep.append(json.loads(proc.stdout.splitlines()[-1]))
+    return {
+        "what": "GuardedRuntime.ingest_many (steady config) by stream length",
+        "sweep": sweep,
+    }
 
 
 # ----------------------------------------------------------------------
@@ -833,6 +949,11 @@ LEGS = {
     "stream.journal": (stream_journal, {"n": 8_000}, {"n": 1_500}),
     "stream.replay": (stream_replay, {"n": 20_000}, {"n": 4_000}),
     "stream.serve": (stream_serve, {"n": 4_000}, {"n": 500}),
+    "serve.horizon": (
+        serve_horizon,
+        {"lengths": (4_000, 16_000, 64_000)},
+        {"lengths": (1_000, 4_000)},
+    ),
     "placement.offline": (
         placement_offline,
         {"sizes": (250, 500, 1_000, 2_000)},

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,12 +124,16 @@ class EsharingConfig:
 
 @dataclass(frozen=True)
 class EsharingDecision:
-    """Trace entry for one request.
+    """Trace entry for one request, recorded by
+    :meth:`EsharingPlanner.offer` and :meth:`EsharingPlanner.replay`
+    (the serve path's per-arrival step records none).
 
     ``station_index`` is the *stable id* of the assigned (or newly
     opened) station in the planner's :class:`StationSet`: it survives
     later removals, and equals the position in ``planner.stations``
-    whenever no station has been removed.
+    whenever no station has been removed.  ``penalty_name`` is the
+    penalty in force after the request, and so after the periodic check
+    it may have triggered.
     """
 
     destination: Point
@@ -150,6 +154,14 @@ class EsharingPlanner:
             computed from (the KS reference ``H``).
         rng: randomness for opening coin flips.
         config: algorithm parameters.
+
+    Attributes:
+        decisions: one :class:`EsharingDecision` per request fed through
+            :meth:`offer` or :meth:`replay`, in order.  The per-arrival
+            step :meth:`arrive` records nothing, so a planner that only
+            serves (``PlacementService``) keeps this empty and holds no
+            per-arrival object.
+        similarity_history: one KS similarity per periodic check.
 
     Raises:
         ValueError: if the anchor set is empty.
@@ -244,9 +256,12 @@ class EsharingPlanner:
 
     # ------------------------------------------------------------------
     def offer(self, destination: Point) -> EsharingDecision:
-        """Process one request (lines 5-11 of Algorithm 2)."""
+        """Process one request (lines 5-11 of Algorithm 2) and record
+        its decision in :attr:`decisions`."""
         idx, c_ij = self.station_set.nearest(destination)
-        return self.arrive(destination, idx, c_ij, self._rng.uniform)
+        return self._record(
+            destination, self.arrive(destination, idx, c_ij, self._rng.uniform)
+        )
 
     def arrive(
         self,
@@ -254,7 +269,7 @@ class EsharingPlanner:
         nearest_id: int,
         c_ij: float,
         draw: Callable[[], float],
-    ) -> EsharingDecision:
+    ) -> Tuple[int, bool, float, float]:
         """Process one request whose nearest active station is already
         known (lines 6-11 of Algorithm 2): the per-arrival step.
 
@@ -269,6 +284,14 @@ class EsharingPlanner:
         arrivals the opening cost doubles and the penalty is re-selected.
         :meth:`offer`, :meth:`replay` and the serve path's block step
         all run here, so every path agrees bit for bit.
+
+        Nothing is recorded: the serve path keeps no per-arrival trace.
+        :meth:`offer` and :meth:`replay` record the decision.
+
+        Returns:
+            ``(station_id, opened, walking_cost, open_probability)``:
+            the stable id of the assigned (or newly opened) station, and
+            the fields of the same name in :class:`EsharingDecision`.
         """
         scaled_f = self._facility_cost(destination) * self._cost_scale
         g = self.penalty.value(c_ij)
@@ -285,14 +308,15 @@ class EsharingPlanner:
         self._live.push(destination.x, destination.y)
         if self._arrivals_since_check >= self._check_period:
             self._periodic_check()
-        decision = EsharingDecision(
-            destination=destination,
-            station_index=nearest_id,
-            opened=opened,
-            walking_cost=c_ij,
-            open_probability=prob,
-            penalty_name=self.penalty.name,
-        )
+        return nearest_id, opened, c_ij, prob
+
+    def _record(
+        self, destination: Point, decided: Tuple[int, bool, float, float]
+    ) -> EsharingDecision:
+        """Append :meth:`arrive`'s outcome to :attr:`decisions`, under
+        the penalty in force after the arrival (and any periodic check
+        it ran)."""
+        decision = EsharingDecision(destination, *decided, self.penalty.name)
         self.decisions.append(decision)
         return decision
 
@@ -300,7 +324,8 @@ class EsharingPlanner:
         """Process a whole request stream: :meth:`offer` per element,
         with the nearest-station scan answered from a cache.
 
-        Every arrival runs through :meth:`arrive`, so the checkpoint
+        Every arrival runs through :meth:`arrive` and is recorded in
+        :attr:`decisions` as :meth:`offer` records it, so the checkpoint
         counter, the live window and the decision trace move exactly as
         in the per-call loop, and replays interleave freely with offers.
         What is saved is the per-arrival ``StationSet.nearest`` scan: a
@@ -333,17 +358,18 @@ class EsharingPlanner:
             return []
         cache = NearestCache(arrivals, store.ids(), store.locations())
         uniforms = DrawStream(self._rng, len(destinations))
-        arrive, draw, location = self.arrive, uniforms.next, store.location
+        arrive, record = self.arrive, self._record
+        draw, location = uniforms.next, store.location
         out: List[EsharingDecision] = []
         try:
             for t, dest in enumerate(destinations):
                 sid = int(cache.best_id[t])
                 if sid < 0:
                     raise ValueError("nearest() on an empty StationSet")
-                decision = arrive(dest, sid, dest.distance_to(location(sid)), draw)
-                if decision.opened:
-                    cache.open(t, dest, decision.station_index)
-                out.append(decision)
+                decided = arrive(dest, sid, dest.distance_to(location(sid)), draw)
+                if decided[1]:
+                    cache.open(t, dest, decided[0])
+                out.append(record(dest, decided))
         finally:
             uniforms.settle()
         return out
@@ -426,8 +452,8 @@ class EsharingPlanner:
         :meth:`from_state` again.
 
         Args:
-            include_history: also capture the per-arrival traces (the
-                decision trace and the KS similarity history).  Neither
+            include_history: also capture the traces (the decision
+                trace and the per-check KS similarity history).  Neither
                 feeds a later decision.  Without them the snapshot is
                 O(state) instead of O(arrivals), at the price that
                 :meth:`result` and :attr:`similarity_history` report only
@@ -524,6 +550,10 @@ class EsharingPlanner:
     # ------------------------------------------------------------------
     def result(self) -> PlacementResult:
         """Snapshot of the run as a :class:`PlacementResult`.
+
+        The assignment and demands come from :attr:`decisions`, so this
+        describes the requests fed through :meth:`offer` and
+        :meth:`replay` only: a serving planner's block step records none.
 
         Raises:
             RuntimeError: if stations were removed during the run — the

@@ -25,8 +25,11 @@ opening rule, pick, ride and retirement run row by row in arrival
 order, since a pickup may empty a rack and retire its station
 (footnote 2) before the next row's queries.  Each served row's decision
 is the planner's own per-arrival step,
-:meth:`~repro.core.esharing.EsharingPlanner.arrive`.  What needs no
-per-row call is done per block: the coin flips and the ride noise are
+:meth:`~repro.core.esharing.EsharingPlanner.arrive`, which records
+nothing: the row's response is the only object the step keeps, and a
+serving planner's decision trace stays empty (``offer`` and ``replay``
+keep that trace for the experiments).  What needs no per-row call is
+done per block: the coin flips and the ride noise are
 drawn in one call each (:class:`~repro.core.replay.DrawStream`).  The
 result is bit for bit the per-row run's: a refused row draws nothing,
 so after every return and every raise the generators are rewound to
@@ -202,6 +205,15 @@ class PlacementService:
         ex: Sequence[float],
         ey: Sequence[float],
     ) -> List[ServiceResponse]:
+        """The planner step behind :meth:`handle_block`,
+        :meth:`handle_trip`, :meth:`serve` and recovery's tail replay,
+        on a block's columns as Python lists.
+
+        Per arrival it keeps only the :class:`ServiceResponse` it
+        returns: the decision is read from
+        :meth:`~repro.core.esharing.EsharingPlanner.arrive`'s values,
+        and no :class:`~repro.core.esharing.EsharingDecision` is built.
+        """
         planner, fleet = self.planner, self.fleet
         store = planner.station_set
         n = len(order_ids)
@@ -225,8 +237,7 @@ class PlacementService:
                     emit(ServiceResponse(order_id, False, -1, -1, False, None, 0.0))
                     continue
                 end = Point(ex[j], ey[j])
-                decision = arrive(end, *nearest(end), coin)
-                dest_id = decision.station_index
+                dest_id, opened, walking, _ = arrive(end, *nearest(end), coin)
 
                 bike = pick_bike(origin_id)
                 if bike is None:  # guaranteed by pickup_station
@@ -242,8 +253,7 @@ class PlacementService:
                     self.retired.append(origin_id)
                     removed = origin_id
                 emit(ServiceResponse(
-                    order_id, True, origin_id, dest_id, decision.opened, removed,
-                    decision.walking_cost,
+                    order_id, True, origin_id, dest_id, opened, removed, walking
                 ))
         except Exception as exc:  # noqa: BLE001 — classified by caller
             raise BlockApplyError(

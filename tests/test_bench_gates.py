@@ -31,6 +31,7 @@ def test_gate_table_is_pinned():
     assert bench.GATE_WORKERS == 4
     assert bench.OFFER_RATE_FLOOR == 1_000.0
     assert bench.KS_CHECK_LIMIT_S == 0.5
+    assert bench.RETAINED_PER_TRIP_LIMIT == 1.1
     assert all(g.leg in bench.LEGS for g in bench.GATES)
 
 
