@@ -755,7 +755,7 @@ def _run_resume(args) -> int:
     print(
         f"recovered from {info.snapshot_path} "
         f"(snapshot seq {info.snapshot_seq}, replayed {info.replayed} "
-        "journal records)"
+        f"journal records, read {info.journal_bytes_read} journal bytes)"
     )
     wrapped.consistency_check()
     print(f"{wrapped.applied_seq} trips applied; consistency check passed")

@@ -639,7 +639,8 @@ class GuardedRuntime:
             "self_heal",
             f"recovered through seq {healed.applied_seq} "
             f"(snapshot {healed.last_recovery.snapshot_seq}, "
-            f"replayed {healed.last_recovery.replayed})",
+            f"replayed {healed.last_recovery.replayed}, "
+            f"read {healed.last_recovery.journal_bytes_read} journal bytes)",
         )
         gained = healed.applied_seq - before
         tail = list(healed.service.responses[-gained:]) if gained > 0 else []

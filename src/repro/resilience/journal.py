@@ -25,6 +25,11 @@ an int coordinate (``5``) by an older version decodes to the same trip.
 The record log drops a torn tail (a crash mid-append) on read and cuts
 it off before the next append; mid-file damage or a sequence jump means
 the file cannot be trusted and raises :class:`~repro.errors.JournalCorruptError`.
+
+A snapshot current through seq ``S`` stores a *journal link*,
+``{"seq": S, "offset": <byte where record S starts>, "checksum":
+<its 16-hex prefix>}`` (:meth:`TripJournal.link`), so recovery reads
+only record ``S`` and the tail after it (:meth:`TripJournal.replay`).
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite
 from pathlib import Path
-from typing import List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,9 +45,12 @@ from ..core.tripblock import TripBlock, us_to_datetime
 from ..datasets.trips import TripRecord
 from ..errors import JournalCorruptError
 from ..serialize import trip_from_state
-from .records import RecordWriter, frame, read_records
+from .records import CHECKSUM_PREFIX_LEN, RecordScan, RecordWriter, frame, read_records
 
-__all__ = ["JournalEntry", "TripJournal"]
+__all__ = ["JOURNAL_NAME", "JournalEntry", "TripJournal", "link_problem"]
+
+JOURNAL_NAME = "journal.jsonl"
+"""Filename of the write-ahead trip journal inside a checkpoint directory."""
 
 
 @dataclass(frozen=True)
@@ -127,6 +135,39 @@ def _encode_block_lines(seqs: Sequence[int], block: TripBlock) -> List[str]:
     return lines
 
 
+def _checksum_at(path: Union[str, Path], offset: int) -> str:
+    """The checksum prefix of the line that starts at byte ``offset``."""
+    with open(path, "rb") as f:
+        f.seek(offset)
+        return f.read(CHECKSUM_PREFIX_LEN).decode("ascii", "replace")
+
+
+def link_problem(
+    path: Union[str, Path], link: Dict[str, Any], scan: Optional[RecordScan] = None
+) -> Optional[str]:
+    """Why the journal at ``path`` breaks a snapshot's journal ``link``,
+    or ``None`` when record ``link["seq"]`` starts at the link's offset
+    with the link's checksum.
+
+    ``scan`` is a read from the link's offset that keeps the records from
+    the link's seq on; without one, that record is read here.
+    """
+    seq, offset, checksum = link.get("seq"), link.get("offset"), link.get("checksum")
+    if not (type(seq) is int and type(offset) is int and offset >= 0
+            and type(checksum) is str):
+        return f"malformed journal link {link!r}"
+    if scan is None:
+        scan = read_records(path, seq - 1, limit=1, start=offset)
+    if not scan.records or scan.records[0]["seq"] != seq:
+        return f"no intact record {seq} at byte {offset}"
+    # Record ``seq`` follows the offset with no damage between; it starts
+    # there only if the line there carries its checksum.
+    found = _checksum_at(path, offset)
+    if found != checksum:
+        return f"the line at byte {offset} has checksum {found!r}, not record {seq}'s {checksum}"
+    return None
+
+
 class TripJournal:
     """Append-only write-ahead log of trips, one checksummed line each.
 
@@ -151,6 +192,13 @@ class TripJournal:
         self.path = Path(path)
         self._writer = RecordWriter(self.path, durable, 0, JournalCorruptError)
         self._next_seq: Optional[int] = None
+        # The records :meth:`link` can place: (first seq, byte where it
+        # starts, the lines of the latest commit), or the last record of
+        # the latest scan with ``None`` for the lines.
+        self._latest: Tuple[int, int, Optional[List[str]]] = (0, 0, None)
+        #: Journal bytes the latest scan verified: from where it started
+        #: to the end of the last intact record.
+        self.scan_bytes = 0
         if not defer_scan:
             self._scan(after_seq=None)
 
@@ -205,9 +253,35 @@ class TripJournal:
         first = self.next_seq
         seqs = list(range(first, first + len(block)))
         lines = _encode_block_lines(seqs, block)
+        start = self._writer.end
         self._writer.append("".join(lines).encode("utf-8"))
         self._next_seq = seqs[-1] + 1
+        self._latest = (first, start, lines)
         return seqs
+
+    def link(self, seq: int) -> Optional[Dict[str, Any]]:
+        """The journal link of record ``seq``: ``{"seq", "offset",
+        "checksum"}``, the byte where its line starts and that line's
+        checksum prefix.
+
+        ``None`` when ``seq`` is 0 (nothing to link) or is neither in the
+        latest commit nor the last record of the latest scan (nothing was
+        committed since a recovery).  A commit's offsets are summed here,
+        not on the commit path.
+        """
+        first, start, lines = self._latest
+        if seq <= 0:
+            return None
+        if lines is not None and first <= seq < first + len(lines):
+            k = seq - first
+            # Journal lines are ASCII, so a line's length is its byte count.
+            start += sum(map(len, lines[:k]))
+            checksum = lines[k][:CHECKSUM_PREFIX_LEN]
+        elif lines is None and seq == first:
+            checksum = _checksum_at(self.path, start)
+        else:
+            return None
+        return {"seq": seq, "offset": start, "checksum": checksum}
 
     def close(self) -> None:
         """Close the underlying file handle (reopened on next append)."""
@@ -224,22 +298,48 @@ class TripJournal:
         """
         return self._scan(after_seq=0)
 
-    def replay(self, after_seq: int = 0) -> List[JournalEntry]:
+    def replay(
+        self, after_seq: int = 0, link: Optional[Dict[str, Any]] = None
+    ) -> List[JournalEntry]:
         """Records with ``seq > after_seq`` — the tail a recovery applies.
 
-        One pass over the whole file: every record is checksummed and
-        sequence-checked, only the tail's trips are decoded, and
-        :attr:`next_seq` is re-seeded from the durable end.
+        One pass from the start of the file, or, given ``link`` (the
+        journal link of record ``after_seq``, see :meth:`link`), from the
+        link's offset: the prefix before it is trusted unread.  Every
+        record read is checksummed and sequence-checked, only the tail's
+        trips are decoded, and :attr:`next_seq` is re-seeded from the
+        durable end.
 
         Raises:
-            JournalCorruptError: as for :meth:`scan`.
+            JournalCorruptError: as for :meth:`scan`, or the first intact
+                record at the link's offset is not record ``after_seq``
+                with the link's checksum: the journal does not continue
+                the history the link was taken from.
         """
-        return self._scan(after_seq)
+        return self._scan(after_seq, link)
 
-    def _scan(self, after_seq: Optional[int]) -> List[JournalEntry]:
+    def _scan(
+        self, after_seq: Optional[int], link: Optional[Dict[str, Any]] = None
+    ) -> List[JournalEntry]:
         """The validating pass behind :meth:`scan`, :meth:`replay` and
         the opening scan (``after_seq=None``: decode no trip)."""
-        scan = read_records(self.path, after_seq, error=JournalCorruptError)
+        start, keep_after = 0, after_seq
+        if link is not None:
+            # One read from the link: record ``after_seq`` and its tail.
+            start, keep_after = link.get("offset"), after_seq - 1
+            if type(start) is not int or start < 0 or link.get("seq") != after_seq:
+                raise JournalCorruptError(
+                    f"{self.path}: malformed journal link {link!r} for seq {after_seq}"
+                )
+        scan = read_records(self.path, keep_after, error=JournalCorruptError, start=start)
+        if link is not None:
+            problem = link_problem(self.path, link, scan)
+            if problem is not None:
+                raise JournalCorruptError(
+                    f"{self.path}: {problem}; the journal does not continue "
+                    "the snapshot's history"
+                )
+            del scan.records[0]
         try:
             entries = [
                 JournalEntry(seq=r["seq"], trip=trip_from_state(r["trip"]))
@@ -251,4 +351,6 @@ class TripJournal:
             ) from exc
         self._writer.end = scan.end
         self._next_seq = (scan.last_seq or 0) + 1
+        self._latest = (scan.last_seq or 0, scan.last_start, None)
+        self.scan_bytes = scan.end - start
         return entries

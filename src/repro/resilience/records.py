@@ -89,6 +89,7 @@ class RecordScan:
     Attributes:
         records: parsed bodies of the kept intact records, in order.
         last_seq: seq of the last intact record (``None``: none).
+        last_start: byte offset where that record's line begins.
         end: byte offset just past the last intact record (and past the
             blank lines before any damage).
         problem: ``None`` (clean), ``"torn_tail"``, ``"midfile"`` or
@@ -97,6 +98,7 @@ class RecordScan:
 
     records: List[dict] = field(default_factory=list)
     last_seq: Optional[int] = None
+    last_start: int = 0
     end: int = 0
     problem: Optional[str] = None
 
@@ -106,19 +108,23 @@ def read_records(
     keep_after: Optional[int] = None,
     limit: Optional[int] = None,
     error: Optional[Type[Exception]] = None,
+    start: int = 0,
 ) -> RecordScan:
     """Scan a record log by the reader rule (a missing file is empty).
 
-    Keeps the parsed bodies of intact records with ``seq > keep_after``
-    (``None``: keep none) and stops after ``limit`` intact records, at
-    mid-file damage or at a seq jump; those two raise ``error`` when one
-    is given.
+    Reads from byte ``start``, which must be where a line begins; the
+    bytes before it are trusted unread.  Keeps the parsed bodies of
+    intact records with ``seq > keep_after`` (``None``: keep none) and
+    stops after ``limit`` intact records, at mid-file damage or at a seq
+    jump; those two raise ``error`` when one is given.
     """
-    scan = RecordScan()
+    scan = RecordScan(last_start=start, end=start)
     if not os.path.exists(path):
         return scan
-    count = line_no = offset = damaged = 0
+    count = line_no = damaged = 0
+    offset = start
     with open(path, "rb") as f:
+        f.seek(start)
         while scan.problem is None and count != limit:
             lines = f.readlines(_READ_BYTES)
             if not lines:
@@ -144,6 +150,7 @@ def read_records(
                     why = f"sequence jump {scan.last_seq} -> {seq} at line {line_no}"
                 else:
                     scan.last_seq, scan.end = seq, offset
+                    scan.last_start = offset - len(line)
                     count += 1
                     if keep_after is not None and seq > keep_after:
                         scan.records.append(record)
@@ -151,6 +158,8 @@ def read_records(
                         break
                     continue
                 if error is not None:
+                    if start:
+                        why += f" (lines counted from byte {start})"
                     raise error(f"{path}: {why}; the log cannot be trusted")
                 break
     if damaged and scan.problem is None:

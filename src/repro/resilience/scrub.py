@@ -23,7 +23,10 @@ to survive:
 
 What it refuses to touch, it reports loudly: mid-file journal or
 ledger damage or a sequence jump (the WAL or the response history
-cannot be trusted), a snapshot from an incompatible format version, a
+cannot be trusted), a snapshot whose journal link does not hold (the
+journal does not continue its history; recovery reads the journal only
+from that link, so the scrubber is what verifies the prefix before it),
+a snapshot from an incompatible format version, a
 directory with *no* usable snapshot left, an unreadable shard
 manifest.  Those need an operator, not a script.
 
@@ -46,6 +49,7 @@ from typing import List, Optional, Union
 
 from ..errors import SnapshotCorruptError, SnapshotVersionError
 from ..ioutil import append_rotating, atomic_write_bytes, fs_fsync, fsync_dir
+from .journal import JOURNAL_NAME, link_problem
 from .ledger import LEDGER_NAME
 from .records import MIDFILE, SEQ_JUMP, read_records
 from .snapshot import decode_snapshot
@@ -81,7 +85,7 @@ class ScrubFinding:
         kind: damage class (``snapshot_corrupt``, ``journal_torn_tail``,
             ``journal_midfile``, ``journal_seq_jump``,
             ``ledger_torn_tail``, ``ledger_midfile``,
-            ``ledger_seq_jump``, ``orphan_tmp``,
+            ``ledger_seq_jump``, ``journal_link``, ``orphan_tmp``,
             ``log_damaged_lines``, ``no_usable_snapshot``,
             ``snapshot_version``, ``manifest_unreadable``,
             ``halo_unreadable``).
@@ -252,7 +256,9 @@ def scrub_snapshots(
     out of the store's listing and recovery falls straight back to the
     previous good generation.  A version-mismatched snapshot is intact —
     just not ours to read — and is refused, as is a directory whose
-    every snapshot is gone: nothing good to fall back to.
+    every snapshot is gone: nothing good to fall back to.  So is a good
+    snapshot whose journal link does not hold: the journal does not
+    continue its history (a snapshot without a link passes).
     """
     directory = Path(directory)
     rroot = root or directory
@@ -265,7 +271,7 @@ def scrub_snapshots(
     good = 0
     for _seq, path in entries:
         try:
-            decode_snapshot(path.read_bytes())
+            payload = decode_snapshot(path.read_bytes())
         except SnapshotCorruptError as exc:
             action, detail = "found", str(exc)
             if repair:
@@ -283,6 +289,14 @@ def scrub_snapshots(
             ))
         else:
             good += 1
+            link = payload.get("journal") if isinstance(payload, dict) else None
+            problem = link and link_problem(directory / JOURNAL_NAME, link)
+            if problem:
+                findings.append(ScrubFinding(
+                    _rel(path, rroot), "journal_link", "refused",
+                    f"{problem} of {JOURNAL_NAME} — the journal does not "
+                    "continue this snapshot's history; restore from a replica",
+                ))
     if entries and good == 0:
         findings.append(ScrubFinding(
             _rel(directory, rroot) or ".", "no_usable_snapshot", "refused",
@@ -395,7 +409,7 @@ def scrub_checkpoint_dir(
         1 for p in directory.iterdir() if _SNAPSHOT_RE.match(p.name)
     )
     report.findings.extend(scrub_snapshots(directory, repair, durable, rroot))
-    journal = directory / "journal.jsonl"
+    journal = directory / JOURNAL_NAME
     if journal.exists():
         report.journals_checked += 1
         report.findings.extend(scrub_journal(journal, repair, durable, rroot))

@@ -22,6 +22,9 @@ The snapshot holds only the state Algorithm 2 continues from (station
 set, cost scale, KS window, RNG, fleet), so it is O(stations + bikes)
 however long the run.  The response history goes to the append-only
 :class:`~repro.resilience.ledger.ResponseLedger` beside the journal.
+Each snapshot also links to the journal record it is current through
+(:meth:`~repro.resilience.journal.TripJournal.link`), so the journal
+tail is read from there, not from the start of the file.
 After any crash, ``recover(directory)`` = *latest good snapshot* +
 *ledger prefix* + *journal tail replay* reproduces the exact in-memory
 state — station set, fleet batteries, RNG bit stream, response list —
@@ -48,7 +51,7 @@ from ..core.streaming import PlacementService, ServiceResponse
 from ..core.tripblock import TripBlock
 from ..datasets.trips import TripRecord
 from ..errors import BlockApplyError, SnapshotError, StateDriftError
-from .journal import TripJournal
+from .journal import JOURNAL_NAME, TripJournal
 from .ledger import LEDGER_NAME, ResponseLedger
 from .snapshot import SnapshotStore
 
@@ -60,10 +63,6 @@ __all__ = [
     "logical_state",
     "JOURNAL_NAME",
 ]
-
-JOURNAL_NAME = "journal.jsonl"
-"""Filename of the write-ahead trip journal inside a checkpoint directory."""
-
 
 def logical_state(service: PlacementService) -> Dict[str, Any]:
     """``service``'s checkpoint state plus its response history.
@@ -117,11 +116,15 @@ class RecoveryInfo:
             through (0 = the genesis snapshot).
         replayed: journal-tail records re-applied on top of it.
         snapshot_path: file the state was restored from.
+        journal_bytes_read: journal bytes read and verified, from the
+            snapshot's journal link (byte 0 without one) to the end of
+            the last intact record.
     """
 
     snapshot_seq: int
     replayed: int
     snapshot_path: Optional[Path]
+    journal_bytes_read: int = 0
 
 
 class CheckpointingService:
@@ -336,6 +339,9 @@ class CheckpointingService:
             "applied": self._applied,
             "facility_cost_spec": self.facility_cost_spec,
         }
+        link = self.journal.link(self._applied)
+        if link is not None:
+            payload["journal"] = link
         return self.store.save(payload, self._applied)
 
     # ------------------------------------------------------------------
@@ -355,7 +361,9 @@ class CheckpointingService:
         the response history through its seq from the ledger, then
         replays the journal tail beyond it, as one block — reproducing
         exactly the state and responses an uninterrupted run would hold.
-        The journal is read in one pass.  Recovery is read-only until new trips
+        The journal is read in one pass from the snapshot's journal link
+        (the whole file for a snapshot without one): the prefix before
+        the link is trusted, and ``esharing scrub`` verifies it.  Recovery is read-only until new trips
         arrive (ledger records past the snapshot are cut off at the next
         checkpoint), so recovering twice from the same directory yields
         identical services.
@@ -382,7 +390,9 @@ class CheckpointingService:
             SnapshotVersionError: on a format-version mismatch.
             LedgerCorruptError: when the ledger is missing, short of the
                 snapshot's seq or damaged inside it.
-            JournalCorruptError: on mid-file journal damage.
+            JournalCorruptError: on mid-file journal damage, or when the
+                record at the snapshot's journal link is not the one the
+                snapshot was taken after.
             ValueError: when neither a spec nor ``facility_cost`` is
                 available.
         """
@@ -415,7 +425,7 @@ class CheckpointingService:
         wrapper._applied = applied
         # One response per applied trip: their ids are the dedup screen.
         wrapper._seen = {r.order_id for r in responses}
-        tail = wrapper.journal.replay(after_seq=applied)
+        tail = wrapper.journal.replay(after_seq=applied, link=payload.get("journal"))
         if tail:
             # Already journaled (and already deduped at ingestion): apply
             # as one block, without re-appending.
@@ -427,6 +437,7 @@ class CheckpointingService:
             snapshot_seq=snapshot.seq,
             replayed=len(tail),
             snapshot_path=snapshot.path,
+            journal_bytes_read=wrapper.journal.scan_bytes,
         )
         return wrapper
 

@@ -223,6 +223,7 @@ class TestStatePayload:
             "service": service.state_dict(),
             "applied": wrapped.applied_seq,
             "facility_cost_spec": wrapped.facility_cost_spec,
+            "journal": wrapped.journal.link(wrapped.applied_seq),
         }
         wrapped.close()
         assert written == encode_snapshot(payload)

@@ -176,7 +176,7 @@ class TestBoundedSnapshot:
         for trip in TRIPS[:60]:
             service.handle_trip(trip)
         payload = decode_snapshot(service.store.list()[-1][1].read_bytes())
-        assert set(payload) == {"applied", "facility_cost_spec", "service"}
+        assert set(payload) == {"applied", "facility_cost_spec", "journal", "service"}
         assert "responses" not in payload["service"]
         assert payload["service"]["planner"]["decisions"] is None
         assert payload["service"]["planner"]["similarity_history"] is None
@@ -396,9 +396,10 @@ class TestSingleJournalPass:
         monkeypatch.setattr(records_module, "_body", counting_record)
         monkeypatch.setattr(journal_module, "trip_from_state", counting_entry)
         recovered = recover(tmp_path / "run")
-        # Each journal line and each ledger record behind the snapshot is
-        # checksummed once; only the journal tail's trips are decoded.
-        assert calls == {"record": (2 * EVERY + 7) + 2 * EVERY, "trip": 7}
+        # The journal is read from the snapshot's link: its record and
+        # the tail after it are checksummed once, and so is each ledger
+        # record behind the snapshot; only the tail's trips are decoded.
+        assert calls == {"record": (1 + 7) + 2 * EVERY, "trip": 7}
         assert recovered.last_recovery.replayed == 7
         assert recovered.journal.next_seq == 2 * EVERY + 8
         recovered.close()

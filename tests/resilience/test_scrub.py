@@ -6,12 +6,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.resilience import (
     CheckpointingService,
     FaultFS,
     FaultFSConfig,
     TripJournal,
     constant_cost_spec,
+    decode_snapshot,
+    encode_snapshot,
     logical_state,
     repair_journal_tail,
     scrub_checkpoint_dir,
@@ -205,6 +208,47 @@ class TestScrubSnapshots:
         kinds = [f.kind for f in findings]
         assert "no_usable_snapshot" in kinds
         assert findings[-1].action == "refused"
+
+
+class TestScrubJournalLink:
+    """Recovery reads the journal only from each snapshot's link; the
+    scrubber checks that every link holds."""
+
+    def _rewrite_newest(self, directory, edit):
+        newest = sorted(directory.glob("snapshot-*.json"))[-1]
+        payload = decode_snapshot(newest.read_bytes())
+        edit(payload)
+        newest.write_bytes(encode_snapshot(payload))
+        return newest
+
+    def test_broken_link_refused(self, tmp_path):
+        directory = _checkpoint_dir(tmp_path)
+        newest = self._rewrite_newest(
+            directory, lambda p: p["journal"].update(checksum="0" * 16)
+        )
+        before = newest.read_bytes()
+        for repair in (False, True):
+            report = scrub_tree(directory, repair=repair, durable=False)
+            assert [(f.path, f.kind, f.action) for f in report.findings] == [
+                (newest.name, "journal_link", "refused")
+            ]
+        assert newest.read_bytes() == before  # the snapshot is not demoted
+        assert main(["scrub", "--dir", str(directory), "--check"]) == 4
+
+    def test_journal_cut_behind_its_snapshots(self, tmp_path):
+        directory = _checkpoint_dir(tmp_path)
+        journal = directory / "journal.jsonl"
+        journal.write_bytes(b"".join(journal.read_bytes().splitlines(keepends=True)[:20]))
+        findings = scrub_snapshots(directory, repair=False)
+        assert [(f.path, f.kind) for f in findings] == [
+            ("snapshot-0000000030.json", "journal_link"),
+            ("snapshot-0000000040.json", "journal_link"),
+        ]
+
+    def test_snapshot_without_a_link_passes(self, tmp_path):
+        directory = _checkpoint_dir(tmp_path)
+        self._rewrite_newest(directory, lambda p: p.pop("journal"))
+        assert scrub_tree(directory, repair=False).clean
 
 
 class TestScrubCheckpointDir:
