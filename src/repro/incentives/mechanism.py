@@ -195,10 +195,9 @@ class IncentiveMechanism:
         is batched: masks and the four-way preference key run as NumPy
         array operations over the whole annulus instead of one Python
         tuple comparison per candidate.  The selection is bit-identical
-        to the scalar reference
-        (:meth:`choose_aggregation_site_reference`) — same float
-        expressions, and ``lexsort``'s last-key-primary order mirrors
-        the tuple comparison exactly.
+        to the scalar loop ``tests/incentives/aggregation_oracle.py``
+        keeps: same float expressions, and ``lexsort``'s
+        last-key-primary order mirrors its tuple comparison exactly.
         """
         origin_point = self.fleet.stations[origin]
         trip_len = origin_point.distance_to(self.fleet.stations[destination])
@@ -237,41 +236,6 @@ class IncentiveMechanism:
         # takes its keys least-significant first.
         order = np.lexsort((ids, mismatch, -low_here, not_explicit))
         return int(ids[order[0]])
-
-    def choose_aggregation_site_reference(
-        self, origin: int, destination: int
-    ) -> Optional[int]:
-        """Scalar reference of :meth:`choose_aggregation_site`.
-
-        One Python-level key comparison per candidate — the historical
-        implementation, kept as the parity oracle for the batched scan
-        (the vectorized path must match it on every input).
-        """
-        origin_point = self.fleet.stations[origin]
-        trip_len = origin_point.distance_to(self.fleet.stations[destination])
-        if trip_len <= 0:
-            return None
-        self._sync_stations()
-        low_map = self.fleet.low_energy_map()
-        explicit = self._targets.get(origin)
-        best: Optional[int] = None
-        best_key = None
-        # The mileage-equivalent sites form an annulus around the origin;
-        # one radius query replaces the scan over every station (the tiny
-        # epsilon keeps boundary sites that exactly meet the slack from
-        # being lost to the radius rounding differently than |leg - trip|).
-        radius = trip_len * (1.0 + self.config.mileage_slack) + 1e-9
-        for k, leg in self.stations.within(origin_point, radius):
-            if k in (origin, destination):
-                continue
-            if abs(leg - trip_len) > self.config.mileage_slack * trip_len:
-                continue
-            low_here = len(low_map.get(k, []))
-            key = (k != explicit, -low_here, abs(leg - trip_len), k)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = k
-        return best
 
     # ------------------------------------------------------------------
     def offer_ride(

@@ -12,8 +12,9 @@ crashes with **bit-identical recovery**:
   ``restore(snapshot) + replay(journal tail)`` reproduces the exact
   state and response stream an uninterrupted run would have produced;
 * :class:`ResponseLedger` — the append-only, checksummed response
-  history, written at each checkpoint, so snapshots stay
-  O(stations + bikes) while recovery still restores every response;
+  history, written at each checkpoint as one columnar block record, so
+  snapshots stay O(stations + bikes) while recovery still restores
+  every response;
 * :class:`CheckpointingService` — the crash-safe wrapper gluing the
   three around a :class:`~repro.core.streaming.PlacementService`;
 * :class:`FaultInjector` — chaos tooling that injects crashes,

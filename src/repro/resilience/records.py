@@ -9,9 +9,13 @@ disagree about what is intact:
 
 * **Reader rule** (:func:`read_records`).  A record is intact only when
   its line ends in ``\\n``, its checksum holds and its body parses to a
-  JSON object with an int ``seq``; blank lines are ignored.  Damage
-  followed by an intact record is *mid-file damage*, a seq that is not
-  its predecessor's plus one is a *seq jump*, and damage with nothing
+  JSON object with an int ``seq`` and, if present, a positive int
+  ``count`` (default 1); blank lines are ignored.  A record covers seqs
+  ``seq .. seq + count - 1``: every journal record and every
+  response-ledger line written before block records covers one, and a
+  ledger block covers one checkpoint segment.  Damage followed by an
+  intact record is *mid-file damage*, a seq that does not continue the
+  seqs its predecessor covers is a *seq jump*, and damage with nothing
   intact after it is a *torn tail* (a crash mid-append).
 * **Writer rule** (:class:`RecordWriter`).  A batch of lines goes out
   with one write + flush (+ fsync) through the :mod:`repro.ioutil`
@@ -68,9 +72,9 @@ def _loads(body: bytes) -> object:
 
 
 def _parse(bodies: Sequence[bytes]) -> List[Optional[dict]]:
-    """Each body's JSON object if it has an int ``seq``, else ``None``:
-    one ``json.loads`` for the batch, body by body only when one is
-    malformed."""
+    """Each body's JSON object if it has an int ``seq`` and a positive
+    int ``count`` or none, else ``None``: one ``json.loads`` for the
+    batch, body by body only when one is malformed."""
     try:
         values = json.loads(b"[" + b",".join(bodies) + b"]")
     except ValueError:
@@ -78,7 +82,13 @@ def _parse(bodies: Sequence[bytes]) -> List[Optional[dict]]:
     if values is None or len(values) != len(bodies):
         values = [_loads(b) for b in bodies]
     return [
-        v if type(v) is dict and type(v.get("seq")) is int else None for v in values
+        v
+        if type(v) is dict
+        and type(v.get("seq")) is int
+        and type(v.get("count", 1)) is int
+        and v.get("count", 1) >= 1
+        else None
+        for v in values
     ]
 
 
@@ -88,7 +98,7 @@ class RecordScan:
 
     Attributes:
         records: parsed bodies of the kept intact records, in order.
-        last_seq: seq of the last intact record (``None``: none).
+        last_seq: last seq the intact records cover (``None``: none).
         last_start: byte offset where that record's line begins.
         end: byte offset just past the last intact record (and past the
             blank lines before any damage).
@@ -114,21 +124,28 @@ def read_records(
 
     Reads from byte ``start``, which must be where a line begins; the
     bytes before it are trusted unread.  Keeps the parsed bodies of
-    intact records with ``seq > keep_after`` (``None``: keep none) and
-    stops after ``limit`` intact records, at mid-file damage or at a seq
-    jump; those two raise ``error`` when one is given.
+    intact records whose first seq is past ``keep_after`` (``None``: keep
+    none) and stops once the intact records read cover ``limit`` seqs, at
+    mid-file damage or at a seq jump; those two raise ``error`` when one
+    is given.  Every intact record covers at least one seq, so once
+    ``k`` seqs are covered the next batch reads at most ``limit - k``
+    lines.
     """
     scan = RecordScan(last_start=start, end=start)
     if not os.path.exists(path):
         return scan
-    count = line_no = damaged = 0
+    covered = line_no = damaged = 0
     offset = start
     with open(path, "rb") as f:
         f.seek(start)
-        while scan.problem is None and count != limit:
+        while scan.problem is None and (limit is None or covered < limit):
             lines = f.readlines(_READ_BYTES)
             if not lines:
                 break
+            if limit is not None and len(lines) > limit - covered:
+                # Leave the lines no record can need unread for a later batch.
+                f.seek(-sum(map(len, lines[limit - covered:])), os.SEEK_CUR)
+                del lines[limit - covered:]
             bodies = [_body(line) for line in lines]
             parsed = iter(_parse([b for b in bodies if b is not None]))
             for line, body in zip(lines, bodies):
@@ -149,12 +166,13 @@ def read_records(
                     scan.problem = SEQ_JUMP
                     why = f"sequence jump {scan.last_seq} -> {seq} at line {line_no}"
                 else:
-                    scan.last_seq, scan.end = seq, offset
+                    span = record.get("count", 1)
+                    scan.last_seq, scan.end = seq + span - 1, offset
                     scan.last_start = offset - len(line)
-                    count += 1
+                    covered += span
                     if keep_after is not None and seq > keep_after:
                         scan.records.append(record)
-                    if count == limit:
+                    if limit is not None and covered >= limit:
                         break
                     continue
                 if error is not None:

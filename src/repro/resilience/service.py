@@ -7,7 +7,7 @@ protocol::
     journal.append_block(block)  # durable first, one group commit
     for segment in block, cut after every N-th journal seq:
         service.handle_block(segment)   # then apply: the planner step
-        at a cut: ledger.append(responses since the last one)
+        at a cut: ledger.append(responses since the last one)  # one block
                   snapshot   # atomic, checksummed, rotated
 
 The block's columns are the one row type: they are journaled and
@@ -21,7 +21,8 @@ journal's replay decodes records on the way out.
 The snapshot holds only the state Algorithm 2 continues from (station
 set, cost scale, KS window, RNG, fleet), so it is O(stations + bikes)
 however long the run.  The response history goes to the append-only
-:class:`~repro.resilience.ledger.ResponseLedger` beside the journal.
+:class:`~repro.resilience.ledger.ResponseLedger` beside the journal,
+one record per checkpoint segment holding its responses as columns.
 Each snapshot also links to the journal record it is current through
 (:meth:`~repro.resilience.journal.TripJournal.link`), so the journal
 tail is read from there, not from the start of the file.
@@ -31,7 +32,7 @@ state — station set, fleet batteries, RNG bit stream, response list —
 the uninterrupted run would have had.  Duplicate deliveries (an
 at-least-once upstream queue redelivering a trip) are screened by order
 id before they reach the journal, so replay never double-applies; the
-screen is rebuilt from the recovered responses' order ids.
+screen is rebuilt from the ledger's order-id columns.
 
 The planner's opening-cost function is a callable and cannot be
 serialised; snapshots carry an optional declarative *spec* for the
@@ -318,8 +319,10 @@ class CheckpointingService:
     def checkpoint(self) -> Path:
         """Log the responses since the last checkpoint, then snapshot.
 
-        The ledger append (one write + fsync) lands before the snapshot,
-        so every snapshot finds its history on disk.  The snapshot holds
+        The ledger append (one write + fsync, one block per run of seqs
+        between multiples of ``checkpoint_every``) lands before the
+        snapshot, so every snapshot finds its history on disk and its seq
+        ends a ledger record.  The snapshot holds
         the bounded service state and the applied seq, nothing that
         grows with trips served.  A retry after a failure rewrites the
         same ledger records.  The write goes through
@@ -333,7 +336,10 @@ class CheckpointingService:
         return self._write_checkpoint()
 
     def _write_checkpoint(self) -> Path:
-        self.ledger.append(self.service.responses[self.ledger.count : self._applied])
+        self.ledger.append(
+            self.service.responses[self.ledger.count : self._applied],
+            segment=self.checkpoint_every,
+        )
         payload = {
             "service": self.service.state_dict(),
             "applied": self._applied,
@@ -358,7 +364,8 @@ class CheckpointingService:
         """Rebuild the service from a checkpoint directory after a crash.
 
         Loads the newest *good* snapshot (torn files are skipped), reads
-        the response history through its seq from the ledger, then
+        the response history through its seq from the ledger (column by
+        column, seeding the dedup screen from the order ids), then
         replays the journal tail beyond it, as one block — reproducing
         exactly the state and responses an uninterrupted run would hold.
         The journal is read in one pass from the snapshot's journal link
@@ -389,7 +396,8 @@ class CheckpointingService:
             SnapshotError: when no usable snapshot exists.
             SnapshotVersionError: on a format-version mismatch.
             LedgerCorruptError: when the ledger is missing, short of the
-                snapshot's seq or damaged inside it.
+                snapshot's seq, damaged inside it, or holds a record
+                that runs past it.
             JournalCorruptError: on mid-file journal damage, or when the
                 record at the snapshot's journal link is not the one the
                 snapshot was taken after.
@@ -404,8 +412,10 @@ class CheckpointingService:
         if facility_cost is None:
             facility_cost = facility_cost_from_spec(spec)
         applied = int(payload["applied"])
+        # One response per applied trip: their ids are the dedup screen.
+        seen: set = set()
         ledger, responses = ResponseLedger.open(
-            directory / LEDGER_NAME, applied, durable=durable
+            directory / LEDGER_NAME, applied, durable=durable, seen=seen
         )
         service = PlacementService.from_state(payload["service"], facility_cost)
         service.responses = responses
@@ -423,8 +433,7 @@ class CheckpointingService:
         )
         wrapper.ledger = ledger
         wrapper._applied = applied
-        # One response per applied trip: their ids are the dedup screen.
-        wrapper._seen = {r.order_id for r in responses}
+        wrapper._seen = seen
         tail = wrapper.journal.replay(after_seq=applied, link=payload.get("journal"))
         if tail:
             # Already journaled (and already deduped at ingestion): apply

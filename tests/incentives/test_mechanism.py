@@ -12,6 +12,8 @@ from repro.incentives import (
     UserPopulation,
 )
 
+from .aggregation_oracle import choose_aggregation_site_reference
+
 
 def grid_stations(nx=3, ny=3, spacing=400.0):
     return [Point(i * spacing, j * spacing) for j in range(ny) for i in range(nx)]
@@ -208,15 +210,16 @@ class TestOfferRide:
 
 
 class TestAggregationSiteParity:
-    """The batched candidate scan must equal the scalar reference on
-    every (origin, destination) pair, across randomized fleets."""
+    """The batched candidate scan must equal the scalar reference
+    (``aggregation_oracle``) on every (origin, destination) pair, across
+    randomized fleets."""
 
     def _assert_parity(self, mech, n_stations):
         for origin in range(n_stations):
             for destination in range(n_stations):
                 assert mech.choose_aggregation_site(
                     origin, destination
-                ) == mech.choose_aggregation_site_reference(origin, destination), (
+                ) == choose_aggregation_site_reference(mech, origin, destination), (
                     f"diverged on {origin} -> {destination}"
                 )
 
@@ -257,4 +260,4 @@ class TestAggregationSiteParity:
             for destination in range(len(stations)):
                 assert mech.choose_aggregation_site(
                     origin, destination
-                ) == mech.choose_aggregation_site_reference(origin, destination)
+                ) == choose_aggregation_site_reference(mech, origin, destination)

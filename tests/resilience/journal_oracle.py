@@ -3,19 +3,18 @@
 The journal encodes trips from a block's columns only, and
 ``PlacementService.handle_block`` serves a block with its coin flips and
 ride noise drawn in one call each.  This module keeps what both are
-checked against: the record encoder (the sort-keys ``json`` encoding of
+checked against: the record encoders (the sort-keys ``json`` encoding of
 a record's fields), the planner step one trip at a time with scalar
 draws (:func:`handle_trip_per_row`), and a per-trip run of the
 write-ahead protocol built on them: the order-id screen, one journal
 line per fresh trip, the per-row step on the record's fields, and the
-ledger lines the checkpoint cadence has flushed.
+ledger blocks the checkpoint cadence has flushed.
 """
 
 import json
 
 from repro.core.streaming import ServiceResponse, pickup_station
 from repro.errors import StateDriftError
-from repro.resilience.ledger import _encode_line as encode_ledger_line
 from repro.resilience.records import frame
 
 
@@ -88,6 +87,24 @@ def encode_line(seq, trip):
     return frame(body)
 
 
+def encode_ledger_block(first, responses):
+    """The ledger block of ``responses`` at seqs ``first ..``, through
+    ``json``: each response field as a column."""
+    body = json.dumps(
+        {
+            "count": len(responses),
+            "responses": {
+                name: [vars(r)[name] for r in responses] for name in vars(responses[0])
+            },
+            "seq": first,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+        allow_nan=False,
+    )
+    return frame(body).encode("utf-8")
+
+
 def serve_per_trip(service, stream, checkpoint_every):
     """Serve ``stream`` trip by trip on a bare ``PlacementService``,
     through :func:`handle_trip_per_row`.
@@ -95,7 +112,8 @@ def serve_per_trip(service, stream, checkpoint_every):
     Returns ``(outcomes, journal_bytes, ledger_bytes)``: one response
     per trip (``None`` for a repeated order id), the journal a
     ``CheckpointingService`` with that cadence writes, and its ledger,
-    which holds the responses through the last checkpoint.
+    which holds the responses through the last checkpoint, one block
+    per checkpoint.
     """
     seen = set()
     outcomes, lines = [], []
@@ -108,7 +126,7 @@ def serve_per_trip(service, stream, checkpoint_every):
         outcomes.append(handle_trip_per_row(service, trip.order_id, trip.start, trip.end))
     flushed = len(lines) - len(lines) % checkpoint_every
     ledger = b"".join(
-        encode_ledger_line(seq, response)
-        for seq, response in enumerate(service.responses[:flushed], start=1)
+        encode_ledger_block(first, service.responses[first - 1 : first - 1 + checkpoint_every])
+        for first in range(1, flushed + 1, checkpoint_every)
     )
     return outcomes, "".join(lines).encode("utf-8"), ledger

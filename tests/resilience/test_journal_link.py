@@ -19,7 +19,8 @@ from repro.resilience import (
     logical_state,
     scrub_journal,
 )
-from repro.resilience.journal import JOURNAL_NAME
+from repro.resilience import records as records_module
+from repro.resilience.journal import JOURNAL_NAME, link_problem
 from repro.resilience.records import CHECKSUM_PREFIX_LEN, read_records
 
 from .conftest import COST_VALUE, build_service, make_trips
@@ -206,3 +207,32 @@ def test_reader_reports_where_its_last_record_begins(tmp_path):
     assert [r["seq"] for r in scan.records] == list(range(11, 31))
     assert scan.last_start == sum(map(len, lines[:29]))
     assert scan.end == path.stat().st_size
+
+
+
+def test_link_check_checksums_one_line(crashed, monkeypatch):
+    """``read_records(limit=1)`` cuts its batch to one line, so checking a
+    link checksums only the linked record, however long the tail; a
+    blank line before the record costs one more line, not a batch."""
+    directory, _, payload, _ = crashed
+    path, link = directory / JOURNAL_NAME, payload["journal"]
+    lines = journal_lines(directory)
+    record = lines[link["seq"] - 1]
+    checked = []
+    body = records_module._body
+
+    def counting(line):
+        checked.append(line)
+        return body(line)
+
+    monkeypatch.setattr(records_module, "_body", counting)
+    assert link_problem(path, link) is None
+    assert checked == [record]
+
+    lines.insert(link["seq"] - 1, b"\n")
+    path.write_bytes(b"".join(lines))
+    del checked[:]
+    scan = read_records(path, link["seq"] - 1, limit=1, start=link["offset"])
+    assert checked == [b"\n", record]
+    assert [r["seq"] for r in scan.records] == [link["seq"]]
+    assert scan.end == link["offset"] + 1 + len(record)

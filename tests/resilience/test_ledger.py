@@ -4,11 +4,13 @@ Every crash window the ledger opens is recovered from disk and compared
 with an uninterrupted twin: state, responses, journal bytes, then the
 continuation to the end of the stream (ledger bytes and newest snapshot
 included).  A ledger that cannot back its snapshot is refused, never
-recovered with a short history.
+recovered with a short history.  A ledger written one line per response,
+before block records, recovers and takes blocks after its lines.
 """
 
 import json
 import os
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -34,14 +36,15 @@ from repro.resilience import (
     logical_state,
     scrub_checkpoint_dir,
     scrub_ledger,
+    scrub_tree,
 )
-from repro.ioutil import checksum_hex, install_fs_seam
+from repro.ioutil import install_fs_seam
 from repro.resilience import records as records_module
-from repro.resilience.ledger import _encode_line as encode_ledger_line
-from repro.resilience.records import CHECKSUM_PREFIX_LEN
+from repro.resilience.records import frame
 from repro.resilience.service import JOURNAL_NAME
 
 from .conftest import COST_VALUE, build_service, make_trips
+from .journal_oracle import encode_ledger_block
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st  # noqa: E402
@@ -63,6 +66,11 @@ def recover(directory):
     return CheckpointingService.recover(
         directory, checkpoint_every=EVERY, durable=False
     )
+
+
+def ledger_seqs(directory):
+    """The last seq the intact records of ``directory``'s ledger cover."""
+    return records_module.read_records(directory / LEDGER_NAME).last_seq
 
 
 def newest_payload(service):
@@ -124,10 +132,17 @@ class TestLedger:
         assert back == responses
         assert reopened.count == 30
         lines = (tmp_path / LEDGER_NAME).read_bytes().splitlines()
-        assert len(lines) == 30
+        assert len(lines) == 2  # one block record per append
         digest, body = lines[0].split(b" ", 1)
         assert len(digest) == 16
-        assert json.loads(body) == {"response": vars(responses[0]), "seq": 1}
+        assert json.loads(body) == {
+            "count": 10,
+            "responses": {
+                name: [vars(r)[name] for r in responses[:10]]
+                for name in vars(responses[0])
+            },
+            "seq": 1,
+        }
 
     def test_empty_append_writes_nothing(self, tmp_path):
         ResponseLedger(tmp_path / LEDGER_NAME).append([])
@@ -137,13 +152,14 @@ class TestLedger:
         service = build_service(seed=33)
         responses = service.serve(make_trips(12, seed=33))
         path = tmp_path / LEDGER_NAME
-        ResponseLedger(path, durable=False).append(responses)
+        ResponseLedger(path, durable=False).append(responses, segment=5)
+        assert len(path.read_bytes().splitlines()) == 3  # seqs 1-5, 6-10, 11-12
         ledger, back = ResponseLedger.open(path, 5, durable=False)
         assert back == responses[:5]
-        assert len(path.read_bytes().splitlines()) == 12  # opening is read-only
-        ledger.append(responses[5:8])  # the next append cuts records 6..12
+        assert len(path.read_bytes().splitlines()) == 3  # opening is read-only
+        ledger.append(responses[5:8])  # the next append cuts seqs 6..12
         assert ResponseLedger.open(path, 8)[1] == responses[:8]
-        assert len(path.read_bytes().splitlines()) == 8
+        assert len(path.read_bytes().splitlines()) == 2
 
     def test_retry_after_torn_append_leaves_no_midfile_damage(self, tmp_path):
         service = build_service(seed=34)
@@ -261,8 +277,7 @@ class TestCrashWindows:
         victim.close()
         assert not list(directory.glob("*.tmp-*"))
         seq = crash_at * EVERY
-        ledger_lines = (directory / LEDGER_NAME).read_bytes().splitlines()
-        assert len(ledger_lines) == seq
+        assert ledger_seqs(directory) == seq
         recovered = recover(directory)
         assert recovered.last_recovery.snapshot_seq == seq - EVERY
         assert recovered.applied_seq == seq
@@ -284,8 +299,7 @@ class TestCrashWindows:
         FaultInjector.corrupt_file(newest, mode="truncate")
         recovered = recover(directory)
         assert recovered.last_recovery.snapshot_path == older
-        ledger_lines = (directory / LEDGER_NAME).read_bytes().splitlines()
-        assert len(ledger_lines) == newest_seq > recovered.last_recovery.snapshot_seq
+        assert ledger_seqs(directory) == newest_seq > recovered.last_recovery.snapshot_seq
         assert recovered.applied_seq == served
         assert_matches_twin(twin, directory, recovered)
 
@@ -295,8 +309,8 @@ class TestCrashWindows:
         cut=st.floats(min_value=0.0, max_value=0.999),
     )
     def test_torn_ledger_tail(self, tmp_path_factory, twin, checkpoints, cut):
-        """A crash mid-append: the last checkpoint's records are cut at a
-        byte inside them and its snapshot was never written."""
+        """A crash mid-append: the last checkpoint's block is cut at a
+        byte inside it and its snapshot was never written."""
         directory = tmp_path_factory.mktemp("tornledger") / "run"
         seq = checkpoints * EVERY
         victim = wrap(directory)
@@ -306,7 +320,7 @@ class TestCrashWindows:
         victim.store.path_for(seq).unlink()
         path = directory / LEDGER_NAME
         raw = path.read_bytes()
-        start = sum(len(line) for line in raw.splitlines(keepends=True)[: seq - EVERY])
+        start = sum(len(line) for line in raw.splitlines(keepends=True)[: checkpoints - 1])
         path.write_bytes(raw[: start + int(cut * (len(raw) - start))])
         recovered = recover(directory)
         assert recovered.last_recovery.snapshot_seq == seq - EVERY
@@ -344,10 +358,10 @@ class TestCrashWindows:
         elif damage == "missing":
             path.unlink()
         elif damage == "midfile":
-            lines[7] = lines[7][:20] + b"\n"
+            lines[1] = lines[1][:20] + b"\n"
             path.write_bytes(b"".join(lines))
         else:
-            del lines[7]
+            del lines[1]
             path.write_bytes(b"".join(lines))
         with pytest.raises(LedgerCorruptError):
             recover(directory)
@@ -398,8 +412,9 @@ class TestSingleJournalPass:
         recovered = recover(tmp_path / "run")
         # The journal is read from the snapshot's link: its record and
         # the tail after it are checksummed once, and so is each ledger
-        # record behind the snapshot; only the tail's trips are decoded.
-        assert calls == {"record": (1 + 7) + 2 * EVERY, "trip": 7}
+        # block behind the snapshot (one per checkpoint); only the tail's
+        # trips are decoded.
+        assert calls == {"record": (1 + 7) + 2, "trip": 7}
         assert recovered.last_recovery.replayed == 7
         assert recovered.journal.next_seq == 2 * EVERY + 8
         recovered.close()
@@ -468,15 +483,22 @@ class TestGuardedCheckpointRetry:
 
 
 # ----------------------------------------------------------------------
-_json_encode = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), allow_nan=False
-).encode
-
-
 def json_line(seq, response):
-    """The ledger line as the sort-keys ``json`` encoder writes it."""
-    body = _json_encode({"response": vars(response), "seq": seq}).encode("utf-8")
-    return checksum_hex(body)[:CHECKSUM_PREFIX_LEN].encode("ascii") + b" " + body + b"\n"
+    """A ledger line as builds before block records wrote it: one
+    response, through the sort-keys ``json`` encoder."""
+    body = json.dumps(
+        {"response": vars(response), "seq": seq},
+        sort_keys=True, separators=(",", ":"), allow_nan=False,
+    )
+    return frame(body).encode("utf-8")
+
+
+def block_bytes(first, responses):
+    """What ``ResponseLedger.append`` writes for one block at ``first``."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / LEDGER_NAME
+        ResponseLedger(path, durable=False, count=first - 1).append(responses)
+        return path.read_bytes()
 
 
 def same_outcome(encode, reference):
@@ -512,30 +534,51 @@ _responses = st.builds(
     walking_m=_walking,
 )
 
+_FIELDS = dict(
+    order_id=4, served=True, origin_station=2, destination_station=3,
+    opened_new=False, removed_station=None, walking_m=12.5,
+)
+
 
 class TestLineEncoding:
-    """The hand encoder writes exactly the ``json`` encoder's bytes."""
+    """A ledger record is the ``json`` encoder's bytes for its block, and
+    reads back to the responses it was written from."""
 
-    @given(seq=st.integers(min_value=1, max_value=2**63), response=_responses)
+    @given(
+        first=st.integers(min_value=1, max_value=2**63),
+        responses=st.lists(_responses, min_size=1, max_size=12),
+        segment=st.one_of(st.none(), st.integers(min_value=1, max_value=5)),
+    )
     @settings(max_examples=300, deadline=None)
-    def test_hand_encoding_is_byte_identical(self, seq, response):
-        line = encode_ledger_line(seq, response)
-        assert line == json_line(seq, response)
+    def test_block_round_trips_through_the_reader(self, first, responses, segment):
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / LEDGER_NAME
-            path.write_bytes(line)
+            ResponseLedger(path, durable=False, count=first - 1).append(
+                responses, segment=segment
+            )
+            raw = path.read_bytes()
             scan = records_module.read_records(path, keep_after=0)
-        assert (scan.problem, scan.end) == (None, len(line))
-        [record] = scan.records
-        assert (record["seq"], ServiceResponse(**record["response"])) == (seq, response)
+        assert (scan.problem, scan.end) == (None, len(raw))
+        assert scan.last_seq == first + len(responses) - 1
+        back, expected, seq = [], b"", first
+        for record in scan.records:
+            # Every block but the last ends at a multiple of the segment.
+            end = record["seq"] + record["count"] - 1
+            assert segment is None or end % segment == 0 or record is scan.records[-1]
+            block = responses[seq - first : seq - first + record["count"]]
+            expected += encode_ledger_block(seq, block)
+            back += map(ServiceResponse, *(record["responses"][k] for k in _FIELDS))
+            seq += record["count"]
+        assert raw == expected
+        assert back == responses
 
     @pytest.mark.parametrize("walking", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_walking_raises_like_json(self, walking):
         response = ServiceResponse(1, True, 2, 3, False, None, walking)
         with pytest.raises(ValueError):
-            json_line(1, response)
+            encode_ledger_block(1, [response])
         same_outcome(
-            lambda: encode_ledger_line(1, response), lambda: json_line(1, response)
+            lambda: block_bytes(1, [response]), lambda: encode_ledger_block(1, [response])
         )
 
     @pytest.mark.parametrize(
@@ -550,16 +593,11 @@ class TestLineEncoding:
         ],
     )
     def test_numpy_scalar_raises_like_json(self, field, value):
-        fields = dict(
-            order_id=4, served=True, origin_station=2, destination_station=3,
-            opened_new=False, removed_station=None, walking_m=12.5,
-        )
-        fields[field] = value
-        response = ServiceResponse(**fields)
+        response = ServiceResponse(**{**_FIELDS, field: value})
         with pytest.raises(TypeError):
-            json_line(1, response)
+            encode_ledger_block(1, [response])
         same_outcome(
-            lambda: encode_ledger_line(1, response), lambda: json_line(1, response)
+            lambda: block_bytes(1, [response]), lambda: encode_ledger_block(1, [response])
         )
 
     @pytest.mark.parametrize(
@@ -574,13 +612,187 @@ class TestLineEncoding:
         ],
     )
     def test_other_types_fall_back_to_json_bytes(self, field, value):
-        fields = dict(
-            order_id=4, served=True, origin_station=2, destination_station=3,
-            opened_new=False, removed_station=None, walking_m=12.5,
-        )
-        fields[field] = value
-        response = ServiceResponse(**fields)
+        response = ServiceResponse(**{**_FIELDS, field: value})
         line = same_outcome(
-            lambda: encode_ledger_line(9, response), lambda: json_line(9, response)
+            lambda: block_bytes(9, [response]), lambda: encode_ledger_block(9, [response])
         )
         assert line is not None
+
+
+# ----------------------------------------------------------------------
+def rewrite_per_line(path):
+    """Rewrite a block ledger as builds before block records wrote it,
+    one line per response."""
+    scan = records_module.read_records(path, keep_after=0)
+    assert scan.problem is None
+    lines, seq = [], 1
+    for record in scan.records:
+        columns = (record["responses"][k] for k in _FIELDS)
+        for response in map(ServiceResponse, *columns):
+            lines.append(json_line(seq, response))
+            seq += 1
+    path.write_bytes(b"".join(lines))
+    return len(lines)
+
+
+class TestPerLineLedger:
+    """A ledger written one line per response still recovers, takes block
+    records after its lines, and scrubs clean."""
+
+    def test_per_line_directory_recovers_and_grows(self, tmp_path, twin):
+        """Recovered bit-identically; the next checkpoint appends one
+        block after the lines, and the mixed file recovers, scrubs clean
+        and finishes the stream with the twin's blocks after the lines."""
+        directory, _ = served_dir(tmp_path)
+        path = directory / LEDGER_NAME
+        assert rewrite_per_line(path) == 3 * EVERY
+        old = path.read_bytes()
+        recovered = recover(directory)
+        assert logical_state(recovered.service) == twin[1][3 * EVERY + 5]
+        for trip in TRIPS[3 * EVERY + 5 : 4 * EVERY + 3]:
+            recovered.handle_trip(trip)
+        recovered.close()
+        raw = path.read_bytes()
+        assert raw.startswith(old)
+        assert raw[len(old):].count(b"\n") == 1  # one block: seqs 61..80
+        assert ledger_seqs(directory) == 4 * EVERY
+        assert scrub_tree(directory, repair=False, durable=False, record=False).clean
+        again = recover(directory)
+        assert logical_state(again.service) == twin[1][4 * EVERY + 3]
+        for trip in TRIPS[4 * EVERY + 3 :]:
+            again.handle_trip(trip)
+        again.checkpoint()
+        again.close()
+        final = twin[2]
+        assert logical_state(again.service) == final["state"]
+        assert newest_payload(again) == final["snapshot"]
+        twin_blocks = final["ledger"].splitlines(keepends=True)
+        assert path.read_bytes() == old + b"".join(twin_blocks[3:])
+
+    def test_committed_fixture_appends_a_block(self, tmp_path):
+        """The committed fleet fixture, written one line per response:
+        repaired, every shard recovers; a shard that replayed a journal
+        tail checkpoints it as one block after the lines its snapshot
+        covers, recovers again to the same state, and the fleet scrubs
+        clean."""
+        fixture = Path(__file__).parents[1] / "fixtures" / "scrub-fleet"
+        root = tmp_path / "scrub-fleet"
+        shutil.copytree(fixture, root)
+        assert not scrub_tree(root, repair=True, durable=False, record=False).refused
+        blocks = 0
+        for sdir in sorted(root.glob("shard-*")):
+            lines = (sdir / LEDGER_NAME).read_bytes().splitlines(keepends=True)
+            assert all(b'"response":' in line for line in lines)
+            service = CheckpointingService.recover(sdir, durable=False)
+            kept, replayed = service.ledger.count, service.last_recovery.replayed
+            state = logical_state(service.service)
+            service.checkpoint()
+            service.close()
+            raw = (sdir / LEDGER_NAME).read_bytes()
+            assert raw.startswith(b"".join(lines[:kept]))
+            assert raw[len(b"".join(lines[:kept])):].count(b"\n") == (replayed > 0)
+            blocks += replayed > 0
+            again = CheckpointingService.recover(sdir, durable=False)
+            assert again.last_recovery.replayed == 0
+            assert logical_state(again.service) == state
+            again.close()
+        assert blocks >= 1
+        assert scrub_tree(root, repair=False, durable=False, record=False).clean
+
+
+# ----------------------------------------------------------------------
+def served_dir(tmp_path):
+    """A closed directory that served ``3 * EVERY + 5`` trips: its ledger
+    holds one block per checkpoint, the newest snapshot ends the last."""
+    directory = tmp_path / "run"
+    victim = wrap(directory)
+    for trip in TRIPS[: 3 * EVERY + 5]:
+        victim.handle_trip(trip)
+    victim.close()
+    return directory, victim.service.responses
+
+
+def forge(record):
+    """A checksummed ledger line holding ``record`` as its body."""
+    return frame(json.dumps(record, sort_keys=True, separators=(",", ":"))).encode()
+
+
+class TestBlockRefusals:
+    """A block recovery cannot trust inside the snapshot's seqs raises
+    ``LedgerCorruptError``; none is recovered around."""
+
+    @pytest.mark.parametrize("line", [0, 1, 2])
+    def test_flipped_byte_inside_a_block(self, tmp_path, line):
+        directory, _ = served_dir(tmp_path)
+        path = directory / LEDGER_NAME
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert len(lines) == 3
+        at = len(lines[line]) // 2
+        lines[line] = lines[line][:at] + bytes([lines[line][at] ^ 1]) + lines[line][at + 1:]
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(LedgerCorruptError):
+            recover(directory)
+
+    def test_block_straddling_the_snapshot_seq(self, tmp_path):
+        """Snapshot 60 is gone, so recovery restores snapshot 40, inside
+        a block that runs over seqs 21..60."""
+        directory, responses = served_dir(tmp_path)
+        path = directory / LEDGER_NAME
+        path.unlink()
+        ledger = ResponseLedger(path, durable=False)
+        ledger.append(responses[:EVERY])
+        ledger.append(responses[EVERY : 3 * EVERY])
+        ledger.close()
+        (directory / "snapshot-0000000060.json").unlink()
+        with pytest.raises(LedgerCorruptError, match="past seq 40"):
+            recover(directory)
+
+    def test_open_refuses_a_block_past_the_count(self, tmp_path):
+        responses = build_service(seed=38).serve(make_trips(12, seed=38))
+        path = tmp_path / LEDGER_NAME
+        ResponseLedger(path, durable=False).append(responses)
+        with pytest.raises(LedgerCorruptError, match="runs to seq 12"):
+            ResponseLedger.open(path, 5)
+        assert ResponseLedger.open(path, 12)[1] == responses
+
+    @pytest.mark.parametrize("count", [0, -3, 1.5, True, "20", None])
+    @pytest.mark.parametrize("last", [False, True])
+    def test_block_with_a_bad_count(self, tmp_path, count, last):
+        """Not intact by the reader rule: mid-file damage before the
+        last block, a short history as the last."""
+        directory, _ = served_dir(tmp_path)
+        path = directory / LEDGER_NAME
+        lines = path.read_bytes().splitlines(keepends=True)
+        k = 2 if last else 1
+        record = json.loads(lines[k].split(b" ", 1)[1])
+        record["count"] = count
+        lines[k] = forge(record)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(LedgerCorruptError):
+            recover(directory)
+        assert scrub_ledger(path, repair=False)[0].kind == (
+            "ledger_torn_tail" if last else "ledger_midfile"
+        )
+
+    @pytest.mark.parametrize("change", ["short_column", "long_column", "count", "field"])
+    def test_block_with_mismatched_columns(self, tmp_path, change):
+        """Checksummed and in sequence, so the reader keeps it; decoding
+        refuses it."""
+        directory, _ = served_dir(tmp_path)
+        path = directory / LEDGER_NAME
+        lines = path.read_bytes().splitlines(keepends=True)
+        record = json.loads(lines[1].split(b" ", 1)[1])
+        columns = record["responses"]
+        if change == "short_column":
+            columns["walking_m"].pop()
+        elif change == "long_column":
+            columns["order_id"].append(10_000)
+        elif change == "count":  # every column one short of the count
+            for column in columns.values():
+                column.pop()
+        else:
+            columns["walking"] = columns.pop("walking_m")
+        lines[1] = forge(record)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(LedgerCorruptError, match="malformed record"):
+            recover(directory)

@@ -67,12 +67,13 @@ class TestLedgerCutPoints:
         service = build_service(seed=12)
         responses = service.serve(make_trips(6, seed=12))
         path = tmp_path / "responses.jsonl"
-        ResponseLedger(path, durable=False).append(responses[:4])
+        ResponseLedger(path, durable=False).append(responses[:4], segment=2)
         raw = path.read_bytes()
+        assert raw.count(b"\n") == 2  # two blocks of two responses
         for cut in range(len(raw) + 1):
             path.write_bytes(raw[:cut])
             end = intact_end(raw, cut)
-            kept = raw[:end].count(b"\n")
+            kept = 2 * raw[:end].count(b"\n")
             assert_scrub_repairs_to(scrub_ledger, path, tmp_path, end)
             ledger, back = ResponseLedger.open(path, kept, durable=False)
             assert back == responses[:kept]
